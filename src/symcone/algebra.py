@@ -33,7 +33,7 @@ import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 
-# Relative singularity cutoff: |eigenvalue| <= SINGULAR_RTOL * (1 + max|eig|).
+# Relative singularity cutoff: |eigenvalue| <= SINGULAR_RTOL * max|eig|.
 SINGULAR_RTOL = 1e-12
 
 
@@ -251,12 +251,20 @@ def to_matrix(x: Element) -> np.ndarray:
 
 
 def from_matrix(alg: AlgebraDescriptor, mat, *, atol: float = 1e-10) -> Element:
-    """Element from a (near-)Hermitian matrix; rejects asymmetry above atol."""
+    """Element from a (near-)Hermitian matrix; rejects asymmetry above atol.
+
+    For ``sym-real`` the matrix must also be real: an imaginary part above
+    atol is rejected instead of being dropped.
+    """
     mat = np.asarray(mat)
     herm_defect = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))
     scale = 1.0 + np.max(np.abs(mat))
     if herm_defect > atol * scale:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
+    if alg.kind is Kind.SYM_REAL and np.iscomplexobj(mat):
+        imag = np.max(np.abs(mat.imag))
+        if imag > atol * scale:
+            raise ValueError(f"sym-real matrix has an imaginary part ({imag:.3e})")
     return Element(alg, matrices_to_coords(alg, mat))
 
 
@@ -344,6 +352,31 @@ def batch_quad_apply(alg: AlgebraDescriptor, a, b) -> np.ndarray:
     ma = coords_to_matrices(alg, a)
     mb = coords_to_matrices(alg, b)
     return matrices_to_coords(alg, ma @ mb @ ma)
+
+
+def batch_lmap(alg: AlgebraDescriptor, a) -> np.ndarray:
+    """Multiplication operators L(a): y -> a o y, shape (..., dim, dim).
+
+    Column j of each operator is the product of ``a`` with basis element j.
+    """
+    a = np.asarray(a, dtype=float)
+    if alg.kind is Kind.LORENTZ:
+        m = np.zeros(a.shape + (alg.dim,))
+        m[..., 0, :] = a
+        m[..., :, 0] = a
+        m[..., 1:, 1:] += a[..., 0, None, None] * np.eye(alg.dim - 1)
+        return m
+    basis = _basis_matrices(alg)
+    ma = coords_to_matrices(alg, a)[..., None, :, :]
+    cols = matrices_to_coords(alg, (ma @ basis + basis @ ma) / 2.0)
+    return cols.swapaxes(-1, -2)
+
+
+def batch_quad_rep(alg: AlgebraDescriptor, a) -> np.ndarray:
+    """Quadratic representations P(a) = 2 L(a)^2 - L(a o a), shape (..., dim, dim)."""
+    la = batch_lmap(alg, a)
+    laa = batch_lmap(alg, batch_jordan(alg, a, a))
+    return 2.0 * la @ la - laa
 
 
 def batch_sqrt(alg: AlgebraDescriptor, a) -> np.ndarray:
@@ -436,13 +469,14 @@ def singular_threshold(lam: np.ndarray, threshold: float | None = None) -> float
     """Scale-aware singularity cutoff for a set of eigenvalues."""
     if threshold is not None:
         return threshold
-    return SINGULAR_RTOL * (1.0 + float(np.max(np.abs(lam))))
+    return SINGULAR_RTOL * float(np.max(np.abs(lam)))
 
 
 def inverse(x: Element, threshold: float | None = None) -> Element:
     """Spectral inverse; raises SingularElementError near-singular elements.
 
-    The default cutoff is SINGULAR_RTOL * (1 + max |eigenvalue|); pass
+    The default cutoff is SINGULAR_RTOL * max |eigenvalue|, so it scales
+    with the element and a multiple of the identity is never singular; pass
     ``threshold`` to override it with an absolute value.
     """
     lam = eigenvalues(x)
@@ -490,24 +524,12 @@ class LinearOperator:
 
 def lmap(x: Element) -> LinearOperator:
     """Multiplication operator L(x): y -> x o y, as a coordinate matrix."""
-    alg = x.algebra
-    if alg.kind is Kind.LORENTZ:
-        m = np.zeros((alg.dim, alg.dim))
-        m[0, :] = x.coords
-        m[:, 0] = x.coords
-        m[1:, 1:] += x.coords[0] * np.eye(alg.dim - 1)
-        return LinearOperator(alg, m)
-    basis = _basis_matrices(alg)
-    mx = coords_to_matrices(alg, x.coords)
-    cols = matrices_to_coords(alg, (mx @ basis + basis @ mx) / 2.0)
-    return LinearOperator(alg, cols.T)
+    return LinearOperator(x.algebra, batch_lmap(x.algebra, x.coords))
 
 
 def quad_rep(x: Element) -> LinearOperator:
     """Quadratic representation P(x) = 2 L(x)^2 - L(x o x)."""
-    lx = lmap(x).matrix
-    lxx = lmap(jordan_product(x, x)).matrix
-    return LinearOperator(x.algebra, 2.0 * lx @ lx - lxx)
+    return LinearOperator(x.algebra, batch_quad_rep(x.algebra, x.coords))
 
 
 @dataclass(frozen=True, eq=False)

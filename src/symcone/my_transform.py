@@ -3,7 +3,9 @@
 The map sends pairs of open-cone points to pairs of open-cone points and is
 its own inverse.  This module also provides the nested-inverse rewrite of
 its second component (Hua's identity) and the change-of-variables Jacobian
-of the map, both in closed form and as a finite-difference oracle.
+of the map, both in closed form and as a finite-difference oracle.  The
+Jacobian functions come in ``batch_*`` variants over stacked coordinates;
+the element-level ones are thin wrappers around them.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from .algebra import (
     Element,
     NotInConeError,
     _require_same,
+    batch_det,
     batch_in_cone,
     batch_inverse,
-    det,
     in_cone,
     inverse,
     quad_apply,
@@ -63,8 +65,17 @@ def jacobian_det_formula(u: Element, v: Element) -> float:
     """Closed-form Jacobian of the map at (u, v): (det u * det(u+v))^(-2 dim / rank)."""
     if not in_cone(u) or not in_cone(v):
         raise NotInConeError("jacobian requires open-cone inputs")
-    alg = u.algebra
-    return float((det(u) * det(u + v)) ** (-2.0 * alg.dim / alg.rank))
+    return float(batch_jacobian_det_formula(u.algebra, u.coords, v.coords))
+
+
+def batch_jacobian_det_formula(alg: AlgebraDescriptor, u, v) -> np.ndarray:
+    """Closed-form Jacobian at stacked cone points u, v of shape (..., dim).
+
+    Like the other ``batch_*`` kernels it does not check cone membership.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return (batch_det(alg, u) * batch_det(alg, u + v)) ** (-2.0 * alg.dim / alg.rank)
 
 
 def _psi_coords(alg: AlgebraDescriptor, z: np.ndarray) -> np.ndarray:
@@ -78,6 +89,45 @@ def _psi_coords(alg: AlgebraDescriptor, z: np.ndarray) -> np.ndarray:
     return np.concatenate([x, y], axis=-1)
 
 
+def batch_jacobian_fd_matrix(alg: AlgebraDescriptor, u, v, step: float = 1e-5) -> np.ndarray:
+    """Central finite-difference matrices of the map at stacked points (u, v).
+
+    ``u`` and ``v`` have shape (..., dim); the result has shape
+    (..., 2 dim, 2 dim).  The step for coordinate k of z = (u, v) is
+    step * (1 + |z_k|).  All 2 * 2 dim perturbed points of every input go
+    through the map in one call, so a NotInConeError from any of them
+    rejects the whole batch; callers should then retry with a smaller step.
+    """
+    z = np.concatenate([np.asarray(u, dtype=float), np.asarray(v, dtype=float)], axis=-1)
+    h = step * (1.0 + np.abs(z))
+    # row k of dz perturbs coordinate k only
+    dz = h[..., :, None] * np.eye(z.shape[-1])
+    fp = _psi_coords(alg, z[..., None, :] + dz)
+    fm = _psi_coords(alg, z[..., None, :] - dz)
+    # column k of the Jacobian = d(psi)/d(z_k)
+    return (fp - fm).swapaxes(-1, -2) / (2.0 * h)[..., None, :]
+
+
+def batch_jacobian_det_numeric(
+    alg: AlgebraDescriptor,
+    u,
+    v,
+    step: float = 1e-5,
+    richardson: bool = False,
+) -> np.ndarray:
+    """|det| of the finite-difference Jacobian matrices at stacked points (u, v).
+
+    With ``richardson=True`` the central-difference matrices at steps h and
+    h/2 are combined as (4 A_{h/2} - A_h) / 3 before taking the determinant,
+    buying two extra orders of accuracy when the plain estimate is too
+    coarse.
+    """
+    a = batch_jacobian_fd_matrix(alg, u, v, step)
+    if richardson:
+        a = (4.0 * batch_jacobian_fd_matrix(alg, u, v, step / 2.0) - a) / 3.0
+    return np.abs(np.linalg.det(a))
+
+
 def jacobian_fd_matrix(u: Element, v: Element, step: float = 1e-5) -> np.ndarray:
     """Central finite-difference matrix of the map at (u, v), shape (2 dim, 2 dim).
 
@@ -86,15 +136,7 @@ def jacobian_fd_matrix(u: Element, v: Element, step: float = 1e-5) -> np.ndarray
     then retry with a smaller step.
     """
     alg = _require_same(u, v)
-    z = np.concatenate([u.coords, v.coords])
-    m = z.size
-    h = step * (1.0 + np.abs(z))
-    plus = z[None, :] + np.diag(h)
-    minus = z[None, :] - np.diag(h)
-    fp = _psi_coords(alg, plus)
-    fm = _psi_coords(alg, minus)
-    # column k of the Jacobian = d(psi)/d(z_k)
-    return (fp - fm).T / (2.0 * h)[None, :]
+    return batch_jacobian_fd_matrix(alg, u.coords, v.coords, step)
 
 
 def jacobian_det_numeric(
@@ -103,14 +145,7 @@ def jacobian_det_numeric(
     step: float = 1e-5,
     richardson: bool = False,
 ) -> float:
-    """|det| of the finite-difference Jacobian matrix of the map at (u, v).
-
-    With ``richardson=True`` the central-difference matrices at steps h and
-    h/2 are combined as (4 A_{h/2} - A_h) / 3 before taking the determinant,
-    buying two extra orders of accuracy when the plain estimate is too
-    coarse.
-    """
-    a = jacobian_fd_matrix(u, v, step)
-    if richardson:
-        a = (4.0 * jacobian_fd_matrix(u, v, step / 2.0) - a) / 3.0
-    return float(abs(np.linalg.det(a)))
+    """|det| of the finite-difference Jacobian matrix of the map at (u, v);
+    ``richardson`` as in :func:`batch_jacobian_det_numeric`."""
+    alg = _require_same(u, v)
+    return float(batch_jacobian_det_numeric(alg, u.coords, v.coords, step, richardson))

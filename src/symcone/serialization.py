@@ -8,6 +8,7 @@ produce equal values produce byte-identical files.
 from __future__ import annotations
 
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -34,8 +35,7 @@ def dumps_canonical(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return encode_basestring(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):

@@ -120,6 +120,28 @@ def test_lmap_commutes_with_square(alg):
         assert np.linalg.norm(comm, 2) < 1e-9
 
 
+BATCH_ALGEBRAS = ALL_ALGEBRAS + [ja.sym_real(4), ja.herm_complex(4)]
+BATCH_IDS = [f"{a.kind.value}-dim{a.dim}" for a in BATCH_ALGEBRAS]
+
+
+@pytest.mark.parametrize("alg", BATCH_ALGEBRAS, ids=BATCH_IDS)
+def test_batch_operators_match_element_level(alg):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 5, alg.dim))
+    lb = ja.batch_lmap(alg, x)
+    qb = ja.batch_quad_rep(alg, x)
+    assert lb.shape == qb.shape == (2, 5, alg.dim, alg.dim)
+    basis = np.eye(alg.dim)
+    for idx in np.ndindex(2, 5):
+        xe = ja.Element(alg, x[idx])
+        assert np.abs(lb[idx] - ja.lmap(xe).matrix).max() < 1e-12
+        assert np.abs(qb[idx] - ja.quad_rep(xe).matrix).max() < 1e-12
+        # independent references: columns are x o e_j and P(x) e_j
+        scale = 1.0 + np.abs(x[idx]).max() ** 2
+        assert np.abs(lb[idx] - ja.batch_jordan(alg, x[idx], basis).T).max() < 1e-12 * scale
+        assert np.abs(qb[idx] - ja.batch_quad_apply(alg, x[idx], basis).T).max() < 1e-12 * scale
+
+
 def test_quad_rep_examples():
     a2 = ja.sym_real(2)
     assert np.allclose(ja.quad_rep(ja.identity(a2)).matrix, np.eye(3))
@@ -271,9 +293,21 @@ def test_inverse_singular():
         ja.inverse(ja.from_matrix(a2, np.diag([1.0, 0.0])))
     with pytest.raises(ja.SingularElementError):
         ja.inverse(ja.from_matrix(a2, np.diag([1.0, 1e-15])))
+    with pytest.raises(ja.SingularElementError):
+        ja.inverse(ja.zero(a2))
     # explicit threshold override admits small eigenvalues
     x = ja.inverse(ja.from_matrix(a2, np.diag([1.0, 1e-6])), threshold=1e-9)
     assert np.allclose(ja.to_matrix(x), np.diag([1.0, 1e6]))
+
+
+@pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=IDS)
+def test_inverse_of_scaled_identity_across_scales(alg):
+    # the cutoff is relative to the largest eigenvalue, so s * e is never
+    # singular, however small s is
+    e = ja.identity(alg)
+    for s in 10.0 ** np.arange(-150, 151, 10):
+        inv = ja.inverse(s * e)
+        np.testing.assert_allclose(inv.coords, e.coords / s, rtol=1e-15, atol=0.0)
 
 
 def test_sqrt_examples():
@@ -352,6 +386,14 @@ def test_element_validation_and_immutability():
         x.coords[0] = 5.0
     with pytest.raises(ValueError):
         ja.from_matrix(a2, np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
+    with pytest.raises(ValueError):
+        ja.from_matrix(a2, np.array([[1.0, 1j], [-1j, 1.0]]))  # Hermitian, not real
+    # complex dtype with a zero imaginary part is still a real matrix
+    real = ja.from_matrix(a2, np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex))
+    assert np.allclose(ja.to_matrix(real), [[2.0, 1.0], [1.0, 3.0]])
+    h2 = ja.herm_complex(2)
+    herm = ja.from_matrix(h2, np.array([[1.0, 1j], [-1j, 1.0]]))
+    assert np.allclose(ja.to_matrix(herm), [[1.0, 1j], [-1j, 1.0]])
     # positive definiteness of the inner product
     rng = np.random.default_rng(17)
     for alg in ALL_ALGEBRAS:

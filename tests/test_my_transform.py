@@ -132,6 +132,45 @@ def test_jacobian_richardson_refinement():
     assert abs(refined - formula) < abs(coarse - formula)
 
 
+def _fd_matrix_loop(u, v, step):
+    """Per-coordinate central differences of my_map, one perturbation at a time."""
+    alg = u.algebra
+    z = np.concatenate([u.coords, v.coords])
+    cols = []
+    for k in range(z.size):
+        h = step * (1.0 + abs(z[k]))
+        sides = []
+        for sign in (1.0, -1.0):
+            zk = z.copy()
+            zk[k] += sign * h
+            pair = mt.my_map(ja.Element(alg, zk[: alg.dim]), ja.Element(alg, zk[alg.dim :]))
+            sides.append(np.concatenate([pair.first.coords, pair.second.coords]))
+        cols.append((sides[0] - sides[1]) / (2.0 * h))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("alg", KINDS + [ja.sym_real(1), ja.herm_complex(3)],
+                         ids=IDS + ["sym-real-dim1", "herm-complex-dim9"])
+def test_batch_jacobian_matches_per_point(alg):
+    rng = np.random.default_rng(8)
+    u = ja.random_cone_points_banded(alg, rng, 12).reshape(3, 4, alg.dim)
+    v = ja.random_cone_points_banded(alg, rng, 12).reshape(3, 4, alg.dim)
+    batch = mt.batch_jacobian_fd_matrix(alg, u, v)
+    assert batch.shape == (3, 4, 2 * alg.dim, 2 * alg.dim)
+    dets = mt.batch_jacobian_det_numeric(alg, u, v)
+    rich = mt.batch_jacobian_det_numeric(alg, u, v, richardson=True)
+    for idx in np.ndindex(3, 4):
+        ue, ve = ja.Element(alg, u[idx]), ja.Element(alg, v[idx])
+        assert np.abs(batch[idx] - mt.jacobian_fd_matrix(ue, ve)).max() < 1e-12
+        assert np.abs(batch[idx] - _fd_matrix_loop(ue, ve, 1e-5)).max() < 1e-12
+        assert dets[idx] == pytest.approx(mt.jacobian_det_numeric(ue, ve), rel=1e-12)
+        assert rich[idx] == pytest.approx(
+            mt.jacobian_det_numeric(ue, ve, richardson=True), rel=1e-12
+        )
+        formula = mt.batch_jacobian_det_formula(alg, u[idx], v[idx])
+        assert formula == pytest.approx(mt.jacobian_det_formula(ue, ve), rel=1e-14)
+
+
 def test_inversion_derivative_block():
     # top-left block of the map's Jacobian is the derivative of u -> (u+v)^-1,
     # which must equal -P((u+v)^-1)

@@ -20,6 +20,17 @@ def test_canonical_dumps_basic():
     assert json.loads(out) == {"a": 1, "b": [1.5, None, True], "c": 'x"y'}
 
 
+def test_canonical_dumps_escapes_control_characters():
+    import json
+
+    for text in ("a\nb\t\x00", "\x1f\r\x08\x0c", 'q"\\', "plain ascii", "caf\u00e9"):
+        out = ser.dumps_canonical({"k": text})
+        assert json.loads(out) == {"k": text}
+    assert ser.dumps_canonical("a\nb\t\x00") == '"a\\nb\\t\\u0000"'
+    # ordinary strings are written as before: only quote and backslash escaped
+    assert ser.dumps_canonical('x"y\\z caf\u00e9') == '"x\\"y\\\\z caf\u00e9"'
+
+
 def test_element_json_round_trip():
     for alg in (ja.sym_real(2), ja.herm_complex(2), ja.lorentz(3)):
         rng = np.random.default_rng(1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symcone import algebra as ja
+from symcone import my_transform as mt
 from symcone import serialization as ser
 from symcone import verification as ver
 
@@ -39,6 +40,93 @@ def test_jacobian_check_passes(alg):
     report = ver.check_jacobian(alg, n=50, seed=6)
     assert report.passed
     assert report.max_residual < 1e-4
+
+
+def _capture_residuals(monkeypatch):
+    """Record the per-trial residual array each check hands to its report."""
+    captured = []
+    report = ver._report
+
+    def recording(check, alg, residuals, *args, **kwargs):
+        captured.append(np.asarray(residuals, float).copy())
+        return report(check, alg, residuals, *args, **kwargs)
+
+    monkeypatch.setattr(ver, "_report", recording)
+    return captured
+
+
+def test_det_operator_power_matches_per_trial_loop(monkeypatch):
+    alg = ja.herm_complex(3)
+    n = ver.BLOCK_TRIALS + 88  # more than one block
+    captured = _capture_residuals(monkeypatch)
+    report = ver.check_det_operator_power(alg, n=n, seed=3)
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(3), n)
+    power = 2.0 * alg.dim / alg.rank
+    expected = []
+    for xi in x:
+        target = ja.det(ja.Element(alg, xi)) ** power
+        op_det = ja.quad_rep(ja.Element(alg, xi)).det()
+        expected.append(abs(op_det - target) / abs(target))
+    # the stacked power may differ from the scalar one by an ulp per trial
+    np.testing.assert_allclose(captured[0], expected, rtol=0.0, atol=1e-15)
+    assert report.passed and report.trials == n
+
+
+def test_jacobian_richardson_path_matches_per_trial_loop(monkeypatch):
+    # at step 1e-3 a few trials miss the tolerance and are refined
+    alg, n, seed, step, tol = ja.lorentz(3), 60, 5, 1e-3, 1e-4
+    captured = _capture_residuals(monkeypatch)
+    report = ver.check_jacobian(alg, n=n, seed=seed, step=step, tol=tol)
+    rng = np.random.default_rng(seed)
+    u = ja.random_cone_points_banded(alg, rng, n)
+    v = ja.random_cone_points_banded(alg, rng, n)
+    expected, refined = [], 0
+    for ui, vi in zip(u, v):
+        ue, ve = ja.Element(alg, ui), ja.Element(alg, vi)
+        formula = mt.jacobian_det_formula(ue, ve)
+        rel = abs(mt.jacobian_det_numeric(ue, ve, step) - formula) / formula
+        if rel > tol:
+            refined += 1
+            numeric = mt.jacobian_det_numeric(ue, ve, step, richardson=True)
+            rel = abs(numeric - formula) / formula
+        expected.append(rel)
+    assert 0 < refined < n
+    # the stacked closed form may differ from the scalar one by an ulp per trial
+    np.testing.assert_allclose(captured[0], expected, rtol=1e-12, atol=1e-15)
+    assert report.passed
+
+
+@pytest.mark.parametrize("alg", [A2, ja.herm_complex(2), ja.lorentz(3)],
+                         ids=["sym-real-dim3", "herm-complex-dim4", "lorentz-dim4"])
+def test_batched_checks_thread_invariant(alg):
+    for check, n in ((ver.check_det_operator_power, 701), (ver.check_jacobian, 41)):
+        a = check(alg, n=n, seed=6, threads=3)
+        b = check(alg, n=n, seed=6, threads=1)
+        assert a.to_dict() == b.to_dict()
+
+
+def test_det_operator_power_gate_can_fail(monkeypatch):
+    alg = ja.sym_real(3)
+    assert ver.check_det_operator_power(alg, n=200, seed=3).passed
+    quad_rep = ver.batch_quad_rep
+    monkeypatch.setattr(ver, "batch_quad_rep", lambda a, x: quad_rep(a, x) * (1.0 + 1e-6))
+    report = ver.check_det_operator_power(alg, n=200, seed=3)
+    assert not report.passed
+    assert report.max_residual > 100.0 * report.tolerance
+
+
+def test_jacobian_gate_can_fail(monkeypatch):
+    alg = A2
+    assert ver.check_jacobian(alg, n=50, seed=6).passed
+
+    def skewed_formula(a, u, v):
+        exponent = -2.0 * a.dim / a.rank * (1.0 + 1e-4)
+        return (ja.batch_det(a, u) * ja.batch_det(a, u + v)) ** exponent
+
+    monkeypatch.setattr(ver, "batch_jacobian_det_formula", skewed_formula)
+    report = ver.check_jacobian(alg, n=50, seed=6)
+    assert not report.passed
+    assert report.max_residual > 10.0 * report.tolerance
 
 
 def test_cauchy_additive_cases():
