@@ -243,6 +243,19 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("sets must be >= 1")
     if cfg.format not in ("json", "csv"):
         raise UsageError(f"unknown format {cfg.format}")
+    if not (math.isfinite(cfg.step) and cfg.step > 0):
+        raise UsageError(f"step must be finite and > 0, got {cfg.step}")
+    try:
+        _mcmc(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    # a dCor test on fewer than 2 pairs, or with no permutations, cannot reject
+    if cfg.permutations < 1:
+        raise UsageError(f"permutations must be >= 1, got {cfg.permutations}")
+    if cfg.subsample is not None and cfg.subsample < 2:
+        raise UsageError(f"subsample must be >= 2, got {cfg.subsample}")
+    if cfg.command == ("test", "my-property") and cfg.n < 2:
+        raise UsageError(f"my-property needs n >= 2, got {cfg.n}")
 
 
 def _algebra(cfg: RunConfig) -> AlgebraDescriptor:

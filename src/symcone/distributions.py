@@ -105,6 +105,21 @@ class McmcConfig:
     adapt: bool = True
     accept_band: tuple[float, float] = (0.1, 0.7)
 
+    def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        if self.thin < 1:
+            raise ValueError(f"thin must be >= 1, got {self.thin}")
+        if self.chains < 1:
+            raise ValueError(f"chains must be >= 1, got {self.chains}")
+        if not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
+            raise ValueError(f"proposal_scale must be finite and > 0, got {self.proposal_scale}")
+        if not 0 < self.target_accept < 1:
+            raise ValueError(f"target_accept must lie in (0, 1), got {self.target_accept}")
+        lo, hi = self.accept_band
+        if not 0 <= lo < hi <= 1:
+            raise ValueError(f"accept_band needs 0 <= lo < hi <= 1, got {self.accept_band}")
+
 
 @dataclass(eq=False)
 class SampleBatch:

@@ -10,6 +10,7 @@ the element-level ones are thin wrappers around them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,10 @@ def batch_jacobian_fd_matrix(alg: AlgebraDescriptor, u, v, step: float = 1e-5) -
     step * (1 + |z_k|).  All 2 * 2 dim perturbed points of every input go
     through the map in one call, so a NotInConeError from any of them
     rejects the whole batch; callers should then retry with a smaller step.
+    Raises ValueError unless ``step`` is finite and positive.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"finite-difference step must be finite and > 0, got {step}")
     z = np.concatenate([np.asarray(u, dtype=float), np.asarray(v, dtype=float)], axis=-1)
     h = step * (1.0 + np.abs(z))
     # row k of dz perturbs coordinate k only

@@ -10,6 +10,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats as sps
 
+# permutations whose statistics are summed in one pass; a pass holds two
+# (m, PERMUTATION_BLOCK + 1) float arrays
+PERMUTATION_BLOCK = 512
+
 
 def distance_correlation(x, y) -> float:
     """Sample distance correlation of two scalar samples (V-statistic form)."""
@@ -49,28 +53,62 @@ def permutation_dcor_test(
 
     Returns (dcor, p_value).  The p-value counts permuted squared distance
     covariances at least as large as the observed one, with the +1 finite-
-    sample correction.  When the samples are longer than ``subsample``, a
-    random subsample of that size is tested; the distance matrices are
-    O(n^2), so this bounds memory and keeps the permutation loop fast while
-    leaving the null distribution of the p-value uniform.
+    sample correction, so it is never below 1 / (n_permutations + 1).  When
+    the samples are longer than ``subsample``, a random subsample of that
+    size is tested; the centred distance matrices take O(m^2) memory, so
+    this bounds it while leaving the null distribution of the p-value
+    uniform.
+
+    The permutations are drawn one after the other from ``rng`` with
+    ``rng.permutation(m)``, after the subsample draw.  Raises ValueError
+    when ``n_permutations < 1`` or when fewer than 2 pairs would be tested,
+    since then the test cannot reject.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    if subsample is not None and x.size > subsample:
-        idx = rng.choice(x.size, size=subsample, replace=False)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError("need two 1-d samples of equal length")
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be >= 1, got {n_permutations}")
+    m = x.size if subsample is None else min(x.size, subsample)
+    if m < 2:
+        raise ValueError(f"need at least 2 pairs to test, got {m}")
+    if m < x.size:
+        idx = rng.choice(x.size, size=m, replace=False)
         x, y = x[idx], y[idx]
     a, b = _centered_distance_matrices(x, y)
-    observed = (a * b).mean()
     count = 0
-    for _ in range(n_permutations):
-        perm = rng.permutation(x.size)
-        permuted = b[perm][:, perm]
-        if (a * permuted).mean() >= observed:
-            count += 1
+    for start in range(0, n_permutations, PERMUTATION_BLOCK):
+        size = min(PERMUTATION_BLOCK, n_permutations - start)
+        # column 0 is the observed sample, summed by the same code as the rest
+        yt = np.stack([y, *(y[rng.permutation(m)] for _ in range(size))], axis=1)
+        stat = _permuted_dcov_sums(a, yt)
+        count += int(np.count_nonzero(stat[1:] >= stat[0]))
     p_value = (count + 1.0) / (n_permutations + 1.0)
     return _dcor_from_centered(a, b), p_value
+
+
+def _permuted_dcov_sums(a: np.ndarray, yt: np.ndarray) -> np.ndarray:
+    """sum_{i<j} a[i, j] |yt[i, k] - yt[j, k]| for every column k of yt.
+
+    With ``a`` the double-centred distance matrix of x, this is m^2 / 2
+    times the squared distance covariance of x with column k: the centring
+    terms of the other sample sum to zero against ``a``.  Rows are added one
+    at a time with elementwise operations, so every column is summed in the
+    same order and identical columns give identical sums.  (A BLAS
+    matrix-vector product rounds its trailing columns differently.)
+    """
+    stat = np.zeros(yt.shape[1])
+    buf = np.empty_like(yt)
+    for f in range(1, yt.shape[0]):
+        d = buf[:f]
+        np.subtract(yt[:f], yt[f], out=d)
+        np.abs(d, out=d)
+        d *= a[f, :f, None]
+        stat += d.sum(axis=0)
+    return stat
 
 
 def ks_2sample(x, y) -> tuple[float, float]:

@@ -112,6 +112,53 @@ def test_sample_shape_guard_is_usage_error():
                    "--p", "0.5", "-n", "10") == 64
 
 
+@pytest.mark.parametrize("extra", [
+    ("--permutations", "0"),
+    ("--permutations", "-3"),
+    ("--subsample", "0"),
+    ("--subsample", "1"),
+    ("-n", "1"),
+    ("--thin", "0"),
+    ("--burn-in", "-5"),
+    ("--chains", "0"),
+    ("--proposal-scale", "0"),
+    ("--proposal-scale", "nan"),
+], ids=lambda e: "".join(e))
+def test_vacuous_or_invalid_my_property_settings_are_usage_errors(extra, capsys):
+    # each makes the run vacuous or meaningless, so it must not reach the test
+    assert run_cli("test", "my-property", "--kind", "lorentz", "--dim", "3",
+                   "-n", "200", "--permutations", "20", *extra) == 64
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--thin", "0"),
+    ("--burn-in", "-5"),
+    ("--chains", "0"),
+    ("--proposal-scale", "-1"),
+], ids=lambda e: "".join(e))
+def test_invalid_mcmc_settings_are_usage_errors_for_sample(extra, capsys):
+    assert run_cli("sample", "wishart", "--kind", "lorentz", "--dim", "3",
+                   "--p", "2", "-n", "10", *extra) == 64
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "inf", "nan"])
+def test_invalid_jacobian_step_is_usage_error(step, capsys):
+    assert run_cli("check", "jacobian", "--kind", "sym-real", "--rank", "2",
+                   "--trials", "5", "--step", step) == 64
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_single_draw_sample_and_unsubsampled_dcor_stay_valid(tmp_path):
+    assert run_cli("sample", "gig", "--kind", "sym-real", "--rank", "1",
+                   "--p", "2", "-n", "1") == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"subsample": None}))
+    assert run_cli("test", "my-property", "--kind", "sym-real", "--rank", "1",
+                   "-n", "300", "--permutations", "50", "--config", str(config)) == 0
+
+
 def test_check_fe_cone_with_sets(tmp_path):
     out = tmp_path / "fe.json"
     code = run_cli("check", "fe-cone", "--kind", "herm-complex", "--rank", "2",

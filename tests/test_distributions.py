@@ -334,3 +334,29 @@ def test_mcmc_divergence_is_flagged():
     with pytest.warns(RuntimeWarning):
         batch = dist.sample_gig(params, 4, 200, mcmc=cfg)
     assert batch.mcmc["diverged"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("burn_in", -5),
+    ("thin", 0),
+    ("chains", 0),
+    ("proposal_scale", 0.0),
+    ("proposal_scale", -0.1),
+    ("proposal_scale", math.inf),
+    ("proposal_scale", math.nan),
+    ("target_accept", 0.0),
+    ("target_accept", 1.0),
+    ("accept_band", (0.7, 0.1)),
+    ("accept_band", (0.3, 0.3)),
+    ("accept_band", (-0.1, 0.5)),
+    ("accept_band", (0.1, 1.5)),
+])
+def test_mcmc_config_rejects_invalid_settings(field, value):
+    with pytest.raises(ValueError, match=field):
+        dist.McmcConfig(**{field: value})
+
+
+def test_mcmc_config_accepts_valid_edges():
+    dist.McmcConfig()
+    dist.McmcConfig(burn_in=0, thin=1, chains=1, accept_band=(0.0, 1.0))
+    dist.McmcConfig(burn_in=200, thin=2, chains=4, proposal_scale=80.0, adapt=False)

@@ -189,3 +189,13 @@ def test_fd_step_leaving_cone_raises():
     tiny = ja.Element(a1, np.array([1e-7]))
     with pytest.raises(ja.NotInConeError):
         mt.jacobian_det_numeric(tiny, ja.identity(a1), step=0.5)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+def test_fd_step_must_be_finite_and_positive(step):
+    alg = ja.sym_real(2)
+    e = ja.identity(alg)
+    with pytest.raises(ValueError, match="step"):
+        mt.jacobian_det_numeric(e, e, step=step)
+    with pytest.raises(ValueError, match="step"):
+        mt.batch_jacobian_fd_matrix(alg, e.coords[None], e.coords[None], step)

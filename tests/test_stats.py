@@ -44,6 +44,92 @@ def test_permutation_test_determinism():
     assert out1 == out2
 
 
+def _reference_permutation_dcor_test(x, y, n_permutations, rng, subsample):
+    """The per-permutation loop: permute rows and columns of the centred b."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    if subsample is not None and x.size > subsample:
+        idx = rng.choice(x.size, size=subsample, replace=False)
+        x, y = x[idx], y[idx]
+    a, b = st._centered_distance_matrices(x, y)
+    observed = (a * b).mean()
+    count = 0
+    for _ in range(n_permutations):
+        perm = rng.permutation(x.size)
+        if (a * b[perm][:, perm]).mean() >= observed:
+            count += 1
+    return st._dcor_from_centered(a, b), (count + 1.0) / (n_permutations + 1.0)
+
+
+def _pair(data, size, rng):
+    x = rng.standard_normal(size)
+    if data == "independent":
+        return x, rng.standard_normal(size)
+    if data == "dependent":
+        return x, x + 0.5 * rng.standard_normal(size)
+    # few distinct values, so many pairs tie
+    return np.round(x, 1), np.round(x + rng.standard_normal(size))
+
+
+@pytest.mark.parametrize("subsampled", [False, True], ids=["all", "subsample"])
+@pytest.mark.parametrize("data", ["independent", "dependent", "ties"])
+@pytest.mark.parametrize("m", [2, 50, 400, 1100])
+def test_batched_permutation_test_matches_loop(m, data, subsampled, monkeypatch):
+    # m pairs are tested; with a subsample they are drawn from 3m
+    x, y = _pair(data, 3 * m if subsampled else m, np.random.default_rng(m))
+    subsample = m if subsampled else None
+    if m <= 50:
+        n_permutations = 600  # two blocks of the default size
+    else:
+        n_permutations = 40
+        monkeypatch.setattr(st, "PERMUTATION_BLOCK", 16)  # three blocks
+    rng_ref = np.random.default_rng(11)
+    rng_new = np.random.default_rng(11)
+    expected = _reference_permutation_dcor_test(x, y, n_permutations, rng_ref, subsample)
+    assert st.permutation_dcor_test(x, y, n_permutations, rng_new, subsample) == expected
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [3, 17, 200])
+def test_identical_columns_give_identical_sums(m):
+    # a permutation that leaves the sample unchanged must tie with the
+    # observed column exactly, wherever it sits in the block
+    rng = np.random.default_rng(m)
+    a, _ = st._centered_distance_matrices(rng.standard_normal(m), np.zeros(m))
+    stat = st._permuted_dcov_sums(a, np.repeat(rng.standard_normal((m, 1)), 13, axis=1))
+    assert np.all(stat == stat[0])
+
+
+def test_permutation_test_identical_samples_reach_the_floor():
+    x = np.random.default_rng(12).standard_normal(300)
+    r, p = st.permutation_dcor_test(x, x.copy(), 200, np.random.default_rng(13))
+    assert r == pytest.approx(1.0)
+    assert p == 1.0 / 201.0
+
+
+@pytest.mark.parametrize("n_permutations", [0, -3])
+def test_permutation_test_needs_permutations(n_permutations):
+    x = np.arange(10.0)
+    with pytest.raises(ValueError, match="n_permutations"):
+        st.permutation_dcor_test(x, x, n_permutations, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("size, subsample", [(1, None), (1, 1000), (100, 1), (100, 0), (0, None)])
+def test_permutation_test_needs_two_pairs(size, subsample):
+    x = np.arange(float(size))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="2 pairs"):
+        st.permutation_dcor_test(x, x, 10, rng, subsample)
+    assert rng.bit_generator.state == state
+
+
+def test_permutation_test_rejects_unequal_lengths():
+    # indexing both samples with one subsample would hide the mismatch
+    with pytest.raises(ValueError, match="equal length"):
+        st.permutation_dcor_test(np.arange(200.0), np.arange(300.0), 10, subsample=50)
+
+
 def test_ks_helpers():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(2000)

@@ -129,6 +129,13 @@ def test_jacobian_gate_can_fail(monkeypatch):
     assert report.max_residual > 10.0 * report.tolerance
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0])
+def test_jacobian_check_rejects_bad_step(step):
+    # step 0 would give a NaN residual, step -1 leaves the cone
+    with pytest.raises(ValueError, match="step"):
+        ver.check_jacobian(A2, n=3, seed=6, step=step)
+
+
 def test_cauchy_additive_cases():
     zero_vec = ja.zero(A2)
     report = ver.check_cauchy_additive(A2, zero_vec, n=200, seed=7)
