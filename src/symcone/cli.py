@@ -147,9 +147,12 @@ def parse_element(spec: str, alg: AlgebraDescriptor) -> Element:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t != ""]
+        values = [float(t) for t in text.split(",") if t != ""]
     except ValueError as exc:
         raise UsageError(f"bad numeric list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"element values must be finite, got {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -243,6 +246,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("sets must be >= 1")
     if cfg.format not in ("json", "csv"):
         raise UsageError(f"unknown format {cfg.format}")
+    if cfg.p is not None and not math.isfinite(cfg.p):
+        raise UsageError(f"p must be finite, got {cfg.p}")
     if not (math.isfinite(cfg.step) and cfg.step > 0):
         raise UsageError(f"step must be finite and > 0, got {cfg.step}")
     try:

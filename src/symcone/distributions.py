@@ -14,7 +14,10 @@ uses the fastest exact route available for each family:
   random-walk Metropolis on the coordinates, with scale adaptation during
   burn-in and thinning afterwards.  Each chain consumes an independent
   stream spawned from the master seed, so batches are reproducible and
-  chains can be compared.
+  chains can be compared.  At rank 2 the Metropolis target is evaluated in
+  closed form (every rank-2 algebra is a spin factor, so the log density
+  needs only tr x, det x and two inner products); higher ranks take
+  eigenvalues and inverses from LAPACK at every step.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .algebra import (
     batch_in_cone,
     batch_inner,
     batch_inverse,
+    batch_trace,
     coords_to_matrices,
     det,
     identity,
@@ -53,6 +57,16 @@ class ShapeOutOfRangeError(ValueError):
     """Shape parameter outside the range supported by the operation."""
 
 
+def _require_finite(p: float, **elements: Element) -> None:
+    # NaN passes every range guard (all comparisons are false) and an
+    # infinite coordinate passes the cone test, so both are rejected first
+    if not math.isfinite(p):
+        raise ValueError(f"shape p must be finite, got {p}")
+    for name, el in elements.items():
+        if not np.all(np.isfinite(el.coords)):
+            raise ValueError(f"parameter {name} must have finite coordinates")
+
+
 @dataclass(frozen=True)
 class WishartParams:
     """Shape p and open-cone scale a of a cone Wishart distribution."""
@@ -61,6 +75,7 @@ class WishartParams:
     a: Element
 
     def __post_init__(self):
+        _require_finite(self.p, a=self.a)
         if not in_cone(self.a):
             raise NotInConeError("Wishart scale must lie in the open cone")
 
@@ -80,6 +95,7 @@ class GigParams:
     def __post_init__(self):
         if self.a.algebra != self.b.algebra:
             raise NotInConeError("GIG parameters must share an algebra")
+        _require_finite(self.p, a=self.a, b=self.b)
         if not in_cone(self.a) or not in_cone(self.b):
             raise NotInConeError("GIG parameters must lie in the open cone")
 
@@ -430,8 +446,46 @@ def _metropolis_cone(alg, log_pdf, seed, n, config: McmcConfig, init: np.ndarray
     return coords, meta
 
 
-def _wishart_log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords: np.ndarray):
+def _rank2_det(alg: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
+    """Determinant of rank-2 coordinates (..., dim), without a matrix.
+
+    Every rank-2 algebra is a spin factor.  The matrix kinds read
+    (d1, d2, off...) with det = d1 d2 - |off|^2 / 2; Lorentz reads
+    (x0, xbar) with det = x0^2 - |xbar|^2.
+    """
+    if alg.kind is Kind.LORENTZ:
+        return x[..., 0] ** 2 - np.sum(x[..., 1:] ** 2, axis=-1)
+    return x[..., 0] * x[..., 1] - 0.5 * np.sum(x[..., 2:] ** 2, axis=-1)
+
+
+def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
+    """Metropolis target (p - dim/r) log det x - <a, x> - <b, x^-1>, -inf off the cone.
+
+    Without ``b`` this is the Wishart log density up to its constant, with
+    ``b`` the GIG one.  Rank 2 is evaluated in closed form: the cone is
+    tr x > 0, det x > 0, and by Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
+    <b, x^-1> = (tr x tr b - <b, x>) / det x.  Higher ranks take the
+    eigenvalues and the inverse from LAPACK.
+    """
     exponent = p - alg.dim_over_rank
+
+    if alg.rank == 2:
+        tr_b = None if b_coords is None else float(batch_trace(alg, b_coords))
+
+        def log_pdf(x):
+            tr = batch_trace(alg, x)
+            dt = _rank2_det(alg, x)
+            ok = (tr > 0.0) & (dt > 0.0)
+            out = np.full(x.shape[:-1], -np.inf)
+            if np.any(ok):
+                xo, tr, dt = x[ok], tr[ok], dt[ok]
+                val = exponent * np.log(dt) - batch_inner(alg, a_coords, xo)
+                if b_coords is not None:
+                    val -= (tr * tr_b - batch_inner(alg, b_coords, xo)) / dt
+                out[ok] = val
+            return out
+
+        return log_pdf
 
     def log_pdf(x):
         lam = batch_eigenvalues(alg, x)
@@ -440,28 +494,10 @@ def _wishart_log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords: np.ndarra
         if np.any(ok):
             xo = x[ok]
             log_det = np.sum(np.log(lam[ok]), axis=-1)
-            out[ok] = exponent * log_det - batch_inner(alg, a_coords, xo)
-        return out
-
-    return log_pdf
-
-
-def _gig_log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords):
-    exponent = p - alg.dim_over_rank
-
-    def log_pdf(x):
-        lam = batch_eigenvalues(alg, x)
-        ok = lam[..., -1] > 0.0
-        out = np.full(x.shape[:-1], -np.inf)
-        if np.any(ok):
-            xo = x[ok]
-            log_det = np.sum(np.log(lam[ok]), axis=-1)
-            inv = batch_inverse(alg, xo)
-            out[ok] = (
-                exponent * log_det
-                - batch_inner(alg, a_coords, xo)
-                - batch_inner(alg, b_coords, inv)
-            )
+            val = exponent * log_det - batch_inner(alg, a_coords, xo)
+            if b_coords is not None:
+                val -= batch_inner(alg, b_coords, batch_inverse(alg, xo))
+            out[ok] = val
         return out
 
     return log_pdf
@@ -478,9 +514,10 @@ def sample_wishart(
 
     Matrix kinds use the exact Bartlett construction; the Lorentz family has
     no triangular factorization, so it is sampled by Metropolis against the
-    closed-form density and should be validated through Laplace-transform
-    probes.  Requires the absolutely continuous range p > dim/rank - 1 (the
-    discrete shapes below it have no density and are not sampled).
+    closed-form density (tr x and det x of the spin factor, no eigenvalue
+    call) and should be validated through Laplace-transform probes.
+    Requires the absolutely continuous range p > dim/rank - 1 (the discrete
+    shapes below it have no density and are not sampled).
     """
     alg = params.algebra
     if params.p <= alg.dim_over_rank - 1.0:
@@ -496,7 +533,7 @@ def sample_wishart(
         coords = _bartlett(alg, params.p, params.a, seed, n)
         return SampleBatch(alg, record, coords, seed, "bartlett")
     config = mcmc or McmcConfig()
-    log_pdf = _wishart_log_pdf_batch(alg, params.p, params.a.coords)
+    log_pdf = _log_pdf_batch(alg, params.p, params.a.coords)
     scale = alg.rank * max(params.p - alg.dim_over_rank, 0.5) / inner(
         params.a, identity(alg)
     )
@@ -534,7 +571,7 @@ def sample_gig(
         )
         return SampleBatch(alg, record, draws[:, None], seed, "rejection")
     config = mcmc or McmcConfig()
-    log_pdf = _gig_log_pdf_batch(alg, params.p, params.a.coords, params.b.coords)
+    log_pdf = _log_pdf_batch(alg, params.p, params.a.coords, params.b.coords)
     scale = math.sqrt(
         inner(params.b, identity(alg)) / inner(params.a, identity(alg))
     )

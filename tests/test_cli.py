@@ -1,6 +1,10 @@
 """Command-line front end: parsing, dispatch, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,10 @@ def test_parse_element_errors():
         cli.parse_element("nonsense", a2)
     with pytest.raises(cli.UsageError):
         cli.parse_element("diag:1,oops", a2)
+    with pytest.raises(cli.UsageError, match="finite"):
+        cli.parse_element("diag:1,inf", ja.herm_complex(2))
+    with pytest.raises(cli.UsageError, match="finite"):
+        cli.parse_element("coords:1,nan,0", ja.lorentz(2))
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +156,38 @@ def test_invalid_jacobian_step_is_usage_error(step, capsys):
     assert run_cli("check", "jacobian", "--kind", "sym-real", "--rank", "2",
                    "--trials", "5", "--step", step) == 64
     assert "usage error" in capsys.readouterr().err
+
+
+def _run_cli_subprocess(*argv):
+    # in a child with a timeout, so a regression that hangs fails instead
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "symcone.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "nan"),
+    ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "inf"),
+    ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "1", "--b", "diag:inf"),
+    ("test", "my-property", "--kind", "sym-real", "--rank", "1", "--p", "nan",
+     "--permutations", "20"),
+], ids=["gig-rank1-p-nan", "gig-rank1-p-inf", "gig-rank1-b-inf", "my-property-rank1-p-nan"])
+def test_non_finite_parameters_that_used_to_hang_are_usage_errors(argv):
+    done = _run_cli_subprocess(*argv, "-n", "10")
+    assert done.returncode == 64
+    assert "must be finite" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "wishart", "--kind", "sym-real", "--rank", "2", "--p", "nan"),
+    ("sample", "wishart", "--kind", "sym-real", "--rank", "2", "--p", "inf"),
+    ("sample", "gig", "--kind", "sym-real", "--rank", "2", "--p", "nan"),
+    ("sample", "wishart", "--kind", "lorentz", "--dim", "3", "--p", "nan"),
+], ids=["wishart-sym2-p-nan", "wishart-sym2-p-inf", "gig-sym2-p-nan", "wishart-lorentz-p-nan"])
+def test_non_finite_shape_is_usage_error(argv, capsys):
+    assert run_cli(*argv, "-n", "10") == 64
+    assert "p must be finite" in capsys.readouterr().err
 
 
 def test_single_draw_sample_and_unsubsampled_dcor_stay_valid(tmp_path):

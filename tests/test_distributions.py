@@ -124,6 +124,28 @@ def test_wishart_density_errors():
         dist.WishartParams(2.0, ja.from_matrix(A2, np.diag([1.0, -1.0])))
 
 
+def _with_coords(alg, values):
+    return ja.Element(alg, np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dist.WishartParams(math.nan, E2),
+    lambda: dist.WishartParams(math.inf, E2),
+    lambda: dist.WishartParams(2.0, _with_coords(A2, [math.inf, 1.0, 0.0])),
+    lambda: dist.WishartParams(2.0, _with_coords(L2, [1.0, math.nan, 0.0])),
+    lambda: dist.GigParams(math.nan, ONE, ONE),
+    lambda: dist.GigParams(-math.inf, E2, E2),
+    lambda: dist.GigParams(1.0, ONE, scalar(math.inf)),
+    lambda: dist.GigParams(1.0, _with_coords(A2, [1.0, math.nan, 0.0]), E2),
+], ids=["wishart-p-nan", "wishart-p-inf", "wishart-a-inf", "wishart-lorentz-a-nan",
+        "gig-p-nan", "gig-p-minus-inf", "gig-b-inf", "gig-a-nan"])
+def test_params_reject_non_finite_values(make):
+    # NaN passes every shape guard and an infinite coordinate passes the cone
+    # test, so without this the samplers hang or run on nonsense
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_wishart_laplace_examples():
     assert dist.wishart_laplace(dist.WishartParams(2.0, ONE), ja.zero(A1)) == 1.0
     assert dist.wishart_laplace(dist.WishartParams(2.0, ONE), scalar(1.0)) == pytest.approx(0.25)
@@ -360,3 +382,114 @@ def test_mcmc_config_accepts_valid_edges():
     dist.McmcConfig()
     dist.McmcConfig(burn_in=0, thin=1, chains=1, accept_band=(0.0, 1.0))
     dist.McmcConfig(burn_in=200, thin=2, chains=4, proposal_scale=80.0, adapt=False)
+
+
+# ---------------------------------------------------------------------------
+# Rank-2 closed-form Metropolis target
+# ---------------------------------------------------------------------------
+
+RANK2 = [L2, ja.lorentz(5), A2, H2]
+RANK2_IDS = ["lorentz-dim3", "lorentz-dim6", "sym2", "herm2"]
+
+
+def _reference_log_pdf_batch(alg, p, a_coords, b_coords=None):
+    """The eigenvalue/inverse target, as every rank used it before the closed form."""
+    exponent = p - alg.dim_over_rank
+
+    def log_pdf(x):
+        lam = ja.batch_eigenvalues(alg, x)
+        ok = lam[..., -1] > 0.0
+        out = np.full(x.shape[:-1], -np.inf)
+        if np.any(ok):
+            xo = x[ok]
+            log_det = np.sum(np.log(lam[ok]), axis=-1)
+            if b_coords is None:
+                out[ok] = exponent * log_det - ja.batch_inner(alg, a_coords, xo)
+            else:
+                inv = ja.batch_inverse(alg, xo)
+                out[ok] = (
+                    exponent * log_det
+                    - ja.batch_inner(alg, a_coords, xo)
+                    - ja.batch_inner(alg, b_coords, inv)
+                )
+        return out
+
+    return log_pdf
+
+
+def _scaled_params(alg, scale):
+    """a = A / scale and b = B * scale, so GIG and Wishart draws sit near scale."""
+    pts = ja.random_cone_points_banded(alg, np.random.default_rng(alg.dim), 2, 0.5, 2.0)
+    return ja.Element(alg, pts[0] / scale), ja.Element(alg, pts[1] * scale)
+
+
+def _rank2_points(alg, rng, scale, n):
+    """scale * (l1 c1 + l2 c2) on random Jordan frames, with l1 / l2 up to 1e6."""
+    pts = np.empty((n, alg.dim))
+    for i in range(n):
+        c1, c2 = ja.spectral_decomposition(ja.random_element(alg, rng)).idempotents
+        l1 = rng.uniform(1.0, 10.0)
+        l2 = l1 * 10.0 ** -rng.uniform(0.0, 6.0)
+        pts[i] = scale * (l1 * c1.coords + l2 * c2.coords)
+    return pts
+
+
+MCMC_EDGE_CONFIGS = [
+    dist.McmcConfig(burn_in=0, thin=1, chains=1),
+    # acceptance near 0: most proposals leave the cone
+    dist.McmcConfig(burn_in=200, thin=2, chains=4, proposal_scale=80.0, adapt=False),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("config", MCMC_EDGE_CONFIGS, ids=["single-chain", "wide-proposals"])
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("alg", RANK2, ids=RANK2_IDS)
+def test_rank2_target_leaves_seeded_samplers_unchanged(alg, scale, config, monkeypatch):
+    a, b = _scaled_params(alg, scale)
+
+    def draw():
+        return (
+            dist.sample_gig(dist.GigParams(-1.7, a, b), 7, 300, mcmc=config),
+            dist.sample_wishart(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9, 300,
+                                mcmc=config, method="mcmc"),
+        )
+
+    closed_form = draw()
+    monkeypatch.setattr(dist, "_log_pdf_batch", _reference_log_pdf_batch)
+    for got, ref in zip(closed_form, draw()):
+        assert got.coords.tobytes() == ref.coords.tobytes()
+        assert got.mcmc == ref.mcmc
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-50, 1.0, 1e50, 1e150])
+@pytest.mark.parametrize("alg", RANK2, ids=RANK2_IDS)
+def test_rank2_target_matches_eigenvalue_target(alg, scale):
+    x = _rank2_points(alg, np.random.default_rng(11), scale, 200)
+    a, b = _scaled_params(alg, scale)
+    for p, b_coords in ((2.3, None), (-1.7, b.coords)):
+        got = dist._log_pdf_batch(alg, p, a.coords, b_coords)(x)
+        ref = _reference_log_pdf_batch(alg, p, a.coords, b_coords)(x)
+        assert np.all(np.isfinite(ref))
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+@pytest.mark.parametrize("alg", RANK2, ids=RANK2_IDS)
+def test_rank2_target_is_minus_inf_off_the_open_cone(alg, scale):
+    e = ja.identity(alg).coords
+    edge = np.zeros(alg.dim)  # diag(1, 0), or Lorentz (1, 1, 0, ...)
+    edge[:2] = 1.0 if alg.kind is ja.Kind.LORENTZ else (1.0, 0.0)
+    indefinite = e.copy()  # diag(1, -1), or Lorentz (1, 2, 0, ...)
+    indefinite[1] = 2.0 if alg.kind is ja.Kind.LORENTZ else -1.0
+    off_cone = scale * np.stack([edge, np.zeros(alg.dim), -e, -edge, indefinite])
+    a, b = _scaled_params(alg, scale)
+    gaussian = scale * np.random.default_rng(3).standard_normal((400, alg.dim))
+    for b_coords in (None, b.coords):
+        target = dist._log_pdf_batch(alg, 2.3, a.coords, b_coords)
+        assert np.all(target(off_cone) == -np.inf)
+        got = target(gaussian)
+        ref = _reference_log_pdf_batch(alg, 2.3, a.coords, b_coords)(gaussian)
+        assert not np.any(np.isnan(got))
+        assert np.array_equal(got == -np.inf, ref == -np.inf)
+        assert 0 < np.sum(got == -np.inf) < len(gaussian)

@@ -283,6 +283,16 @@ def test_my_property_negative_control_fails():
     assert min(report.dcor_p_values) < 0.01
 
 
+def test_my_property_negative_control_fails_through_dcor_alone():
+    # at B = 1000 the smallest attainable p-value 1/1001 is below the gate
+    report = ver.my_property_test(
+        A1, 2.0, ONE, ONE, 4000, seed=5, n_permutations=1000, subsample=500,
+        negative_control=True,
+    )
+    assert len(report.dcor_p_values + report.ks_p_values) == 7
+    assert all(p <= ver.SIGNIFICANCE / 7 for p in report.dcor_p_values)
+
+
 def test_report_determinism():
     r1 = ver.check_hua(A2, n=200, seed=42)
     r2 = ver.check_hua(A2, n=200, seed=42)
