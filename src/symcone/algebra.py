@@ -254,9 +254,12 @@ def from_matrix(alg: AlgebraDescriptor, mat, *, atol: float = 1e-10) -> Element:
     """Element from a (near-)Hermitian matrix; rejects asymmetry above atol.
 
     For ``sym-real`` the matrix must also be real: an imaginary part above
-    atol is rejected instead of being dropped.
+    atol is rejected instead of being dropped.  A NaN or infinite entry is
+    rejected too.
     """
     mat = np.asarray(mat)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has a NaN or infinite entry")
     herm_defect = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))
     scale = 1.0 + np.max(np.abs(mat))
     if herm_defect > atol * scale:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .algebra import (
     AlgebraDescriptor,
@@ -148,6 +147,10 @@ class SampleBatch:
     method: str
     mcmc: dict | None = None
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.coords)):
+            raise ValueError("sample coordinates must be finite")
+
     @property
     def n(self) -> int:
         return self.coords.shape[0]
@@ -222,6 +225,8 @@ def gig_norm_constant_rank1(params: GigParams) -> float:
     exponentially on both sides of the mode.  Only rank 1 is supported;
     higher ranks have no implemented normalizer.
     """
+    from scipy import integrate  # imported here: it dominates import time
+
     alg = params.algebra
     if alg.rank != 1:
         raise ValueError("normalizing constant is implemented for rank 1 only")

@@ -3,6 +3,17 @@
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, and containers keep insertion order, so any two runs that
 produce equal values produce byte-identical files.
+
+Sample batches are written and read a block of rows at a time, not one
+float per Python call.  The writers fill a ``%.17g`` row template for
+``ROW_BLOCK`` rows in one ``%`` call; ``"%.17g" % x`` and
+``format(x, ".17g")`` are the same routine, so the bytes are those of
+:func:`format_float` for finite floats (a :class:`SampleBatch` holds no
+others).  The CSV reader checks the header and every row's
+``kind,rank,dim`` prefix and cell count with string operations, raising
+``ValueError`` that names the line of a malformed file, and then parses
+all coordinates with one ``numpy.loadtxt`` call.  Single elements go
+through the same row template and row check.
 """
 
 from __future__ import annotations
@@ -66,22 +77,72 @@ def element_from_dict(d: dict) -> Element:
 
 
 def element_to_csv_row(x: Element) -> str:
-    alg = x.algebra
-    cells = [alg.kind.value, str(alg.rank), str(alg.dim)]
-    cells += [format(float(c), ".17g") for c in x.coords]
-    return ",".join(cells)
+    return _csv_row_template(x.algebra) % tuple(x.coords.tolist())
 
 
 def element_from_csv_row(row: str) -> Element:
-    cells = row.strip().split(",")
-    alg = descriptor_from_dict({"kind": cells[0], "rank": int(cells[1]), "dim": int(cells[2])})
-    coords = np.array([float(c) for c in cells[3 : 3 + alg.dim]])
-    return Element(alg, coords)
+    alg, coords = _csv_coords([(1, row.strip())])
+    return Element(alg, coords[0])
 
 
 # ---------------------------------------------------------------------------
 # Sample batches
 # ---------------------------------------------------------------------------
+
+# rows formatted in one % call; bounds the temporary tuple of floats
+ROW_BLOCK = 4096
+
+
+def _csv_prefix(alg: AlgebraDescriptor) -> str:
+    return f"{alg.kind.value},{alg.rank},{alg.dim}"
+
+
+def _csv_header(alg: AlgebraDescriptor) -> str:
+    return ",".join(["kind", "rank", "dim"] + coordinate_names(alg))
+
+
+def _csv_row_template(alg: AlgebraDescriptor) -> str:
+    return _csv_prefix(alg) + ",%.17g" * alg.dim
+
+
+def _format_rows(template: str, sep: str, coords: np.ndarray) -> list[str]:
+    """Fill ``template`` once per row, rows ``sep``-joined, ROW_BLOCK rows per call."""
+    full = sep.join([template] * ROW_BLOCK)
+    chunks = []
+    for start in range(0, coords.shape[0], ROW_BLOCK):
+        block = coords[start : start + ROW_BLOCK]
+        filled = full if block.shape[0] == ROW_BLOCK else sep.join([template] * block.shape[0])
+        chunks.append(filled % tuple(block.ravel().tolist()))
+    return chunks
+
+
+def _csv_coords(rows: list[tuple[int, str]]) -> tuple[AlgebraDescriptor, np.ndarray]:
+    """Algebra and coordinates of numbered CSV rows, header excluded.
+
+    The first row's ``kind,rank,dim`` prefix fixes the algebra.  Every row
+    must carry that prefix and exactly ``3 + dim`` cells.
+    """
+    line, first = rows[0]
+    cells = first.split(",", 3)
+    try:
+        alg = descriptor_from_dict({"kind": cells[0], "rank": int(cells[1]),
+                                    "dim": int(cells[2])})
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"line {line}: no valid kind,rank,dim prefix ({exc})") from None
+    prefix = _csv_prefix(alg) + ","
+    commas = 2 + alg.dim
+    bad = next((r for r in rows if not r[1].startswith(prefix) or r[1].count(",") != commas),
+               None)
+    if bad is not None:
+        line, row = bad
+        if not row.startswith(prefix):
+            raise ValueError(f"line {line}: prefix {','.join(row.split(',')[:3])!r} "
+                             f"differs from {prefix[:-1]!r}")
+        raise ValueError(f"line {line}: {row.count(',') + 1} cells, expected {3 + alg.dim}")
+    coords = np.loadtxt([row for _, row in rows], delimiter=",",
+                        usecols=range(3, 3 + alg.dim), ndmin=2, comments=None)
+    return alg, coords
+
 
 def batch_metadata(batch: SampleBatch) -> dict:
     meta = {"schema_version": SCHEMA_VERSION}
@@ -99,25 +160,35 @@ def batch_metadata(batch: SampleBatch) -> dict:
 def batch_to_csv(batch: SampleBatch) -> str:
     """One sample per row, coordinates in canonical basis order."""
     alg = batch.algebra
-    header = ["kind", "rank", "dim"] + coordinate_names(alg)
-    lines = [",".join(header)]
-    prefix = f"{alg.kind.value},{alg.rank},{alg.dim}"
-    for row in batch.coords:
-        lines.append(prefix + "," + ",".join(format(float(c), ".17g") for c in row))
-    return "\n".join(lines) + "\n"
+    rows = _format_rows(_csv_row_template(alg), "\n", batch.coords)
+    return "\n".join([_csv_header(alg), *rows, ""])
 
 
 def batch_to_json(batch: SampleBatch) -> str:
-    payload = batch_metadata(batch)
-    payload["samples"] = [[float(c) for c in row] for row in batch.coords]
-    return dumps_canonical(payload) + "\n"
+    """The :func:`batch_metadata` object plus a ``"samples"`` list of rows."""
+    head = dumps_canonical(batch_metadata(batch))
+    row = "[" + ", ".join(["%.17g"] * batch.algebra.dim) + "]"
+    samples = ", ".join(_format_rows(row, ", ", batch.coords))
+    return head[:-1] + ', "samples": [' + samples + "]}\n"
 
 
 def batch_coords_from_csv(text: str) -> tuple[AlgebraDescriptor, np.ndarray]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    rows = [element_from_csv_row(ln) for ln in lines[1:]]
-    alg = rows[0].algebra
-    return alg, np.stack([r.coords for r in rows])
+    """Algebra and (n, dim) coordinates of a CSV written by :func:`batch_to_csv`.
+
+    Blank lines and CRLF line ends are accepted.  A file without sample
+    rows, a header other than ``kind,rank,dim`` plus the coordinate names,
+    and a row whose prefix or cell count differs from the first row's raise
+    ``ValueError`` naming the line.
+    """
+    lines = [(k, ln) for k, ln in enumerate(map(str.strip, text.splitlines()), 1) if ln]
+    if len(lines) < 2:
+        raise ValueError("CSV has no sample rows")
+    (line, header), rows = lines[0], lines[1:]
+    alg, coords = _csv_coords(rows)
+    expected = _csv_header(alg)
+    if header != expected:
+        raise ValueError(f"line {line}: header {header!r}, expected {expected!r}")
+    return alg, coords
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Statistical test helpers used by the verification checks.
 
-Two-sample and CDF-based Kolmogorov-Smirnov tests are delegated to scipy;
+Two-sample and CDF-based Kolmogorov-Smirnov tests are delegated to scipy,
+which is imported on their first call;
 the permutation distance-correlation independence test is implemented here
 so that its p-values are reproducible from an explicit generator.
 """
@@ -8,7 +9,6 @@ so that its p-values are reproducible from an explicit generator.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 # permutations whose statistics are summed in one pass; a pass holds two
 # (m, PERMUTATION_BLOCK + 1) float arrays
@@ -113,12 +113,16 @@ def _permuted_dcov_sums(a: np.ndarray, yt: np.ndarray) -> np.ndarray:
 
 def ks_2sample(x, y) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and p-value."""
+    from scipy import stats as sps  # imported here: it dominates import time
+
     res = sps.ks_2samp(np.asarray(x, float), np.asarray(y, float))
     return float(res.statistic), float(res.pvalue)
 
 
 def ks_against_cdf(x, cdf) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov test of data against a CDF callable."""
+    from scipy import stats as sps
+
     res = sps.kstest(np.asarray(x, float), cdf)
     return float(res.statistic), float(res.pvalue)
 

@@ -377,6 +377,20 @@ def test_banded_cone_points_have_banded_spectra(alg):
     assert lam.max() < 5.0 + 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_from_matrix_rejects_non_finite_entries(bad):
+    import warnings
+
+    for alg, mat in ((ja.sym_real(2), np.array([[bad, 0.0], [0.0, 1.0]])),
+                     (ja.sym_real(2), np.array([[1.0, bad], [bad, 1.0]])),
+                     (ja.herm_complex(2), np.array([[1.0, complex(0.0, bad)],
+                                                    [complex(0.0, -bad), 1.0]]))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any numpy warning
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                ja.from_matrix(alg, mat)
+
+
 def test_element_validation_and_immutability():
     a2 = ja.sym_real(2)
     with pytest.raises(ValueError):

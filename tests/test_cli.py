@@ -166,6 +166,18 @@ def _run_cli_subprocess(*argv):
                           capture_output=True, text=True, timeout=60)
 
 
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy.integrate and scipy.stats take most of a second each to import;
+    # they load on the first KS test or rank-1 GIG normalizer instead
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import symcone, symcone.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "nan"),
     ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "inf"),

@@ -27,6 +27,14 @@ def scalar(v):
 # Cone Gamma function
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_sample_batch_rejects_non_finite_coords(bad):
+    coords = np.ones((4, 3))
+    coords[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dist.SampleBatch(A2, {}, coords, 0, "bartlett")
+
+
 def test_gamma_cone_rank1_is_ordinary_gamma():
     for p in (0.5, 1.0, 2.0, 3.7):
         assert dist.gamma_cone(p, A1) == pytest.approx(math.gamma(p), rel=1e-12)

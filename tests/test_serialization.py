@@ -1,6 +1,7 @@
 """Round trips and determinism of the JSON/CSV forms."""
 
 import numpy as np
+import pytest
 
 from symcone import algebra as ja
 from symcone import distributions as dist
@@ -84,3 +85,168 @@ def test_reports_csv_shape():
     lines = text.strip().splitlines()
     assert lines[0].startswith("check,kind,rank,dim,")
     assert lines[1].startswith("hua-identity,sym-real,2,3,50,")
+
+
+# ---------------------------------------------------------------------------
+# Whole-batch serializers against the per-float reference
+# ---------------------------------------------------------------------------
+
+def _reference_batch_to_csv(batch):
+    alg = batch.algebra
+    header = ["kind", "rank", "dim"] + ja.coordinate_names(alg)
+    lines = [",".join(header)]
+    prefix = f"{alg.kind.value},{alg.rank},{alg.dim}"
+    for row in batch.coords:
+        lines.append(prefix + "," + ",".join(format(float(c), ".17g") for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_batch_to_json(batch):
+    payload = ser.batch_metadata(batch)
+    payload["samples"] = [[float(c) for c in row] for row in batch.coords]
+    return ser.dumps_canonical(payload) + "\n"
+
+
+def _reference_element_from_csv_row(row):
+    cells = row.strip().split(",")
+    alg = ja.descriptor_from_dict({"kind": cells[0], "rank": int(cells[1]), "dim": int(cells[2])})
+    return ja.Element(alg, np.array([float(c) for c in cells[3 : 3 + alg.dim]]))
+
+
+def _reference_batch_coords_from_csv(text):
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    rows = [_reference_element_from_csv_row(ln) for ln in lines[1:]]
+    return rows[0].algebra, np.stack([r.coords for r in rows])
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 2.2250738585072014e-308, 1.0, -1.0 / 3.0)
+
+
+def _bit_pattern_coords(n, dim, seed):
+    """Random IEEE bit patterns (non-finite ones replaced) plus the special values."""
+    rng = np.random.default_rng(seed)
+    coords = rng.integers(0, 2**64, size=(n, dim), dtype=np.uint64).view(np.float64)
+    bad = ~np.isfinite(coords)
+    coords[bad] = rng.standard_normal(int(bad.sum()))
+    flat = coords.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size // 2, 4 * len(_SPECIAL_FLOATS)), replace=False)
+    flat[picks] = np.resize(_SPECIAL_FLOATS, picks.size)
+    return coords
+
+
+_KINDS = [ja.sym_real(1), ja.sym_real(2), ja.sym_real(3), ja.herm_complex(2),
+          ja.herm_complex(3), ja.lorentz(2), ja.lorentz(5)]
+
+
+def _block_sizes(block):
+    return [1, block - 1, block, block + 1, 2 * block + 7]
+
+
+def _assert_same_text(got, want):
+    # line by line, so that a failure prints one line, not a diff of megabytes
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for k, (g, w) in enumerate(zip(got_lines, want_lines)):
+        assert g == w, f"first difference on line {k + 1}"
+    assert len(got_lines) == len(want_lines)
+
+
+def _assert_matches_reference(alg, n):
+    coords = _bit_pattern_coords(n, alg.dim, seed=n + 31 * alg.dim)
+    batch = dist.SampleBatch(alg, {"p": 2.0}, coords, 7, "bartlett")
+    csv_text = ser.batch_to_csv(batch)
+    _assert_same_text(csv_text, _reference_batch_to_csv(batch))
+    _assert_same_text(ser.batch_to_json(batch), _reference_batch_to_json(batch))
+    alg_back, back = ser.batch_coords_from_csv(csv_text)
+    ref_alg, ref = _reference_batch_coords_from_csv(csv_text)
+    assert alg_back == ref_alg == alg
+    assert back.shape == (n, alg.dim)
+    assert back.tobytes() == ref.tobytes() == coords.tobytes()
+
+
+@pytest.mark.parametrize("index", range(5))
+@pytest.mark.parametrize("alg", _KINDS, ids=lambda a: f"{a.kind.value}-{a.dim}")
+def test_batch_serializers_match_per_float_reference(alg, index, monkeypatch):
+    # a small block puts the same block boundaries within cheap sizes
+    monkeypatch.setattr(ser, "ROW_BLOCK", 64)
+    _assert_matches_reference(alg, _block_sizes(ser.ROW_BLOCK)[index])
+
+
+@pytest.mark.parametrize("n", _block_sizes(ser.ROW_BLOCK))
+def test_batch_serializers_match_reference_at_the_default_block(n):
+    _assert_matches_reference(ja.sym_real(2), n)
+
+
+def test_batch_json_reads_back_with_the_json_module():
+    import json
+
+    coords = _bit_pattern_coords(5, 3, seed=4)
+    batch = dist.SampleBatch(ja.sym_real(2), {"p": 2.0}, coords, 7, "mcmc", {"thin": 2})
+    payload = json.loads(ser.batch_to_json(batch))
+    assert list(payload)[-2:] == ["mcmc", "samples"]
+    # equal values; JSON itself reads "-0" back as 0
+    assert np.array_equal(np.asarray(payload["samples"], dtype=float), coords)
+
+
+def test_empty_batch_writes_header_and_empty_samples():
+    batch = dist.SampleBatch(ja.lorentz(2), {}, np.zeros((0, 3)), 1, "mcmc")
+    assert ser.batch_to_csv(batch) == _reference_batch_to_csv(batch) == "kind,rank,dim,x0,x1,x2\n"
+    assert ser.batch_to_json(batch) == _reference_batch_to_json(batch)
+
+
+def test_element_csv_row_matches_reference():
+    for alg in _KINDS:
+        x = ja.Element(alg, _bit_pattern_coords(1, alg.dim, seed=alg.dim)[0])
+        row = ser.element_to_csv_row(x)
+        assert row == _reference_batch_to_csv(
+            dist.SampleBatch(alg, {}, x.coords[None, :], 0, "")).splitlines()[1]
+        assert ser.element_from_csv_row(row).coords.tobytes() == x.coords.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Malformed CSV input
+# ---------------------------------------------------------------------------
+
+def _sym_real_2_csv():
+    coords = np.array([[2.0, 1.0, 0.5], [3.0, 4.0, -0.25], [1.5, 2.5, 0.125]])
+    return ser.batch_to_csv(dist.SampleBatch(ja.sym_real(2), {}, coords, 0, "bartlett")), coords
+
+
+def test_csv_reader_accepts_crlf_and_blank_lines():
+    text, coords = _sym_real_2_csv()
+    lines = text.splitlines()
+    messy = "\r\n".join([lines[0], "", lines[1], lines[2], "", lines[3]]) + "\r\n\r\n"
+    alg, back = ser.batch_coords_from_csv(messy)
+    assert alg == ja.sym_real(2)
+    assert np.array_equal(back, coords)
+
+
+def test_csv_reader_rejects_a_row_of_another_algebra():
+    text, _ = _sym_real_2_csv()
+    lines = text.splitlines()
+    lines[3] = "lorentz,2,3" + lines[3][len("sym-real,2,3"):]
+    with pytest.raises(ValueError, match="line 4: prefix 'lorentz,2,3'"):
+        ser.batch_coords_from_csv("\n".join(lines) + "\n")
+
+
+def test_csv_reader_rejects_an_extra_cell():
+    text, _ = _sym_real_2_csv()
+    lines = text.splitlines()
+    lines[2] += ",9.5"
+    with pytest.raises(ValueError, match="line 3: 7 cells, expected 6"):
+        ser.batch_coords_from_csv("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("header", ["kind,rank,dim,d1,s1_2,d2", "kind,rank,dim,a,b,c",
+                                    "kind,rank,dim,d1,d2"])
+def test_csv_reader_rejects_a_header_that_does_not_match(header):
+    text, _ = _sym_real_2_csv()
+    lines = text.splitlines()
+    lines[0] = header
+    with pytest.raises(ValueError, match="line 1: header"):
+        ser.batch_coords_from_csv("\n".join(lines) + "\n")
+
+
+def test_csv_reader_rejects_a_file_without_rows():
+    with pytest.raises(ValueError, match="no sample rows"):
+        ser.batch_coords_from_csv("kind,rank,dim,d1,d2,s1_2\n")
