@@ -306,7 +306,9 @@ def batch_inner(alg: AlgebraDescriptor, a, b) -> np.ndarray:
     """Trace inner product of coordinate arrays."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    dot = np.sum(a * b, axis=-1)
+    # np.add.reduce is np.sum without the Python wrapper; the Metropolis
+    # target calls these two kernels at every step
+    dot = np.add.reduce(a * b, axis=-1)
     return 2.0 * dot if alg.kind is Kind.LORENTZ else dot
 
 
@@ -314,7 +316,7 @@ def batch_trace(alg: AlgebraDescriptor, a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if alg.kind is Kind.LORENTZ:
         return 2.0 * a[..., 0]
-    return np.sum(a[..., : alg.rank], axis=-1)
+    return np.add.reduce(a[..., : alg.rank], axis=-1)
 
 
 def batch_det(alg: AlgebraDescriptor, a) -> np.ndarray:

@@ -16,8 +16,12 @@ uses the fastest exact route available for each family:
   stream spawned from the master seed, so batches are reproducible and
   chains can be compared.  At rank 2 the Metropolis target is evaluated in
   closed form (every rank-2 algebra is a spin factor, so the log density
-  needs only tr x, det x and two inner products); higher ranks take
-  eigenvalues and inverses from LAPACK at every step.
+  needs only tr x, det x and two inner products) on every row, with the
+  off-cone rows set to -inf by one ``np.where`` instead of a gather and a
+  scatter; higher ranks take eigenvalues and inverses from LAPACK at every
+  step.  The step loop itself runs under one ``np.errstate`` and carries
+  each chain's RMS coordinate instead of recomputing it, so a step is a
+  handful of small array operations.
 """
 
 from __future__ import annotations
@@ -375,6 +379,11 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
     return z * math.sqrt(b / a)
 
 
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as ``np.linalg.norm(x, axis=1)`` computes it."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _metropolis_cone(alg, log_pdf, seed, n, config: McmcConfig, init: np.ndarray):
     """Vectorized multi-chain random-walk Metropolis on cone coordinates.
 
@@ -386,48 +395,59 @@ def _metropolis_cone(alg, log_pdf, seed, n, config: McmcConfig, init: np.ndarray
     proposal noise and acceptance uniforms from its own stream spawned off
     the master seed, so the merged batch (chain-major order) is reproducible
     and independent of how chains would be scheduled.
+
+    A step costs a handful of small array operations.  The whole loop runs
+    under one ``np.errstate``; each chain's RMS is carried from step to step
+    (an accepted chain takes its proposal's) instead of being recomputed;
+    half the squared norm of each noise row is tabulated when the chain's
+    noise is drawn; the burn-in gains are precomputed; and accepted chains
+    are updated in place with ``np.copyto(..., where=acc)``.
     """
     chains = max(1, min(config.chains, n))
     per_chain = -(-n // chains)
-    steps = config.burn_in + per_chain * config.thin
+    burn_in, thin, scale = config.burn_in, config.thin, config.proposal_scale
+    steps = burn_in + per_chain * thin
     streams = np.random.SeedSequence(seed).spawn(chains)
     noise = np.empty((steps, chains, alg.dim))
+    half_z_sq = np.empty((steps, chains))
     log_u = np.empty((steps, chains))
     for c, ss in enumerate(streams):
         gen = np.random.default_rng(ss)
-        noise[:, c, :] = gen.standard_normal((steps, alg.dim))
+        z = gen.standard_normal((steps, alg.dim))
+        noise[:, c, :] = z
+        half_z_sq[:, c] = 0.5 * np.add.reduce(z * z, axis=1)
         log_u[:, c] = np.log(gen.uniform(size=steps))
+    gains = [0.5 / (1.0 + step) ** 0.6 for step in range(burn_in)]
 
+    sqrt_dim = math.sqrt(alg.dim)
+    half_dim = alg.dim * 0.5
     cur = np.tile(init, (chains, 1))
     lp_cur = log_pdf(cur)
+    rms = _row_norm(cur) / sqrt_dim
     factors = np.ones(chains)
     accepted_post = np.zeros(chains)
     kept = np.empty((per_chain, chains, alg.dim))
-    k = 0
-    for step in range(steps):
-        rms = np.linalg.norm(cur, axis=1) / math.sqrt(alg.dim)
-        std = factors * config.proposal_scale * rms
-        prop = cur + std[:, None] * noise[step]
-        lp_prop = log_pdf(prop)
-        rms_prop = np.linalg.norm(prop, axis=1) / math.sqrt(alg.dim)
-        z_sq = np.sum(noise[step] ** 2, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(steps):
+            std = factors * scale * rms
+            prop = cur + std[:, None] * noise[step]
+            lp_prop = log_pdf(prop)
+            rms_prop = _row_norm(prop) / sqrt_dim
             ratio_sq = (rms / rms_prop) ** 2
-            hastings = alg.dim * 0.5 * np.log(ratio_sq) + 0.5 * z_sq * (1.0 - ratio_sq)
-        log_alpha = lp_prop - lp_cur + np.where(np.isfinite(lp_prop), hastings, -np.inf)
-        acc = log_u[step] < log_alpha
-        cur[acc] = prop[acc]
-        lp_cur[acc] = lp_prop[acc]
-        if step < config.burn_in:
-            if config.adapt:
-                gain = 0.5 / (1.0 + step) ** 0.6
-                factors *= np.exp(gain * (acc.astype(float) - config.target_accept))
-        else:
-            accepted_post += acc
-            if (step - config.burn_in) % config.thin == config.thin - 1:
-                kept[k] = cur
-                k += 1
-    rate_per_chain = accepted_post / (steps - config.burn_in)
+            hastings = half_dim * np.log(ratio_sq) + half_z_sq[step] * (1.0 - ratio_sq)
+            log_alpha = lp_prop - lp_cur + np.where(np.isfinite(lp_prop), hastings, -np.inf)
+            acc = log_u[step] < log_alpha
+            np.copyto(cur, prop, where=acc[:, None])
+            np.copyto(lp_cur, lp_prop, where=acc)
+            np.copyto(rms, rms_prop, where=acc)
+            if step < burn_in:
+                if config.adapt:
+                    factors *= np.exp(gains[step] * (acc.astype(float) - config.target_accept))
+            else:
+                accepted_post += acc
+                if (step - burn_in) % thin == thin - 1:
+                    kept[(step - burn_in) // thin] = cur
+    rate_per_chain = accepted_post / (steps - burn_in)
     rate = float(rate_per_chain.mean())
     lo, hi = config.accept_band
     diverged = not (lo <= rate <= hi)
@@ -459,8 +479,8 @@ def _rank2_det(alg: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
     (x0, xbar) with det = x0^2 - |xbar|^2.
     """
     if alg.kind is Kind.LORENTZ:
-        return x[..., 0] ** 2 - np.sum(x[..., 1:] ** 2, axis=-1)
-    return x[..., 0] * x[..., 1] - 0.5 * np.sum(x[..., 2:] ** 2, axis=-1)
+        return x[..., 0] ** 2 - np.add.reduce(x[..., 1:] ** 2, axis=-1)
+    return x[..., 0] * x[..., 1] - 0.5 * np.add.reduce(x[..., 2:] ** 2, axis=-1)
 
 
 def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
@@ -469,7 +489,9 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
     Without ``b`` this is the Wishart log density up to its constant, with
     ``b`` the GIG one.  Rank 2 is evaluated in closed form: the cone is
     tr x > 0, det x > 0, and by Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
-    <b, x^-1> = (tr x tr b - <b, x>) / det x.  Higher ranks take the
+    <b, x^-1> = (tr x tr b - <b, x>) / det x.  It is computed on every row,
+    off-cone rows included (their log and division warnings are silenced),
+    and ``np.where`` puts -inf on the off-cone rows.  Higher ranks take the
     eigenvalues and the inverse from LAPACK.
     """
     exponent = p - alg.dim_over_rank
@@ -481,14 +503,11 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
             tr = batch_trace(alg, x)
             dt = _rank2_det(alg, x)
             ok = (tr > 0.0) & (dt > 0.0)
-            out = np.full(x.shape[:-1], -np.inf)
-            if np.any(ok):
-                xo, tr, dt = x[ok], tr[ok], dt[ok]
-                val = exponent * np.log(dt) - batch_inner(alg, a_coords, xo)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = exponent * np.log(dt) - batch_inner(alg, a_coords, x)
                 if b_coords is not None:
-                    val -= (tr * tr_b - batch_inner(alg, b_coords, xo)) / dt
-                out[ok] = val
-            return out
+                    val -= (tr * tr_b - batch_inner(alg, b_coords, x)) / dt
+            return np.where(ok, val, -np.inf)
 
         return log_pdf
 

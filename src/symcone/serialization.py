@@ -4,16 +4,21 @@ Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, and containers keep insertion order, so any two runs that
 produce equal values produce byte-identical files.
 
+JSON writes -0.0 as ``-0.0``: the shorter ``-0`` would read back as the
+integer 0 and lose the sign.
+
 Sample batches are written and read a block of rows at a time, not one
 float per Python call.  The writers fill a ``%.17g`` row template for
 ``ROW_BLOCK`` rows in one ``%`` call; ``"%.17g" % x`` and
 ``format(x, ".17g")`` are the same routine, so the bytes are those of
 :func:`format_float` for finite floats (a :class:`SampleBatch` holds no
-others).  The CSV reader checks the header and every row's
-``kind,rank,dim`` prefix and cell count with string operations, raising
-``ValueError`` that names the line of a malformed file, and then parses
-all coordinates with one ``numpy.loadtxt`` call.  Single elements go
-through the same row template and row check.
+others), once a JSON block that holds -0.0 has its ``-0`` cells rewritten.
+The CSV reader checks the header and every row's ``kind,rank,dim`` prefix
+and cell count with string operations, parses all coordinates with one
+``numpy.loadtxt`` call and checks them with one ``isfinite``.  A malformed
+file raises ``ValueError`` naming its 1-based file line; the line of an
+unparsable or non-finite cell is looked up only on that error path.
+Single elements go through the same row template and row check.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ def format_float(x: float) -> str:
         return '"NaN"'
     if math.isinf(x):
         return '"Infinity"' if x > 0 else '"-Infinity"'
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"  # "-0" would read back as the integer 0
     return format(float(x), ".17g")
 
 
@@ -105,14 +112,23 @@ def _csv_row_template(alg: AlgebraDescriptor) -> str:
     return _csv_prefix(alg) + ",%.17g" * alg.dim
 
 
-def _format_rows(template: str, sep: str, coords: np.ndarray) -> list[str]:
-    """Fill ``template`` once per row, rows ``sep``-joined, ROW_BLOCK rows per call."""
+def _format_rows(template: str, sep: str, coords: np.ndarray,
+                 neg_zero: bool = False) -> list[str]:
+    """Fill ``template`` once per row, rows ``sep``-joined, ROW_BLOCK rows per call.
+
+    With ``neg_zero`` (JSON rows), a block holding -0.0 has each ``-0``
+    cell rewritten as :func:`format_float` writes it, ``-0.0``.  In
+    ``%.17g`` output a ``-0`` followed by ``,`` or ``]`` is only ever -0.0.
+    """
     full = sep.join([template] * ROW_BLOCK)
     chunks = []
     for start in range(0, coords.shape[0], ROW_BLOCK):
         block = coords[start : start + ROW_BLOCK]
         filled = full if block.shape[0] == ROW_BLOCK else sep.join([template] * block.shape[0])
-        chunks.append(filled % tuple(block.ravel().tolist()))
+        text = filled % tuple(block.ravel().tolist())
+        if neg_zero and np.any(np.signbit(block) & (block == 0.0)):
+            text = text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+        chunks.append(text)
     return chunks
 
 
@@ -120,7 +136,7 @@ def _csv_coords(rows: list[tuple[int, str]]) -> tuple[AlgebraDescriptor, np.ndar
     """Algebra and coordinates of numbered CSV rows, header excluded.
 
     The first row's ``kind,rank,dim`` prefix fixes the algebra.  Every row
-    must carry that prefix and exactly ``3 + dim`` cells.
+    must carry that prefix and exactly ``3 + dim`` finite numbers.
     """
     line, first = rows[0]
     cells = first.split(",", 3)
@@ -139,8 +155,30 @@ def _csv_coords(rows: list[tuple[int, str]]) -> tuple[AlgebraDescriptor, np.ndar
             raise ValueError(f"line {line}: prefix {','.join(row.split(',')[:3])!r} "
                              f"differs from {prefix[:-1]!r}")
         raise ValueError(f"line {line}: {row.count(',') + 1} cells, expected {3 + alg.dim}")
-    coords = np.loadtxt([row for _, row in rows], delimiter=",",
-                        usecols=range(3, 3 + alg.dim), ndmin=2, comments=None)
+    texts = [row for _, row in rows]
+
+    def parse(chunk):
+        return np.loadtxt(chunk, delimiter=",", usecols=range(3, 3 + alg.dim), ndmin=2,
+                          comments=None)
+
+    try:
+        coords = parse(texts)
+    except ValueError:
+        # numpy counts parsed rows, not file lines: bisect for the first bad row
+        lo, hi = 0, len(texts)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse(texts[lo:mid])
+                lo = mid
+            except ValueError:
+                hi = mid
+        line, row = rows[lo]
+        raise ValueError(f"line {line}: a coordinate is not a number in {row!r}") from None
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        line, row = rows[int(np.argmin(finite))]
+        raise ValueError(f"line {line}: coordinates must be finite, got {row!r}")
     return alg, coords
 
 
@@ -168,7 +206,7 @@ def batch_to_json(batch: SampleBatch) -> str:
     """The :func:`batch_metadata` object plus a ``"samples"`` list of rows."""
     head = dumps_canonical(batch_metadata(batch))
     row = "[" + ", ".join(["%.17g"] * batch.algebra.dim) + "]"
-    samples = ", ".join(_format_rows(row, ", ", batch.coords))
+    samples = ", ".join(_format_rows(row, ", ", batch.coords, neg_zero=True))
     return head[:-1] + ', "samples": [' + samples + "]}\n"
 
 

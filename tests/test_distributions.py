@@ -1,6 +1,7 @@
 """Densities, Laplace transforms, normalizers, and samplers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -482,6 +483,7 @@ def test_rank2_target_matches_eigenvalue_target(alg, scale):
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 @pytest.mark.parametrize("alg", RANK2, ids=RANK2_IDS)
 def test_rank2_target_is_minus_inf_off_the_open_cone(alg, scale):
@@ -501,3 +503,162 @@ def test_rank2_target_is_minus_inf_off_the_open_cone(alg, scale):
         assert not np.any(np.isnan(got))
         assert np.array_equal(got == -np.inf, ref == -np.inf)
         assert 0 < np.sum(got == -np.inf) < len(gaussian)
+
+
+# ---------------------------------------------------------------------------
+# Lean Metropolis step: same chains as the per-step reference
+# ---------------------------------------------------------------------------
+
+def _reference_metropolis_cone(alg, log_pdf, seed, n, config, init):
+    """The per-step formulation: norms recomputed every step, masked updates."""
+    chains = max(1, min(config.chains, n))
+    per_chain = -(-n // chains)
+    steps = config.burn_in + per_chain * config.thin
+    streams = np.random.SeedSequence(seed).spawn(chains)
+    noise = np.empty((steps, chains, alg.dim))
+    log_u = np.empty((steps, chains))
+    for c, ss in enumerate(streams):
+        gen = np.random.default_rng(ss)
+        noise[:, c, :] = gen.standard_normal((steps, alg.dim))
+        log_u[:, c] = np.log(gen.uniform(size=steps))
+
+    cur = np.tile(init, (chains, 1))
+    lp_cur = log_pdf(cur)
+    factors = np.ones(chains)
+    accepted_post = np.zeros(chains)
+    kept = np.empty((per_chain, chains, alg.dim))
+    k = 0
+    for step in range(steps):
+        rms = np.linalg.norm(cur, axis=1) / math.sqrt(alg.dim)
+        std = factors * config.proposal_scale * rms
+        prop = cur + std[:, None] * noise[step]
+        lp_prop = log_pdf(prop)
+        rms_prop = np.linalg.norm(prop, axis=1) / math.sqrt(alg.dim)
+        z_sq = np.sum(noise[step] ** 2, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio_sq = (rms / rms_prop) ** 2
+            hastings = alg.dim * 0.5 * np.log(ratio_sq) + 0.5 * z_sq * (1.0 - ratio_sq)
+        log_alpha = lp_prop - lp_cur + np.where(np.isfinite(lp_prop), hastings, -np.inf)
+        acc = log_u[step] < log_alpha
+        cur[acc] = prop[acc]
+        lp_cur[acc] = lp_prop[acc]
+        if step < config.burn_in:
+            if config.adapt:
+                gain = 0.5 / (1.0 + step) ** 0.6
+                factors *= np.exp(gain * (acc.astype(float) - config.target_accept))
+        else:
+            accepted_post += acc
+            if (step - config.burn_in) % config.thin == config.thin - 1:
+                kept[k] = cur
+                k += 1
+    rate_per_chain = accepted_post / (steps - config.burn_in)
+    rate = float(rate_per_chain.mean())
+    lo, hi = config.accept_band
+    diverged = not (lo <= rate <= hi)
+    if diverged:
+        warnings.warn(
+            f"MCMC acceptance rate {rate:.3f} outside [{lo}, {hi}] after adaptation",
+            RuntimeWarning,
+        )
+    coords = kept.transpose(1, 0, 2).reshape(chains * per_chain, alg.dim)[:n]
+    meta = {
+        "burn_in": config.burn_in,
+        "thin": config.thin,
+        "chains": chains,
+        "per_chain": per_chain,
+        "acceptance_rate": rate,
+        "acceptance_per_chain": [float(x) for x in rate_per_chain],
+        "proposal_scale": config.proposal_scale,
+        "adapted_factors": [float(x) for x in factors],
+        "diverged": diverged,
+    }
+    return coords, meta
+
+
+def _reference_masked_log_pdf_batch(alg, p, a_coords, b_coords=None):
+    """The rank-2 target as a gather of the cone rows and a scatter of their values.
+
+    Other ranks use the eigenvalue reference above.
+    """
+    if alg.rank != 2:
+        return _reference_log_pdf_batch(alg, p, a_coords, b_coords)
+    exponent = p - alg.dim_over_rank
+    lorentz = alg.kind is ja.Kind.LORENTZ
+
+    def inner(u, x):
+        dot = np.sum(u * x, axis=-1)
+        return 2.0 * dot if lorentz else dot
+
+    def trace(x):
+        return 2.0 * x[..., 0] if lorentz else np.sum(x[..., :2], axis=-1)
+
+    tr_b = None if b_coords is None else float(trace(b_coords))
+
+    def log_pdf(x):
+        tr = trace(x)
+        if lorentz:
+            dt = x[..., 0] ** 2 - np.sum(x[..., 1:] ** 2, axis=-1)
+        else:
+            dt = x[..., 0] * x[..., 1] - 0.5 * np.sum(x[..., 2:] ** 2, axis=-1)
+        ok = (tr > 0.0) & (dt > 0.0)
+        out = np.full(x.shape[:-1], -np.inf)
+        if np.any(ok):
+            xo, tr, dt = x[ok], tr[ok], dt[ok]
+            val = exponent * np.log(dt) - inner(a_coords, xo)
+            if b_coords is not None:
+                val -= (tr * tr_b - inner(b_coords, xo)) / dt
+            out[ok] = val
+        return out
+
+    return log_pdf
+
+
+LEAN_ALGEBRAS = [L2, ja.lorentz(5), A2, ja.sym_real(3), H2, A1]
+LEAN_IDS = ["lorentz-dim3", "lorentz-dim6", "sym2", "sym3", "herm2", "rank1"]
+# n = 203 divides by none of the chain counts above 1
+LEAN_N = 203
+LEAN_CONFIGS = {
+    "default": dist.McmcConfig(),
+    "single-chain": dist.McmcConfig(burn_in=0, thin=1, chains=1),
+    # acceptance near 0: most proposals leave the cone, and the batch warns
+    "diverging": dist.McmcConfig(burn_in=200, thin=2, chains=4, proposal_scale=80.0,
+                                 adapt=False),
+}
+# the default config runs 5000 burn-in steps, so it draws one family per
+# algebra: the GIG, plus the Lorentz dim 3 Wishart, which has no exact sampler
+LEAN_CASES = [
+    pytest.param(alg, config, family, id=f"{alg_id}-{config}-{family}")
+    for alg, alg_id in zip(LEAN_ALGEBRAS, LEAN_IDS)
+    for config in LEAN_CONFIGS
+    for family in ("gig", "wishart")
+    if config != "default" or family == "gig" or alg == L2
+]
+
+
+def _lean_draw(alg, config, family):
+    """The batch and the warnings of one seeded Metropolis call."""
+    a, b = _scaled_params(alg, 1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if family == "gig":
+            batch = dist.sample_gig(dist.GigParams(-1.7, a, b), 7, LEAN_N, mcmc=config,
+                                    method="mcmc")
+        else:
+            batch = dist.sample_wishart(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9,
+                                        LEAN_N, mcmc=config, method="mcmc")
+    return batch, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("alg, config, family", LEAN_CASES)
+def test_lean_metropolis_step_keeps_every_chain(alg, config, family, monkeypatch):
+    got, got_warnings = _lean_draw(alg, LEAN_CONFIGS[config], family)
+    monkeypatch.setattr(dist, "_metropolis_cone", _reference_metropolis_cone)
+    monkeypatch.setattr(dist, "_log_pdf_batch", _reference_masked_log_pdf_batch)
+    ref, ref_warnings = _lean_draw(alg, LEAN_CONFIGS[config], family)
+    assert got.coords.tobytes() == ref.coords.tobytes()
+    assert got.mcmc == ref.mcmc
+    assert got_warnings == ref_warnings
+    # a batch warns exactly when it is flagged; the default config never is
+    assert [c for c, _ in got_warnings] == ([RuntimeWarning] if got.mcmc["diverged"] else [])
+    if config != "single-chain":
+        assert got.mcmc["diverged"] == (config == "diverging")

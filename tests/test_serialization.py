@@ -1,7 +1,13 @@
 """Round trips and determinism of the JSON/CSV forms."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp_st
+from hypothesis.extra import numpy as hyp_np
 
 from symcone import algebra as ja
 from symcone import distributions as dist
@@ -184,8 +190,9 @@ def test_batch_json_reads_back_with_the_json_module():
     batch = dist.SampleBatch(ja.sym_real(2), {"p": 2.0}, coords, 7, "mcmc", {"thin": 2})
     payload = json.loads(ser.batch_to_json(batch))
     assert list(payload)[-2:] == ["mcmc", "samples"]
-    # equal values; JSON itself reads "-0" back as 0
-    assert np.array_equal(np.asarray(payload["samples"], dtype=float), coords)
+    # equal bits: -0.0 is written as "-0.0", which keeps its sign
+    assert np.signbit(coords[coords == 0.0]).any()
+    assert np.asarray(payload["samples"], dtype=float).tobytes() == coords.tobytes()
 
 
 def test_empty_batch_writes_header_and_empty_samples():
@@ -250,3 +257,116 @@ def test_csv_reader_rejects_a_header_that_does_not_match(header):
 def test_csv_reader_rejects_a_file_without_rows():
     with pytest.raises(ValueError, match="no sample rows"):
         ser.batch_coords_from_csv("kind,rank,dim,d1,d2,s1_2\n")
+
+
+def _csv_with_row(cell, at):
+    """A 40-row sym-real r=2 CSV with blank lines, ``cell`` in data row ``at``.
+
+    Returns the text and the 1-based file line of that row.
+    """
+    coords = np.arange(120.0).reshape(40, 3) + 1.0
+    lines = ser.batch_to_csv(dist.SampleBatch(ja.sym_real(2), {}, coords, 0, "bartlett"))
+    lines = lines.splitlines()
+    lines[1 + at] = lines[1 + at].rsplit(",", 1)[0] + "," + cell
+    # a blank line after the header and one after data row 10
+    lines = lines[:1] + [""] + lines[1:12] + ["  "] + lines[12:]
+    return "\n".join(lines) + "\n", 1 + 1 + at + 1 + (at > 10)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+@pytest.mark.parametrize("at", [0, 17, 39])
+def test_csv_reader_rejects_non_finite_cells(cell, at):
+    text, line = _csv_with_row(cell, at)
+    with pytest.raises(ValueError, match=f"line {line}: coordinates must be finite"):
+        ser.batch_coords_from_csv(text)
+
+
+@pytest.mark.parametrize("cell", ["x", "", "1_0", "0x1p3"])
+@pytest.mark.parametrize("at", [0, 10, 11, 39])
+def test_csv_reader_names_the_file_line_of_an_unparsable_cell(cell, at):
+    text, line = _csv_with_row(cell, at)
+    with pytest.raises(ValueError, match=f"line {line}: a coordinate is not a number"):
+        ser.batch_coords_from_csv(text)
+
+
+def test_element_csv_row_rejects_non_finite_cells():
+    with pytest.raises(ValueError, match="line 1: coordinates must be finite"):
+        ser.element_from_csv_row("lorentz,2,3,1,inf,0")
+
+
+def test_negative_zero_is_written_as_a_float():
+    import json
+
+    assert ser.format_float(-0.0) == "-0.0"
+    assert ser.format_float(0.0) == "0"
+    text = ser.dumps_canonical({"x": [-0.0, 0.0, -1e-300]})
+    assert text == '{"x": [-0.0, 0, -1e-300]}'
+    assert math.copysign(1.0, json.loads(text)["x"][0]) == -1.0
+
+
+def test_batch_json_writes_negative_zero_only_where_it_is(monkeypatch):
+    # -0.0 in the second block only; the first block's bytes must not change
+    monkeypatch.setattr(ser, "ROW_BLOCK", 2)
+    coords = np.array([[0.0, -0.5, 1e-5], [-1e-5, 2.0, 0.0],
+                       [-0.0, -0.25, 3.0], [1.0, -0.0, -0.0]])
+    batch = dist.SampleBatch(ja.sym_real(2), {}, coords, 0, "bartlett")
+    text = ser.batch_to_json(batch)
+    assert text.endswith('"samples": [[0, -0.5, 1.0000000000000001e-05], '
+                         '[-1.0000000000000001e-05, 2, 0], [-0.0, -0.25, 3], '
+                         '[1, -0.0, -0.0]]}\n')
+    assert text == _reference_batch_to_json(batch)
+
+
+# ---------------------------------------------------------------------------
+# Round trips over arbitrary finite doubles (property-based)
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_finite = hyp_st.one_of(hyp_st.sampled_from(_EDGE_FLOATS),
+                        hyp_st.floats(allow_nan=False, allow_infinity=False))
+# fixed examples and no example database: the suite gives the same result on every run
+_ROUND_TRIP = settings(deadline=None, max_examples=60, derandomize=True, database=None)
+
+
+@hyp_st.composite
+def _elements(draw):
+    alg = draw(hyp_st.sampled_from(_KINDS))
+    return ja.Element(alg, np.array(draw(hyp_st.lists(_finite, min_size=alg.dim,
+                                                      max_size=alg.dim))))
+
+
+@hyp_st.composite
+def _batches(draw):
+    alg = draw(hyp_st.sampled_from(_KINDS))
+    coords = draw(hyp_np.arrays(np.float64, (draw(hyp_st.integers(1, 9)), alg.dim),
+                                elements=_finite))
+    return dist.SampleBatch(alg, {"p": draw(_finite)}, coords, 0, "bartlett")
+
+
+@_ROUND_TRIP
+@given(_elements())
+def test_element_round_trips_keep_every_bit(x):
+    import json
+
+    back = ser.element_from_csv_row(ser.element_to_csv_row(x))
+    assert back.algebra == x.algebra and back.coords.tobytes() == x.coords.tobytes()
+    back = ser.element_from_dict(json.loads(ser.dumps_canonical(ser.element_to_dict(x))))
+    assert back.algebra == x.algebra and back.coords.tobytes() == x.coords.tobytes()
+
+
+@_ROUND_TRIP
+@given(_batches(), hyp_st.integers(1, 4))
+def test_batch_round_trips_keep_every_bit(batch, block):
+    import json
+
+    with mock.patch.object(ser, "ROW_BLOCK", block):
+        csv_text = ser.batch_to_csv(batch)
+        json_text = ser.batch_to_json(batch)
+    alg, coords = ser.batch_coords_from_csv(csv_text)
+    assert alg == batch.algebra and coords.tobytes() == batch.coords.tobytes()
+    payload = json.loads(json_text)
+    samples = np.asarray(payload["samples"], dtype=float).reshape(batch.coords.shape)
+    assert samples.tobytes() == batch.coords.tobytes()
+    assert math.copysign(1.0, payload["params"]["p"]) == math.copysign(1.0, batch.params["p"])
+    assert json_text == _reference_batch_to_json(batch)
