@@ -17,6 +17,13 @@ their coordinates and all operators are plain real matrices.  For the
 Lorentz family the coordinates are the natural components (x0, ..., xn) and
 the trace inner product is twice the dot product.
 
+Only the Jordan-algebra data differs between the families, so one table
+maps each :class:`Kind` to its kernels: the spin-factor formulas for
+``lorentz``, and one matrix kernel set whose scalar field is a parameter
+(``float`` for ``sym-real``, ``complex`` for ``herm-complex``).  The public
+functions look their kernel up in that table and hold no per-kind branch;
+:func:`kernels` gives other modules the same entry.
+
 All functions are pure.  The ``batch_*`` variants accept coordinate arrays
 with arbitrary leading axes and operate elementwise over them; the
 element-level API is a thin wrapper around them.
@@ -113,12 +120,7 @@ def lorentz(n: int) -> AlgebraDescriptor:
 
 
 def descriptor_from_dict(d: dict) -> AlgebraDescriptor:
-    kind = Kind(d["kind"])
-    if kind is Kind.SYM_REAL:
-        return sym_real(int(d["rank"]))
-    if kind is Kind.HERM_COMPLEX:
-        return herm_complex(int(d["rank"]))
-    return lorentz(int(d["dim"]) - 1)
+    return _KERNELS[Kind(d["kind"])].descriptor(int(d["rank"]), int(d["dim"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +168,121 @@ def _require_same(x: Element, y: Element) -> AlgebraDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Canonical basis bookkeeping
+# The kernel table: one entry per cone kind
 # ---------------------------------------------------------------------------
+
+def _require_positive(lam) -> None:
+    if np.min(lam) <= 0:
+        raise NotInConeError("square root requires strictly positive eigenvalues")
+
+
+class _SpinFactor:
+    """Kernels of the spin factor R^(n+1), with x o y = (<x, y>, x0 ybar + y0 xbar).
+
+    Every method takes the descriptor first and float coordinate arrays
+    (..., dim) after it, as do those of :class:`_MatrixForm`.
+    """
+
+    field = None  # no matrix form
+
+    def descriptor(self, rank: int, dim: int) -> AlgebraDescriptor:
+        return lorentz(dim - 1)
+
+    def names(self, alg):
+        return [f"x{k}" for k in range(alg.dim)]
+
+    def to_matrices(self, alg, coords):
+        raise ValueError("the Lorentz family has no matrix form")
+
+    from_matrices = to_matrices
+
+    def identity(self, alg):
+        c = np.zeros(alg.dim)
+        c[0] = 1.0
+        return c
+
+    def jordan(self, alg, a, b):
+        a, b = np.broadcast_arrays(a, b)
+        out = np.empty(a.shape)
+        out[..., 0] = np.sum(a * b, axis=-1)
+        out[..., 1:] = a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
+        return out
+
+    def inner(self, alg, a, b):
+        # np.add.reduce is np.sum without the Python wrapper; the Metropolis
+        # target calls inner, trace and rank2_det at every step
+        return 2.0 * np.add.reduce(a * b, axis=-1)
+
+    def trace(self, alg, a):
+        return 2.0 * a[..., 0]
+
+    def det(self, alg, a):
+        return a[..., 0] ** 2 - np.add.reduce(a[..., 1:] ** 2, axis=-1)
+
+    rank2_det = det
+
+    def eigenvalues(self, alg, a):
+        nrm = np.linalg.norm(a[..., 1:], axis=-1)
+        return np.stack([a[..., 0] + nrm, a[..., 0] - nrm], axis=-1)
+
+    def inverse(self, alg, a):
+        out = np.concatenate([a[..., :1], -a[..., 1:]], axis=-1)
+        return out / self.det(alg, a)[..., None]
+
+    def quad_apply(self, alg, a, b):
+        ab = self.jordan(alg, a, b)
+        return 2.0 * self.jordan(alg, a, ab) - self.jordan(alg, self.jordan(alg, a, a), b)
+
+    def lmap(self, alg, a):
+        m = np.zeros(a.shape + (alg.dim,))
+        m[..., 0, :] = a
+        m[..., :, 0] = a
+        m[..., 1:, 1:] += a[..., 0, None, None] * np.eye(alg.dim - 1)
+        return m
+
+    def sqrt(self, alg, a):
+        lam = self.eigenvalues(alg, a)
+        _require_positive(lam)
+        s = np.sqrt(lam)
+        half_sum = (s[..., 0] + s[..., 1]) / 2.0
+        half_diff = (s[..., 0] - s[..., 1]) / 2.0
+        nrm = np.linalg.norm(a[..., 1:], axis=-1)
+        unit = np.divide(
+            a[..., 1:], nrm[..., None], out=np.zeros_like(a[..., 1:]),
+            where=nrm[..., None] > 0,
+        )
+        out = np.empty_like(a)
+        out[..., 0] = half_sum
+        out[..., 1:] = half_diff[..., None] * unit
+        return out
+
+    def norm(self, alg, c) -> float:
+        return _SQRT2 * math.hypot(*c)
+
+    def spectral(self, alg, c):
+        """Eigenvalues and idempotent coordinates of one element.
+
+        When the spatial part vanishes any orthogonal idempotent pair is
+        valid; the pair built from the first spatial axis is returned.
+        """
+        nrm = float(np.linalg.norm(c[1:]))
+        if nrm == 0.0:
+            unit = np.zeros(alg.dim - 1)
+            unit[0] = 1.0
+        else:
+            unit = c[1:] / nrm
+        lam = np.array([c[0] + nrm, c[0] - nrm])
+        return lam, [0.5 * np.concatenate([[1.0], unit]), 0.5 * np.concatenate([[1.0], -unit])]
+
+    def banded(self, alg, rng, n, lo, hi):
+        lam = rng.uniform(lo, hi, size=(n, 2))
+        g = rng.standard_normal((n, alg.dim - 1))
+        unit = g / np.linalg.norm(g, axis=-1, keepdims=True)
+        out = np.empty((n, alg.dim))
+        out[:, 0] = lam.mean(axis=1)
+        out[:, 1:] = ((lam[:, 0] - lam[:, 1]) / 2.0)[:, None] * unit
+        return out
+
 
 @lru_cache(maxsize=None)
 def _offdiag_pairs(rank: int):
@@ -180,44 +295,156 @@ def _offdiag_pairs(rank: int):
     return np.array(rows, dtype=int), np.array(cols, dtype=int)
 
 
+class _MatrixForm:
+    """Kernels of the Hermitian r x r matrices over ``field`` (float or
+    complex), computed on the matrix form.  A complex off-diagonal entry
+    takes two coordinates, real part first."""
+
+    def __init__(self, field, make):
+        self.field = field
+        self._make = make  # the descriptor constructor, from the rank
+
+    def descriptor(self, rank: int, dim: int) -> AlgebraDescriptor:
+        return self._make(rank)
+
+    def names(self, alg):
+        names = [f"d{i + 1}" for i in range(alg.rank)]
+        for i, j in zip(*_offdiag_pairs(alg.rank)):
+            names.append(f"s{i + 1}_{j + 1}")
+            if self.field is complex:
+                names.append(f"a{i + 1}_{j + 1}")
+        return names
+
+    def to_matrices(self, alg, coords):
+        coords = np.asarray(coords, dtype=float)
+        r = alg.rank
+        diag = np.arange(r)
+        m = np.zeros(coords.shape[:-1] + (r, r), dtype=self.field)
+        m[..., diag, diag] = coords[..., :r]
+        if r > 1:
+            rows, cols = _offdiag_pairs(r)
+            if self.field is complex:
+                off = (coords[..., r::2] + 1j * coords[..., r + 1 :: 2]) / _SQRT2
+            else:
+                off = coords[..., r:] / _SQRT2
+            m[..., rows, cols] = off
+            m[..., cols, rows] = off.conj()
+        return m
+
+    def from_matrices(self, alg, mats):
+        mats = np.asarray(mats)
+        r = alg.rank
+        diag = np.arange(r)
+        out = np.zeros(mats.shape[:-2] + (alg.dim,))
+        out[..., :r] = mats[..., diag, diag].real
+        if r > 1:
+            rows, cols = _offdiag_pairs(r)
+            upper = mats[..., rows, cols]
+            if self.field is complex:
+                out[..., r::2] = _SQRT2 * upper.real
+                out[..., r + 1 :: 2] = _SQRT2 * upper.imag
+            else:
+                out[..., r:] = _SQRT2 * upper.real
+        return out
+
+    def identity(self, alg):
+        c = np.zeros(alg.dim)
+        c[: alg.rank] = 1.0
+        return c
+
+    def jordan(self, alg, a, b):
+        ma = self.to_matrices(alg, a)
+        mb = self.to_matrices(alg, b)
+        return self.from_matrices(alg, (ma @ mb + mb @ ma) / 2.0)
+
+    def inner(self, alg, a, b):
+        return np.add.reduce(a * b, axis=-1)
+
+    def trace(self, alg, a):
+        return np.add.reduce(a[..., : alg.rank], axis=-1)
+
+    def det(self, alg, a):
+        d = np.linalg.det(self.to_matrices(alg, a))
+        return d.real if np.iscomplexobj(d) else d
+
+    def rank2_det(self, alg, a):
+        """Closed-form determinant at rank 2: d1 d2 - |off|^2 / 2."""
+        return a[..., 0] * a[..., 1] - 0.5 * np.add.reduce(a[..., 2:] ** 2, axis=-1)
+
+    def eigenvalues(self, alg, a):
+        return np.linalg.eigvalsh(self.to_matrices(alg, a))[..., ::-1]
+
+    def inverse(self, alg, a):
+        return self.from_matrices(alg, np.linalg.inv(self.to_matrices(alg, a)))
+
+    def quad_apply(self, alg, a, b):
+        ma = self.to_matrices(alg, a)
+        mb = self.to_matrices(alg, b)
+        return self.from_matrices(alg, ma @ mb @ ma)
+
+    def lmap(self, alg, a):
+        # column j is the product of a with basis element j
+        basis = _basis_matrices(alg)
+        ma = self.to_matrices(alg, a)[..., None, :, :]
+        cols = self.from_matrices(alg, (ma @ basis + basis @ ma) / 2.0)
+        return cols.swapaxes(-1, -2)
+
+    def sqrt(self, alg, a):
+        w, u = np.linalg.eigh(self.to_matrices(alg, a))
+        _require_positive(w)
+        root = (u * np.sqrt(w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        return self.from_matrices(alg, root)
+
+    def norm(self, alg, c) -> float:
+        return math.hypot(*c)
+
+    def spectral(self, alg, c):
+        """Eigenvalues and idempotent coordinates of one element; repeated
+        eigenvalues yield an arbitrary orthonormal completion."""
+        w, u = np.linalg.eigh(self.to_matrices(alg, c))
+        order = np.argsort(w)[::-1]
+        return w[order], [self.from_matrices(alg, np.outer(u[:, k], u[:, k].conj()))
+                          for k in order]
+
+    def banded(self, alg, rng, n, lo, hi):
+        r = alg.rank
+        g = rng.standard_normal((n, r, r))
+        if self.field is complex:
+            g = g + 1j * rng.standard_normal((n, r, r))
+        q, _ = np.linalg.qr(g)
+        lam = rng.uniform(lo, hi, size=(n, r))
+        mats = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
+        return self.from_matrices(alg, mats)
+
+
+_KERNELS = {
+    Kind.SYM_REAL: _MatrixForm(float, sym_real),
+    Kind.HERM_COMPLEX: _MatrixForm(complex, herm_complex),
+    Kind.LORENTZ: _SpinFactor(),
+}
+
+
+def kernels(alg: AlgebraDescriptor):
+    """The kernel-table entry of ``alg``'s kind.
+
+    Its ``field`` is the scalar type of the matrix form (``float`` or
+    ``complex``), or ``None`` for the spin factor, which has none.
+    """
+    return _KERNELS[alg.kind]
+
+
+# ---------------------------------------------------------------------------
+# Canonical basis bookkeeping
+# ---------------------------------------------------------------------------
+
 def coordinate_names(alg: AlgebraDescriptor) -> list[str]:
     """Names of the canonical coordinates, in basis order."""
-    if alg.kind is Kind.LORENTZ:
-        return [f"x{k}" for k in range(alg.dim)]
-    names = [f"d{i + 1}" for i in range(alg.rank)]
-    rows, cols = _offdiag_pairs(alg.rank)
-    for i, j in zip(rows, cols):
-        names.append(f"s{i + 1}_{j + 1}")
-        if alg.kind is Kind.HERM_COMPLEX:
-            names.append(f"a{i + 1}_{j + 1}")
-    return names
+    return _KERNELS[alg.kind].names(alg)
 
 
 def coords_to_matrices(alg: AlgebraDescriptor, coords) -> np.ndarray:
     """Coordinate array (..., dim) -> matrix array (..., rank, rank)."""
-    if alg.kind is Kind.LORENTZ:
-        raise ValueError("the Lorentz family has no matrix form")
-    coords = np.asarray(coords, dtype=float)
-    r = alg.rank
-    lead = coords.shape[:-1]
-    diag = np.arange(r)
-    if alg.kind is Kind.SYM_REAL:
-        m = np.zeros(lead + (r, r))
-        m[..., diag, diag] = coords[..., :r]
-        if r > 1:
-            rows, cols = _offdiag_pairs(r)
-            off = coords[..., r:] / _SQRT2
-            m[..., rows, cols] = off
-            m[..., cols, rows] = off
-        return m
-    m = np.zeros(lead + (r, r), dtype=complex)
-    m[..., diag, diag] = coords[..., :r]
-    if r > 1:
-        rows, cols = _offdiag_pairs(r)
-        off = (coords[..., r::2] + 1j * coords[..., r + 1 :: 2]) / _SQRT2
-        m[..., rows, cols] = off
-        m[..., cols, rows] = off.conj()
-    return m
+    return _KERNELS[alg.kind].to_matrices(alg, coords)
 
 
 def matrices_to_coords(alg: AlgebraDescriptor, mats) -> np.ndarray:
@@ -226,23 +453,7 @@ def matrices_to_coords(alg: AlgebraDescriptor, mats) -> np.ndarray:
     Only the diagonal and upper triangle are read, so feeding a matrix that
     is Hermitian up to rounding implicitly symmetrizes it.
     """
-    if alg.kind is Kind.LORENTZ:
-        raise ValueError("the Lorentz family has no matrix form")
-    mats = np.asarray(mats)
-    r = alg.rank
-    lead = mats.shape[:-2]
-    diag = np.arange(r)
-    out = np.zeros(lead + (alg.dim,))
-    out[..., :r] = mats[..., diag, diag].real
-    if r > 1:
-        rows, cols = _offdiag_pairs(r)
-        upper = mats[..., rows, cols]
-        if alg.kind is Kind.SYM_REAL:
-            out[..., r:] = _SQRT2 * upper.real
-        else:
-            out[..., r::2] = _SQRT2 * upper.real
-            out[..., r + 1 :: 2] = _SQRT2 * upper.imag
-    return out
+    return _KERNELS[alg.kind].from_matrices(alg, mats)
 
 
 def to_matrix(x: Element) -> np.ndarray:
@@ -264,7 +475,7 @@ def from_matrix(alg: AlgebraDescriptor, mat, *, atol: float = 1e-10) -> Element:
     scale = 1.0 + np.max(np.abs(mat))
     if herm_defect > atol * scale:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-    if alg.kind is Kind.SYM_REAL and np.iscomplexobj(mat):
+    if _KERNELS[alg.kind].field is float and np.iscomplexobj(mat):
         imag = np.max(np.abs(mat.imag))
         if imag > atol * scale:
             raise ValueError(f"sym-real matrix has an imaginary part ({imag:.3e})")
@@ -289,74 +500,37 @@ def canonical_basis(alg: AlgebraDescriptor) -> list[Element]:
 
 def batch_jordan(alg: AlgebraDescriptor, a, b) -> np.ndarray:
     """Jordan product of coordinate arrays, broadcasting leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if alg.kind is Kind.LORENTZ:
-        a, b = np.broadcast_arrays(a, b)
-        out = np.empty(a.shape)
-        out[..., 0] = np.sum(a * b, axis=-1)
-        out[..., 1:] = a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
-        return out
-    ma = coords_to_matrices(alg, a)
-    mb = coords_to_matrices(alg, b)
-    return matrices_to_coords(alg, (ma @ mb + mb @ ma) / 2.0)
+    return _KERNELS[alg.kind].jordan(alg, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def batch_inner(alg: AlgebraDescriptor, a, b) -> np.ndarray:
     """Trace inner product of coordinate arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # np.add.reduce is np.sum without the Python wrapper; the Metropolis
-    # target calls these two kernels at every step
-    dot = np.add.reduce(a * b, axis=-1)
-    return 2.0 * dot if alg.kind is Kind.LORENTZ else dot
+    return _KERNELS[alg.kind].inner(alg, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def batch_trace(alg: AlgebraDescriptor, a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if alg.kind is Kind.LORENTZ:
-        return 2.0 * a[..., 0]
-    return np.add.reduce(a[..., : alg.rank], axis=-1)
+    return _KERNELS[alg.kind].trace(alg, np.asarray(a, dtype=float))
 
 
 def batch_det(alg: AlgebraDescriptor, a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if alg.kind is Kind.LORENTZ:
-        return a[..., 0] ** 2 - np.sum(a[..., 1:] ** 2, axis=-1)
-    d = np.linalg.det(coords_to_matrices(alg, a))
-    return d.real if np.iscomplexobj(d) else d
+    return _KERNELS[alg.kind].det(alg, np.asarray(a, dtype=float))
 
 
 def batch_eigenvalues(alg: AlgebraDescriptor, a) -> np.ndarray:
     """Spectral eigenvalues, sorted descending, shape (..., rank)."""
-    a = np.asarray(a, dtype=float)
-    if alg.kind is Kind.LORENTZ:
-        nrm = np.linalg.norm(a[..., 1:], axis=-1)
-        return np.stack([a[..., 0] + nrm, a[..., 0] - nrm], axis=-1)
-    w = np.linalg.eigvalsh(coords_to_matrices(alg, a))
-    return w[..., ::-1]
+    return _KERNELS[alg.kind].eigenvalues(alg, np.asarray(a, dtype=float))
 
 
 def batch_inverse(alg: AlgebraDescriptor, a) -> np.ndarray:
     """Inverse of coordinate arrays; assumes invertibility (no threshold)."""
-    a = np.asarray(a, dtype=float)
-    if alg.kind is Kind.LORENTZ:
-        d = batch_det(alg, a)
-        out = np.concatenate([a[..., :1], -a[..., 1:]], axis=-1)
-        return out / d[..., None]
-    return matrices_to_coords(alg, np.linalg.inv(coords_to_matrices(alg, a)))
+    return _KERNELS[alg.kind].inverse(alg, np.asarray(a, dtype=float))
 
 
 def batch_quad_apply(alg: AlgebraDescriptor, a, b) -> np.ndarray:
     """Quadratic operator of ``a`` applied to ``b``: 2 a(ab) - (aa)b."""
-    if alg.kind is Kind.LORENTZ:
-        ab = batch_jordan(alg, a, b)
-        return 2.0 * batch_jordan(alg, a, ab) - batch_jordan(
-            alg, batch_jordan(alg, a, a), b
-        )
-    ma = coords_to_matrices(alg, a)
-    mb = coords_to_matrices(alg, b)
-    return matrices_to_coords(alg, ma @ mb @ ma)
+    return _KERNELS[alg.kind].quad_apply(
+        alg, np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    )
 
 
 def batch_lmap(alg: AlgebraDescriptor, a) -> np.ndarray:
@@ -364,17 +538,7 @@ def batch_lmap(alg: AlgebraDescriptor, a) -> np.ndarray:
 
     Column j of each operator is the product of ``a`` with basis element j.
     """
-    a = np.asarray(a, dtype=float)
-    if alg.kind is Kind.LORENTZ:
-        m = np.zeros(a.shape + (alg.dim,))
-        m[..., 0, :] = a
-        m[..., :, 0] = a
-        m[..., 1:, 1:] += a[..., 0, None, None] * np.eye(alg.dim - 1)
-        return m
-    basis = _basis_matrices(alg)
-    ma = coords_to_matrices(alg, a)[..., None, :, :]
-    cols = matrices_to_coords(alg, (ma @ basis + basis @ ma) / 2.0)
-    return cols.swapaxes(-1, -2)
+    return _KERNELS[alg.kind].lmap(alg, np.asarray(a, dtype=float))
 
 
 def batch_quad_rep(alg: AlgebraDescriptor, a) -> np.ndarray:
@@ -386,28 +550,7 @@ def batch_quad_rep(alg: AlgebraDescriptor, a) -> np.ndarray:
 
 def batch_sqrt(alg: AlgebraDescriptor, a) -> np.ndarray:
     """Spectral square root; raises NotInConeError off the open cone."""
-    a = np.asarray(a, dtype=float)
-    if alg.kind is Kind.LORENTZ:
-        lam = batch_eigenvalues(alg, a)
-        if np.min(lam) <= 0:
-            raise NotInConeError("square root requires strictly positive eigenvalues")
-        s = np.sqrt(lam)
-        half_sum = (s[..., 0] + s[..., 1]) / 2.0
-        half_diff = (s[..., 0] - s[..., 1]) / 2.0
-        nrm = np.linalg.norm(a[..., 1:], axis=-1)
-        unit = np.divide(
-            a[..., 1:], nrm[..., None], out=np.zeros_like(a[..., 1:]),
-            where=nrm[..., None] > 0,
-        )
-        out = np.empty_like(a)
-        out[..., 0] = half_sum
-        out[..., 1:] = half_diff[..., None] * unit
-        return out
-    w, u = np.linalg.eigh(coords_to_matrices(alg, a))
-    if np.min(w) <= 0:
-        raise NotInConeError("square root requires strictly positive eigenvalues")
-    root = (u * np.sqrt(w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    return matrices_to_coords(alg, root)
+    return _KERNELS[alg.kind].sqrt(alg, np.asarray(a, dtype=float))
 
 
 def batch_in_cone(alg: AlgebraDescriptor, a, tol: float = 0.0) -> np.ndarray:
@@ -422,12 +565,7 @@ def batch_in_cone(alg: AlgebraDescriptor, a, tol: float = 0.0) -> np.ndarray:
 
 def identity(alg: AlgebraDescriptor) -> Element:
     """The neutral element: identity matrix, or (1, 0, ..., 0) for Lorentz."""
-    c = np.zeros(alg.dim)
-    if alg.kind is Kind.LORENTZ:
-        c[0] = 1.0
-    else:
-        c[: alg.rank] = 1.0
-    return Element(alg, c)
+    return Element(alg, _KERNELS[alg.kind].identity(alg))
 
 
 def zero(alg: AlgebraDescriptor) -> Element:
@@ -447,7 +585,9 @@ def inner(x: Element, y: Element) -> float:
 
 
 def norm(x: Element) -> float:
-    return math.sqrt(inner(x, x))
+    """sqrt(<x, x>) by a scaled sum (``math.hypot``), which neither
+    underflows nor overflows unless the norm itself does."""
+    return _KERNELS[x.algebra.kind].norm(x.algebra, x.coords)
 
 
 def trace(x: Element) -> float:
@@ -555,32 +695,13 @@ class SpectralDecomposition:
 def spectral_decomposition(x: Element) -> SpectralDecomposition:
     """Decompose x as a sum of eigenvalues times primitive idempotents.
 
-    For the Lorentz family the closed form is used; when the spatial part
-    vanishes any orthogonal idempotent pair is valid and the canonical pair
-    built from the first spatial axis is returned.  Repeated eigenvalues in
-    the matrix families yield an arbitrary orthonormal completion.
+    The Lorentz family uses the closed form; when the spatial part vanishes
+    any orthogonal idempotent pair is valid and the canonical pair built
+    from the first spatial axis is returned.  Repeated eigenvalues in the
+    matrix families yield an arbitrary orthonormal completion.
     """
-    alg = x.algebra
-    if alg.kind is Kind.LORENTZ:
-        x0 = x.coords[0]
-        spatial = x.coords[1:]
-        nrm = float(np.linalg.norm(spatial))
-        if nrm == 0.0:
-            unit = np.zeros(alg.dim - 1)
-            unit[0] = 1.0
-        else:
-            unit = spatial / nrm
-        lam = np.array([x0 + nrm, x0 - nrm])
-        c_plus = Element(alg, 0.5 * np.concatenate([[1.0], unit]))
-        c_minus = Element(alg, 0.5 * np.concatenate([[1.0], -unit]))
-        return SpectralDecomposition(lam, [c_plus, c_minus])
-    w, u = np.linalg.eigh(coords_to_matrices(alg, x.coords))
-    order = np.argsort(w)[::-1]
-    idems = []
-    for k in order:
-        v = u[:, k]
-        idems.append(Element(alg, matrices_to_coords(alg, np.outer(v, v.conj()))))
-    return SpectralDecomposition(w[order], idems)
+    lam, idems = _KERNELS[x.algebra.kind].spectral(x.algebra, x.coords)
+    return SpectralDecomposition(lam, [Element(x.algebra, c) for c in idems])
 
 
 # ---------------------------------------------------------------------------
@@ -624,23 +745,7 @@ def random_cone_points_banded(
     """
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
-    r = alg.rank
-    if alg.kind is Kind.LORENTZ:
-        lam = rng.uniform(lo, hi, size=(n, 2))
-        g = rng.standard_normal((n, alg.dim - 1))
-        unit = g / np.linalg.norm(g, axis=-1, keepdims=True)
-        out = np.empty((n, alg.dim))
-        out[:, 0] = lam.mean(axis=1)
-        out[:, 1:] = ((lam[:, 0] - lam[:, 1]) / 2.0)[:, None] * unit
-        return out
-    if alg.kind is Kind.SYM_REAL:
-        g = rng.standard_normal((n, r, r))
-    else:
-        g = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-    q, _ = np.linalg.qr(g)
-    lam = rng.uniform(lo, hi, size=(n, r))
-    mats = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
-    return matrices_to_coords(alg, mats)
+    return _KERNELS[alg.kind].banded(alg, rng, n, lo, hi)
 
 
 def random_cone_point_banded(

@@ -26,13 +26,13 @@ from . import verification as ver
 from .algebra import (
     AlgebraDescriptor,
     Element,
-    Kind,
     NotInConeError,
     SingularElementError,
     from_matrix,
     herm_complex,
     identity,
     in_cone,
+    kernels,
     lorentz,
     sym_real,
 )
@@ -65,7 +65,6 @@ _DEFAULTS = {
     "b": "identity",
     "output": None,
     "format": "json",
-    "threads": 1,
     "sets": 1,
     "step": 1e-5,
     "burn_in": 5000,
@@ -109,7 +108,6 @@ class RunConfig:
     b: str
     output: str | None
     format: str
-    threads: int
     sets: int
     step: float
     burn_in: int
@@ -131,7 +129,7 @@ def parse_element(spec: str, alg: AlgebraDescriptor) -> Element:
     if spec == "identity":
         return identity(alg)
     if spec.startswith("diag:"):
-        if alg.kind is Kind.LORENTZ:
+        if kernels(alg).field is None:
             raise UsageError("diag: element specs are for the matrix families only")
         values = _parse_floats(spec[5:])
         if len(values) != alg.rank:
@@ -174,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", help="write the report or batch here")
     common.add_argument("--format", choices=["json", "csv"])
     common.add_argument("--config", help="JSON config file (flags override it)")
-    common.add_argument("--threads", type=int)
     common.add_argument("--sets", type=int, help="random constant sets for family checks")
     common.add_argument("--step", type=float, help="finite-difference step")
     common.add_argument("--burn-in", type=int, dest="burn_in")
@@ -240,8 +237,6 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"Lorentz ambient dimension must be >= 3, got {cfg.dim}")
     if cfg.trials < 1 or cfg.n < 1:
         raise UsageError("trials and n must be positive")
-    if cfg.threads < 1:
-        raise UsageError("threads must be >= 1")
     if cfg.sets < 1:
         raise UsageError("sets must be >= 1")
     if cfg.format not in ("json", "csv"):
@@ -304,19 +299,19 @@ def _fe_cone_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
         reports.append(
             ver.check_cauchy_additive(
                 alg, constants.f, n=cfg.trials,
-                tol=_tol(cfg, "cauchy-additive"), seed=seed_i, threads=cfg.threads,
+                tol=_tol(cfg, "cauchy-additive"), seed=seed_i,
             )
         )
         reports.append(
             ver.check_pexider_log(
                 alg, constants.q, constants.gamma1, constants.gamma2, n=cfg.trials,
-                tol=_tol(cfg, "pexider-log"), seed=seed_i, threads=cfg.threads,
+                tol=_tol(cfg, "pexider-log"), seed=seed_i,
             )
         )
         reports.append(
             ver.check_fe_cone(
                 alg, constants, n=cfg.trials,
-                tol=_tol(cfg, "fe-cone"), seed=seed_i, threads=cfg.threads,
+                tol=_tol(cfg, "fe-cone"), seed=seed_i,
             )
         )
     return reports
@@ -337,55 +332,67 @@ def _fe_1d_reports(cfg: RunConfig) -> list:
         reports.append(
             ver.check_fe_univariate_abcd(
                 constants, n=cfg.trials,
-                tol=_tol(cfg, "fe-univariate-abcd"), seed=seed_i, threads=cfg.threads,
+                tol=_tol(cfg, "fe-univariate-abcd"), seed=seed_i,
             )
         )
         reports.append(
             ver.check_fe_univariate_g_alpha(
                 univariate, n=cfg.trials,
-                tol=_tol(cfg, "fe-univariate-g-alpha"), seed=seed_i, threads=cfg.threads,
+                tol=_tol(cfg, "fe-univariate-g-alpha"), seed=seed_i,
             )
         )
     return reports
 
 
-def _algebra_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
-    kw = {"n": cfg.trials, "seed": cfg.seed, "threads": cfg.threads}
-    return [
-        ver.check_jordan_axioms(alg, tol=_tol(cfg, "jordan-axioms"), **kw),
-        ver.check_det_product_rule(alg, tol=_tol(cfg, "det-product-rule"), **kw),
-        ver.check_det_operator_power(alg, tol=_tol(cfg, "det-operator-power"), **kw),
-    ]
+# the check subcommands that ``suite`` runs, in its report order
+_SUITE = ("algebra", "hua", "involution", "jacobian", "fe-cone", "fe-1d", "factorization")
+
+
+def _check_reports(cfg: RunConfig, alg: AlgebraDescriptor, what: str,
+                   jacobian_trials: int = 200) -> list:
+    """Reports of ``check <what>``; the Jacobian runs at most
+    ``jacobian_trials`` trials.  Factorization raises ShapeOutOfRangeError
+    for a shape p below the density range."""
+    kw = {"n": cfg.trials, "seed": cfg.seed}
+    if what == "algebra":
+        return [
+            ver.check_jordan_axioms(alg, tol=_tol(cfg, "jordan-axioms"), **kw),
+            ver.check_det_product_rule(alg, tol=_tol(cfg, "det-product-rule"), **kw),
+            ver.check_det_operator_power(alg, tol=_tol(cfg, "det-operator-power"), **kw),
+        ]
+    if what == "hua":
+        return [ver.check_hua(alg, tol=_tol(cfg, "hua-identity"), **kw)]
+    if what == "involution":
+        return [ver.check_involution(alg, tol=_tol(cfg, "involution"), **kw)]
+    if what == "jacobian":
+        return [ver.check_jacobian(alg, n=min(cfg.trials, jacobian_trials),
+                                   tol=_tol(cfg, "jacobian-closed-form"),
+                                   seed=cfg.seed, step=cfg.step)]
+    if what == "fe-cone":
+        return _fe_cone_reports(cfg, alg)
+    if what == "fe-1d":
+        return _fe_1d_reports(cfg)
+    if what == "factorization":
+        p = _shape_p(cfg, alg)
+        a = _cone_param(cfg, "a", alg)
+        b = _cone_param(cfg, "b", alg)
+        return [ver.density_factorization_check(
+            alg, p, a, b, tol=_tol(cfg, "density-factorization"), **kw)]
 
 
 def _dispatch_reports(cfg: RunConfig) -> list:
     alg = _algebra(cfg)
     cmd = cfg.command
-    if cmd == ("check", "algebra"):
-        return _algebra_reports(cfg, alg)
-    if cmd == ("check", "hua"):
-        return [ver.check_hua(alg, n=cfg.trials, tol=_tol(cfg, "hua-identity"),
-                              seed=cfg.seed, threads=cfg.threads)]
-    if cmd == ("check", "involution"):
-        return [ver.check_involution(alg, n=cfg.trials, tol=_tol(cfg, "involution"),
-                                     seed=cfg.seed, threads=cfg.threads)]
-    if cmd == ("check", "jacobian"):
-        trials = min(cfg.trials, 200)
-        return [ver.check_jacobian(alg, n=trials, tol=_tol(cfg, "jacobian-closed-form"),
-                                   seed=cfg.seed, step=cfg.step, threads=cfg.threads)]
-    if cmd == ("check", "fe-cone"):
-        return _fe_cone_reports(cfg, alg)
-    if cmd == ("check", "fe-1d"):
-        return _fe_1d_reports(cfg)
-    if cmd == ("check", "factorization"):
-        p = _shape_p(cfg, alg)
-        a = _cone_param(cfg, "a", alg)
-        b = _cone_param(cfg, "b", alg)
-        if p <= alg.dim_over_rank - 1.0:
-            raise UsageError(f"factorization requires p > {alg.dim_over_rank - 1.0}")
-        return [ver.density_factorization_check(
-            alg, p, a, b, n=cfg.trials, tol=_tol(cfg, "density-factorization"),
-            seed=cfg.seed, threads=cfg.threads)]
+    if cmd == ("suite",):
+        # a shape below the density range fails the suite (see run) rather
+        # than making it a usage error
+        return [r for what in _SUITE
+                for r in _check_reports(cfg, alg, what, jacobian_trials=100)]
+    if cmd[0] == "check":
+        try:
+            return _check_reports(cfg, alg, cmd[1])
+        except ShapeOutOfRangeError as exc:
+            raise UsageError(str(exc)) from exc
     if cmd == ("test", "my-property"):
         p = _shape_p(cfg, alg)
         a = _cone_param(cfg, "a", alg)
@@ -395,24 +402,6 @@ def _dispatch_reports(cfg: RunConfig) -> list:
         return [ver.my_property_test(
             alg, p, a, b, cfg.n, seed=cfg.seed, mcmc=_mcmc(cfg),
             n_permutations=cfg.permutations, subsample=cfg.subsample)]
-    if cmd == ("suite",):
-        reports = _algebra_reports(cfg, alg)
-        reports.append(ver.check_hua(alg, n=cfg.trials, tol=_tol(cfg, "hua-identity"),
-                                     seed=cfg.seed, threads=cfg.threads))
-        reports.append(ver.check_involution(alg, n=cfg.trials, tol=_tol(cfg, "involution"),
-                                            seed=cfg.seed, threads=cfg.threads))
-        reports.append(ver.check_jacobian(alg, n=min(cfg.trials, 100),
-                                          tol=_tol(cfg, "jacobian-closed-form"),
-                                          seed=cfg.seed, step=cfg.step, threads=cfg.threads))
-        reports += _fe_cone_reports(cfg, alg)
-        reports += _fe_1d_reports(cfg)
-        p = _shape_p(cfg, alg)
-        a = _cone_param(cfg, "a", alg)
-        b = _cone_param(cfg, "b", alg)
-        reports.append(ver.density_factorization_check(
-            alg, p, a, b, n=cfg.trials, tol=_tol(cfg, "density-factorization"),
-            seed=cfg.seed, threads=cfg.threads))
-        return reports
     raise UsageError(f"unknown command {' '.join(cmd)}")
 
 
@@ -484,9 +473,10 @@ def run(argv) -> int:
                 else:
                     _write(cfg.output, ser.batch_to_json(batch))
             rate = "" if batch.mcmc is None else f" accept={batch.mcmc['acceptance_rate']:.3f}"
-            print(f"[OK] sample {cfg.command[1]} method={batch.method} n={batch.n} "
-                  f"seed={batch.seed}{rate}")
-            return 2 if batch.mcmc is not None and batch.mcmc.get("diverged") else 0
+            diverged = batch.mcmc is not None and batch.mcmc["diverged"]
+            print(f"[{'INCONCLUSIVE' if diverged else 'OK'}] sample {cfg.command[1]} "
+                  f"method={batch.method} n={batch.n} seed={batch.seed}{rate}")
+            return 2 if diverged else 0
         reports = _dispatch_reports(cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

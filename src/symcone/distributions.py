@@ -36,7 +36,6 @@ import numpy as np
 from .algebra import (
     AlgebraDescriptor,
     Element,
-    Kind,
     NotInConeError,
     batch_eigenvalues,
     batch_in_cone,
@@ -49,6 +48,7 @@ from .algebra import (
     in_cone,
     inner,
     inverse,
+    kernels,
     matrices_to_coords,
     sqrt as cone_sqrt,
 )
@@ -292,17 +292,15 @@ def _bartlett(alg: AlgebraDescriptor, p: float, a: Element, seed: int, n: int) -
     rng = np.random.default_rng(seed)
     r = alg.rank
     shapes = p - 0.5 * alg.peirce * np.arange(r)
-    if alg.kind is Kind.SYM_REAL:
-        t = np.zeros((n, r, r))
-    else:
-        t = np.zeros((n, r, r), dtype=complex)
+    field = kernels(alg).field
+    t = np.zeros((n, r, r), dtype=field)
     for i in range(r):
         t[:, i, i] = np.sqrt(rng.gamma(shapes[i], 1.0, size=n))
     idx = np.tril_indices(r, k=-1)
     n_off = idx[0].size
     if n_off:
         off = rng.normal(0.0, math.sqrt(0.5), size=(n, n_off))
-        if alg.kind is Kind.HERM_COMPLEX:
+        if field is complex:
             off = off + 1j * rng.normal(0.0, math.sqrt(0.5), size=(n, n_off))
         t[:, idx[0], idx[1]] = off
     x = t @ t.conj().swapaxes(-1, -2)
@@ -471,24 +469,14 @@ def _metropolis_cone(alg, log_pdf, seed, n, config: McmcConfig, init: np.ndarray
     return coords, meta
 
 
-def _rank2_det(alg: AlgebraDescriptor, x: np.ndarray) -> np.ndarray:
-    """Determinant of rank-2 coordinates (..., dim), without a matrix.
-
-    Every rank-2 algebra is a spin factor.  The matrix kinds read
-    (d1, d2, off...) with det = d1 d2 - |off|^2 / 2; Lorentz reads
-    (x0, xbar) with det = x0^2 - |xbar|^2.
-    """
-    if alg.kind is Kind.LORENTZ:
-        return x[..., 0] ** 2 - np.add.reduce(x[..., 1:] ** 2, axis=-1)
-    return x[..., 0] * x[..., 1] - 0.5 * np.add.reduce(x[..., 2:] ** 2, axis=-1)
-
-
 def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
     """Metropolis target (p - dim/r) log det x - <a, x> - <b, x^-1>, -inf off the cone.
 
     Without ``b`` this is the Wishart log density up to its constant, with
-    ``b`` the GIG one.  Rank 2 is evaluated in closed form: the cone is
-    tr x > 0, det x > 0, and by Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
+    ``b`` the GIG one.  Rank 2 is evaluated in closed form: every rank-2
+    algebra is a spin factor, so the kernel table's ``rank2_det`` gives
+    det x without a matrix, the cone is tr x > 0, det x > 0, and by
+    Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
     <b, x^-1> = (tr x tr b - <b, x>) / det x.  It is computed on every row,
     off-cone rows included (their log and division warnings are silenced),
     and ``np.where`` puts -inf on the off-cone rows.  Higher ranks take the
@@ -498,15 +486,16 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
 
     if alg.rank == 2:
         tr_b = None if b_coords is None else float(batch_trace(alg, b_coords))
+        k = kernels(alg)  # looked up once, not at every step
 
         def log_pdf(x):
-            tr = batch_trace(alg, x)
-            dt = _rank2_det(alg, x)
+            tr = k.trace(alg, x)
+            dt = k.rank2_det(alg, x)
             ok = (tr > 0.0) & (dt > 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                val = exponent * np.log(dt) - batch_inner(alg, a_coords, x)
+                val = exponent * np.log(dt) - k.inner(alg, a_coords, x)
                 if b_coords is not None:
-                    val -= (tr * tr_b - batch_inner(alg, b_coords, x)) / dt
+                    val -= (tr * tr_b - k.inner(alg, b_coords, x)) / dt
             return np.where(ok, val, -np.inf)
 
         return log_pdf
@@ -548,11 +537,12 @@ def sample_wishart(
         raise ShapeOutOfRangeError(
             f"sampling requires p > {alg.dim_over_rank - 1.0}, got {params.p}"
         )
+    has_matrix_form = kernels(alg).field is not None
     if method is None:
-        method = "mcmc" if alg.kind is Kind.LORENTZ else "bartlett"
+        method = "bartlett" if has_matrix_form else "mcmc"
     record = {"p": params.p, "a": params.a.coords.tolist()}
     if method == "bartlett":
-        if alg.kind is Kind.LORENTZ:
+        if not has_matrix_form:
             raise ValueError("no Bartlett construction for the Lorentz family")
         coords = _bartlett(alg, params.p, params.a, seed, n)
         return SampleBatch(alg, record, coords, seed, "bartlett")

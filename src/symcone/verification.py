@@ -12,7 +12,6 @@ bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,35 +166,6 @@ class IndependenceReport:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _chunked(eval_slice, n: int, threads: int) -> np.ndarray:
-    """Evaluate residuals over range chunks, optionally on a thread pool.
-
-    Per-trial values do not depend on the chunking, so results are identical
-    for every thread count.
-    """
-    if threads <= 1:
-        return np.asarray(eval_slice(slice(0, n)))
-    bounds = np.linspace(0, n, threads + 1).astype(int)
-    chunks = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(eval_slice, chunks))
-    return np.concatenate(parts)
-
-
-def _in_blocks(eval_slice):
-    """Wrap ``eval_slice`` to evaluate a slice in sub-slices of at most
-    BLOCK_TRIALS trials, which bounds the memory of stacked per-trial
-    operators."""
-
-    def blocked(sl):
-        starts = range(sl.start, sl.stop, BLOCK_TRIALS)
-        return np.concatenate(
-            [eval_slice(slice(a, min(a + BLOCK_TRIALS, sl.stop))) for a in starts]
-        )
-
-    return blocked
-
-
 def _report(check, alg, residuals, tol, seed, p_values=None) -> CheckReport:
     residuals = np.asarray(residuals, float)
     max_r = float(np.max(residuals))
@@ -248,171 +218,144 @@ def random_fe1d_constants(rng: np.random.Generator) -> Fe1dConstants:
 # Algebra identity checks
 # ---------------------------------------------------------------------------
 
-def check_jordan_axioms(alg, n=1000, tol=1e-10, seed=0, threads=1) -> CheckReport:
+def check_jordan_axioms(alg, n=1000, tol=1e-10, seed=0) -> CheckReport:
     """Scaled residuals of the four defining axioms on random triples."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, alg.dim))
     y = rng.standard_normal((n, alg.dim))
     z = rng.standard_normal((n, alg.dim))
     e = identity(alg).coords
-
-    def eval_slice(sl):
-        xs, ys, zs = x[sl], y[sl], z[sl]
-        nx, ny, nz = _norms(alg, xs), _norms(alg, ys), _norms(alg, zs)
-        commut = _norms(alg, batch_jordan(alg, xs, ys) - batch_jordan(alg, ys, xs))
-        commut /= (1.0 + nx) * (1.0 + ny)
-        x2 = batch_jordan(alg, xs, xs)
-        jid = _norms(
-            alg,
-            batch_jordan(alg, xs, batch_jordan(alg, x2, ys))
-            - batch_jordan(alg, x2, batch_jordan(alg, xs, ys)),
-        )
-        jid /= (1.0 + nx) ** 3 * (1.0 + ny)
-        unit = _norms(alg, batch_jordan(alg, xs, e) - xs) / (1.0 + nx)
-        assoc = np.abs(
-            batch_inner(alg, xs, batch_jordan(alg, ys, zs))
-            - batch_inner(alg, batch_jordan(alg, xs, ys), zs)
-        ) / ((1.0 + nx) * (1.0 + ny) * (1.0 + nz))
-        return np.max(np.stack([commut, jid, unit, assoc]), axis=0)
-
-    return _report("jordan-axioms", alg, _chunked(eval_slice, n, threads), tol, seed)
+    nx, ny, nz = _norms(alg, x), _norms(alg, y), _norms(alg, z)
+    commut = _norms(alg, batch_jordan(alg, x, y) - batch_jordan(alg, y, x))
+    commut /= (1.0 + nx) * (1.0 + ny)
+    x2 = batch_jordan(alg, x, x)
+    jid = _norms(
+        alg,
+        batch_jordan(alg, x, batch_jordan(alg, x2, y))
+        - batch_jordan(alg, x2, batch_jordan(alg, x, y)),
+    )
+    jid /= (1.0 + nx) ** 3 * (1.0 + ny)
+    unit = _norms(alg, batch_jordan(alg, x, e) - x) / (1.0 + nx)
+    assoc = np.abs(
+        batch_inner(alg, x, batch_jordan(alg, y, z))
+        - batch_inner(alg, batch_jordan(alg, x, y), z)
+    ) / ((1.0 + nx) * (1.0 + ny) * (1.0 + nz))
+    residuals = np.max(np.stack([commut, jid, unit, assoc]), axis=0)
+    return _report("jordan-axioms", alg, residuals, tol, seed)
 
 
-def check_det_product_rule(alg, n=1000, tol=1e-8, seed=0, threads=1) -> CheckReport:
+def check_det_product_rule(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Relative residual of det(P(x) y) = (det x)^2 det y on cone pairs."""
     rng = np.random.default_rng(seed)
     x = random_cone_points_banded(alg, rng, n)
     y = random_cone_points_banded(alg, rng, n)
-
-    def eval_slice(sl):
-        lhs = batch_det(alg, batch_quad_apply(alg, x[sl], y[sl]))
-        rhs = batch_det(alg, x[sl]) ** 2 * batch_det(alg, y[sl])
-        return np.abs(lhs - rhs) / np.abs(rhs)
-
-    return _report("det-product-rule", alg, _chunked(eval_slice, n, threads), tol, seed)
+    lhs = batch_det(alg, batch_quad_apply(alg, x, y))
+    rhs = batch_det(alg, x) ** 2 * batch_det(alg, y)
+    return _report("det-product-rule", alg, np.abs(lhs - rhs) / np.abs(rhs), tol, seed)
 
 
-def check_det_operator_power(alg, n=1000, tol=1e-8, seed=0, threads=1) -> CheckReport:
+def check_det_operator_power(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Relative residual of Det P(x) = (det x)^(2 dim / rank) on cone points.
 
-    Batched: the operators P(x) of a block of trials are built and their
-    determinants taken in one stacked call.
+    Batched: the operators P(x) of a block of at most BLOCK_TRIALS trials are
+    built and their determinants taken in one stacked call; the block bounds
+    the memory of the stacked operators.
     """
     rng = np.random.default_rng(seed)
     x = random_cone_points_banded(alg, rng, n)
     power = 2.0 * alg.dim / alg.rank
+    residuals = []
+    for start in range(0, n, BLOCK_TRIALS):
+        xs = x[start : start + BLOCK_TRIALS]
+        op_det = np.linalg.det(batch_quad_rep(alg, xs))
+        target = batch_det(alg, xs) ** power
+        residuals.append(np.abs(op_det - target) / np.abs(target))
+    return _report("det-operator-power", alg, np.concatenate(residuals), tol, seed)
 
-    def eval_slice(sl):
-        op_det = np.linalg.det(batch_quad_rep(alg, x[sl]))
-        target = batch_det(alg, x[sl]) ** power
-        return np.abs(op_det - target) / np.abs(target)
 
-    residuals = _chunked(_in_blocks(eval_slice), n, threads)
-    return _report("det-operator-power", alg, residuals, tol, seed)
-
-
-def check_hua(alg, n=1000, tol=1e-8, seed=0, threads=1) -> CheckReport:
+def check_hua(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Residual of a^-1 - (a+b)^-1 = (a + P(a) b^-1)^-1 on cone pairs."""
     rng = np.random.default_rng(seed)
     a = random_cone_points_banded(alg, rng, n)
     b = random_cone_points_banded(alg, rng, n)
-
-    def eval_slice(sl):
-        lhs = batch_inverse(alg, a[sl]) - batch_inverse(alg, a[sl] + b[sl])
-        rhs = batch_inverse(
-            alg, a[sl] + batch_quad_apply(alg, a[sl], batch_inverse(alg, b[sl]))
-        )
-        return _norms(alg, lhs - rhs)
-
-    return _report("hua-identity", alg, _chunked(eval_slice, n, threads), tol, seed)
+    lhs = batch_inverse(alg, a) - batch_inverse(alg, a + b)
+    rhs = batch_inverse(alg, a + batch_quad_apply(alg, a, batch_inverse(alg, b)))
+    return _report("hua-identity", alg, _norms(alg, lhs - rhs), tol, seed)
 
 
-def check_involution(alg, n=1000, tol=1e-9, seed=0, threads=1) -> CheckReport:
+def check_involution(alg, n=1000, tol=1e-9, seed=0) -> CheckReport:
     """Residual of applying the cone map twice on random cone pairs."""
     rng = np.random.default_rng(seed)
     x = random_cone_points_banded(alg, rng, n)
     y = random_cone_points_banded(alg, rng, n)
-
-    def eval_slice(sl):
-        u = batch_inverse(alg, x[sl] + y[sl])
-        v = batch_inverse(alg, x[sl]) - u
-        x2 = batch_inverse(alg, u + v)
-        y2 = batch_inverse(alg, u) - x2
-        return np.maximum(_norms(alg, x2 - x[sl]), _norms(alg, y2 - y[sl]))
-
-    return _report("involution", alg, _chunked(eval_slice, n, threads), tol, seed)
+    u = batch_inverse(alg, x + y)
+    v = batch_inverse(alg, x) - u
+    x2 = batch_inverse(alg, u + v)
+    y2 = batch_inverse(alg, u) - x2
+    residuals = np.maximum(_norms(alg, x2 - x), _norms(alg, y2 - y))
+    return _report("involution", alg, residuals, tol, seed)
 
 
-def check_jacobian(alg, n=100, tol=1e-4, seed=0, step=1e-5, threads=1) -> CheckReport:
+def check_jacobian(alg, n=100, tol=1e-4, seed=0, step=1e-5) -> CheckReport:
     """Relative disagreement between the closed-form Jacobian and the
     finite-difference determinant, with one Richardson refinement when the
     plain estimate misses the tolerance.
 
-    Batched: the finite-difference matrices of a block of trials are built
-    in one stacked call, and only the trials that miss the tolerance are
-    refined.  Trials whose closed form is not positive get an infinite
-    residual.
+    Batched: the finite-difference matrices of a block of at most
+    BLOCK_TRIALS trials are built in one stacked call, and only the trials
+    that miss the tolerance are refined.  Trials whose closed form is not
+    positive get an infinite residual.
     """
     rng = np.random.default_rng(seed)
     u = random_cone_points_banded(alg, rng, n)
     v = random_cone_points_banded(alg, rng, n)
-
-    def eval_slice(sl):
-        formula = batch_jacobian_det_formula(alg, u[sl], v[sl])
+    residuals = []
+    for start in range(0, n, BLOCK_TRIALS):
+        ub, vb = u[start : start + BLOCK_TRIALS], v[start : start + BLOCK_TRIALS]
+        formula = batch_jacobian_det_formula(alg, ub, vb)
         rel = np.full(formula.shape, np.inf)
         ok = formula > 0
-        us, vs, fs = u[sl][ok], v[sl][ok], formula[ok]
+        us, vs, fs = ub[ok], vb[ok], formula[ok]
         rel_ok = np.abs(batch_jacobian_det_numeric(alg, us, vs, step) - fs) / fs
         redo = rel_ok > tol
         if np.any(redo):
             numeric = batch_jacobian_det_numeric(alg, us[redo], vs[redo], step, richardson=True)
             rel_ok[redo] = np.abs(numeric - fs[redo]) / fs[redo]
         rel[ok] = rel_ok
-        return rel
-
-    residuals = _chunked(_in_blocks(eval_slice), n, threads)
-    return _report("jacobian-closed-form", alg, residuals, tol, seed)
+        residuals.append(rel)
+    return _report("jacobian-closed-form", alg, np.concatenate(residuals), tol, seed)
 
 
 # ---------------------------------------------------------------------------
 # Functional-equation solution families
 # ---------------------------------------------------------------------------
 
-def check_cauchy_additive(alg, f_vec: Element, n=1000, tol=1e-8, seed=0, threads=1) -> CheckReport:
+def check_cauchy_additive(alg, f_vec: Element, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """f(x) = <f_vec, x> solves f(x) + f(y) = f(x + y) on cone pairs."""
     rng = np.random.default_rng(seed)
     x = random_cone_points_banded(alg, rng, n)
     y = random_cone_points_banded(alg, rng, n)
     fv = f_vec.coords
-
-    def eval_slice(sl):
-        return np.abs(
-            batch_inner(alg, fv, x[sl])
-            + batch_inner(alg, fv, y[sl])
-            - batch_inner(alg, fv, x[sl] + y[sl])
-        )
-
-    return _report("cauchy-additive", alg, _chunked(eval_slice, n, threads), tol, seed)
+    residuals = np.abs(
+        batch_inner(alg, fv, x) + batch_inner(alg, fv, y) - batch_inner(alg, fv, x + y)
+    )
+    return _report("cauchy-additive", alg, residuals, tol, seed)
 
 
-def check_pexider_log(alg, q, gamma1, gamma2, n=1000, tol=1e-8, seed=0, threads=1) -> CheckReport:
+def check_pexider_log(alg, q, gamma1, gamma2, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """The family f_i = q log det + gamma_i solves the multiplicative-type
     equation f1(x) + f2(y) = f3(P(x^(1/2)) y) on cone pairs."""
     rng = np.random.default_rng(seed)
     x = random_cone_points_banded(alg, rng, n)
     y = random_cone_points_banded(alg, rng, n)
-
-    def eval_slice(sl):
-        z = batch_quad_apply(alg, batch_sqrt(alg, x[sl]), y[sl])
-        lhs = q * np.log(batch_det(alg, x[sl])) + gamma1
-        lhs += q * np.log(batch_det(alg, y[sl])) + gamma2
-        rhs = q * np.log(batch_det(alg, z)) + gamma1 + gamma2
-        return np.abs(lhs - rhs)
-
-    return _report("pexider-log", alg, _chunked(eval_slice, n, threads), tol, seed)
+    z = batch_quad_apply(alg, batch_sqrt(alg, x), y)
+    lhs = q * np.log(batch_det(alg, x)) + gamma1
+    lhs += q * np.log(batch_det(alg, y)) + gamma2
+    rhs = q * np.log(batch_det(alg, z)) + gamma1 + gamma2
+    return _report("pexider-log", alg, np.abs(lhs - rhs), tol, seed)
 
 
-def check_fe_univariate_g_alpha(constants: dict, n=1000, tol=1e-8, seed=0, threads=1) -> CheckReport:
+def check_fe_univariate_g_alpha(constants: dict, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """g(x) = Ax + B log x + C and alpha(x) = Ax^2 + B log x + D solve
     g(x(x+y)) - g(y(x+y)) = alpha(x) - alpha(y) on positive pairs."""
     a_c, b_c = float(constants["A"]), float(constants["B"])
@@ -427,34 +370,23 @@ def check_fe_univariate_g_alpha(constants: dict, n=1000, tol=1e-8, seed=0, threa
     def alpha(t):
         return a_c * t * t + b_c * np.log(t) + d_c
 
-    def eval_slice(sl):
-        s = x[sl] + y[sl]
-        return np.abs(g(x[sl] * s) - g(y[sl] * s) - alpha(x[sl]) + alpha(y[sl]))
-
-    return _report("fe-univariate-g-alpha", None, _chunked(eval_slice, n, threads), tol, seed)
+    s = x + y
+    residuals = np.abs(g(x * s) - g(y * s) - alpha(x) + alpha(y))
+    return _report("fe-univariate-g-alpha", None, residuals, tol, seed)
 
 
-def check_fe_univariate_abcd(constants: Fe1dConstants, n=1000, tol=1e-8, seed=0, threads=1) -> CheckReport:
+def check_fe_univariate_abcd(constants: Fe1dConstants, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """The four-function family with p, f, g and constrained constants solves
     A(x) + B(y) = C((x+y)^-1) + D(x^-1 - (x+y)^-1) on positive pairs."""
     k = constants
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.2, 5.0, size=n)
     y = rng.uniform(0.2, 5.0, size=n)
-
-    def eval_slice(sl):
-        xs, ys = x[sl], y[sl]
-        u = 1.0 / (xs + ys)
-        w = 1.0 / xs - u
-        lhs = (-k.p * np.log(xs) + k.f * xs + k.g / xs + k.c1) + (
-            k.p * np.log(ys) + k.f * ys + k.c2
-        )
-        rhs = (-k.p * np.log(u) + k.g * u + k.f / u + k.c3) + (
-            k.p * np.log(w) + k.g * w + k.c4
-        )
-        return np.abs(lhs - rhs)
-
-    return _report("fe-univariate-abcd", None, _chunked(eval_slice, n, threads), tol, seed)
+    u = 1.0 / (x + y)
+    w = 1.0 / x - u
+    lhs = (-k.p * np.log(x) + k.f * x + k.g / x + k.c1) + (k.p * np.log(y) + k.f * y + k.c2)
+    rhs = (-k.p * np.log(u) + k.g * u + k.f / u + k.c3) + (k.p * np.log(w) + k.g * w + k.c4)
+    return _report("fe-univariate-abcd", None, np.abs(lhs - rhs), tol, seed)
 
 
 def _fe_cone_residuals(alg, k: FeSolutionConstants, x, y, perturbation=0.0):
@@ -489,21 +421,17 @@ def _fe_cone_residuals(alg, k: FeSolutionConstants, x, y, perturbation=0.0):
     return np.abs(a_side + b_side - c_side - d_side)
 
 
-def check_fe_cone(alg, constants: FeSolutionConstants, n=1000, tol=1e-8, seed=0, threads=1) -> CheckReport:
+def check_fe_cone(alg, constants: FeSolutionConstants, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """The cone solution family (log det, linear, and inverse-linear terms)
     solves a(x) + b(y) = c((x+y)^-1) + d(x^-1 - (x+y)^-1) on cone pairs."""
     rng = np.random.default_rng(seed)
     x = random_cone_points_banded(alg, rng, n)
     y = random_cone_points_banded(alg, rng, n)
-
-    def eval_slice(sl):
-        return _fe_cone_residuals(alg, constants, x[sl], y[sl])
-
-    return _report("fe-cone", alg, _chunked(eval_slice, n, threads), tol, seed)
+    return _report("fe-cone", alg, _fe_cone_residuals(alg, constants, x, y), tol, seed)
 
 
 def check_perturbed_fe_rejects(
-    alg, constants: FeSolutionConstants, perturbation: float, n=1000, seed=0, tol=1e-8, threads=1
+    alg, constants: FeSolutionConstants, perturbation: float, n=1000, seed=0, tol=1e-8
 ) -> CheckReport:
     """Negative control: a non-family term of size ``perturbation`` is added
     to one side, and the report must show the residual blowing past the
@@ -511,11 +439,8 @@ def check_perturbed_fe_rejects(
     rng = np.random.default_rng(seed)
     x = random_cone_points_banded(alg, rng, n)
     y = random_cone_points_banded(alg, rng, n)
-
-    def eval_slice(sl):
-        return _fe_cone_residuals(alg, constants, x[sl], y[sl], perturbation=perturbation)
-
-    return _report("fe-cone-perturbed", alg, _chunked(eval_slice, n, threads), tol, seed)
+    residuals = _fe_cone_residuals(alg, constants, x, y, perturbation=perturbation)
+    return _report("fe-cone-perturbed", alg, residuals, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +448,7 @@ def check_perturbed_fe_rejects(
 # ---------------------------------------------------------------------------
 
 def density_factorization_check(
-    alg, p, a: Element, b: Element, n=1000, tol=1e-10, seed=0, threads=1,
-    negative_control=False,
+    alg, p, a: Element, b: Element, n=1000, tol=1e-10, seed=0, negative_control=False,
 ) -> CheckReport:
     """Constancy of the log ratio between the two factorized density sides.
 
@@ -555,7 +479,6 @@ def density_factorization_check(
     def log_wishart_unnorm(shape, scale, pts):
         return (shape - d_r) * np.log(batch_det(alg, pts)) - batch_inner(alg, scale, pts)
 
-    # single pass; the residual couples all trials through the common mean
     lhs = log_gig_unnorm(-p, left_b, left_a, u) + log_wishart_unnorm(p, left_b, v)
     x = batch_inverse(alg, u + v)
     y = batch_inverse(alg, u) - x

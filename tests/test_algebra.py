@@ -1,7 +1,11 @@
 """Element arithmetic, operators, and spectral calculus for all three families."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp_st
 
 from symcone import algebra as ja
 
@@ -430,3 +434,111 @@ def test_canonical_basis_orthonormal_for_matrix_kinds():
         for i, bi in enumerate(basis):
             for j, bj in enumerate(basis):
                 assert ja.inner(bi, bj) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e170, -1e170, 1e-170, -1e-170])
+@pytest.mark.parametrize("alg,weight", [(ja.sym_real(2), 1.0), (ja.lorentz(2), np.sqrt(2.0))],
+                         ids=["sym-real-dim3", "lorentz-dim3"])
+def test_norm_neither_underflows_nor_overflows(alg, weight, scale):
+    # the squares of these coordinates leave the double range
+    x = ja.Element(alg, scale * np.array([3.0, -4.0, 12.0]))
+    assert ja.norm(x) == pytest.approx(13.0 * abs(scale) * weight, rel=1e-15, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Kernel-table properties across scale and distance to the cone boundary
+# ---------------------------------------------------------------------------
+
+TABLE_ALGEBRAS = ([ja.sym_real(r) for r in (1, 2, 3, 4)]
+                  + [ja.herm_complex(r) for r in (2, 3, 4)]
+                  + [ja.lorentz(n) for n in (2, 3, 4, 5, 6)])
+
+
+def _cone_point(alg, rng, gap):
+    """A cone point with largest eigenvalue 1 and smallest ``gap`` (rank >= 2)."""
+    x = ja.Element(alg, ja.random_cone_points_banded(alg, rng, 1, 1.0, 2.0)[0])
+    s = ja.spectral_decomposition(x)
+    lam = s.eigenvalues / s.eigenvalues[0]
+    if alg.rank > 1:
+        lam[-1] = gap
+    return sum(value * c.coords for value, c in zip(lam, s.idempotents))
+
+
+@hyp_st.composite
+def _scaled_cone_pairs(draw):
+    """(alg, scale, x, y, cond): x and y are unit-scale cone points whose
+    smallest eigenvalue ratio is 1/cond >= 1e-2; the properties are
+    evaluated at scale * x and scale * y, with scale in [1e-150, 1e150]."""
+    alg = draw(hyp_st.sampled_from(TABLE_ALGEBRAS))
+    scale = 10.0 ** draw(hyp_st.floats(-150, 150))
+    gaps = [10.0 ** draw(hyp_st.floats(-2, 0)) for _ in range(2)]
+    rng = np.random.default_rng(draw(hyp_st.integers(0, 2**32 - 1)))
+    x, y = (_cone_point(alg, rng, g) for g in gaps)
+    return alg, scale, x, y, 1.0 / min(gaps)
+
+
+def _tol(cond):
+    # the error of an inverse grows with the condition number, and each
+    # property inverts twice in a row, so allow its square
+    return 32.0 * np.finfo(float).eps * cond**2
+
+
+def _rel(diff, ref):
+    # both arguments are rescaled to unit size, so their squares neither
+    # underflow nor overflow
+    return np.linalg.norm(diff) / np.linalg.norm(ref)
+
+
+@settings(max_examples=150)
+@given(_scaled_cone_pairs())
+def test_inverse_is_an_involution_across_scales(case):
+    alg, scale, x, y, cond = case
+    inv = ja.batch_inverse
+    assert _rel(inv(alg, inv(alg, scale * x)) / scale - x, x) <= _tol(cond)
+
+
+@settings(max_examples=150)
+@given(_scaled_cone_pairs())
+def test_cone_map_is_an_involution_across_scales(case):
+    alg, scale, x, y, cond = case
+    inv = ja.batch_inverse
+    u = inv(alg, scale * x + scale * y)
+    v = inv(alg, scale * x) - u
+    x2 = inv(alg, u + v)
+    y2 = inv(alg, u) - x2
+    assert max(_rel(x2 / scale - x, x), _rel(y2 / scale - y, y)) <= _tol(cond)
+
+
+@settings(max_examples=150)
+@given(_scaled_cone_pairs())
+def test_hua_identity_across_scales(case):
+    alg, scale, x, y, cond = case
+    inv = ja.batch_inverse
+    a, b = scale * x, scale * y
+    lhs = inv(alg, a) - inv(alg, a + b)
+    rhs = inv(alg, a + ja.batch_quad_apply(alg, a, inv(alg, b)))
+    assert _rel(scale * lhs - scale * rhs, scale * rhs) <= _tol(cond)
+
+
+def test_kernel_properties_reject_a_skewed_inverse():
+    inverse = ja.batch_inverse
+
+    def scaled(alg, a):
+        return inverse(alg, a) * (1.0 + 1e-9)
+
+    def first_coordinate_scaled(alg, a):
+        out = inverse(alg, a)
+        out[..., 0] *= 1.0 + 1e-9
+        return out
+
+    # the inverse is homogeneous of degree -1, so a uniform factor cancels
+    # when it is inverted twice and in the cone map; skewing one coordinate
+    # breaks all three properties
+    properties = (test_inverse_is_an_involution_across_scales,
+                  test_cone_map_is_an_involution_across_scales,
+                  test_hua_identity_across_scales)
+    cases = [(scaled, test_hua_identity_across_scales)]
+    cases += [(first_coordinate_scaled, test) for test in properties]
+    for skewed, test in cases:
+        with mock.patch.object(ja, "batch_inverse", skewed), pytest.raises(AssertionError):
+            test()

@@ -115,6 +115,14 @@ def test_my_property_cli(tmp_path):
     assert report["passed"] is True
 
 
+@pytest.mark.filterwarnings("ignore:MCMC acceptance rate:RuntimeWarning")
+def test_diverged_sample_prints_inconclusive(capsys):
+    code = run_cli("sample", "gig", "--kind", "sym-real", "--rank", "2", "--p", "-2", "-n", "200",
+                   "--seed", "16", "--chains", "1", "--burn-in", "0")
+    assert code == 2
+    assert capsys.readouterr().out.startswith("[INCONCLUSIVE] sample gig method=mcmc")
+
+
 def test_sample_shape_guard_is_usage_error():
     assert run_cli("sample", "wishart", "--kind", "sym-real", "--rank", "2",
                    "--p", "0.5", "-n", "10") == 64
@@ -221,6 +229,24 @@ def test_check_fe_cone_with_sets(tmp_path):
     assert all(r["passed"] for r in reports)
 
 
+def test_suite_and_check_keep_their_jacobian_caps(tmp_path):
+    for argv, cap in ((("check", "jacobian"), 200), (("suite",), 100)):
+        out = tmp_path / "r.json"
+        assert run_cli(*argv, "--kind", "sym-real", "--rank", "1", "--trials", "300",
+                       "-o", str(out)) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert [r["trials"] for r in reports if r["check"] == "jacobian-closed-form"] == [cap]
+
+
+def test_suite_reports_a_shape_below_the_density_range_as_a_failure(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run_cli("suite", "--kind", "sym-real", "--rank", "2", "--p", "0.4",
+                   "--trials", "50", "-o", str(out)) == 1
+    report = json.loads(out.read_text())["reports"][0]
+    assert report["check"] == "suite" and "requires p > 0.5" in report["error"]
+    assert "[FAIL] suite" in capsys.readouterr().out
+
+
 def test_check_factorization_with_params(tmp_path):
     out = tmp_path / "f.json"
     code = run_cli("check", "factorization", "--kind", "sym-real", "--rank", "2",
@@ -300,6 +326,14 @@ def test_config_unknown_field_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"kind": "sym-real", "bogus": 1}))
     assert run_cli("check", "hua", "--config", str(config)) == 64
     assert "unknown config fields" in capsys.readouterr().err
+
+
+def test_threads_flag_and_config_field_are_gone(tmp_path, capsys):
+    assert run_cli("check", "hua", "--kind", "sym-real", "--rank", "2", "--threads", "2") == 64
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "sym-real", "threads": 2}))
+    assert run_cli("check", "hua", "--config", str(config)) == 64
+    assert "unknown config fields: ['threads']" in capsys.readouterr().err
 
 
 def test_seed_env_var(tmp_path, monkeypatch):

@@ -325,8 +325,6 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -2.225073858
                 1.7976931348623157e308, -1.7976931348623157e308]
 _finite = hyp_st.one_of(hyp_st.sampled_from(_EDGE_FLOATS),
                         hyp_st.floats(allow_nan=False, allow_infinity=False))
-# fixed examples and no example database: the suite gives the same result on every run
-_ROUND_TRIP = settings(deadline=None, max_examples=60, derandomize=True, database=None)
 
 
 @hyp_st.composite
@@ -344,7 +342,7 @@ def _batches(draw):
     return dist.SampleBatch(alg, {"p": draw(_finite)}, coords, 0, "bartlett")
 
 
-@_ROUND_TRIP
+@settings(max_examples=60)
 @given(_elements())
 def test_element_round_trips_keep_every_bit(x):
     import json
@@ -355,7 +353,7 @@ def test_element_round_trips_keep_every_bit(x):
     assert back.algebra == x.algebra and back.coords.tobytes() == x.coords.tobytes()
 
 
-@_ROUND_TRIP
+@settings(max_examples=60)
 @given(_batches(), hyp_st.integers(1, 4))
 def test_batch_round_trips_keep_every_bit(batch, block):
     import json

@@ -98,11 +98,14 @@ def test_jacobian_richardson_path_matches_per_trial_loop(monkeypatch):
 
 @pytest.mark.parametrize("alg", [A2, ja.herm_complex(2), ja.lorentz(3)],
                          ids=["sym-real-dim3", "herm-complex-dim4", "lorentz-dim4"])
-def test_batched_checks_thread_invariant(alg):
+def test_batched_checks_block_invariant(alg, monkeypatch):
+    # 64 splits the operator-power check; 16 splits the Jacobian's 41 trials too
     for check, n in ((ver.check_det_operator_power, 701), (ver.check_jacobian, 41)):
-        a = check(alg, n=n, seed=6, threads=3)
-        b = check(alg, n=n, seed=6, threads=1)
-        assert a.to_dict() == b.to_dict()
+        default = check(alg, n=n, seed=6).to_dict()
+        for block in (64, 16):
+            monkeypatch.setattr(ver, "BLOCK_TRIALS", block)
+            assert check(alg, n=n, seed=6).to_dict() == default
+        monkeypatch.undo()
 
 
 def test_det_operator_power_gate_can_fail(monkeypatch):
@@ -300,20 +303,6 @@ def test_report_determinism():
     i1 = ver.my_property_test(A1, 2.0, ONE, ONE, 1000, seed=7, n_permutations=100, subsample=300)
     i2 = ver.my_property_test(A1, 2.0, ONE, ONE, 1000, seed=7, n_permutations=100, subsample=300)
     assert ser.reports_to_json([i1]) == ser.reports_to_json([i2])
-
-
-def test_threads_do_not_change_results():
-    for threads in (2, 4):
-        a = ver.check_involution(A2, n=500, seed=6, threads=threads)
-        b = ver.check_involution(A2, n=500, seed=6, threads=1)
-        assert a.to_dict() == b.to_dict()
-    a = ver.check_fe_univariate_abcd(
-        ver.Fe1dConstants.from_free(1.0, 0.5, -0.5, 1.0, 2.0, 0.5), n=501, seed=6, threads=3
-    )
-    b = ver.check_fe_univariate_abcd(
-        ver.Fe1dConstants.from_free(1.0, 0.5, -0.5, 1.0, 2.0, 0.5), n=501, seed=6, threads=1
-    )
-    assert a.to_dict() == b.to_dict()
 
 
 def test_p_value_uniformity_over_seeded_runs():
