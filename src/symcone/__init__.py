@@ -51,7 +51,6 @@ from .algebra import (
 )
 from .distributions import (
     GigParams,
-    McmcConfig,
     SampleBatch,
     ShapeOutOfRangeError,
     WishartParams,

@@ -176,11 +176,29 @@ def _require_positive(lam) -> None:
         raise NotInConeError("square root requires strictly positive eigenvalues")
 
 
+def _pow2_rows(a):
+    """Rows of ``a`` divided by 2^k, with 2^k the power of two just above
+    their largest |coordinate|, and the exponents k.
+
+    Dividing by a power of two is exact, so a kernel homogeneous in its row
+    that runs on the scaled rows and scales its result back gives the same
+    bits as on the raw rows, while its squares can neither overflow nor
+    turn subnormal.
+    """
+    _, k = np.frexp(np.max(np.abs(a), axis=-1))  # inf and nan rows get k = 0
+    return np.ldexp(a, -k[..., None]), k
+
+
 class _SpinFactor:
     """Kernels of the spin factor R^(n+1), with x o y = (<x, y>, x0 ybar + y0 xbar).
 
     Every method takes the descriptor first and float coordinate arrays
-    (..., dim) after it, as do those of :class:`_MatrixForm`.
+    (..., dim) after it, as do those of :class:`_MatrixForm`.  The
+    eigenvalues, the inverse and the square root work on rows rescaled by
+    :func:`_pow2_rows`, so they hold from the smallest to the largest
+    doubles.  The determinant is left as it is: it scales with the square
+    of the row, so its own value leaves the double range where the squares
+    inside it do.
     """
 
     field = None  # no matrix form
@@ -222,12 +240,14 @@ class _SpinFactor:
     rank2_det = det
 
     def eigenvalues(self, alg, a):
-        nrm = np.linalg.norm(a[..., 1:], axis=-1)
-        return np.stack([a[..., 0] + nrm, a[..., 0] - nrm], axis=-1)
+        s, k = _pow2_rows(a)
+        nrm = np.linalg.norm(s[..., 1:], axis=-1)
+        return np.ldexp(np.stack([s[..., 0] + nrm, s[..., 0] - nrm], axis=-1), k[..., None])
 
     def inverse(self, alg, a):
-        out = np.concatenate([a[..., :1], -a[..., 1:]], axis=-1)
-        return out / self.det(alg, a)[..., None]
+        s, k = _pow2_rows(a)
+        out = np.concatenate([s[..., :1], -s[..., 1:]], axis=-1)
+        return np.ldexp(out / self.det(alg, s)[..., None], -k[..., None])
 
     def quad_apply(self, alg, a, b):
         ab = self.jordan(alg, a, b)
@@ -246,9 +266,10 @@ class _SpinFactor:
         s = np.sqrt(lam)
         half_sum = (s[..., 0] + s[..., 1]) / 2.0
         half_diff = (s[..., 0] - s[..., 1]) / 2.0
-        nrm = np.linalg.norm(a[..., 1:], axis=-1)
+        scaled, _ = _pow2_rows(a)
+        nrm = np.linalg.norm(scaled[..., 1:], axis=-1)
         unit = np.divide(
-            a[..., 1:], nrm[..., None], out=np.zeros_like(a[..., 1:]),
+            scaled[..., 1:], nrm[..., None], out=np.zeros_like(scaled[..., 1:]),
             where=nrm[..., None] > 0,
         )
         out = np.empty_like(a)

@@ -3,7 +3,10 @@
 Runs verification checks and samplers from flags or a JSON config file and
 writes JSON/CSV reports.  Flag values override config-file values, which
 override the built-in defaults; the default seed can also be set through
-the SYMCONE_SEED environment variable.
+the SYMCONE_SEED environment variable.  A config-file field must hold the
+JSON type of its flag (an integer, a number or a string), or null where the
+default is null.  The Metropolis settings are not options: they are the
+constants of :mod:`symcone.distributions`.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 results inconclusive
 (an MCMC sampler left its acceptance band), 64 usage error.
@@ -38,7 +41,6 @@ from .algebra import (
 )
 from .distributions import (
     GigParams,
-    McmcConfig,
     ShapeOutOfRangeError,
     WishartParams,
     sample_gig,
@@ -67,13 +69,12 @@ _DEFAULTS = {
     "format": "json",
     "sets": 1,
     "step": 1e-5,
-    "burn_in": 5000,
-    "thin": 10,
-    "chains": 50,
-    "proposal_scale": 0.15,
-    "permutations": 500,
+    "permutations": 1000,
     "subsample": 1000,
 }
+
+# my-property gates its 3 dCor and 4 KS p-values at SIGNIFICANCE / 7
+_MY_PROPERTY_P_VALUES = 7
 
 _CHECK_TOLS = {
     "jordan-axioms": 1e-10,
@@ -110,10 +111,6 @@ class RunConfig:
     format: str
     sets: int
     step: float
-    burn_in: int
-    thin: int
-    chains: int
-    proposal_scale: float
     permutations: int
     subsample: int | None
 
@@ -153,11 +150,8 @@ def _parse_floats(text: str) -> list[float]:
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symcone",
-        description="Verification checks and cone-distribution samplers.",
-    )
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every subcommand takes."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--kind", choices=["sym-real", "herm-complex", "lorentz"])
     common.add_argument("--rank", type=int, help="matrix-family rank")
@@ -174,13 +168,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file (flags override it)")
     common.add_argument("--sets", type=int, help="random constant sets for family checks")
     common.add_argument("--step", type=float, help="finite-difference step")
-    common.add_argument("--burn-in", type=int, dest="burn_in")
-    common.add_argument("--thin", type=int)
-    common.add_argument("--chains", type=int)
-    common.add_argument("--proposal-scale", type=float, dest="proposal_scale")
     common.add_argument("--permutations", type=int)
     common.add_argument("--subsample", type=int)
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="symcone",
+        description="Verification checks and cone-distribution samplers.",
+    )
+    common = _common_parser()
     sub = parser.add_subparsers(dest="command", required=True)
     check = sub.add_parser("check", help="run one verification check")
     check_sub = check.add_subparsers(dest="what", required=True)
@@ -207,7 +205,33 @@ def _load_config_file(path: str) -> dict:
     unknown = set(raw) - set(_DEFAULTS)
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
+    for flag in _common_parser()._actions:
+        if flag.dest in raw:
+            _check_config_value(flag, raw[flag.dest])
     return raw
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", None: "a string"}
+
+
+def _check_config_value(flag: argparse.Action, value) -> None:
+    """Raise UsageError unless a config-file value could have come from ``flag``."""
+    field = flag.dest
+    if value is None:
+        ok = _DEFAULTS[field] is None or field == "subsample"
+    elif isinstance(value, bool):  # a JSON true/false is a Python int
+        ok = False
+    elif flag.type is int:
+        ok = isinstance(value, int)
+    elif flag.type is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, str) and (flag.choices is None or value in flag.choices)
+    if not ok:
+        expected = _JSON_TYPES[flag.type]
+        if flag.choices is not None:
+            expected = f"one of {sorted(flag.choices)}"
+        raise UsageError(f"config field {field!r} must be {expected}, got {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -239,23 +263,29 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("trials and n must be positive")
     if cfg.sets < 1:
         raise UsageError("sets must be >= 1")
-    if cfg.format not in ("json", "csv"):
-        raise UsageError(f"unknown format {cfg.format}")
     if cfg.p is not None and not math.isfinite(cfg.p):
         raise UsageError(f"p must be finite, got {cfg.p}")
     if not (math.isfinite(cfg.step) and cfg.step > 0):
         raise UsageError(f"step must be finite and > 0, got {cfg.step}")
-    try:
-        _mcmc(cfg)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # an infinite tolerance passes every residual check, a NaN or non-positive one fails it
+    if cfg.tol is not None and not (math.isfinite(cfg.tol) and cfg.tol > 0):
+        raise UsageError(f"tol must be finite and > 0, got {cfg.tol}")
     # a dCor test on fewer than 2 pairs, or with no permutations, cannot reject
     if cfg.permutations < 1:
         raise UsageError(f"permutations must be >= 1, got {cfg.permutations}")
     if cfg.subsample is not None and cfg.subsample < 2:
         raise UsageError(f"subsample must be >= 2, got {cfg.subsample}")
-    if cfg.command == ("test", "my-property") and cfg.n < 2:
-        raise UsageError(f"my-property needs n >= 2, got {cfg.n}")
+    if cfg.command == ("test", "my-property"):
+        if cfg.n < 2:
+            raise UsageError(f"my-property needs n >= 2, got {cfg.n}")
+        # the smallest permutation p-value, 1/(B+1), must clear the
+        # Bonferroni gate, or the dCor tests cannot reject
+        gate = ver.SIGNIFICANCE / _MY_PROPERTY_P_VALUES
+        if 1.0 / (cfg.permutations + 1) >= gate:
+            raise UsageError(
+                f"my-property needs 1/(permutations + 1) below the Bonferroni gate "
+                f"{gate:.4g}, got permutations={cfg.permutations}"
+            )
 
 
 def _algebra(cfg: RunConfig) -> AlgebraDescriptor:
@@ -272,15 +302,6 @@ def _tol(cfg: RunConfig, check: str) -> float:
 
 def _shape_p(cfg: RunConfig, alg: AlgebraDescriptor) -> float:
     return cfg.p if cfg.p is not None else alg.dim_over_rank
-
-
-def _mcmc(cfg: RunConfig) -> McmcConfig:
-    return McmcConfig(
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
-        chains=cfg.chains,
-        proposal_scale=cfg.proposal_scale,
-    )
 
 
 def _cone_param(cfg, name, alg) -> Element:
@@ -400,7 +421,7 @@ def _dispatch_reports(cfg: RunConfig) -> list:
         if p <= alg.dim_over_rank - 1.0:
             raise UsageError(f"my-property requires p > {alg.dim_over_rank - 1.0}")
         return [ver.my_property_test(
-            alg, p, a, b, cfg.n, seed=cfg.seed, mcmc=_mcmc(cfg),
+            alg, p, a, b, cfg.n, seed=cfg.seed,
             n_permutations=cfg.permutations, subsample=cfg.subsample)]
     raise UsageError(f"unknown command {' '.join(cmd)}")
 
@@ -412,9 +433,9 @@ def _run_sample(cfg: RunConfig):
     if cfg.command[1] == "wishart":
         if p <= alg.dim_over_rank - 1.0:
             raise UsageError(f"wishart sampling requires p > {alg.dim_over_rank - 1.0}")
-        return sample_wishart(WishartParams(p, a), cfg.seed, cfg.n, mcmc=_mcmc(cfg))
+        return sample_wishart(WishartParams(p, a), cfg.seed, cfg.n)
     b = _cone_param(cfg, "b", alg)
-    return sample_gig(GigParams(p, a, b), cfg.seed, cfg.n, mcmc=_mcmc(cfg))
+    return sample_gig(GigParams(p, a, b), cfg.seed, cfg.n)
 
 
 def _write(path: str, text: str) -> None:

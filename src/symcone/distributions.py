@@ -22,6 +22,12 @@ uses the fastest exact route available for each family:
   step.  The step loop itself runs under one ``np.errstate`` and carries
   each chain's RMS coordinate instead of recomputing it, so a step is a
   handful of small array operations.
+
+Each family and kind has one sampling route, chosen from the algebra.  The
+Metropolis settings (burn-in, thinning, chains, proposal scale, target
+acceptance rate and acceptance band) are the module constants below, not
+parameters: every caller uses the same values, and the batch's ``mcmc``
+record states them.
 """
 
 from __future__ import annotations
@@ -55,6 +61,19 @@ from .algebra import (
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Random-walk Metropolis settings, read at every call.  The proposal
+# standard deviation is PROPOSAL_SCALE times the RMS coordinate of the
+# current point, times a per-chain factor adapted during the BURN_IN steps
+# towards TARGET_ACCEPT (BURN_IN = 0 leaves every factor at 1); every THIN-th
+# later state is kept, and a batch whose acceptance rate leaves ACCEPT_BAND
+# is flagged as diverged.
+BURN_IN = 5000
+THIN = 10
+CHAINS = 50
+PROPOSAL_SCALE = 0.15
+TARGET_ACCEPT = 0.3
+ACCEPT_BAND = (0.1, 0.7)
+
 
 class ShapeOutOfRangeError(ValueError):
     """Shape parameter outside the range supported by the operation."""
@@ -86,6 +105,10 @@ class WishartParams:
     def algebra(self) -> AlgebraDescriptor:
         return self.a.algebra
 
+    def record(self) -> dict:
+        """The parameters as a sample batch records them."""
+        return {"p": self.p, "a": self.a.coords.tolist()}
+
 
 @dataclass(frozen=True)
 class GigParams:
@@ -106,38 +129,9 @@ class GigParams:
     def algebra(self) -> AlgebraDescriptor:
         return self.a.algebra
 
-
-@dataclass
-class McmcConfig:
-    """Random-walk Metropolis settings for cone targets.
-
-    The proposal standard deviation is ``proposal_scale`` times the RMS
-    coordinate of the current point, times a per-chain factor adapted during
-    burn-in towards ``target_accept``.
-    """
-
-    burn_in: int = 5000
-    thin: int = 10
-    chains: int = 50
-    proposal_scale: float = 0.15
-    target_accept: float = 0.3
-    adapt: bool = True
-    accept_band: tuple[float, float] = (0.1, 0.7)
-
-    def __post_init__(self):
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.thin < 1:
-            raise ValueError(f"thin must be >= 1, got {self.thin}")
-        if self.chains < 1:
-            raise ValueError(f"chains must be >= 1, got {self.chains}")
-        if not (math.isfinite(self.proposal_scale) and self.proposal_scale > 0):
-            raise ValueError(f"proposal_scale must be finite and > 0, got {self.proposal_scale}")
-        if not 0 < self.target_accept < 1:
-            raise ValueError(f"target_accept must lie in (0, 1), got {self.target_accept}")
-        lo, hi = self.accept_band
-        if not 0 <= lo < hi <= 1:
-            raise ValueError(f"accept_band needs 0 <= lo < hi <= 1, got {self.accept_band}")
+    def record(self) -> dict:
+        """The parameters as a sample batch records them."""
+        return {"p": self.p, "a": self.a.coords.tolist(), "b": self.b.coords.tolist()}
 
 
 @dataclass(eq=False)
@@ -382,7 +376,7 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-def _metropolis_cone(alg, log_pdf, seed, n, config: McmcConfig, init: np.ndarray):
+def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
     """Vectorized multi-chain random-walk Metropolis on cone coordinates.
 
     ``log_pdf`` maps a coordinate array (m, dim) to log densities (m,), with
@@ -400,10 +394,12 @@ def _metropolis_cone(alg, log_pdf, seed, n, config: McmcConfig, init: np.ndarray
     half the squared norm of each noise row is tabulated when the chain's
     noise is drawn; the burn-in gains are precomputed; and accepted chains
     are updated in place with ``np.copyto(..., where=acc)``.
+
+    The settings are the module constants, read here at every call.
     """
-    chains = max(1, min(config.chains, n))
+    chains = max(1, min(CHAINS, n))
     per_chain = -(-n // chains)
-    burn_in, thin, scale = config.burn_in, config.thin, config.proposal_scale
+    burn_in, thin, scale, target = BURN_IN, THIN, PROPOSAL_SCALE, TARGET_ACCEPT
     steps = burn_in + per_chain * thin
     streams = np.random.SeedSequence(seed).spawn(chains)
     noise = np.empty((steps, chains, alg.dim))
@@ -439,15 +435,14 @@ def _metropolis_cone(alg, log_pdf, seed, n, config: McmcConfig, init: np.ndarray
             np.copyto(lp_cur, lp_prop, where=acc)
             np.copyto(rms, rms_prop, where=acc)
             if step < burn_in:
-                if config.adapt:
-                    factors *= np.exp(gains[step] * (acc.astype(float) - config.target_accept))
+                factors *= np.exp(gains[step] * (acc.astype(float) - target))
             else:
                 accepted_post += acc
                 if (step - burn_in) % thin == thin - 1:
                     kept[(step - burn_in) // thin] = cur
     rate_per_chain = accepted_post / (steps - burn_in)
     rate = float(rate_per_chain.mean())
-    lo, hi = config.accept_band
+    lo, hi = ACCEPT_BAND
     diverged = not (lo <= rate <= hi)
     if diverged:
         warnings.warn(
@@ -456,13 +451,13 @@ def _metropolis_cone(alg, log_pdf, seed, n, config: McmcConfig, init: np.ndarray
         )
     coords = kept.transpose(1, 0, 2).reshape(chains * per_chain, alg.dim)[:n]
     meta = {
-        "burn_in": config.burn_in,
-        "thin": config.thin,
+        "burn_in": burn_in,
+        "thin": thin,
         "chains": chains,
         "per_chain": per_chain,
         "acceptance_rate": rate,
         "acceptance_per_chain": [float(x) for x in rate_per_chain],
-        "proposal_scale": config.proposal_scale,
+        "proposal_scale": scale,
         "adapted_factors": [float(x) for x in factors],
         "diverged": diverged,
     }
@@ -516,13 +511,27 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
     return log_pdf
 
 
-def sample_wishart(
-    params: WishartParams,
-    seed: int,
-    n: int,
-    mcmc: McmcConfig | None = None,
-    method: str | None = None,
-) -> SampleBatch:
+def _wishart_mcmc(params: WishartParams, seed: int, n: int) -> SampleBatch:
+    """Metropolis Wishart draws, started at a multiple of the identity near the mean."""
+    alg = params.algebra
+    e = identity(alg)
+    init = e.coords * (alg.rank * max(params.p - alg.dim_over_rank, 0.5) / inner(params.a, e))
+    log_pdf = _log_pdf_batch(alg, params.p, params.a.coords)
+    coords, meta = _metropolis_cone(alg, log_pdf, seed, n, init)
+    return SampleBatch(alg, params.record(), coords, seed, "mcmc", meta)
+
+
+def _gig_mcmc(params: GigParams, seed: int, n: int) -> SampleBatch:
+    """Metropolis GIG draws, started at sqrt(<b, e> / <a, e>) e."""
+    alg = params.algebra
+    e = identity(alg)
+    init = e.coords * math.sqrt(inner(params.b, e) / inner(params.a, e))
+    log_pdf = _log_pdf_batch(alg, params.p, params.a.coords, params.b.coords)
+    coords, meta = _metropolis_cone(alg, log_pdf, seed, n, init)
+    return SampleBatch(alg, params.record(), coords, seed, "mcmc", meta)
+
+
+def sample_wishart(params: WishartParams, seed: int, n: int) -> SampleBatch:
     """Draw n Wishart samples.
 
     Matrix kinds use the exact Bartlett construction; the Lorentz family has
@@ -537,58 +546,24 @@ def sample_wishart(
         raise ShapeOutOfRangeError(
             f"sampling requires p > {alg.dim_over_rank - 1.0}, got {params.p}"
         )
-    has_matrix_form = kernels(alg).field is not None
-    if method is None:
-        method = "bartlett" if has_matrix_form else "mcmc"
-    record = {"p": params.p, "a": params.a.coords.tolist()}
-    if method == "bartlett":
-        if not has_matrix_form:
-            raise ValueError("no Bartlett construction for the Lorentz family")
-        coords = _bartlett(alg, params.p, params.a, seed, n)
-        return SampleBatch(alg, record, coords, seed, "bartlett")
-    config = mcmc or McmcConfig()
-    log_pdf = _log_pdf_batch(alg, params.p, params.a.coords)
-    scale = alg.rank * max(params.p - alg.dim_over_rank, 0.5) / inner(
-        params.a, identity(alg)
-    )
-    init = identity(alg).coords * scale
-    coords, meta = _metropolis_cone(alg, log_pdf, seed, n, config, init)
-    return SampleBatch(alg, record, coords, seed, "mcmc", meta)
+    if kernels(alg).field is None:
+        return _wishart_mcmc(params, seed, n)
+    coords = _bartlett(alg, params.p, params.a, seed, n)
+    return SampleBatch(alg, params.record(), coords, seed, "bartlett")
 
 
-def sample_gig(
-    params: GigParams,
-    seed: int,
-    n: int,
-    mcmc: McmcConfig | None = None,
-    method: str | None = None,
-) -> SampleBatch:
+def sample_gig(params: GigParams, seed: int, n: int) -> SampleBatch:
     """Draw n GIG samples: exact rejection at rank 1, Metropolis otherwise.
 
     The Metropolis path records burn-in, thinning, and the realized
-    acceptance rate in the batch; an acceptance rate outside the configured
-    band is flagged in the metadata (and warned about), never hidden.
+    acceptance rate in the batch; an acceptance rate outside
+    ``ACCEPT_BAND`` is flagged in the metadata (and warned about), never
+    hidden.
     """
     alg = params.algebra
-    if method is None:
-        method = "rejection" if alg.rank == 1 else "mcmc"
-    record = {
-        "p": params.p,
-        "a": params.a.coords.tolist(),
-        "b": params.b.coords.tolist(),
-    }
-    if method == "rejection":
-        if alg.rank != 1:
-            raise ValueError("exact rejection sampling is rank-1 only")
-        draws = _gig_rejection_rank1(
-            params.p, float(params.a.coords[0]), float(params.b.coords[0]), seed, n
-        )
-        return SampleBatch(alg, record, draws[:, None], seed, "rejection")
-    config = mcmc or McmcConfig()
-    log_pdf = _log_pdf_batch(alg, params.p, params.a.coords, params.b.coords)
-    scale = math.sqrt(
-        inner(params.b, identity(alg)) / inner(params.a, identity(alg))
+    if alg.rank != 1:
+        return _gig_mcmc(params, seed, n)
+    draws = _gig_rejection_rank1(
+        params.p, float(params.a.coords[0]), float(params.b.coords[0]), seed, n
     )
-    init = identity(alg).coords * scale
-    coords, meta = _metropolis_cone(alg, log_pdf, seed, n, config, init)
-    return SampleBatch(alg, record, coords, seed, "mcmc", meta)
+    return SampleBatch(alg, params.record(), draws[:, None], seed, "rejection")

@@ -34,7 +34,6 @@ from .algebra import (
 )
 from .distributions import (
     GigParams,
-    McmcConfig,
     ShapeOutOfRangeError,
     WishartParams,
     sample_gig,
@@ -496,7 +495,6 @@ def my_property_test(
     b: Element,
     n: int,
     seed: int = 0,
-    mcmc: McmcConfig | None = None,
     n_permutations: int = 500,
     subsample: int | None = 1000,
     significance: float = SIGNIFICANCE,
@@ -527,8 +525,7 @@ def my_property_test(
     """
     child = [int(s) for s in np.random.SeedSequence(seed).generate_state(6, np.uint64)]
     batches = []
-    gig_x = GigParams(-p, a, b)
-    bx = sample_gig(gig_x, child[0], n, mcmc)
+    bx = sample_gig(GigParams(-p, a, b), child[0], n)
     batches.append(bx)
     x = bx.coords
     if negative_control:
@@ -536,7 +533,7 @@ def my_property_test(
         g = rng_noise.standard_normal((n, alg.dim))
         y = x + 0.25 * batch_jordan(alg, g, g)
     else:
-        by = sample_wishart(WishartParams(p, a), child[1], n, mcmc)
+        by = sample_wishart(WishartParams(p, a), child[1], n)
         batches.append(by)
         y = by.coords
     u = batch_inverse(alg, x + y)
@@ -562,8 +559,8 @@ def my_property_test(
         dcors.append(r)
         dcor_ps.append(pv)
 
-    bv = sample_wishart(WishartParams(p, b), child[3], n, mcmc)
-    bu = sample_gig(GigParams(-p, b, a), child[4], n, mcmc)
+    bv = sample_wishart(WishartParams(p, b), child[3], n)
+    bu = sample_gig(GigParams(-p, b, a), child[4], n)
     batches.extend([bv, bu])
     ks_labels, ks_stats, ks_ps = [], [], []
     for label, sample, fresh in (

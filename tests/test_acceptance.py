@@ -189,7 +189,7 @@ def test_criterion_07_gig_sampler_rank1():
     stat, _ = st.ks_against_cdf(rejection.coords[:, 0], cdf)
     crit = st.ks_critical_value(n, alpha=0.01)
     ok = stat < crit
-    mcmc = dist.sample_gig(params, 405, n, method="mcmc")
+    mcmc = dist._gig_mcmc(params, 405, n)
     _, p_two = st.ks_2sample(rejection.coords[:, 0], mcmc.coords[:, 0])
     ok &= p_two > 0.01
     _line(7, "gig sampler rank 1", ok,
@@ -240,7 +240,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "-1",
          "-n", "500", "--seed", "9"),
         ("test", "my-property", "--kind", "sym-real", "--rank", "1", "--p", "2",
-         "-n", "2000", "--seed", "5", "--permutations", "150", "--subsample", "400"),
+         "-n", "2000", "--seed", "5", "--permutations", "700", "--subsample", "400"),
     ]
     ok = True
     for i, argv in enumerate(commands):

@@ -445,6 +445,23 @@ def test_norm_neither_underflows_nor_overflows(alg, weight, scale):
     assert ja.norm(x) == pytest.approx(13.0 * abs(scale) * weight, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+@pytest.mark.parametrize("alg,point", [(ja.lorentz(2), [2.0, 1.0, 0.0]),
+                                       (ja.lorentz(5), [2.0, 0.6, 0.0, -0.8, 0.0, 0.0])],
+                         ids=["lorentz-dim3", "lorentz-dim6"])
+def test_lorentz_kernels_hold_at_extreme_scales(alg, point, scale):
+    # x0^2 and |xbar|^2 leave the double range at these scales; the point
+    # has eigenvalues 3 and 1 (to rounding) and inverse (2, -xbar) / 3
+    x = ja.Element(alg, scale * np.array(point))
+    assert ja.in_cone(x)
+    np.testing.assert_allclose(ja.eigenvalues(x), [3.0 * scale, scale], rtol=1e-15, atol=0.0)
+    expected = np.concatenate([[2.0], -np.array(point[1:])]) / 3.0
+    np.testing.assert_allclose(ja.inverse(x).coords * scale, expected, rtol=1e-15, atol=0.0)
+    root = ja.sqrt(x)
+    np.testing.assert_allclose(ja.jordan_product(root, root).coords / scale, point,
+                               rtol=1e-15, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Kernel-table properties across scale and distance to the cone boundary
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from symcone import algebra as ja
 from symcone import cli
 from symcone import serialization as ser
+from symcone import verification as ver
 
 
 def run_cli(*argv):
@@ -106,7 +107,7 @@ def test_my_property_cli(tmp_path):
     out = tmp_path / "my.json"
     code = run_cli(
         "test", "my-property", "--kind", "sym-real", "--rank", "1", "--p", "2",
-        "-n", "2000", "--seed", "5", "--permutations", "150", "--subsample", "400",
+        "-n", "2000", "--seed", "5", "--permutations", "700", "--subsample", "400",
         "-o", str(out),
     )
     assert code == 0
@@ -116,9 +117,10 @@ def test_my_property_cli(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:MCMC acceptance rate:RuntimeWarning")
-def test_diverged_sample_prints_inconclusive(capsys):
+def test_diverged_sample_prints_inconclusive(capsys, mcmc_settings):
+    mcmc_settings(CHAINS=1, BURN_IN=0)
     code = run_cli("sample", "gig", "--kind", "sym-real", "--rank", "2", "--p", "-2", "-n", "200",
-                   "--seed", "16", "--chains", "1", "--burn-in", "0")
+                   "--seed", "16")
     assert code == 2
     assert capsys.readouterr().out.startswith("[INCONCLUSIVE] sample gig method=mcmc")
 
@@ -134,29 +136,63 @@ def test_sample_shape_guard_is_usage_error():
     ("--subsample", "0"),
     ("--subsample", "1"),
     ("-n", "1"),
-    ("--thin", "0"),
-    ("--burn-in", "-5"),
-    ("--chains", "0"),
-    ("--proposal-scale", "0"),
-    ("--proposal-scale", "nan"),
+    ("--permutations", "699"),
 ], ids=lambda e: "".join(e))
 def test_vacuous_or_invalid_my_property_settings_are_usage_errors(extra, capsys):
-    # each makes the run vacuous or meaningless, so it must not reach the test
+    # each makes the run vacuous or meaningless, so it must not reach the test;
+    # with 699 permutations the smallest dCor p-value, 1/700, misses the
+    # Bonferroni gate 0.01/7
     assert run_cli("test", "my-property", "--kind", "lorentz", "--dim", "3",
-                   "-n", "200", "--permutations", "20", *extra) == 64
+                   "-n", "200", "--permutations", "700", *extra) == 64
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [
-    ("--thin", "0"),
-    ("--burn-in", "-5"),
-    ("--chains", "0"),
-    ("--proposal-scale", "-1"),
-], ids=lambda e: "".join(e))
-def test_invalid_mcmc_settings_are_usage_errors_for_sample(extra, capsys):
-    assert run_cli("sample", "wishart", "--kind", "lorentz", "--dim", "3",
-                   "--p", "2", "-n", "10", *extra) == 64
-    assert "usage error" in capsys.readouterr().err
+def test_permutation_floor_applies_to_the_config_file_not_the_library(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"permutations": 500}))
+    assert run_cli("test", "my-property", "--kind", "sym-real", "--rank", "1",
+                   "-n", "200", "--config", str(config)) == 64
+    assert "Bonferroni gate" in capsys.readouterr().err
+    report = ver.my_property_test(ja.sym_real(1), 2.0, ja.identity(ja.sym_real(1)),
+                                  ja.identity(ja.sym_real(1)), 200, n_permutations=500)
+    assert report.n_permutations == 500
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
+    # inf passed every residual check, nan, 0 and -1 failed every one
+    assert run_cli("check", "hua", "--kind", "sym-real", "--rank", "2", "--trials", "5",
+                   "--tol", tol) == 64
+    assert "tol must be finite and > 0" in capsys.readouterr().err
+    config = tmp_path / "cfg.json"
+    config.write_text('{"tol": 1e999}')  # JSON reads it as inf
+    assert run_cli("check", "hua", "--config", str(config)) == 64
+    assert "tol must be finite and > 0, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"trials": "50"}, "'trials' must be an integer, got '50'"),
+    ({"tol": "1e-8"}, "'tol' must be a number, got '1e-8'"),
+    ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+    ({"trials": True}, "'trials' must be an integer, got True"),
+    ({"trials": None}, "'trials' must be an integer, got None"),
+    ({"a": 1}, "'a' must be a string, got 1"),
+    ({"kind": "bogus"}, "'kind' must be one of ['herm-complex', 'lorentz', 'sym-real']"),
+], ids=["trials-str", "tol-str", "seed-float", "trials-bool", "trials-null", "a-int",
+        "kind-choice"])
+def test_config_values_must_have_their_flags_type(fields, message, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(fields))
+    assert run_cli("check", "hua", "--trials", "5", "--config", str(config)) == 64
+    assert f"usage error: config field {message}" in capsys.readouterr().err
+
+
+def test_config_null_and_integer_values_that_stay_valid(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": None, "tol": 1, "p": None, "output": None,
+                                  "subsample": None, "step": 1}))
+    assert run_cli("check", "hua", "--kind", "sym-real", "--rank", "2", "--trials", "5",
+                   "--config", str(config)) == 0
 
 
 @pytest.mark.parametrize("step", ["0", "-1", "inf", "nan"])
@@ -191,7 +227,7 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "inf"),
     ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "1", "--b", "diag:inf"),
     ("test", "my-property", "--kind", "sym-real", "--rank", "1", "--p", "nan",
-     "--permutations", "20"),
+     "--permutations", "700"),
 ], ids=["gig-rank1-p-nan", "gig-rank1-p-inf", "gig-rank1-b-inf", "my-property-rank1-p-nan"])
 def test_non_finite_parameters_that_used_to_hang_are_usage_errors(argv):
     done = _run_cli_subprocess(*argv, "-n", "10")
@@ -216,7 +252,7 @@ def test_single_draw_sample_and_unsubsampled_dcor_stay_valid(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"subsample": None}))
     assert run_cli("test", "my-property", "--kind", "sym-real", "--rank", "1",
-                   "-n", "300", "--permutations", "50", "--config", str(config)) == 0
+                   "-n", "300", "--permutations", "700", "--config", str(config)) == 0
 
 
 def test_check_fe_cone_with_sets(tmp_path):
@@ -336,6 +372,18 @@ def test_threads_flag_and_config_field_are_gone(tmp_path, capsys):
     assert "unknown config fields: ['threads']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--burn-in", "--thin", "--chains", "--proposal-scale"])
+def test_mcmc_flags_and_config_fields_are_gone(flag, tmp_path, capsys):
+    # the Metropolis settings are constants of symcone.distributions
+    assert run_cli("sample", "wishart", "--kind", "lorentz", "--dim", "3", "--p", "2",
+                   "-n", "10", flag, "1") == 64
+    field = flag[2:].replace("-", "_")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "lorentz", field: 1}))
+    assert run_cli("sample", "wishart", "--config", str(config)) == 64
+    assert f"unknown config fields: ['{field}']" in capsys.readouterr().err
+
+
 def test_seed_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV_VAR, "314")
     out = tmp_path / "o.json"
@@ -358,7 +406,7 @@ def test_seed_env_var(tmp_path, monkeypatch):
         ("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "-1",
          "-n", "100", "--seed", "8", "--format", "csv"),
         ("test", "my-property", "--kind", "sym-real", "--rank", "1", "--p", "2",
-         "-n", "800", "--seed", "4", "--permutations", "100", "--subsample", "300"),
+         "-n", "800", "--seed", "4", "--permutations", "700", "--subsample", "300"),
     ],
     ids=["check-hua", "suite", "sample-gig-csv", "my-property"],
 )

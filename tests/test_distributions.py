@@ -20,6 +20,13 @@ ONE = ja.identity(A1)
 E2 = ja.identity(A2)
 
 
+# Metropolis settings as constant overrides: one chain with no burn-in, and
+# proposals so wide that the acceptance rate stays near 0 through the
+# burn-in adaptation, so the batch is flagged as diverged
+SINGLE_CHAIN = {"BURN_IN": 0, "THIN": 1, "CHAINS": 1}
+WIDE_PROPOSALS = {"BURN_IN": 200, "THIN": 2, "CHAINS": 4, "PROPOSAL_SCALE": 80.0}
+
+
 def scalar(v):
     return ja.Element(A1, np.array([float(v)]))
 
@@ -286,8 +293,6 @@ def test_wishart_sampler_determinism_and_range():
     assert np.array_equal(b1.coords, b2.coords)
     with pytest.raises(dist.ShapeOutOfRangeError):
         dist.sample_wishart(dist.WishartParams(0.5, E2), 0, 10)
-    with pytest.raises(ValueError):
-        dist.sample_wishart(dist.WishartParams(2.0, ja.identity(L2)), 0, 10, method="bartlett")
 
 
 def test_sample_batch_elements_view():
@@ -327,7 +332,7 @@ def test_gig_mcmc_agrees_with_rejection():
     params = dist.GigParams(-1.0, ONE, ONE)
     n = 10000
     rej = dist.sample_gig(params, 11, n)
-    mc = dist.sample_gig(params, 12, n, method="mcmc")
+    mc = dist._gig_mcmc(params, 12, n)
     assert mc.mcmc is not None
     assert 0.1 <= mc.mcmc["acceptance_rate"] <= 0.7
     _, p_value = st.ks_2sample(rej.coords[:, 0], mc.coords[:, 0])
@@ -347,11 +352,11 @@ def test_gig_reciprocal_sampling_property():
     assert fwd.all_in_cone() and bwd.all_in_cone()
 
 
-def test_gig_mcmc_metadata_and_determinism():
+def test_gig_mcmc_metadata_and_determinism(mcmc_settings):
     params = dist.GigParams(-2.0, E2, E2)
-    cfg = dist.McmcConfig(burn_in=500, thin=5, chains=8)
-    b1 = dist.sample_gig(params, 4, 400, mcmc=cfg)
-    b2 = dist.sample_gig(params, 4, 400, mcmc=cfg)
+    mcmc_settings(BURN_IN=500, THIN=5, CHAINS=8)
+    b1 = dist.sample_gig(params, 4, 400)
+    b2 = dist.sample_gig(params, 4, 400)
     assert np.array_equal(b1.coords, b2.coords)
     assert b1.mcmc["burn_in"] == 500
     assert b1.mcmc["thin"] == 5
@@ -359,38 +364,12 @@ def test_gig_mcmc_metadata_and_determinism():
     assert len(b1.mcmc["acceptance_per_chain"]) == 8
 
 
-def test_mcmc_divergence_is_flagged():
+def test_mcmc_divergence_is_flagged(mcmc_settings):
     params = dist.GigParams(-2.0, E2, E2)
-    cfg = dist.McmcConfig(burn_in=200, thin=2, chains=4, proposal_scale=80.0, adapt=False)
+    mcmc_settings(**WIDE_PROPOSALS)
     with pytest.warns(RuntimeWarning):
-        batch = dist.sample_gig(params, 4, 200, mcmc=cfg)
+        batch = dist.sample_gig(params, 4, 200)
     assert batch.mcmc["diverged"]
-
-
-@pytest.mark.parametrize("field, value", [
-    ("burn_in", -5),
-    ("thin", 0),
-    ("chains", 0),
-    ("proposal_scale", 0.0),
-    ("proposal_scale", -0.1),
-    ("proposal_scale", math.inf),
-    ("proposal_scale", math.nan),
-    ("target_accept", 0.0),
-    ("target_accept", 1.0),
-    ("accept_band", (0.7, 0.1)),
-    ("accept_band", (0.3, 0.3)),
-    ("accept_band", (-0.1, 0.5)),
-    ("accept_band", (0.1, 1.5)),
-])
-def test_mcmc_config_rejects_invalid_settings(field, value):
-    with pytest.raises(ValueError, match=field):
-        dist.McmcConfig(**{field: value})
-
-
-def test_mcmc_config_accepts_valid_edges():
-    dist.McmcConfig()
-    dist.McmcConfig(burn_in=0, thin=1, chains=1, accept_band=(0.0, 1.0))
-    dist.McmcConfig(burn_in=200, thin=2, chains=4, proposal_scale=80.0, adapt=False)
 
 
 # ---------------------------------------------------------------------------
@@ -443,25 +422,22 @@ def _rank2_points(alg, rng, scale, n):
     return pts
 
 
-MCMC_EDGE_CONFIGS = [
-    dist.McmcConfig(burn_in=0, thin=1, chains=1),
-    # acceptance near 0: most proposals leave the cone
-    dist.McmcConfig(burn_in=200, thin=2, chains=4, proposal_scale=80.0, adapt=False),
-]
+MCMC_EDGE_SETTINGS = {"single-chain": SINGLE_CHAIN, "wide-proposals": WIDE_PROPOSALS}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("config", MCMC_EDGE_CONFIGS, ids=["single-chain", "wide-proposals"])
+@pytest.mark.parametrize("settings", MCMC_EDGE_SETTINGS)
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 @pytest.mark.parametrize("alg", RANK2, ids=RANK2_IDS)
-def test_rank2_target_leaves_seeded_samplers_unchanged(alg, scale, config, monkeypatch):
+def test_rank2_target_leaves_seeded_samplers_unchanged(alg, scale, settings, monkeypatch,
+                                                       mcmc_settings):
     a, b = _scaled_params(alg, scale)
+    mcmc_settings(**MCMC_EDGE_SETTINGS[settings])
 
     def draw():
         return (
-            dist.sample_gig(dist.GigParams(-1.7, a, b), 7, 300, mcmc=config),
-            dist.sample_wishart(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9, 300,
-                                mcmc=config, method="mcmc"),
+            dist.sample_gig(dist.GigParams(-1.7, a, b), 7, 300),
+            dist._wishart_mcmc(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9, 300),
         )
 
     closed_form = draw()
@@ -509,11 +485,12 @@ def test_rank2_target_is_minus_inf_off_the_open_cone(alg, scale):
 # Lean Metropolis step: same chains as the per-step reference
 # ---------------------------------------------------------------------------
 
-def _reference_metropolis_cone(alg, log_pdf, seed, n, config, init):
+def _reference_metropolis_cone(alg, log_pdf, seed, n, init):
     """The per-step formulation: norms recomputed every step, masked updates."""
-    chains = max(1, min(config.chains, n))
+    burn_in, thin, scale = dist.BURN_IN, dist.THIN, dist.PROPOSAL_SCALE
+    chains = max(1, min(dist.CHAINS, n))
     per_chain = -(-n // chains)
-    steps = config.burn_in + per_chain * config.thin
+    steps = burn_in + per_chain * thin
     streams = np.random.SeedSequence(seed).spawn(chains)
     noise = np.empty((steps, chains, alg.dim))
     log_u = np.empty((steps, chains))
@@ -530,7 +507,7 @@ def _reference_metropolis_cone(alg, log_pdf, seed, n, config, init):
     k = 0
     for step in range(steps):
         rms = np.linalg.norm(cur, axis=1) / math.sqrt(alg.dim)
-        std = factors * config.proposal_scale * rms
+        std = factors * scale * rms
         prop = cur + std[:, None] * noise[step]
         lp_prop = log_pdf(prop)
         rms_prop = np.linalg.norm(prop, axis=1) / math.sqrt(alg.dim)
@@ -542,18 +519,17 @@ def _reference_metropolis_cone(alg, log_pdf, seed, n, config, init):
         acc = log_u[step] < log_alpha
         cur[acc] = prop[acc]
         lp_cur[acc] = lp_prop[acc]
-        if step < config.burn_in:
-            if config.adapt:
-                gain = 0.5 / (1.0 + step) ** 0.6
-                factors *= np.exp(gain * (acc.astype(float) - config.target_accept))
+        if step < burn_in:
+            gain = 0.5 / (1.0 + step) ** 0.6
+            factors *= np.exp(gain * (acc.astype(float) - dist.TARGET_ACCEPT))
         else:
             accepted_post += acc
-            if (step - config.burn_in) % config.thin == config.thin - 1:
+            if (step - burn_in) % thin == thin - 1:
                 kept[k] = cur
                 k += 1
-    rate_per_chain = accepted_post / (steps - config.burn_in)
+    rate_per_chain = accepted_post / (steps - burn_in)
     rate = float(rate_per_chain.mean())
-    lo, hi = config.accept_band
+    lo, hi = dist.ACCEPT_BAND
     diverged = not (lo <= rate <= hi)
     if diverged:
         warnings.warn(
@@ -562,13 +538,13 @@ def _reference_metropolis_cone(alg, log_pdf, seed, n, config, init):
         )
     coords = kept.transpose(1, 0, 2).reshape(chains * per_chain, alg.dim)[:n]
     meta = {
-        "burn_in": config.burn_in,
-        "thin": config.thin,
+        "burn_in": burn_in,
+        "thin": thin,
         "chains": chains,
         "per_chain": per_chain,
         "acceptance_rate": rate,
         "acceptance_per_chain": [float(x) for x in rate_per_chain],
-        "proposal_scale": config.proposal_scale,
+        "proposal_scale": scale,
         "adapted_factors": [float(x) for x in factors],
         "diverged": diverged,
     }
@@ -617,48 +593,47 @@ LEAN_ALGEBRAS = [L2, ja.lorentz(5), A2, ja.sym_real(3), H2, A1]
 LEAN_IDS = ["lorentz-dim3", "lorentz-dim6", "sym2", "sym3", "herm2", "rank1"]
 # n = 203 divides by none of the chain counts above 1
 LEAN_N = 203
-LEAN_CONFIGS = {
-    "default": dist.McmcConfig(),
-    "single-chain": dist.McmcConfig(burn_in=0, thin=1, chains=1),
-    # acceptance near 0: most proposals leave the cone, and the batch warns
-    "diverging": dist.McmcConfig(burn_in=200, thin=2, chains=4, proposal_scale=80.0,
-                                 adapt=False),
+LEAN_SETTINGS = {
+    "default": {},
+    "single-chain": SINGLE_CHAIN,
+    "diverging": WIDE_PROPOSALS,
 }
-# the default config runs 5000 burn-in steps, so it draws one family per
+# the default settings run 5000 burn-in steps, so they draw one family per
 # algebra: the GIG, plus the Lorentz dim 3 Wishart, which has no exact sampler
 LEAN_CASES = [
     pytest.param(alg, config, family, id=f"{alg_id}-{config}-{family}")
     for alg, alg_id in zip(LEAN_ALGEBRAS, LEAN_IDS)
-    for config in LEAN_CONFIGS
+    for config in LEAN_SETTINGS
     for family in ("gig", "wishart")
     if config != "default" or family == "gig" or alg == L2
 ]
 
 
-def _lean_draw(alg, config, family):
+def _lean_draw(alg, family):
     """The batch and the warnings of one seeded Metropolis call."""
     a, b = _scaled_params(alg, 1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if family == "gig":
-            batch = dist.sample_gig(dist.GigParams(-1.7, a, b), 7, LEAN_N, mcmc=config,
-                                    method="mcmc")
+            batch = dist._gig_mcmc(dist.GigParams(-1.7, a, b), 7, LEAN_N)
         else:
-            batch = dist.sample_wishart(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9,
-                                        LEAN_N, mcmc=config, method="mcmc")
+            batch = dist._wishart_mcmc(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9,
+                                       LEAN_N)
     return batch, [(w.category, str(w.message)) for w in caught]
 
 
 @pytest.mark.parametrize("alg, config, family", LEAN_CASES)
-def test_lean_metropolis_step_keeps_every_chain(alg, config, family, monkeypatch):
-    got, got_warnings = _lean_draw(alg, LEAN_CONFIGS[config], family)
+def test_lean_metropolis_step_keeps_every_chain(alg, config, family, monkeypatch,
+                                                mcmc_settings):
+    mcmc_settings(**LEAN_SETTINGS[config])
+    got, got_warnings = _lean_draw(alg, family)
     monkeypatch.setattr(dist, "_metropolis_cone", _reference_metropolis_cone)
     monkeypatch.setattr(dist, "_log_pdf_batch", _reference_masked_log_pdf_batch)
-    ref, ref_warnings = _lean_draw(alg, LEAN_CONFIGS[config], family)
+    ref, ref_warnings = _lean_draw(alg, family)
     assert got.coords.tobytes() == ref.coords.tobytes()
     assert got.mcmc == ref.mcmc
     assert got_warnings == ref_warnings
-    # a batch warns exactly when it is flagged; the default config never is
+    # a batch warns exactly when it is flagged; the default settings never are
     assert [c for c, _ in got_warnings] == ([RuntimeWarning] if got.mcmc["diverged"] else [])
     if config != "single-chain":
         assert got.mcmc["diverged"] == (config == "diverging")

@@ -68,12 +68,10 @@ def test_batch_csv_round_trip():
     assert np.array_equal(coords, batch.coords)
 
 
-def test_batch_metadata_fields():
+def test_batch_metadata_fields(mcmc_settings):
     alg = ja.lorentz(2)
-    batch = dist.sample_wishart(
-        dist.WishartParams(2.0, ja.identity(alg)), 5, 50,
-        mcmc=dist.McmcConfig(burn_in=200, thin=2, chains=4),
-    )
+    mcmc_settings(BURN_IN=200, THIN=2, CHAINS=4)
+    batch = dist.sample_wishart(dist.WishartParams(2.0, ja.identity(alg)), 5, 50)
     meta = ser.batch_metadata(batch)
     assert meta["schema_version"] == ser.SCHEMA_VERSION
     assert meta["kind"] == "lorentz"
