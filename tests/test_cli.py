@@ -130,21 +130,54 @@ def test_sample_shape_guard_is_usage_error():
                    "--p", "0.5", "-n", "10") == 64
 
 
-@pytest.mark.parametrize("extra", [
-    ("--permutations", "0"),
-    ("--permutations", "-3"),
-    ("--subsample", "0"),
-    ("--subsample", "1"),
-    ("-n", "1"),
-    ("--permutations", "699"),
-], ids=lambda e: "".join(e))
-def test_vacuous_or_invalid_my_property_settings_are_usage_errors(extra, capsys):
+def _usage_case(*extra, message="usage error"):
+    return pytest.param(extra, message, id="".join(extra))
+
+
+def _unknown_flag_case(*extra):
+    # the Metropolis settings are constants of symcone.distributions, so the
+    # parser rejects their former flags outright
+    return _usage_case(*extra, message=f"unrecognized arguments: {' '.join(extra)}")
+
+
+@pytest.mark.parametrize("extra, message", [
+    _usage_case("--permutations", "0"),
+    _usage_case("--permutations", "-3"),
+    _usage_case("--subsample", "0"),
+    _usage_case("--subsample", "1"),
+    _usage_case("-n", "1"),
+    _usage_case("--permutations", "699"),
+    _unknown_flag_case("--thin", "0"),
+    _unknown_flag_case("--burn-in", "-5"),
+    _unknown_flag_case("--chains", "0"),
+    _unknown_flag_case("--proposal-scale", "0"),
+    _unknown_flag_case("--proposal-scale", "nan"),
+])
+def test_vacuous_or_invalid_my_property_settings_are_usage_errors(extra, message, capsys):
     # each makes the run vacuous or meaningless, so it must not reach the test;
     # with 699 permutations the smallest dCor p-value, 1/700, misses the
     # Bonferroni gate 0.01/7
     assert run_cli("test", "my-property", "--kind", "lorentz", "--dim", "3",
                    "-n", "200", "--permutations", "700", *extra) == 64
-    assert "usage error" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    _unknown_flag_case("--thin", "0"),
+    _unknown_flag_case("--burn-in", "-5"),
+    _unknown_flag_case("--chains", "0"),
+    _unknown_flag_case("--proposal-scale", "-1"),
+])
+def test_invalid_mcmc_settings_are_usage_errors_for_sample(extra, message, tmp_path, capsys):
+    assert run_cli("sample", "wishart", "--kind", "lorentz", "--dim", "3",
+                   "--p", "2", "-n", "10", *extra) == 64
+    assert message in capsys.readouterr().err
+    flag, value = extra
+    field = flag[2:].replace("-", "_")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "lorentz", field: float(value)}))
+    assert run_cli("sample", "wishart", "--config", str(config)) == 64
+    assert f"unknown config fields: ['{field}']" in capsys.readouterr().err
 
 
 def test_permutation_floor_applies_to_the_config_file_not_the_library(tmp_path, capsys):
@@ -370,18 +403,6 @@ def test_threads_flag_and_config_field_are_gone(tmp_path, capsys):
     config.write_text(json.dumps({"kind": "sym-real", "threads": 2}))
     assert run_cli("check", "hua", "--config", str(config)) == 64
     assert "unknown config fields: ['threads']" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flag", ["--burn-in", "--thin", "--chains", "--proposal-scale"])
-def test_mcmc_flags_and_config_fields_are_gone(flag, tmp_path, capsys):
-    # the Metropolis settings are constants of symcone.distributions
-    assert run_cli("sample", "wishart", "--kind", "lorentz", "--dim", "3", "--p", "2",
-                   "-n", "10", flag, "1") == 64
-    field = flag[2:].replace("-", "_")
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"kind": "lorentz", field: 1}))
-    assert run_cli("sample", "wishart", "--config", str(config)) == 64
-    assert f"unknown config fields: ['{field}']" in capsys.readouterr().err
 
 
 def test_seed_env_var(tmp_path, monkeypatch):
