@@ -189,16 +189,36 @@ def _pow2_rows(a):
     return np.ldexp(a, -k[..., None]), k
 
 
+def _spin_polar(a):
+    """Eigenvalues x0 +- |xbar| of spin-factor rows, plus the spatial parts
+    and their norms on the rows rescaled by :func:`_pow2_rows`, so that the
+    norm neither overflows nor turns subnormal."""
+    s, k = _pow2_rows(a)
+    nrm = np.linalg.norm(s[..., 1:], axis=-1)
+    lam = np.ldexp(np.stack([s[..., 0] + nrm, s[..., 0] - nrm], axis=-1), k[..., None])
+    return lam, s[..., 1:], nrm
+
+
+def _spin_unit(a):
+    """Eigenvalues of spin-factor rows, as :func:`_spin_polar` gives them,
+    and the unit vectors of their spatial parts (the first spatial axis
+    where the spatial part is 0)."""
+    lam, spatial, nrm = _spin_polar(a)
+    unit = np.zeros_like(spatial)
+    unit[..., 0] = 1.0
+    np.divide(spatial, nrm[..., None], out=unit, where=nrm[..., None] > 0)
+    return lam, unit
+
+
 class _SpinFactor:
     """Kernels of the spin factor R^(n+1), with x o y = (<x, y>, x0 ybar + y0 xbar).
 
     Every method takes the descriptor first and float coordinate arrays
     (..., dim) after it, as do those of :class:`_MatrixForm`.  The
-    eigenvalues, the inverse and the square root work on rows rescaled by
-    :func:`_pow2_rows`, so they hold from the smallest to the largest
-    doubles.  The determinant is left as it is: it scales with the square
-    of the row, so its own value leaves the double range where the squares
-    inside it do.
+    eigenvalues, spectral decomposition, determinant, inverse and square
+    root work on rows rescaled by :func:`_pow2_rows`, so they hold from the
+    smallest to the largest doubles; a determinant outside the double range
+    gives inf or 0.  ``rank2_det`` is the unscaled determinant.
     """
 
     field = None  # no matrix form
@@ -234,20 +254,20 @@ class _SpinFactor:
     def trace(self, alg, a):
         return 2.0 * a[..., 0]
 
-    def det(self, alg, a):
+    def rank2_det(self, alg, a):
         return a[..., 0] ** 2 - np.add.reduce(a[..., 1:] ** 2, axis=-1)
 
-    rank2_det = det
+    def det(self, alg, a):
+        s, k = _pow2_rows(a)
+        return np.ldexp(self.rank2_det(alg, s), 2 * k)
 
     def eigenvalues(self, alg, a):
-        s, k = _pow2_rows(a)
-        nrm = np.linalg.norm(s[..., 1:], axis=-1)
-        return np.ldexp(np.stack([s[..., 0] + nrm, s[..., 0] - nrm], axis=-1), k[..., None])
+        return _spin_polar(a)[0]
 
     def inverse(self, alg, a):
         s, k = _pow2_rows(a)
         out = np.concatenate([s[..., :1], -s[..., 1:]], axis=-1)
-        return np.ldexp(out / self.det(alg, s)[..., None], -k[..., None])
+        return np.ldexp(out / self.rank2_det(alg, s)[..., None], -k[..., None])
 
     def quad_apply(self, alg, a, b):
         ab = self.jordan(alg, a, b)
@@ -261,20 +281,12 @@ class _SpinFactor:
         return m
 
     def sqrt(self, alg, a):
-        lam = self.eigenvalues(alg, a)
+        lam, unit = _spin_unit(a)
         _require_positive(lam)
         s = np.sqrt(lam)
-        half_sum = (s[..., 0] + s[..., 1]) / 2.0
-        half_diff = (s[..., 0] - s[..., 1]) / 2.0
-        scaled, _ = _pow2_rows(a)
-        nrm = np.linalg.norm(scaled[..., 1:], axis=-1)
-        unit = np.divide(
-            scaled[..., 1:], nrm[..., None], out=np.zeros_like(scaled[..., 1:]),
-            where=nrm[..., None] > 0,
-        )
         out = np.empty_like(a)
-        out[..., 0] = half_sum
-        out[..., 1:] = half_diff[..., None] * unit
+        out[..., 0] = (s[..., 0] + s[..., 1]) / 2.0
+        out[..., 1:] = ((s[..., 0] - s[..., 1]) / 2.0)[..., None] * unit
         return out
 
     def norm(self, alg, c) -> float:
@@ -286,13 +298,7 @@ class _SpinFactor:
         When the spatial part vanishes any orthogonal idempotent pair is
         valid; the pair built from the first spatial axis is returned.
         """
-        nrm = float(np.linalg.norm(c[1:]))
-        if nrm == 0.0:
-            unit = np.zeros(alg.dim - 1)
-            unit[0] = 1.0
-        else:
-            unit = c[1:] / nrm
-        lam = np.array([c[0] + nrm, c[0] - nrm])
+        lam, unit = _spin_unit(c)
         return lam, [0.5 * np.concatenate([[1.0], unit]), 0.5 * np.concatenate([[1.0], -unit])]
 
     def banded(self, alg, rng, n, lo, hi):

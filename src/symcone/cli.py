@@ -2,10 +2,12 @@
 
 Runs verification checks and samplers from flags or a JSON config file and
 writes JSON/CSV reports.  Flag values override config-file values, which
-override the built-in defaults; the default seed can also be set through
-the SYMCONE_SEED environment variable.  A config-file field must hold the
-JSON type of its flag (an integer, a number or a string), or null where the
-default is null.  The Metropolis settings are not options: they are the
+override the built-in defaults (the field defaults of :class:`RunConfig`);
+the default seed can also be set through the SYMCONE_SEED environment
+variable.  A check receives ``tol`` only when ``--tol`` or the config file
+sets it, and otherwise keeps its own default.  A config-file field must
+hold the JSON type of its flag (an integer, a number or a string), or null
+where the default is null.  The Metropolis settings are not options: they are the
 constants of :mod:`symcone.distributions`.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 results inconclusive
@@ -19,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,65 +56,31 @@ class UsageError(ValueError):
     pass
 
 
-_DEFAULTS = {
-    "kind": "sym-real",
-    "rank": 2,
-    "dim": 3,
-    "trials": 1000,
-    "n": 1000,
-    "seed": None,  # resolved from the environment, then 0
-    "tol": None,   # per-check defaults when unset
-    "p": None,
-    "a": "identity",
-    "b": "identity",
-    "output": None,
-    "format": "json",
-    "sets": 1,
-    "step": 1e-5,
-    "permutations": 1000,
-    "subsample": 1000,
-}
-
-# my-property gates its 3 dCor and 4 KS p-values at SIGNIFICANCE / 7
-_MY_PROPERTY_P_VALUES = 7
-
-_CHECK_TOLS = {
-    "jordan-axioms": 1e-10,
-    "det-product-rule": 1e-8,
-    "det-operator-power": 1e-8,
-    "hua-identity": 1e-8,
-    "involution": 1e-9,
-    "jacobian-closed-form": 1e-4,
-    "cauchy-additive": 1e-8,
-    "pexider-log": 1e-8,
-    "fe-cone": 1e-8,
-    "fe-univariate-abcd": 1e-8,
-    "fe-univariate-g-alpha": 1e-8,
-    "density-factorization": 1e-10,
-}
-
-
 @dataclass
 class RunConfig:
-    """Merged, validated settings for one CLI invocation."""
+    """Merged, validated settings for one CLI invocation; the field defaults
+    are the built-in defaults of the flags."""
 
     command: tuple
-    kind: str
-    rank: int
-    dim: int
-    trials: int
-    n: int
-    seed: int
-    tol: float | None
-    p: float | None
-    a: str
-    b: str
-    output: str | None
-    format: str
-    sets: int
-    step: float
-    permutations: int
-    subsample: int | None
+    kind: str = "sym-real"
+    rank: int = 2
+    dim: int = 3
+    trials: int = 1000
+    n: int = 1000
+    seed: int | None = None  # resolved from the environment, then 0
+    tol: float | None = None  # each check's own default when unset
+    p: float | None = None
+    a: str = "identity"
+    b: str = "identity"
+    output: str | None = None
+    format: str = "json"
+    sets: int = 1
+    step: float = 1e-5
+    permutations: int = 1000
+    subsample: int | None = 1000
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
 
 
 def parse_element(spec: str, alg: AlgebraDescriptor) -> Element:
@@ -280,7 +248,7 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"my-property needs n >= 2, got {cfg.n}")
         # the smallest permutation p-value, 1/(B+1), must clear the
         # Bonferroni gate, or the dCor tests cannot reject
-        gate = ver.SIGNIFICANCE / _MY_PROPERTY_P_VALUES
+        gate = ver.SIGNIFICANCE / (len(ver.DCOR_FUNCTIONALS) + len(ver.KS_LABELS))
         if 1.0 / (cfg.permutations + 1) >= gate:
             raise UsageError(
                 f"my-property needs 1/(permutations + 1) below the Bonferroni gate "
@@ -296,10 +264,6 @@ def _algebra(cfg: RunConfig) -> AlgebraDescriptor:
     return lorentz(cfg.dim - 1)
 
 
-def _tol(cfg: RunConfig, check: str) -> float:
-    return cfg.tol if cfg.tol is not None else _CHECK_TOLS[check]
-
-
 def _shape_p(cfg: RunConfig, alg: AlgebraDescriptor) -> float:
     return cfg.p if cfg.p is not None else alg.dim_over_rank
 
@@ -311,34 +275,21 @@ def _cone_param(cfg, name, alg) -> Element:
     return el
 
 
-def _fe_cone_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
+def _fe_cone_reports(cfg: RunConfig, alg: AlgebraDescriptor, tol: dict) -> list:
     rng = np.random.default_rng(cfg.seed)
     reports = []
     for i in range(cfg.sets):
-        constants = ver.random_fe_constants(alg, rng)
-        seed_i = cfg.seed + i
-        reports.append(
-            ver.check_cauchy_additive(
-                alg, constants.f, n=cfg.trials,
-                tol=_tol(cfg, "cauchy-additive"), seed=seed_i,
-            )
-        )
-        reports.append(
-            ver.check_pexider_log(
-                alg, constants.q, constants.gamma1, constants.gamma2, n=cfg.trials,
-                tol=_tol(cfg, "pexider-log"), seed=seed_i,
-            )
-        )
-        reports.append(
-            ver.check_fe_cone(
-                alg, constants, n=cfg.trials,
-                tol=_tol(cfg, "fe-cone"), seed=seed_i,
-            )
-        )
+        k = ver.random_fe_constants(alg, rng)
+        kw = {"n": cfg.trials, "seed": cfg.seed + i, **tol}
+        reports += [
+            ver.check_cauchy_additive(alg, k.f, **kw),
+            ver.check_pexider_log(alg, k.q, k.gamma1, k.gamma2, **kw),
+            ver.check_fe_cone(alg, k, **kw),
+        ]
     return reports
 
 
-def _fe_1d_reports(cfg: RunConfig) -> list:
+def _fe_1d_reports(cfg: RunConfig, tol: dict) -> list:
     rng = np.random.default_rng(cfg.seed)
     reports = []
     for i in range(cfg.sets):
@@ -349,19 +300,11 @@ def _fe_1d_reports(cfg: RunConfig) -> list:
             "C": rng.uniform(-5, 5),
             "D": rng.uniform(-5, 5),
         }
-        seed_i = cfg.seed + i
-        reports.append(
-            ver.check_fe_univariate_abcd(
-                constants, n=cfg.trials,
-                tol=_tol(cfg, "fe-univariate-abcd"), seed=seed_i,
-            )
-        )
-        reports.append(
-            ver.check_fe_univariate_g_alpha(
-                univariate, n=cfg.trials,
-                tol=_tol(cfg, "fe-univariate-g-alpha"), seed=seed_i,
-            )
-        )
+        kw = {"n": cfg.trials, "seed": cfg.seed + i, **tol}
+        reports += [
+            ver.check_fe_univariate_abcd(constants, **kw),
+            ver.check_fe_univariate_g_alpha(univariate, **kw),
+        ]
     return reports
 
 
@@ -372,33 +315,33 @@ _SUITE = ("algebra", "hua", "involution", "jacobian", "fe-cone", "fe-1d", "facto
 def _check_reports(cfg: RunConfig, alg: AlgebraDescriptor, what: str,
                    jacobian_trials: int = 200) -> list:
     """Reports of ``check <what>``; the Jacobian runs at most
-    ``jacobian_trials`` trials.  Factorization raises ShapeOutOfRangeError
-    for a shape p below the density range."""
-    kw = {"n": cfg.trials, "seed": cfg.seed}
+    ``jacobian_trials`` trials.  A check gets ``tol`` only when it was set,
+    and otherwise keeps its own default.  Factorization raises
+    ShapeOutOfRangeError for a shape p below the density range."""
+    tol = {} if cfg.tol is None else {"tol": cfg.tol}
+    kw = {"n": cfg.trials, "seed": cfg.seed, **tol}
     if what == "algebra":
         return [
-            ver.check_jordan_axioms(alg, tol=_tol(cfg, "jordan-axioms"), **kw),
-            ver.check_det_product_rule(alg, tol=_tol(cfg, "det-product-rule"), **kw),
-            ver.check_det_operator_power(alg, tol=_tol(cfg, "det-operator-power"), **kw),
+            ver.check_jordan_axioms(alg, **kw),
+            ver.check_det_product_rule(alg, **kw),
+            ver.check_det_operator_power(alg, **kw),
         ]
     if what == "hua":
-        return [ver.check_hua(alg, tol=_tol(cfg, "hua-identity"), **kw)]
+        return [ver.check_hua(alg, **kw)]
     if what == "involution":
-        return [ver.check_involution(alg, tol=_tol(cfg, "involution"), **kw)]
+        return [ver.check_involution(alg, **kw)]
     if what == "jacobian":
-        return [ver.check_jacobian(alg, n=min(cfg.trials, jacobian_trials),
-                                   tol=_tol(cfg, "jacobian-closed-form"),
-                                   seed=cfg.seed, step=cfg.step)]
+        return [ver.check_jacobian(alg, n=min(cfg.trials, jacobian_trials), seed=cfg.seed,
+                                   step=cfg.step, **tol)]
     if what == "fe-cone":
-        return _fe_cone_reports(cfg, alg)
+        return _fe_cone_reports(cfg, alg, tol)
     if what == "fe-1d":
-        return _fe_1d_reports(cfg)
+        return _fe_1d_reports(cfg, tol)
     if what == "factorization":
         p = _shape_p(cfg, alg)
         a = _cone_param(cfg, "a", alg)
         b = _cone_param(cfg, "b", alg)
-        return [ver.density_factorization_check(
-            alg, p, a, b, tol=_tol(cfg, "density-factorization"), **kw)]
+        return [ver.density_factorization_check(alg, p, a, b, **kw)]
 
 
 def _dispatch_reports(cfg: RunConfig) -> list:

@@ -1,7 +1,12 @@
 """Wishart and generalized-inverse-Gaussian distributions on the cones.
 
-Densities and Laplace transforms are evaluated in closed form.  Sampling
-uses the fastest exact route available for each family:
+Densities and Laplace transforms are evaluated in closed form.  The
+unnormalized Wishart and GIG log densities are written once, as
+:func:`batch_wishart_log_unnorm` and :func:`batch_gig_log_unnorm` over
+stacked points; the element-level densities add their cone checks and
+normalizers to them.  (The Metropolis target keeps its own closed form,
+whose bits the seeded chains depend on.)  Sampling uses the fastest exact
+route available for each family:
 
 * matrix-kind Wishart: a triangular-factor (Bartlett) construction for the
   standard scale, transported to scale ``a`` through the quadratic operator
@@ -43,6 +48,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     NotInConeError,
+    batch_det,
     batch_eigenvalues,
     batch_in_cone,
     batch_inner,
@@ -182,17 +188,31 @@ def gamma_cone(p: float, alg: AlgebraDescriptor) -> float:
     return math.exp(log_gamma_cone(p, alg))
 
 
+def batch_wishart_log_unnorm(alg: AlgebraDescriptor, p: float, a, x) -> np.ndarray:
+    """Unnormalized Wishart log density (p - dim/r) log det x - <a, x> at
+    stacked points x of shape (..., dim), with a the scale's coordinates.
+
+    Like the other ``batch_*`` kernels it does not check cone membership.
+    """
+    return (p - alg.dim_over_rank) * np.log(batch_det(alg, x)) - batch_inner(alg, a, x)
+
+
+def batch_gig_log_unnorm(alg: AlgebraDescriptor, p: float, a, b, x) -> np.ndarray:
+    """Unnormalized GIG log density (p - dim/r) log det x - <a, x> - <b, x^-1>
+    at stacked points x, with a and b as coordinates; no cone check."""
+    return batch_wishart_log_unnorm(alg, p, a, x) - batch_inner(alg, b, batch_inverse(alg, x))
+
+
 def wishart_log_density(params: WishartParams, x: Element) -> float:
     """Log density of the Wishart at an open-cone point.
 
     Only defined on the absolutely continuous range p > dim/rank - 1.
     """
     alg = params.algebra
-    d_over_r = alg.dim_over_rank
     log_norm = params.p * math.log(det(params.a)) - log_gamma_cone(params.p, alg)
     if not in_cone(x):
         raise NotInConeError("Wishart density lives on the open cone")
-    return log_norm + (params.p - d_over_r) * math.log(det(x)) - inner(params.a, x)
+    return log_norm + float(batch_wishart_log_unnorm(alg, params.p, params.a.coords, x.coords))
 
 
 def wishart_laplace(params: WishartParams, sigma: Element) -> float:
@@ -205,14 +225,10 @@ def wishart_laplace(params: WishartParams, sigma: Element) -> float:
 
 def gig_log_density_unnorm(params: GigParams, x: Element) -> float:
     """Unnormalized GIG log density (p - dim/r) log det x - <a,x> - <b,x^-1>."""
-    alg = params.algebra
     if not in_cone(x):
         raise NotInConeError("GIG density lives on the open cone")
-    return (
-        (params.p - alg.dim_over_rank) * math.log(det(x))
-        - inner(params.a, x)
-        - inner(params.b, inverse(x))
-    )
+    return float(batch_gig_log_unnorm(
+        params.algebra, params.p, params.a.coords, params.b.coords, x.coords))
 
 
 def gig_norm_constant_rank1(params: GigParams) -> float:

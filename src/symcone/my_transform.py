@@ -1,11 +1,13 @@
 """The involutive cone map psi(x, y) = ((x+y)^-1, x^-1 - (x+y)^-1).
 
 The map sends pairs of open-cone points to pairs of open-cone points and is
-its own inverse.  This module also provides the nested-inverse rewrite of
-its second component (Hua's identity) and the change-of-variables Jacobian
-of the map, both in closed form and as a finite-difference oracle.  The
-Jacobian functions come in ``batch_*`` variants over stacked coordinates;
-the element-level ones are thin wrappers around them.
+its own inverse.  :func:`batch_my_map` is the one batched form of the map:
+the finite-difference Jacobian and every check of :mod:`symcone.verification`
+that maps points call it.  This module also provides the nested-inverse
+rewrite of its second component (Hua's identity) and the change-of-variables
+Jacobian of the map, both in closed form and as a finite-difference oracle.
+The Jacobian functions come in ``batch_*`` variants over stacked
+coordinates; the element-level ones are thin wrappers around them.
 """
 
 from __future__ import annotations
@@ -55,6 +57,16 @@ def my_map(x: Element, y: Element) -> ConePair:
     return ConePair(u, v)
 
 
+def batch_my_map(alg: AlgebraDescriptor, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Map stacked coordinates x, y of shape (..., dim) to (u, v) =
+    ((x+y)^-1, x^-1 - (x+y)^-1).
+
+    Like the other ``batch_*`` kernels it does not check cone membership.
+    """
+    u = batch_inverse(alg, x + y)
+    return u, batch_inverse(alg, x) - u
+
+
 def hua_rhs(a: Element, b: Element) -> Element:
     """Evaluate (a + P(a) b^-1)^-1, the single-inversion form of a^-1 - (a+b)^-1."""
     if not in_cone(a):
@@ -85,9 +97,7 @@ def _psi_coords(alg: AlgebraDescriptor, z: np.ndarray) -> np.ndarray:
     u, v = z[..., :d], z[..., d:]
     if not (np.all(batch_in_cone(alg, u)) and np.all(batch_in_cone(alg, v))):
         raise NotInConeError("perturbed point left the open cone; reduce the step")
-    x = batch_inverse(alg, u + v)
-    y = batch_inverse(alg, u) - x
-    return np.concatenate([x, y], axis=-1)
+    return np.concatenate(batch_my_map(alg, u, v), axis=-1)
 
 
 def batch_jacobian_fd_matrix(alg: AlgebraDescriptor, u, v, step: float = 1e-5) -> np.ndarray:

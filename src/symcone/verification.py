@@ -3,16 +3,21 @@ solution families, and the forward independence property of the cone map.
 
 Every residual check draws seeded random cone points, evaluates both sides
 of its identity, and returns a :class:`CheckReport` whose ``passed`` field
-is ``max_residual <= tolerance``.  The independence test returns an
+is ``max_residual <= tolerance``; a check's ``tol`` default is its
+tolerance, and the CLI passes ``tol`` only when it is set.  The checks map
+points with :func:`symcone.my_transform.batch_my_map` and evaluate densities
+with the batch log densities of :mod:`symcone.distributions`; this module
+writes out neither.  The independence test returns an
 :class:`IndependenceReport` whose ``passed`` field requires every p-value to
-clear a Bonferroni-corrected significance threshold.  Reports are plain
-dataclasses; given the same seed and configuration they are reproducible
-bit for bit.
+clear a Bonferroni-corrected significance threshold, over the tests named
+by ``DCOR_FUNCTIONALS`` and ``KS_LABELS``.  Reports are plain dataclasses
+whose ``to_dict`` follows the field order; given the same seed and
+configuration they are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,12 +41,20 @@ from .distributions import (
     GigParams,
     ShapeOutOfRangeError,
     WishartParams,
+    batch_gig_log_unnorm,
+    batch_wishart_log_unnorm,
     sample_gig,
     sample_wishart,
 )
-from .my_transform import batch_jacobian_det_formula, batch_jacobian_det_numeric
+from .my_transform import batch_jacobian_det_formula, batch_jacobian_det_numeric, batch_my_map
 
 SIGNIFICANCE = 0.01
+
+# The p-values that my_property_test gates together: one permutation dCor
+# test per functional of (U, V), and one two-sample KS test of the trace or
+# det of U or V against fresh draws, labelled <side>_<functional>.
+DCOR_FUNCTIONALS = ("trace", "det", "inner")
+KS_LABELS = ("u_trace", "u_det", "v_trace", "v_det")
 
 # Trials per stacked call in the checks that build one operator per trial.
 BLOCK_TRIALS = 512
@@ -63,18 +76,7 @@ class CheckReport:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "algebra": self.algebra,
-            "trials": self.trials,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "passed": self.passed,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "p_values": self.p_values,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -139,26 +141,7 @@ class IndependenceReport:
     check: str = "my-property"
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "algebra": self.algebra,
-            "p": self.p,
-            "n": self.n,
-            "seed": self.seed,
-            "functionals": self.functionals,
-            "dcor": self.dcor,
-            "dcor_p_values": self.dcor_p_values,
-            "ks_labels": self.ks_labels,
-            "ks_stats": self.ks_stats,
-            "ks_p_values": self.ks_p_values,
-            "correlation_matrix": self.correlation_matrix,
-            "significance": self.significance,
-            "n_permutations": self.n_permutations,
-            "subsample": self.subsample,
-            "passed": self.passed,
-            "inconclusive": self.inconclusive,
-            "negative_control": self.negative_control,
-        }
+        return {"check": self.check, **asdict(self)}  # the check name leads
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +166,12 @@ def _report(check, alg, residuals, tol, seed, p_values=None) -> CheckReport:
 
 def _norms(alg, coords) -> np.ndarray:
     return np.sqrt(batch_inner(alg, coords, coords))
+
+
+def _cone_pairs(alg, n, seed):
+    """Two arrays of n banded cone points, drawn in turn from one seeded stream."""
+    rng = np.random.default_rng(seed)
+    return random_cone_points_banded(alg, rng, n), random_cone_points_banded(alg, rng, n)
 
 
 def random_fe_constants(alg: AlgebraDescriptor, rng: np.random.Generator) -> FeSolutionConstants:
@@ -245,9 +234,7 @@ def check_jordan_axioms(alg, n=1000, tol=1e-10, seed=0) -> CheckReport:
 
 def check_det_product_rule(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Relative residual of det(P(x) y) = (det x)^2 det y on cone pairs."""
-    rng = np.random.default_rng(seed)
-    x = random_cone_points_banded(alg, rng, n)
-    y = random_cone_points_banded(alg, rng, n)
+    x, y = _cone_pairs(alg, n, seed)
     lhs = batch_det(alg, batch_quad_apply(alg, x, y))
     rhs = batch_det(alg, x) ** 2 * batch_det(alg, y)
     return _report("det-product-rule", alg, np.abs(lhs - rhs) / np.abs(rhs), tol, seed)
@@ -274,23 +261,16 @@ def check_det_operator_power(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
 
 def check_hua(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Residual of a^-1 - (a+b)^-1 = (a + P(a) b^-1)^-1 on cone pairs."""
-    rng = np.random.default_rng(seed)
-    a = random_cone_points_banded(alg, rng, n)
-    b = random_cone_points_banded(alg, rng, n)
-    lhs = batch_inverse(alg, a) - batch_inverse(alg, a + b)
+    a, b = _cone_pairs(alg, n, seed)
+    lhs = batch_my_map(alg, a, b)[1]  # the map's second component
     rhs = batch_inverse(alg, a + batch_quad_apply(alg, a, batch_inverse(alg, b)))
     return _report("hua-identity", alg, _norms(alg, lhs - rhs), tol, seed)
 
 
 def check_involution(alg, n=1000, tol=1e-9, seed=0) -> CheckReport:
     """Residual of applying the cone map twice on random cone pairs."""
-    rng = np.random.default_rng(seed)
-    x = random_cone_points_banded(alg, rng, n)
-    y = random_cone_points_banded(alg, rng, n)
-    u = batch_inverse(alg, x + y)
-    v = batch_inverse(alg, x) - u
-    x2 = batch_inverse(alg, u + v)
-    y2 = batch_inverse(alg, u) - x2
+    x, y = _cone_pairs(alg, n, seed)
+    x2, y2 = batch_my_map(alg, *batch_my_map(alg, x, y))
     residuals = np.maximum(_norms(alg, x2 - x), _norms(alg, y2 - y))
     return _report("involution", alg, residuals, tol, seed)
 
@@ -305,9 +285,7 @@ def check_jacobian(alg, n=100, tol=1e-4, seed=0, step=1e-5) -> CheckReport:
     that miss the tolerance are refined.  Trials whose closed form is not
     positive get an infinite residual.
     """
-    rng = np.random.default_rng(seed)
-    u = random_cone_points_banded(alg, rng, n)
-    v = random_cone_points_banded(alg, rng, n)
+    u, v = _cone_pairs(alg, n, seed)
     residuals = []
     for start in range(0, n, BLOCK_TRIALS):
         ub, vb = u[start : start + BLOCK_TRIALS], v[start : start + BLOCK_TRIALS]
@@ -331,9 +309,7 @@ def check_jacobian(alg, n=100, tol=1e-4, seed=0, step=1e-5) -> CheckReport:
 
 def check_cauchy_additive(alg, f_vec: Element, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """f(x) = <f_vec, x> solves f(x) + f(y) = f(x + y) on cone pairs."""
-    rng = np.random.default_rng(seed)
-    x = random_cone_points_banded(alg, rng, n)
-    y = random_cone_points_banded(alg, rng, n)
+    x, y = _cone_pairs(alg, n, seed)
     fv = f_vec.coords
     residuals = np.abs(
         batch_inner(alg, fv, x) + batch_inner(alg, fv, y) - batch_inner(alg, fv, x + y)
@@ -344,9 +320,7 @@ def check_cauchy_additive(alg, f_vec: Element, n=1000, tol=1e-8, seed=0) -> Chec
 def check_pexider_log(alg, q, gamma1, gamma2, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """The family f_i = q log det + gamma_i solves the multiplicative-type
     equation f1(x) + f2(y) = f3(P(x^(1/2)) y) on cone pairs."""
-    rng = np.random.default_rng(seed)
-    x = random_cone_points_banded(alg, rng, n)
-    y = random_cone_points_banded(alg, rng, n)
+    x, y = _cone_pairs(alg, n, seed)
     z = batch_quad_apply(alg, batch_sqrt(alg, x), y)
     lhs = q * np.log(batch_det(alg, x)) + gamma1
     lhs += q * np.log(batch_det(alg, y)) + gamma2
@@ -423,9 +397,7 @@ def _fe_cone_residuals(alg, k: FeSolutionConstants, x, y, perturbation=0.0):
 def check_fe_cone(alg, constants: FeSolutionConstants, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """The cone solution family (log det, linear, and inverse-linear terms)
     solves a(x) + b(y) = c((x+y)^-1) + d(x^-1 - (x+y)^-1) on cone pairs."""
-    rng = np.random.default_rng(seed)
-    x = random_cone_points_banded(alg, rng, n)
-    y = random_cone_points_banded(alg, rng, n)
+    x, y = _cone_pairs(alg, n, seed)
     return _report("fe-cone", alg, _fe_cone_residuals(alg, constants, x, y), tol, seed)
 
 
@@ -435,9 +407,7 @@ def check_perturbed_fe_rejects(
     """Negative control: a non-family term of size ``perturbation`` is added
     to one side, and the report must show the residual blowing past the
     tolerance (``passed`` keeps its usual max_residual <= tol meaning)."""
-    rng = np.random.default_rng(seed)
-    x = random_cone_points_banded(alg, rng, n)
-    y = random_cone_points_banded(alg, rng, n)
+    x, y = _cone_pairs(alg, n, seed)
     residuals = _fe_cone_residuals(alg, constants, x, y, perturbation=perturbation)
     return _report("fe-cone-perturbed", alg, residuals, tol, seed)
 
@@ -461,31 +431,23 @@ def density_factorization_check(
         raise ShapeOutOfRangeError(
             f"factorization check requires p > {alg.dim_over_rank - 1.0}"
         )
-    rng = np.random.default_rng(seed)
-    u = random_cone_points_banded(alg, rng, n)
-    v = random_cone_points_banded(alg, rng, n)
-    d_r = alg.dim_over_rank
+    u, v = _cone_pairs(alg, n, seed)
     ac, bc = a.coords, b.coords
     left_a, left_b = (bc, ac) if negative_control else (ac, bc)
-
-    def log_gig_unnorm(shape, first, second, pts):
-        return (
-            (shape - d_r) * np.log(batch_det(alg, pts))
-            - batch_inner(alg, first, pts)
-            - batch_inner(alg, second, batch_inverse(alg, pts))
-        )
-
-    def log_wishart_unnorm(shape, scale, pts):
-        return (shape - d_r) * np.log(batch_det(alg, pts)) - batch_inner(alg, scale, pts)
-
-    lhs = log_gig_unnorm(-p, left_b, left_a, u) + log_wishart_unnorm(p, left_b, v)
-    x = batch_inverse(alg, u + v)
-    y = batch_inverse(alg, u) - x
-    jac = -2.0 * d_r * (np.log(batch_det(alg, u)) + np.log(batch_det(alg, u + v)))
-    rhs = jac + log_gig_unnorm(-p, ac, bc, x) + log_wishart_unnorm(p, ac, y)
+    lhs = (batch_gig_log_unnorm(alg, -p, left_b, left_a, u)
+           + batch_wishart_log_unnorm(alg, p, left_b, v))
+    x, y = batch_my_map(alg, u, v)
+    jac = -2.0 * alg.dim_over_rank * (np.log(batch_det(alg, u)) + np.log(batch_det(alg, u + v)))
+    rhs = jac + batch_gig_log_unnorm(alg, -p, ac, bc, x) + batch_wishart_log_unnorm(alg, p, ac, y)
     diff = lhs - rhs
     residuals = np.abs(diff - diff.mean())
     return _report("density-factorization", alg, residuals, tol, seed)
+
+
+def _functionals(alg, z, c) -> dict:
+    """trace z, det z and <c, z> at stacked points z."""
+    return {"trace": batch_trace(alg, z), "det": batch_det(alg, z),
+            "inner": batch_inner(alg, c, z)}
 
 
 def my_property_test(
@@ -536,49 +498,32 @@ def my_property_test(
         by = sample_wishart(WishartParams(p, a), child[1], n)
         batches.append(by)
         y = by.coords
-    u = batch_inverse(alg, x + y)
-    v = batch_inverse(alg, x) - u
-
-    func_u = {
-        "trace": batch_trace(alg, u),
-        "det": batch_det(alg, u),
-        "inner": batch_inner(alg, a.coords, u),
-    }
-    func_v = {
-        "trace": batch_trace(alg, v),
-        "det": batch_det(alg, v),
-        "inner": batch_inner(alg, b.coords, v),
-    }
+    u, v = batch_my_map(alg, x, y)
+    mapped = {"u": _functionals(alg, u, a.coords), "v": _functionals(alg, v, b.coords)}
     rng_perm = np.random.default_rng(child[2])
-    functionals, dcors, dcor_ps = [], [], []
-    for name in ("trace", "det", "inner"):
+    dcors, dcor_ps = [], []
+    for name in DCOR_FUNCTIONALS:
         r, pv = stats.permutation_dcor_test(
-            func_u[name], func_v[name], n_permutations, rng_perm, subsample
+            mapped["u"][name], mapped["v"][name], n_permutations, rng_perm, subsample
         )
-        functionals.append(name)
         dcors.append(r)
         dcor_ps.append(pv)
 
     bv = sample_wishart(WishartParams(p, b), child[3], n)
     bu = sample_gig(GigParams(-p, b, a), child[4], n)
     batches.extend([bv, bu])
-    ks_labels, ks_stats, ks_ps = [], [], []
-    for label, sample, fresh in (
-        ("u_trace", func_u["trace"], batch_trace(alg, bu.coords)),
-        ("u_det", func_u["det"], batch_det(alg, bu.coords)),
-        ("v_trace", func_v["trace"], batch_trace(alg, bv.coords)),
-        ("v_det", func_v["det"], batch_det(alg, bv.coords)),
-    ):
-        s, pv = stats.ks_2sample(sample, fresh)
-        ks_labels.append(label)
+    fresh = {"u": bu.coords, "v": bv.coords}
+    ks_stats, ks_ps = [], []
+    for label in KS_LABELS:
+        side, name = label.split("_")
+        functional = batch_trace if name == "trace" else batch_det
+        s, pv = stats.ks_2sample(mapped[side][name], functional(alg, fresh[side]))
         ks_stats.append(s)
         ks_ps.append(pv)
 
-    pool = np.stack(
-        [func_u["trace"], func_u["det"], func_u["inner"],
-         func_v["trace"], func_v["det"], func_v["inner"]]
+    corr = np.corrcoef(
+        np.stack([mapped[side][name] for side in "uv" for name in DCOR_FUNCTIONALS])
     )
-    corr = np.corrcoef(pool)
 
     inconclusive = any(bb.mcmc is not None and bb.mcmc.get("diverged") for bb in batches)
     all_ps = dcor_ps + ks_ps
@@ -589,10 +534,10 @@ def my_property_test(
         p=float(p),
         n=int(n),
         seed=seed,
-        functionals=functionals,
+        functionals=list(DCOR_FUNCTIONALS),
         dcor=[float(t) for t in dcors],
         dcor_p_values=[float(t) for t in dcor_ps],
-        ks_labels=ks_labels,
+        ks_labels=list(KS_LABELS),
         ks_stats=[float(t) for t in ks_stats],
         ks_p_values=[float(t) for t in ks_ps],
         correlation_matrix=[[float(c) for c in row] for row in corr],

@@ -462,6 +462,46 @@ def test_lorentz_kernels_hold_at_extreme_scales(alg, point, scale):
                                rtol=1e-15, atol=1e-15)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e300, 1e-300])
+@pytest.mark.parametrize("alg,point", [(ja.lorentz(2), [2.0, 1.0, 0.0]),
+                                       (ja.lorentz(5), [2.0, 0.6, 0.0, -0.8, 0.0, 0.0])],
+                         ids=["lorentz-dim3", "lorentz-dim6"])
+def test_lorentz_spectral_decomposition_holds_at_extreme_scales(alg, point, scale):
+    # the eigenvalues are 3 and 1 times the scale, and the idempotents
+    # (1, +-xbar/|xbar|) / 2 do not depend on it
+    x = ja.Element(alg, scale * np.array(point))
+    s = ja.spectral_decomposition(x)
+    np.testing.assert_array_equal(s.eigenvalues, ja.eigenvalues(x))
+    np.testing.assert_allclose(s.eigenvalues, [3.0 * scale, scale], rtol=1e-15, atol=0.0)
+    unit = np.array(point[1:])
+    for c, sign in zip(s.idempotents, (1.0, -1.0)):
+        np.testing.assert_allclose(c.coords, np.concatenate([[0.5], sign * unit / 2.0]),
+                                   rtol=1e-15, atol=1e-16)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
+@pytest.mark.parametrize("scale,expected", [(1e160, np.inf), (1e300, np.inf),
+                                            (1e-160, 3e-320), (1e-300, 0.0)])
+def test_lorentz_det_saturates_outside_the_double_range(scale, expected):
+    # det (2, 1, 0) = 3; times scale^2 it overflows, turns subnormal or
+    # underflows, but never gives nan
+    alg = ja.lorentz(2)
+    got = ja.det(ja.Element(alg, scale * np.array([2.0, 1.0, 0.0])))
+    assert got == pytest.approx(expected, rel=1e-3, abs=0.0)
+    assert ja.batch_det(alg, -scale * np.array([2.0, 1.0, 0.0])) == got
+
+
+def test_lorentz_det_keeps_the_unscaled_bits_in_range():
+    # scaling a row by a power of two is exact, so within range det equals
+    # the raw formula x0^2 - |xbar|^2 bit for bit
+    alg = ja.lorentz(4)
+    k = ja.kernels(alg)
+    rng = np.random.default_rng(3)
+    for exponent in range(-140, 141, 20):
+        x = rng.standard_normal((2000, alg.dim)) * 10.0**exponent
+        np.testing.assert_array_equal(k.det(alg, x), k.rank2_det(alg, x))
+
+
 # ---------------------------------------------------------------------------
 # Kernel-table properties across scale and distance to the cone boundary
 # ---------------------------------------------------------------------------
@@ -484,11 +524,11 @@ def _cone_point(alg, rng, gap):
 @hyp_st.composite
 def _scaled_cone_pairs(draw):
     """(alg, scale, x, y, cond): x and y are unit-scale cone points whose
-    smallest eigenvalue ratio is 1/cond >= 1e-2; the properties are
+    smallest eigenvalue ratio is 1/cond >= 1e-6; the properties are
     evaluated at scale * x and scale * y, with scale in [1e-150, 1e150]."""
     alg = draw(hyp_st.sampled_from(TABLE_ALGEBRAS))
     scale = 10.0 ** draw(hyp_st.floats(-150, 150))
-    gaps = [10.0 ** draw(hyp_st.floats(-2, 0)) for _ in range(2)]
+    gaps = [10.0 ** draw(hyp_st.floats(-6, 0)) for _ in range(2)]
     rng = np.random.default_rng(draw(hyp_st.integers(0, 2**32 - 1)))
     x, y = (_cone_point(alg, rng, g) for g in gaps)
     return alg, scale, x, y, 1.0 / min(gaps)

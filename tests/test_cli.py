@@ -1,5 +1,6 @@
 """Command-line front end: parsing, dispatch, exit codes, determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -70,18 +71,45 @@ def test_check_hua_passes(tmp_path, capsys):
     assert "[PASS] hua-identity" in capsys.readouterr().out
 
 
+# the check function behind each report name
+CHECKS = {
+    "jordan-axioms": ver.check_jordan_axioms,
+    "det-product-rule": ver.check_det_product_rule,
+    "det-operator-power": ver.check_det_operator_power,
+    "hua-identity": ver.check_hua,
+    "involution": ver.check_involution,
+    "jacobian-closed-form": ver.check_jacobian,
+    "cauchy-additive": ver.check_cauchy_additive,
+    "pexider-log": ver.check_pexider_log,
+    "fe-cone": ver.check_fe_cone,
+    "fe-univariate-abcd": ver.check_fe_univariate_abcd,
+    "fe-univariate-g-alpha": ver.check_fe_univariate_g_alpha,
+    "density-factorization": ver.density_factorization_check,
+}
+
+
 def test_suite_runs_all_residual_checks(tmp_path):
     out = tmp_path / "suite.json"
     code = run_cli("suite", "--kind", "lorentz", "--dim", "3", "--seed", "7",
                    "--trials", "200", "-o", str(out))
     assert code == 0
     names = {r["check"] for r in json.loads(out.read_text())["reports"]}
-    assert names == {
-        "jordan-axioms", "det-product-rule", "det-operator-power",
-        "hua-identity", "involution", "jacobian-closed-form",
-        "cauchy-additive", "pexider-log", "fe-cone",
-        "fe-univariate-abcd", "fe-univariate-g-alpha", "density-factorization",
-    }
+    assert names == set(CHECKS)
+
+
+@pytest.mark.parametrize("tol", [None, "1e-3"])
+@pytest.mark.parametrize("kind", [("--kind", "sym-real", "--rank", "2"),
+                                  ("--kind", "lorentz", "--dim", "4")],
+                         ids=["sym-real", "lorentz"])
+def test_suite_tolerance_is_the_flag_or_each_checks_default(kind, tol, tmp_path):
+    out = tmp_path / "suite.json"
+    flag = () if tol is None else ("--tol", tol)
+    assert run_cli("suite", *kind, "--trials", "50", *flag, "-o", str(out)) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert {r["check"] for r in reports} == set(CHECKS)
+    for r in reports:
+        default = inspect.signature(CHECKS[r["check"]]).parameters["tol"].default
+        assert r["tolerance"] == (default if tol is None else float(tol)), r["check"]
 
 
 def test_invalid_rank_is_usage_error(capsys):

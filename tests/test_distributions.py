@@ -185,6 +185,24 @@ def test_gig_log_density_examples():
     )
 
 
+@pytest.mark.parametrize("alg", [A1, A2, H2, L2], ids=["sym1", "sym2", "herm2", "lorentz3"])
+def test_batch_log_densities_against_the_spectral_formula(alg):
+    # (p - dim/r) sum log lambda_i - <a, x> [- <b, x^-1>], row by row
+    rng = np.random.default_rng(alg.dim)
+    a, b = ja.random_cone_points_banded(alg, rng, 2)
+    x = ja.random_cone_points_banded(alg, rng, 20)
+    p = -1.3
+    log_det = np.log(ja.batch_eigenvalues(alg, x)).sum(axis=-1)
+    wishart = (p - alg.dim_over_rank) * log_det - ja.batch_inner(alg, a, x)
+    gig = wishart - ja.batch_inner(alg, b, ja.batch_inverse(alg, x))
+    np.testing.assert_allclose(dist.batch_wishart_log_unnorm(alg, p, a, x), wishart,
+                               rtol=1e-12)
+    np.testing.assert_allclose(dist.batch_gig_log_unnorm(alg, p, a, b, x), gig, rtol=1e-12)
+    el = ja.Element(alg, x[0])
+    params = dist.GigParams(p, ja.Element(alg, a), ja.Element(alg, b))
+    assert dist.gig_log_density_unnorm(params, el) == pytest.approx(gig[0], rel=1e-12)
+
+
 def test_gig_reciprocal_density_identity():
     # the unnormalized density of (p, a, b) at x equals that of (-p, b, a)
     # at 1/x times x^(-2 dim / r); rank 1, exact identity

@@ -35,6 +35,21 @@ def test_my_map_diagonal_case():
     assert np.allclose(ja.to_matrix(pair.second), np.diag([0.5, 1.0 / 6.0]))
 
 
+@pytest.mark.parametrize("alg", KINDS, ids=IDS)
+def test_batch_my_map_matches_my_map_and_undoes_itself(alg):
+    rng = np.random.default_rng(alg.dim)
+    x = ja.random_cone_points_banded(alg, rng, 40)
+    y = ja.random_cone_points_banded(alg, rng, 40)
+    u, v = mt.batch_my_map(alg, x, y)
+    for i in range(0, 40, 13):
+        pair = mt.my_map(ja.Element(alg, x[i]), ja.Element(alg, y[i]))
+        np.testing.assert_allclose(u[i], pair.first.coords, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(v[i], pair.second.coords, rtol=1e-12, atol=1e-14)
+    x2, y2 = mt.batch_my_map(alg, u, v)
+    np.testing.assert_allclose(x2, x, rtol=1e-10)
+    np.testing.assert_allclose(y2, y, rtol=1e-10)
+
+
 def test_my_map_rejects_off_cone():
     a2 = ja.sym_real(2)
     bad = ja.from_matrix(a2, np.diag([1.0, -1.0]))
