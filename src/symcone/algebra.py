@@ -43,6 +43,10 @@ _SQRT2 = math.sqrt(2.0)
 # Relative singularity cutoff: |eigenvalue| <= SINGULAR_RTOL * max|eig|.
 SINGULAR_RTOL = 1e-12
 
+# Hermitian defect (and, for sym-real, imaginary part) that from_matrix
+# accepts, relative to 1 + max |entry|.
+HERMITIAN_ATOL = 1e-10
+
 
 class AlgebraMismatchError(ValueError):
     """Operands belong to different algebras."""
@@ -115,7 +119,8 @@ def herm_complex(rank: int) -> AlgebraDescriptor:
 def lorentz(n: int) -> AlgebraDescriptor:
     """Second-order cone algebra on R^(n+1), n >= 2."""
     if n < 2:
-        raise ValueError(f"lorentz requires n >= 2, got {n}")
+        raise ValueError(
+            f"lorentz requires ambient dimension n + 1 >= 3, got dimension {n + 1} (n = {n})")
     return AlgebraDescriptor(Kind.LORENTZ, 2, n - 1, n + 1)
 
 
@@ -488,11 +493,12 @@ def to_matrix(x: Element) -> np.ndarray:
     return coords_to_matrices(x.algebra, x.coords)
 
 
-def from_matrix(alg: AlgebraDescriptor, mat, *, atol: float = 1e-10) -> Element:
-    """Element from a (near-)Hermitian matrix; rejects asymmetry above atol.
+def from_matrix(alg: AlgebraDescriptor, mat) -> Element:
+    """Element from a (near-)Hermitian matrix; rejects asymmetry above
+    HERMITIAN_ATOL (relative to 1 + max |entry|).
 
     For ``sym-real`` the matrix must also be real: an imaginary part above
-    atol is rejected instead of being dropped.  A NaN or infinite entry is
+    that bound is rejected instead of being dropped.  A NaN or infinite entry is
     rejected too.
     """
     mat = np.asarray(mat)
@@ -500,11 +506,11 @@ def from_matrix(alg: AlgebraDescriptor, mat, *, atol: float = 1e-10) -> Element:
         raise ValueError("matrix has a NaN or infinite entry")
     herm_defect = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))
     scale = 1.0 + np.max(np.abs(mat))
-    if herm_defect > atol * scale:
+    if herm_defect > HERMITIAN_ATOL * scale:
         raise ValueError(f"matrix is not Hermitian (defect {herm_defect:.3e})")
     if _KERNELS[alg.kind].field is float and np.iscomplexobj(mat):
         imag = np.max(np.abs(mat.imag))
-        if imag > atol * scale:
+        if imag > HERMITIAN_ATOL * scale:
             raise ValueError(f"sym-real matrix has an imaginary part ({imag:.3e})")
     return Element(alg, matrices_to_coords(alg, mat))
 
@@ -580,10 +586,10 @@ def batch_sqrt(alg: AlgebraDescriptor, a) -> np.ndarray:
     return _KERNELS[alg.kind].sqrt(alg, np.asarray(a, dtype=float))
 
 
-def batch_in_cone(alg: AlgebraDescriptor, a, tol: float = 0.0) -> np.ndarray:
-    """Boolean mask of membership in the open cone (min eigenvalue > tol)."""
+def batch_in_cone(alg: AlgebraDescriptor, a) -> np.ndarray:
+    """Boolean mask of membership in the open cone (min eigenvalue > 0)."""
     lam = batch_eigenvalues(alg, a)
-    return np.min(lam, axis=-1) > tol
+    return np.min(lam, axis=-1) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +638,9 @@ def eigenvalues(x: Element) -> np.ndarray:
     return batch_eigenvalues(x.algebra, x.coords)
 
 
-def in_cone(x: Element, tol: float = 0.0) -> bool:
-    """True iff the minimum eigenvalue exceeds tol."""
-    return bool(np.min(eigenvalues(x)) > tol)
+def in_cone(x: Element) -> bool:
+    """True iff x lies in the open cone: its minimum eigenvalue is positive."""
+    return bool(np.min(eigenvalues(x)) > 0.0)
 
 
 def singular_threshold(lam: np.ndarray, threshold: float | None = None) -> float:

@@ -8,7 +8,12 @@ variable.  A check receives ``tol`` only when ``--tol`` or the config file
 sets it, and otherwise keeps its own default.  A config-file field must
 hold the JSON type of its flag (an integer, a number or a string), or null
 where the default is null.  The Metropolis settings are not options: they are the
-constants of :mod:`symcone.distributions`.
+constants of :mod:`symcone.distributions`.  The algebra comes from the
+kernel table (``--kind`` takes the values of :class:`~symcone.algebra.Kind`).
+The rules on shapes and algebras live in the library, and their errors are
+usage errors here; the CLI adds only the rules against vacuous runs.  A check
+that leaves the cone fails under its own name and the run's algebra, and
+``suite`` goes on with its other checks (see :func:`_dispatch_reports`).
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 results inconclusive
 (an MCMC sampler left its acceptance band), 64 usage error.
@@ -31,15 +36,14 @@ from . import verification as ver
 from .algebra import (
     AlgebraDescriptor,
     Element,
+    Kind,
     NotInConeError,
     SingularElementError,
+    descriptor_from_dict,
     from_matrix,
-    herm_complex,
     identity,
     in_cone,
     kernels,
-    lorentz,
-    sym_real,
 )
 from .distributions import (
     GigParams,
@@ -121,7 +125,7 @@ def _parse_floats(text: str) -> list[float]:
 def _common_parser() -> argparse.ArgumentParser:
     """The flags every subcommand takes."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kind", choices=["sym-real", "herm-complex", "lorentz"])
+    common.add_argument("--kind", choices=[k.value for k in Kind])
     common.add_argument("--rank", type=int, help="matrix-family rank")
     common.add_argument("--dim", type=int, help="Lorentz ambient dimension (n + 1)")
     common.add_argument("--trials", type=int, help="trials per residual check")
@@ -223,10 +227,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.kind in ("sym-real", "herm-complex") and cfg.rank < 1:
-        raise UsageError(f"rank must be >= 1, got {cfg.rank}")
-    if cfg.kind == "lorentz" and cfg.dim < 3:
-        raise UsageError(f"Lorentz ambient dimension must be >= 3, got {cfg.dim}")
     if cfg.trials < 1 or cfg.n < 1:
         raise UsageError("trials and n must be positive")
     if cfg.sets < 1:
@@ -248,20 +248,20 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"my-property needs n >= 2, got {cfg.n}")
         # the smallest permutation p-value, 1/(B+1), must clear the
         # Bonferroni gate, or the dCor tests cannot reject
-        gate = ver.SIGNIFICANCE / (len(ver.DCOR_FUNCTIONALS) + len(ver.KS_LABELS))
-        if 1.0 / (cfg.permutations + 1) >= gate:
+        if 1.0 / (cfg.permutations + 1) >= ver.BONFERRONI_GATE:
             raise UsageError(
                 f"my-property needs 1/(permutations + 1) below the Bonferroni gate "
-                f"{gate:.4g}, got permutations={cfg.permutations}"
+                f"{ver.BONFERRONI_GATE:.4g}, got permutations={cfg.permutations}"
             )
 
 
 def _algebra(cfg: RunConfig) -> AlgebraDescriptor:
-    if cfg.kind == "sym-real":
-        return sym_real(cfg.rank)
-    if cfg.kind == "herm-complex":
-        return herm_complex(cfg.rank)
-    return lorentz(cfg.dim - 1)
+    """The run's algebra from the kernel table: the matrix kinds read
+    ``rank``, lorentz reads ``dim``; an invalid one is a usage error."""
+    try:
+        return descriptor_from_dict({"kind": cfg.kind, "rank": cfg.rank, "dim": cfg.dim})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _shape_p(cfg: RunConfig, alg: AlgebraDescriptor) -> float:
@@ -312,12 +312,10 @@ def _fe_1d_reports(cfg: RunConfig, tol: dict) -> list:
 _SUITE = ("algebra", "hua", "involution", "jacobian", "fe-cone", "fe-1d", "factorization")
 
 
-def _check_reports(cfg: RunConfig, alg: AlgebraDescriptor, what: str,
-                   jacobian_trials: int = 200) -> list:
-    """Reports of ``check <what>``; the Jacobian runs at most
-    ``jacobian_trials`` trials.  A check gets ``tol`` only when it was set,
-    and otherwise keeps its own default.  Factorization raises
-    ShapeOutOfRangeError for a shape p below the density range."""
+def _check_reports(cfg: RunConfig, alg: AlgebraDescriptor, what: str) -> list:
+    """Reports of ``check <what>`` or ``test my-property``; the Jacobian runs
+    at most 200 trials, 100 in ``suite``.  A check gets ``tol`` only when it
+    was set, and otherwise keeps its own default."""
     tol = {} if cfg.tol is None else {"tol": cfg.tol}
     kw = {"n": cfg.trials, "seed": cfg.seed, **tol}
     if what == "algebra":
@@ -331,51 +329,45 @@ def _check_reports(cfg: RunConfig, alg: AlgebraDescriptor, what: str,
     if what == "involution":
         return [ver.check_involution(alg, **kw)]
     if what == "jacobian":
-        return [ver.check_jacobian(alg, n=min(cfg.trials, jacobian_trials), seed=cfg.seed,
+        cap = 100 if cfg.command == ("suite",) else 200
+        return [ver.check_jacobian(alg, n=min(cfg.trials, cap), seed=cfg.seed,
                                    step=cfg.step, **tol)]
     if what == "fe-cone":
         return _fe_cone_reports(cfg, alg, tol)
     if what == "fe-1d":
         return _fe_1d_reports(cfg, tol)
+    p = _shape_p(cfg, alg)
+    a = _cone_param(cfg, "a", alg)
+    b = _cone_param(cfg, "b", alg)
     if what == "factorization":
-        p = _shape_p(cfg, alg)
-        a = _cone_param(cfg, "a", alg)
-        b = _cone_param(cfg, "b", alg)
         return [ver.density_factorization_check(alg, p, a, b, **kw)]
+    return [ver.my_property_test(alg, p, a, b, cfg.n, seed=cfg.seed,
+                                 n_permutations=cfg.permutations, subsample=cfg.subsample)]
 
 
-def _dispatch_reports(cfg: RunConfig) -> list:
-    alg = _algebra(cfg)
-    cmd = cfg.command
-    if cmd == ("suite",):
-        # a shape below the density range fails the suite (see run) rather
-        # than making it a usage error
-        return [r for what in _SUITE
-                for r in _check_reports(cfg, alg, what, jacobian_trials=100)]
-    if cmd[0] == "check":
+def _dispatch_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
+    """Reports of the run's checks.  A check that leaves the cone or meets a
+    singular element (inside ``suite`` also one below the density range)
+    gives one failure report, named after it and carrying the run's algebra,
+    and the other checks still run; alone, a shape below the range raises."""
+    suite = cfg.command == ("suite",)
+    errors = (NotInConeError, SingularElementError) + ((ShapeOutOfRangeError,) if suite else ())
+    reports = []
+    for what in _SUITE if suite else cfg.command[1:]:
         try:
-            return _check_reports(cfg, alg, cmd[1])
-        except ShapeOutOfRangeError as exc:
-            raise UsageError(str(exc)) from exc
-    if cmd == ("test", "my-property"):
-        p = _shape_p(cfg, alg)
-        a = _cone_param(cfg, "a", alg)
-        b = _cone_param(cfg, "b", alg)
-        if p <= alg.dim_over_rank - 1.0:
-            raise UsageError(f"my-property requires p > {alg.dim_over_rank - 1.0}")
-        return [ver.my_property_test(
-            alg, p, a, b, cfg.n, seed=cfg.seed,
-            n_permutations=cfg.permutations, subsample=cfg.subsample)]
-    raise UsageError(f"unknown command {' '.join(cmd)}")
+            reports += _check_reports(cfg, alg, what)
+        except errors as exc:
+            reports.append(ver.CheckReport(
+                check=what, algebra=alg.to_dict(), trials=0, max_residual=math.inf,
+                mean_residual=math.inf, passed=False, seed=cfg.seed,
+                tolerance=cfg.tol or 0.0, error=str(exc)))
+    return reports
 
 
-def _run_sample(cfg: RunConfig):
-    alg = _algebra(cfg)
+def _run_sample(cfg: RunConfig, alg: AlgebraDescriptor):
     p = _shape_p(cfg, alg)
     a = _cone_param(cfg, "a", alg)
     if cfg.command[1] == "wishart":
-        if p <= alg.dim_over_rank - 1.0:
-            raise UsageError(f"wishart sampling requires p > {alg.dim_over_rank - 1.0}")
         return sample_wishart(WishartParams(p, a), cfg.seed, cfg.n)
     b = _cone_param(cfg, "b", alg)
     return sample_gig(GigParams(p, a, b), cfg.seed, cfg.n)
@@ -392,7 +384,7 @@ def _report_line(r) -> str:
         return (f"[{status}] {r.check} kind={r.algebra['kind']} n={r.n} "
                 f"seed={r.seed} min_p={min_p:.4g} significance={r.significance:g}")
     status = "PASS" if r.passed else "FAIL"
-    alg = r.algebra or {}
+    alg = r.algebra
     where = f"kind={alg['kind']} dim={alg['dim']}" if alg else "univariate"
     return (f"[{status}] {r.check} {where} trials={r.trials} "
             f"max_residual={r.max_residual:.4g} tol={r.tolerance:g}")
@@ -422,13 +414,9 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 64
     try:
         cfg = _merge_config(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 64
-
-    try:
+        alg = _algebra(cfg)
         if cfg.command[0] == "sample":
-            batch = _run_sample(cfg)
+            batch = _run_sample(cfg, alg)
             if cfg.output:
                 if cfg.format == "csv":
                     _write(cfg.output, ser.batch_to_csv(batch))
@@ -441,20 +429,10 @@ def run(argv) -> int:
             print(f"[{'INCONCLUSIVE' if diverged else 'OK'}] sample {cfg.command[1]} "
                   f"method={batch.method} n={batch.n} seed={batch.seed}{rate}")
             return 2 if diverged else 0
-        reports = _dispatch_reports(cfg)
-    except UsageError as exc:
+        reports = _dispatch_reports(cfg, alg)
+    except (UsageError, ShapeOutOfRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-    except (NotInConeError, SingularElementError, ShapeOutOfRangeError) as exc:
-        failure = ver.CheckReport(
-            check=" ".join(cfg.command), algebra=None, trials=0,
-            max_residual=math.inf, mean_residual=math.inf, passed=False,
-            seed=cfg.seed, tolerance=cfg.tol or 0.0, error=str(exc),
-        )
-        if cfg.output:
-            _write(cfg.output, ser.reports_to_json([failure]))
-        print(_report_line(failure))
-        return 1
 
     if cfg.output:
         if cfg.format == "csv":

@@ -1,10 +1,12 @@
 """Wishart and generalized-inverse-Gaussian distributions on the cones.
 
-Densities and Laplace transforms are evaluated in closed form.  The
-unnormalized Wishart and GIG log densities are written once, as
-:func:`batch_wishart_log_unnorm` and :func:`batch_gig_log_unnorm` over
-stacked points; the element-level densities add their cone checks and
-normalizers to them.  (The Metropolis target keeps its own closed form,
+Densities, Laplace transforms and the rank-1 GIG normalizer (a Bessel K
+function) are evaluated in closed form.  The density range p > dim/rank - 1
+is stated once, in :func:`require_density_range`, which every operation
+that needs it calls.  The unnormalized Wishart and GIG log densities are
+written once, as :func:`batch_wishart_log_unnorm` and
+:func:`batch_gig_log_unnorm` over stacked points; the element-level
+densities add their cone checks and normalizers to them.  (The Metropolis target keeps its own closed form,
 whose bits the seeded chains depend on.)  Sampling uses the fastest exact
 route available for each family:
 
@@ -80,9 +82,21 @@ PROPOSAL_SCALE = 0.15
 TARGET_ACCEPT = 0.3
 ACCEPT_BAND = (0.1, 0.7)
 
+# Points of the log-spaced trapezoid grid behind gig_cdf_rank1.
+GIG_CDF_GRID = 50001
+
 
 class ShapeOutOfRangeError(ValueError):
     """Shape parameter outside the range supported by the operation."""
+
+
+def require_density_range(p: float, alg: AlgebraDescriptor) -> None:
+    """Raise ShapeOutOfRangeError unless p > dim/rank - 1 (a NaN p is outside):
+    the shapes at which the cone Wishart and GIG laws have densities and the
+    forward independence property and its converse hold."""
+    bound = alg.dim_over_rank - 1.0
+    if not p > bound:
+        raise ShapeOutOfRangeError(f"shape p must be > dim/rank - 1 = {bound:.6g}, got {p}")
 
 
 def _require_finite(p: float, **elements: Element) -> None:
@@ -163,8 +177,8 @@ class SampleBatch:
     def elements(self) -> list[Element]:
         return [Element(self.algebra, row) for row in self.coords]
 
-    def all_in_cone(self, tol: float = 0.0) -> bool:
-        return bool(np.all(batch_in_cone(self.algebra, self.coords, tol)))
+    def all_in_cone(self) -> bool:
+        return bool(np.all(batch_in_cone(self.algebra, self.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +187,7 @@ class SampleBatch:
 
 def log_gamma_cone(p: float, alg: AlgebraDescriptor) -> float:
     """log of the cone Gamma function at p; requires p > dim/rank - 1."""
-    if p <= alg.dim_over_rank - 1.0:
-        raise ShapeOutOfRangeError(
-            f"cone Gamma needs p > {alg.dim_over_rank - 1.0}, got {p}"
-        )
+    require_density_range(p, alg)
     total = 0.5 * (alg.dim - alg.rank) * _LOG_2PI
     for j in range(alg.rank):
         total += math.lgamma(p - 0.5 * j * alg.peirce)
@@ -232,34 +243,25 @@ def gig_log_density_unnorm(params: GigParams, x: Element) -> float:
 
 
 def gig_norm_constant_rank1(params: GigParams) -> float:
-    """Normalizing constant of the rank-1 GIG by adaptive quadrature.
+    """Normalizing constant of the rank-1 GIG in closed form.
 
-    Integrates x^(p-1) exp(-a x - b / x) over (0, inf) after the
-    substitution x = e^t, which makes the integrand decay doubly
-    exponentially on both sides of the mode.  Only rank 1 is supported;
-    higher ranks have no implemented normalizer.
+    The integral of x^(p-1) exp(-a x - b / x) over (0, inf) is
+    2 (b/a)^(p/2) K_p(z) at z = 2 sqrt(ab), with K_p the modified Bessel
+    function of the second kind, taken as the exponentially scaled ``kve``
+    times e^(-z).  Only rank 1 is supported.
     """
-    from scipy import integrate  # imported here: it dominates import time
+    from scipy.special import kve  # imported here: scipy dominates import time
 
-    alg = params.algebra
-    if alg.rank != 1:
+    if params.algebra.rank != 1:
         raise ValueError("normalizing constant is implemented for rank 1 only")
     p = params.p
     a = float(params.a.coords[0])
     b = float(params.b.coords[0])
-
-    def integrand(t):
-        with np.errstate(over="ignore"):
-            return np.exp(p * t - a * np.exp(t) - b * np.exp(-t))
-
-    t_mode = math.log((p - 1 + math.hypot(p - 1, 2.0 * math.sqrt(a * b))) / (2 * a)
-                      ) if p > 1 else 0.5 * math.log(b / a)
-    left, _ = integrate.quad(integrand, -np.inf, t_mode, epsabs=0, epsrel=1e-11, limit=200)
-    right, _ = integrate.quad(integrand, t_mode, np.inf, epsabs=0, epsrel=1e-11, limit=200)
-    return left + right
+    z = 2.0 * math.sqrt(a * b)
+    return float(2.0 * (b / a) ** (0.5 * p) * kve(p, z) * math.exp(-z))
 
 
-def gig_cdf_rank1(params: GigParams, grid_size: int = 50001):
+def gig_cdf_rank1(params: GigParams):
     """Quadrature CDF of the rank-1 GIG, returned as a vectorized callable.
 
     Builds the density on a dense log-spaced grid spanning everything within
@@ -281,7 +283,7 @@ def gig_cdf_rank1(params: GigParams, grid_size: int = 50001):
     lf = log_f(coarse)
     keep = lf > lf.max() - 80.0
     lo, hi = coarse[keep][0] - 0.1, coarse[keep][-1] + 0.1
-    t = np.linspace(lo, hi, grid_size)
+    t = np.linspace(lo, hi, GIG_CDF_GRID)
     dens = np.exp(log_f(t) - lf.max())
     cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(t))])
     cdf_grid /= cdf_grid[-1]
@@ -558,10 +560,7 @@ def sample_wishart(params: WishartParams, seed: int, n: int) -> SampleBatch:
     shapes below it have no density and are not sampled).
     """
     alg = params.algebra
-    if params.p <= alg.dim_over_rank - 1.0:
-        raise ShapeOutOfRangeError(
-            f"sampling requires p > {alg.dim_over_rank - 1.0}, got {params.p}"
-        )
+    require_density_range(params.p, alg)
     if kernels(alg).field is None:
         return _wishart_mcmc(params, seed, n)
     coords = _bartlett(alg, params.p, params.a, seed, n)

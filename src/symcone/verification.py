@@ -9,8 +9,11 @@ points with :func:`symcone.my_transform.batch_my_map` and evaluate densities
 with the batch log densities of :mod:`symcone.distributions`; this module
 writes out neither.  The independence test returns an
 :class:`IndependenceReport` whose ``passed`` field requires every p-value to
-clear a Bonferroni-corrected significance threshold, over the tests named
-by ``DCOR_FUNCTIONALS`` and ``KS_LABELS``.  Reports are plain dataclasses
+clear ``BONFERRONI_GATE``, the significance level shared among the tests
+named by ``DCOR_FUNCTIONALS`` and ``KS_LABELS``.  The density-factorization
+check and the independence test need a shape p > dim/rank - 1 and raise
+:class:`~symcone.distributions.ShapeOutOfRangeError` below it, before any
+draw.  Reports are plain dataclasses
 whose ``to_dict`` follows the field order; given the same seed and
 configuration they are reproducible bit for bit.
 """
@@ -39,10 +42,10 @@ from .algebra import (
 )
 from .distributions import (
     GigParams,
-    ShapeOutOfRangeError,
     WishartParams,
     batch_gig_log_unnorm,
     batch_wishart_log_unnorm,
+    require_density_range,
     sample_gig,
     sample_wishart,
 )
@@ -55,6 +58,9 @@ SIGNIFICANCE = 0.01
 # det of U or V against fresh draws, labelled <side>_<functional>.
 DCOR_FUNCTIONALS = ("trace", "det", "inner")
 KS_LABELS = ("u_trace", "u_det", "v_trace", "v_det")
+
+# Each p-value must exceed this Bonferroni-corrected level for a pass.
+BONFERRONI_GATE = SIGNIFICANCE / (len(DCOR_FUNCTIONALS) + len(KS_LABELS))
 
 # Trials per stacked call in the checks that build one operator per trial.
 BLOCK_TRIALS = 512
@@ -427,10 +433,7 @@ def density_factorization_check(
     pair is the deviation from the batch mean.  ``negative_control=True``
     swaps a and b on the left side only, which must destroy constancy.
     """
-    if p <= alg.dim_over_rank - 1.0:
-        raise ShapeOutOfRangeError(
-            f"factorization check requires p > {alg.dim_over_rank - 1.0}"
-        )
+    require_density_range(p, alg)
     u, v = _cone_pairs(alg, n, seed)
     ac, bc = a.coords, b.coords
     left_a, left_b = (bc, ac) if negative_control else (ac, bc)
@@ -459,7 +462,6 @@ def my_property_test(
     seed: int = 0,
     n_permutations: int = 500,
     subsample: int | None = 1000,
-    significance: float = SIGNIFICANCE,
     negative_control: bool = False,
 ) -> IndependenceReport:
     """Empirical test of the forward independence property.
@@ -481,10 +483,12 @@ def my_property_test(
     the significance level.
 
     The report's ``passed`` field applies a Bonferroni correction across
-    the listed tests; it is ``False`` whenever any p-value falls below
-    ``significance / n_tests``, and ``inconclusive`` is flagged if an MCMC
-    sampler finished outside its acceptance band.
+    the listed tests; it is ``False`` whenever any p-value falls to
+    ``BONFERRONI_GATE`` or below, and ``inconclusive`` is flagged if an MCMC
+    sampler finished outside its acceptance band.  A shape p outside the
+    density range raises ShapeOutOfRangeError before anything is drawn.
     """
+    require_density_range(p, alg)
     child = [int(s) for s in np.random.SeedSequence(seed).generate_state(6, np.uint64)]
     batches = []
     bx = sample_gig(GigParams(-p, a, b), child[0], n)
@@ -526,9 +530,7 @@ def my_property_test(
     )
 
     inconclusive = any(bb.mcmc is not None and bb.mcmc.get("diverged") for bb in batches)
-    all_ps = dcor_ps + ks_ps
-    threshold = significance / len(all_ps)
-    passed = bool(all(pv > threshold for pv in all_ps)) and not inconclusive
+    passed = bool(all(pv > BONFERRONI_GATE for pv in dcor_ps + ks_ps)) and not inconclusive
     return IndependenceReport(
         algebra=alg.to_dict(),
         p=float(p),
@@ -541,7 +543,7 @@ def my_property_test(
         ks_stats=[float(t) for t in ks_stats],
         ks_p_values=[float(t) for t in ks_ps],
         correlation_matrix=[[float(c) for c in row] for row in corr],
-        significance=significance,
+        significance=SIGNIFICANCE,
         n_permutations=n_permutations,
         subsample=subsample,
         passed=passed,

@@ -12,6 +12,7 @@ import pytest
 
 from symcone import algebra as ja
 from symcone import cli
+from symcone import distributions as dist
 from symcone import serialization as ser
 from symcone import verification as ver
 
@@ -272,7 +273,7 @@ def _run_cli_subprocess(*argv):
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
-    # scipy.integrate and scipy.stats take most of a second each to import;
+    # scipy.special and scipy.stats take a large share of a second to import;
     # they load on the first KS test or rank-1 GIG normalizer instead
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import symcone, symcone.cli, sys; "
@@ -335,13 +336,60 @@ def test_suite_and_check_keep_their_jacobian_caps(tmp_path):
         assert [r["trials"] for r in reports if r["check"] == "jacobian-closed-form"] == [cap]
 
 
+def _range_message(p, alg):
+    with pytest.raises(dist.ShapeOutOfRangeError) as exc:
+        dist.require_density_range(p, alg)
+    return str(exc.value)
+
+
 def test_suite_reports_a_shape_below_the_density_range_as_a_failure(tmp_path, capsys):
+    # the checks that ran before factorization keep their reports, and the
+    # failure names the check and the algebra
     out = tmp_path / "s.json"
     assert run_cli("suite", "--kind", "sym-real", "--rank", "2", "--p", "0.4",
                    "--trials", "50", "-o", str(out)) == 1
-    report = json.loads(out.read_text())["reports"][0]
-    assert report["check"] == "suite" and "requires p > 0.5" in report["error"]
-    assert "[FAIL] suite" in capsys.readouterr().out
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == 12
+    assert [r["check"] for r in reports[:11]] == list(CHECKS)[:11]
+    assert all(r["passed"] for r in reports[:11])
+    failure = reports[11]
+    assert failure["check"] == "factorization" and failure["passed"] is False
+    assert failure["algebra"] == {"kind": "sym-real", "rank": 2, "dim": 3}
+    assert failure["error"] == _range_message(0.4, ja.sym_real(2))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 and all(line.startswith("[PASS] ") for line in lines[:11])
+    assert lines[11].startswith("[FAIL] factorization kind=sym-real dim=3 ")
+
+
+def test_a_check_that_leaves_the_cone_fails_under_its_name(tmp_path, capsys):
+    # a step of 0.5 takes the finite differences out of the cone
+    out = tmp_path / "j.json"
+    assert run_cli("check", "jacobian", "--kind", "sym-real", "--rank", "2", "--step", "0.5",
+                   "--trials", "5", "-o", str(out)) == 1
+    [report] = json.loads(out.read_text())["reports"]
+    assert report["check"] == "jacobian" and report["passed"] is False
+    assert report["algebra"] == {"kind": "sym-real", "rank": 2, "dim": 3}
+    assert report["error"]
+    assert capsys.readouterr().out.startswith("[FAIL] jacobian kind=sym-real dim=3 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "wishart", "-n", "10"),
+    ("test", "my-property", "-n", "10"),
+    ("check", "factorization", "--trials", "10"),
+], ids=["sample-wishart", "test-my-property", "check-factorization"])
+def test_shape_at_the_density_bound_is_a_usage_error_with_the_librarys_message(argv, capsys):
+    # p = dim/rank - 1 on sym-real r=2 (dim 3)
+    assert run_cli(*argv, "--kind", "sym-real", "--rank", "2", "--p", "0.5") == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {_range_message(0.5, ja.sym_real(2))}\n"
+
+
+def test_lorentz_dimension_error_names_the_ambient_dimension(capsys):
+    assert run_cli("check", "hua", "--kind", "lorentz", "--dim", "2") == 64
+    err = capsys.readouterr().err
+    assert "ambient dimension n + 1 >= 3" in err and "got dimension 2" in err
 
 
 def test_check_factorization_with_params(tmp_path):

@@ -47,6 +47,8 @@ CALLS = [
      "-o", "{out}/fact.json"],
     ["check", "jacobian", "--kind", "lorentz", "--dim", "4", "--tol", "1e-3", "--seed", "3",
      "-o", "{out}/jac.json"],
+    ["check", "jacobian", "--kind", "sym-real", "--rank", "2", "--step", "0.5", "--trials", "5",
+     "-o", "{out}/jf.json"],
     ["check", "algebra", "--kind", "herm-complex", "--rank", "2", "--tol", "1e-3",
      "--trials", "300", "--format", "csv", "-o", "{out}/alg.csv"],
     ["check", "involution", "--kind", "sym-real", "--rank", "3", "--trials", "300"],

@@ -237,6 +237,30 @@ def test_gig_norm_constant_symmetry_and_limit():
     assert dist.gig_norm_constant_rank1(limit) == pytest.approx(0.5, rel=1e-5)
 
 
+def _gig_norm_by_quadrature(p, a, b):
+    # the integral of x^(p-1) exp(-a x - b/x) over (0, inf), after x = e^t,
+    # split at the mode of the integrand and scaled by its value there
+    t_mode = math.log((p + math.hypot(p, 2.0 * math.sqrt(a * b))) / (2.0 * a))
+    peak = p * t_mode - a * math.exp(t_mode) - b * math.exp(-t_mode)
+
+    def f(t):
+        with np.errstate(over="ignore"):
+            return np.exp(p * t - a * np.exp(t) - b * np.exp(-t) - peak)
+
+    left, _ = integrate.quad(f, -np.inf, t_mode, epsabs=0, epsrel=1e-12, limit=400)
+    right, _ = integrate.quad(f, t_mode, np.inf, epsabs=0, epsrel=1e-12, limit=400)
+    return math.exp(peak) * (left + right)
+
+
+@pytest.mark.parametrize("p", [-4.5, -1.0, -0.3, 0.5, 1.0, 2.7, 12.0, 35.0])
+@pytest.mark.parametrize("a, b", [(1e-3, 1e-8), (1.0, 1e-8), (0.7, 1.3), (25.0, 4.0),
+                                  (2.0, 150.0)])
+def test_gig_norm_constant_matches_quadrature(p, a, b):
+    params = dist.GigParams(p, scalar(a), scalar(b))
+    assert dist.gig_norm_constant_rank1(params) == pytest.approx(
+        _gig_norm_by_quadrature(p, a, b), rel=1e-12)
+
+
 def test_gig_norm_constant_rank2_unsupported():
     with pytest.raises(ValueError):
         dist.gig_norm_constant_rank1(dist.GigParams(1.0, E2, E2))

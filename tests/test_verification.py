@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symcone import algebra as ja
+from symcone import distributions as dist
 from symcone import my_transform as mt
 from symcone import serialization as ser
 from symcone import verification as ver
@@ -264,6 +265,26 @@ def test_density_factorization_identity_point_is_finite():
 def test_density_factorization_shape_guard():
     with pytest.raises(Exception):
         ver.density_factorization_check(A2, 0.5, E2, E2, n=10, seed=0)
+
+
+def test_my_property_rejects_a_shape_below_the_density_range_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a sampler ran")
+
+    monkeypatch.setattr(ver, "sample_gig", no_draws)
+    monkeypatch.setattr(ver, "sample_wishart", no_draws)
+    for p in (0.5, 0.2, float("nan")):  # dim/rank - 1 = 0.5 on sym-real r=2
+        with pytest.raises(dist.ShapeOutOfRangeError, match="dim/rank - 1 = 0.5"):
+            ver.my_property_test(A2, p, E2, E2, 2000, negative_control=True)
+
+
+def test_my_property_gates_on_the_bonferroni_constant():
+    assert ver.BONFERRONI_GATE == ver.SIGNIFICANCE / 7
+    report = ver.my_property_test(A1, 2.0, ONE, ONE, 300, seed=3, n_permutations=100,
+                                  subsample=200)
+    assert report.significance == ver.SIGNIFICANCE
+    ps = report.dcor_p_values + report.ks_p_values
+    assert report.passed == all(p > ver.BONFERRONI_GATE for p in ps)
 
 
 def test_my_property_small_run_passes():
