@@ -12,8 +12,15 @@ constants of :mod:`symcone.distributions`.  The algebra comes from the
 kernel table (``--kind`` takes the values of :class:`~symcone.algebra.Kind`).
 The rules on shapes and algebras live in the library, and their errors are
 usage errors here; the CLI adds only the rules against vacuous runs.  A check
-that leaves the cone fails under its own name and the run's algebra, and
-``suite`` goes on with its other checks (see :func:`_dispatch_reports`).
+that leaves the cone fails under its own name, the run's algebra and the
+tolerance it would have used, and ``suite`` goes on with its other checks
+(see :func:`_dispatch_reports`).
+
+Every output file (reports, sample batches, the ``.meta.json`` sidecar) is
+written by :func:`_write`: an existing file is overwritten in place, without
+``O_TRUNC``, and a regular file is then cut to the new length, so ``-o``
+also takes a pipe or a device such as ``/dev/stdout``.  A write killed part
+way leaves the new bytes followed by the old file's tail.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 results inconclusive
 (an MCMC sampler left its acceptance band), 64 usage error.
@@ -22,9 +29,11 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 results inconclusive
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -345,11 +354,37 @@ def _check_reports(cfg: RunConfig, alg: AlgebraDescriptor, what: str) -> list:
                                  n_permutations=cfg.permutations, subsample=cfg.subsample)]
 
 
+# the check whose ``tol`` default a failure report of each subcommand carries
+# when --tol is unset; ``algebra`` runs three checks and carries the first
+# one's, the 1e-10 of check_jordan_axioms (the strictest of the three)
+_DEFAULT_TOL_OF = {
+    "algebra": ver.check_jordan_axioms,
+    "hua": ver.check_hua,
+    "involution": ver.check_involution,
+    "jacobian": ver.check_jacobian,
+    "fe-cone": ver.check_fe_cone,
+    "fe-1d": ver.check_fe_univariate_abcd,
+    "factorization": ver.density_factorization_check,
+}
+
+
+def _failure_tolerance(cfg: RunConfig, what: str) -> float:
+    """The tolerance the check behind ``what`` would have used: ``--tol`` when
+    set, else its own default; ``my-property`` takes no tolerance, and its
+    failure report carries the significance level instead."""
+    if what not in _DEFAULT_TOL_OF:
+        return ver.SIGNIFICANCE
+    if cfg.tol is not None:
+        return cfg.tol
+    return inspect.signature(_DEFAULT_TOL_OF[what]).parameters["tol"].default
+
+
 def _dispatch_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
     """Reports of the run's checks.  A check that leaves the cone or meets a
     singular element (inside ``suite`` also one below the density range)
-    gives one failure report, named after it and carrying the run's algebra,
-    and the other checks still run; alone, a shape below the range raises."""
+    gives one failure report, named after it and carrying the run's algebra
+    and the tolerance the check would have used, and the other checks still
+    run; alone, a shape below the range raises."""
     suite = cfg.command == ("suite",)
     errors = (NotInConeError, SingularElementError) + ((ShapeOutOfRangeError,) if suite else ())
     reports = []
@@ -360,7 +395,7 @@ def _dispatch_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
             reports.append(ver.CheckReport(
                 check=what, algebra=alg.to_dict(), trials=0, max_residual=math.inf,
                 mean_residual=math.inf, passed=False, seed=cfg.seed,
-                tolerance=cfg.tol or 0.0, error=str(exc)))
+                tolerance=_failure_tolerance(cfg, what), error=str(exc)))
     return reports
 
 
@@ -374,7 +409,21 @@ def _run_sample(cfg: RunConfig, alg: AlgebraDescriptor):
 
 
 def _write(path: str, text: str) -> None:
-    Path(path).write_bytes(text.encode())
+    """Write ``text`` to ``path``, the one file writer of the package.
+
+    An existing file is overwritten in place and then cut to the new length,
+    instead of being opened with ``O_TRUNC``: truncating a file the host has
+    just written can block until its earlier writeback is done.  Only a
+    regular file is cut, so a pipe or a device (``-o /dev/stdout``) takes
+    the bytes as before.  A symlink is followed, and an existing file keeps
+    its inode and mode.
+    """
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), len(data))
 
 
 def _report_line(r) -> str:

@@ -26,9 +26,9 @@ route available for each family:
   needs only tr x, det x and two inner products) on every row, with the
   off-cone rows set to -inf by one ``np.where`` instead of a gather and a
   scatter; higher ranks take eigenvalues and inverses from LAPACK at every
-  step.  The step loop itself runs under one ``np.errstate`` and carries
-  each chain's RMS coordinate instead of recomputing it, so a step is a
-  handful of small array operations.
+  step.  The step loop, target calls included, runs under one
+  ``np.errstate`` and carries each chain's RMS coordinate instead of
+  recomputing it, so a step is a handful of small array operations.
 
 Each family and kind has one sampling route, chosen from the algebra.  The
 Metropolis settings (burn-in, thinning, chains, proposal scale, target
@@ -406,9 +406,10 @@ def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
     the master seed, so the merged batch (chain-major order) is reproducible
     and independent of how chains would be scheduled.
 
-    A step costs a handful of small array operations.  The whole loop runs
-    under one ``np.errstate``; each chain's RMS is carried from step to step
-    (an accepted chain takes its proposal's) instead of being recomputed;
+    A step costs a handful of small array operations.  The whole loop, and
+    the first ``log_pdf`` call before it, run under one ``np.errstate``, so
+    the target sets none of its own; each chain's RMS is carried from step
+    to step (an accepted chain takes its proposal's) instead of being recomputed;
     half the squared norm of each noise row is tabulated when the chain's
     noise is drawn; the burn-in gains are precomputed; and accepted chains
     are updated in place with ``np.copyto(..., where=acc)``.
@@ -434,12 +435,12 @@ def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
     sqrt_dim = math.sqrt(alg.dim)
     half_dim = alg.dim * 0.5
     cur = np.tile(init, (chains, 1))
-    lp_cur = log_pdf(cur)
     rms = _row_norm(cur) / sqrt_dim
     factors = np.ones(chains)
     accepted_post = np.zeros(chains)
     kept = np.empty((per_chain, chains, alg.dim))
     with np.errstate(divide="ignore", invalid="ignore"):
+        lp_cur = log_pdf(cur)
         for step in range(steps):
             std = factors * scale * rms
             prop = cur + std[:, None] * noise[step]
@@ -491,9 +492,10 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
     det x without a matrix, the cone is tr x > 0, det x > 0, and by
     Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
     <b, x^-1> = (tr x tr b - <b, x>) / det x.  It is computed on every row,
-    off-cone rows included (their log and division warnings are silenced),
-    and ``np.where`` puts -inf on the off-cone rows.  Higher ranks take the
-    eigenvalues and the inverse from LAPACK.
+    off-cone rows included, and ``np.where`` puts -inf on the off-cone rows;
+    their log and division warnings are left to the caller's ``np.errstate``
+    (:func:`_metropolis_cone` runs every call under one).  Higher ranks take
+    the eigenvalues and the inverse from LAPACK.
     """
     exponent = p - alg.dim_over_rank
 
@@ -505,10 +507,9 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
             tr = k.trace(alg, x)
             dt = k.rank2_det(alg, x)
             ok = (tr > 0.0) & (dt > 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = exponent * np.log(dt) - k.inner(alg, a_coords, x)
-                if b_coords is not None:
-                    val -= (tr * tr_b - k.inner(alg, b_coords, x)) / dt
+            val = exponent * np.log(dt) - k.inner(alg, a_coords, x)
+            if b_coords is not None:
+                val -= (tr * tr_b - k.inner(alg, b_coords, x)) / dt
             return np.where(ok, val, -np.inf)
 
         return log_pdf

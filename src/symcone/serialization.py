@@ -252,10 +252,21 @@ _REPORT_CSV_FIELDS = (
     "passed",
     "seed",
     "tolerance",
+    "error",
 )
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell, quoted (RFC 4180) when it holds a comma,
+    a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def reports_to_csv(reports: list) -> str:
+    """One header row and one row per report; the trailing ``error`` cell is
+    empty unless the check raised."""
     lines = [",".join(_REPORT_CSV_FIELDS)]
     for r in reports:
         d = r.to_dict()
@@ -265,12 +276,14 @@ def reports_to_csv(reports: list) -> str:
             if name in ("kind", "rank", "dim"):
                 cells.append(str(alg.get(name, "")))
             else:
-                v = d.get(name, "")
-                if isinstance(v, bool):
+                v = d.get(name)
+                if v is None:
+                    cells.append("")
+                elif isinstance(v, bool):
                     cells.append("true" if v else "false")
                 elif isinstance(v, float):
                     cells.append(format(v, ".17g"))
                 else:
-                    cells.append(str(v))
+                    cells.append(_csv_cell(str(v)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -1,8 +1,12 @@
 """Command-line front end: parsing, dispatch, exit codes, determinism."""
 
+import ast
+import csv
+import hashlib
 import inspect
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -264,12 +268,13 @@ def test_invalid_jacobian_step_is_usage_error(step, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def _run_cli_subprocess(*argv):
+def _run_cli_subprocess(*argv, binary=False):
     # in a child with a timeout, so a regression that hangs fails instead
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(cli.SEED_ENV_VAR, None)
     return subprocess.run([sys.executable, "-m", "symcone.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=not binary, timeout=60)
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
@@ -373,6 +378,39 @@ def test_a_check_that_leaves_the_cone_fails_under_its_name(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("[FAIL] jacobian kind=sym-real dim=3 ")
 
 
+def _leaves_the_cone(*args, **kwargs):
+    raise ja.NotInConeError("stand-in for a check that leaves the cone")
+
+
+@pytest.mark.parametrize("argv, raises, tol", [
+    (("check", "jacobian", "--step", "0.5"), None, 1e-4),
+    (("check", "jacobian", "--step", "0.5", "--tol", "1e-3"), None, 1e-3),
+    (("suite", "--p", "0.4"), None, 1e-10),
+    # algebra runs three checks and gives the first one's default
+    (("check", "algebra"), "check_det_operator_power", 1e-10),
+    (("check", "fe-1d"), "check_fe_univariate_g_alpha", 1e-8),
+    # my-property takes no tolerance and gives its significance level
+    (("test", "my-property", "-n", "10"), "my_property_test", ver.SIGNIFICANCE),
+], ids=["jacobian", "jacobian-tol", "suite-factorization", "algebra", "fe-1d", "my-property"])
+def test_a_failure_report_carries_the_tolerance_its_check_would_have_used(
+        argv, raises, tol, tmp_path, monkeypatch):
+    if raises:
+        monkeypatch.setattr(ver, raises, _leaves_the_cone)
+    out = tmp_path / "r.json"
+    assert run_cli(*argv, "--kind", "sym-real", "--rank", "2", "--trials", "5",
+                   "-o", str(out)) == 1
+    failure = json.loads(out.read_text())["reports"][-1]
+    assert failure["passed"] is False and failure["error"]
+    assert failure["tolerance"] == tol
+
+
+def test_a_jacobian_that_leaves_the_cone_prints_the_checks_tolerance(capsys):
+    assert run_cli("check", "jacobian", "--kind", "sym-real", "--rank", "2", "--step", "0.5",
+                   "--trials", "5") == 1
+    assert capsys.readouterr().out == (
+        "[FAIL] jacobian kind=sym-real dim=3 trials=0 max_residual=inf tol=0.0001\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("sample", "wishart", "-n", "10"),
     ("test", "my-property", "-n", "10"),
@@ -447,6 +485,136 @@ def test_reports_csv_format(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("check,kind,rank,dim")
     assert lines[1].startswith("involution,lorentz,2,4,100,")
+
+
+def test_reports_csv_carries_the_failure_reason(tmp_path):
+    out = tmp_path / "j.csv"
+    assert run_cli("check", "jacobian", "--kind", "sym-real", "--rank", "2", "--step", "0.5",
+                   "--trials", "5", "--format", "csv", "-o", str(out)) == 1
+    [row] = csv.DictReader(out.read_text().splitlines())
+    assert row["check"] == "jacobian" and row["passed"] == "false"
+    assert row["error"] == "perturbed point left the open cone; reduce the step"
+
+
+# ---------------------------------------------------------------------------
+# Overwriting output files: in place, then cut to length if a regular file
+# ---------------------------------------------------------------------------
+
+MANIFEST = json.loads(Path(__file__).with_name("cli_manifest.json").read_text())
+
+
+def _manifest_entry(name):
+    """The manifest call that writes the file ``name``, and the recorded
+    sha256 of every file it writes."""
+    [entry] = [e for e in MANIFEST if name in e["files"]]
+    return entry["argv"], entry["files"]
+
+
+def _run_manifest_call(argv, out):
+    return run_cli(*[a.replace("{out}", str(out)) for a in argv])
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# a sample CSV with its sidecar, a sample JSON, a check report
+OVERWRITTEN = ["w.csv", "g.json", "jac.json"]
+
+
+@pytest.mark.parametrize("stale", [b"9" * 100_000, b"#\n"], ids=["longer", "shorter"])
+@pytest.mark.parametrize("name", OVERWRITTEN)
+def test_overwriting_a_file_leaves_the_bytes_of_a_fresh_write(name, stale, tmp_path,
+                                                              monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    argv, recorded = _manifest_entry(name)
+    for file in recorded:
+        (tmp_path / file).write_bytes(stale)
+    _run_manifest_call(argv, tmp_path)
+    assert {file: _sha256(tmp_path / file) for file in recorded} == recorded
+
+
+def test_a_symlinked_output_stays_a_symlink_and_its_target_gets_the_bytes(tmp_path,
+                                                                         monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    argv, recorded = _manifest_entry("jac.json")
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 50_000)
+    (tmp_path / "jac.json").symlink_to(target)
+    assert _run_manifest_call(argv, tmp_path) == 0
+    assert (tmp_path / "jac.json").is_symlink()
+    assert _sha256(target) == recorded["jac.json"]
+
+
+def test_an_existing_file_keeps_its_mode_and_inode_and_a_new_one_gets_the_umask(tmp_path,
+                                                                                monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    argv, recorded = _manifest_entry("w.csv")
+    old = tmp_path / "w.csv"
+    old.write_bytes(b"stale\n" * 1000)
+    old.chmod(0o600)
+    inode = old.stat().st_ino
+    _run_manifest_call(argv, tmp_path)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o600 and old.stat().st_ino == inode
+    assert _sha256(old) == recorded["w.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    sidecar = tmp_path / "w.csv.meta.json"  # created by the run
+    assert stat.S_IMODE(sidecar.stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("name", ["g.json", "jac.json"])
+def test_output_to_dev_stdout_into_a_pipe_delivers_the_bytes(name):
+    # a pipe is not a regular file, so it is written and never cut to length
+    argv, recorded = _manifest_entry(name)
+    done = _run_cli_subprocess(*argv[:-1], "/dev/stdout", binary=True)
+    assert done.returncode == 0, done.stderr
+    written, status = done.stdout.rsplit(b"\n[", 1)
+    assert hashlib.sha256(written + b"\n").hexdigest() == recorded[name]
+    assert status.startswith((b"OK] ", b"PASS] "))
+
+
+def test_a_seeded_sample_written_twice_to_one_path_has_one_digest(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    argv, recorded = _manifest_entry("lw.csv")
+    digests = []
+    for _ in range(2):
+        assert _run_manifest_call(argv, tmp_path) == 0
+        digests.append({file: _sha256(tmp_path / file) for file in recorded})
+    assert digests == [recorded, recorded]
+
+
+# calls that write a file, apart from open() in a writing mode and os.open()
+_FILE_WRITERS = {"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in _FILE_WRITERS:
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in "wax+")
+
+
+def test_the_package_writes_files_only_in_cli_write():
+    writers = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # each call's innermost enclosing function
+        for func in ast.walk(tree):  # outer functions come first
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        writers.update(f"{path.stem}.{owner.get(node, '<module>')}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Call) and _writes_a_file(node))
+    assert writers == {"cli._write"}
 
 
 # ---------------------------------------------------------------------------

@@ -515,8 +515,11 @@ def test_rank2_target_is_minus_inf_off_the_open_cone(alg, scale):
     gaussian = scale * np.random.default_rng(3).standard_normal((400, alg.dim))
     for b_coords in (None, b.coords):
         target = dist._log_pdf_batch(alg, 2.3, a.coords, b_coords)
-        assert np.all(target(off_cone) == -np.inf)
-        got = target(gaussian)
+        # under the error state the sampler calls the target with: the log and
+        # division warnings of off-cone rows are the caller's to silence
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.all(target(off_cone) == -np.inf)
+            got = target(gaussian)
         ref = _reference_log_pdf_batch(alg, 2.3, a.coords, b_coords)(gaussian)
         assert not np.any(np.isnan(got))
         assert np.array_equal(got == -np.inf, ref == -np.inf)

@@ -1,6 +1,8 @@
 """Round trips and determinism of the JSON/CSV forms."""
 
+import csv
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -89,6 +91,20 @@ def test_reports_csv_shape():
     lines = text.strip().splitlines()
     assert lines[0].startswith("check,kind,rank,dim,")
     assert lines[1].startswith("hua-identity,sym-real,2,3,50,")
+
+
+def test_reports_csv_error_cell_is_empty_or_quoted():
+    from symcone import verification as ver
+
+    r = ver.check_hua(ja.sym_real(2), n=50, seed=0)
+    error = 'left the cone, at "x", twice'
+    text = ser.reports_to_csv([r, replace(r, passed=False, error=error)])
+    lines = text.splitlines()
+    assert lines[0].endswith(",tolerance,error")
+    assert lines[1].endswith(",1e-08,")
+    assert lines[2].endswith(',1e-08,"left the cone, at ""x"", twice"')
+    rows = list(csv.DictReader(text.splitlines()))
+    assert [row["error"] for row in rows] == ["", error]
 
 
 # ---------------------------------------------------------------------------
