@@ -643,22 +643,14 @@ def in_cone(x: Element) -> bool:
     return bool(np.min(eigenvalues(x)) > 0.0)
 
 
-def singular_threshold(lam: np.ndarray, threshold: float | None = None) -> float:
-    """Scale-aware singularity cutoff for a set of eigenvalues."""
-    if threshold is not None:
-        return threshold
-    return SINGULAR_RTOL * float(np.max(np.abs(lam)))
-
-
-def inverse(x: Element, threshold: float | None = None) -> Element:
+def inverse(x: Element) -> Element:
     """Spectral inverse; raises SingularElementError near-singular elements.
 
-    The default cutoff is SINGULAR_RTOL * max |eigenvalue|, so it scales
-    with the element and a multiple of the identity is never singular; pass
-    ``threshold`` to override it with an absolute value.
+    The cutoff is SINGULAR_RTOL * max |eigenvalue|, so it scales with the
+    element and a multiple of the identity is never singular.
     """
     lam = eigenvalues(x)
-    if np.min(np.abs(lam)) <= singular_threshold(lam, threshold):
+    if np.min(np.abs(lam)) <= SINGULAR_RTOL * float(np.max(np.abs(lam))):
         raise SingularElementError(
             f"eigenvalue magnitude {np.min(np.abs(lam)):.3e} below cutoff"
         )

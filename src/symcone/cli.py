@@ -11,19 +11,25 @@ where the default is null.  The Metropolis settings are not options: they are th
 constants of :mod:`symcone.distributions`.  The algebra comes from the
 kernel table (``--kind`` takes the values of :class:`~symcone.algebra.Kind`).
 The rules on shapes and algebras live in the library, and their errors are
-usage errors here; the CLI adds only the rules against vacuous runs.  A check
-that leaves the cone fails under its own name, the run's algebra and the
-tolerance it would have used, and ``suite`` goes on with its other checks
-(see :func:`_dispatch_reports`).
+usage errors here; the CLI adds only the rules against vacuous runs.
+
+The check subcommands (``check <what>``, ``test my-property``) are the rows of
+one table, :data:`_CHECKS`, which the parser, ``suite`` and the failure
+reports read, so adding a check is one row.  A check that leaves the cone
+fails under its own name, the run's algebra and the tolerance it would have
+used, and ``suite`` goes on with its other checks.
 
 Every output file (reports, sample batches, the ``.meta.json`` sidecar) is
 written by :func:`_write`: an existing file is overwritten in place, without
 ``O_TRUNC``, and a regular file is then cut to the new length, so ``-o``
 also takes a pipe or a device such as ``/dev/stdout``.  A write killed part
-way leaves the new bytes followed by the old file's tail.
+way leaves the new bytes followed by the old file's tail.  An ``-o`` that is
+a directory or lies in a missing one is a usage error before any work, and
+a write that fails is one too, naming the path and the reason.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 results inconclusive
-(an MCMC sampler left its acceptance band), 64 usage error.
+Exit codes (:func:`_status`): 0 all checks passed, 1 a check failed, 2
+results inconclusive (an MCMC sampler left its acceptance band), 64 usage
+error.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from .algebra import (
 )
 from .distributions import (
     GigParams,
+    SampleBatch,
     ShapeOutOfRangeError,
     WishartParams,
     sample_gig,
@@ -161,17 +168,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = _common_parser()
     sub = parser.add_subparsers(dest="command", required=True)
-    check = sub.add_parser("check", help="run one verification check")
-    check_sub = check.add_subparsers(dest="what", required=True)
-    for name in ("algebra", "hua", "involution", "jacobian", "fe-cone", "fe-1d", "factorization"):
-        check_sub.add_parser(name, parents=[common])
-    sample = sub.add_parser("sample", help="draw from a cone distribution")
-    sample_sub = sample.add_subparsers(dest="what", required=True)
-    for name in ("wishart", "gig"):
-        sample_sub.add_parser(name, parents=[common])
-    test = sub.add_parser("test", help="statistical property tests")
-    test_sub = test.add_subparsers(dest="what", required=True)
-    test_sub.add_parser("my-property", parents=[common])
+    groups = {
+        group: sub.add_parser(group, help=text).add_subparsers(dest="what", required=True)
+        for group, text in (("check", "run one verification check"),
+                            ("sample", "draw from a cone distribution"),
+                            ("test", "statistical property tests"))
+    }
+    for group, name in (*_CHECKS, ("sample", "wishart"), ("sample", "gig")):
+        groups[group].add_parser(name, parents=[common])
     sub.add_parser("suite", parents=[common], help="run every residual check")
     return parser
 
@@ -252,6 +256,13 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"permutations must be >= 1, got {cfg.permutations}")
     if cfg.subsample is not None and cfg.subsample < 2:
         raise UsageError(f"subsample must be >= 2, got {cfg.subsample}")
+    # an -o found unwritable only after the work would lose the work
+    if cfg.output:
+        out = Path(cfg.output)
+        if out.is_dir():
+            raise UsageError(f"cannot write {out}: it is a directory")
+        if not out.parent.is_dir():
+            raise UsageError(f"cannot write {out}: no directory {out.parent}")
     if cfg.command == ("test", "my-property"):
         if cfg.n < 2:
             raise UsageError(f"my-property needs n >= 2, got {cfg.n}")
@@ -273,110 +284,82 @@ def _algebra(cfg: RunConfig) -> AlgebraDescriptor:
         raise UsageError(str(exc)) from exc
 
 
-def _shape_p(cfg: RunConfig, alg: AlgebraDescriptor) -> float:
-    return cfg.p if cfg.p is not None else alg.dim_over_rank
+def _shape_and_scales(cfg: RunConfig, alg: AlgebraDescriptor, names: str = "ab") -> tuple:
+    """The shape p (``--p``, else dim/rank), then the elements ``--a`` and
+    ``--b`` that ``names`` lists, each of which must lie in the open cone."""
+    scales = []
+    for name in names:
+        scales.append(parse_element(getattr(cfg, name), alg))
+        if not in_cone(scales[-1]):
+            raise UsageError(f"--{name} must lie in the open cone")
+    return (cfg.p if cfg.p is not None else alg.dim_over_rank, *scales)
 
 
-def _cone_param(cfg, name, alg) -> Element:
-    el = parse_element(getattr(cfg, name), alg)
-    if not in_cone(el):
-        raise UsageError(f"--{name} must lie in the open cone")
-    return el
+def _per_set(one_set):
+    """The reports of ``one_set(alg, rng, kw)`` for each of the ``--sets``
+    random constant sets; set i draws from one generator seeded with the
+    run's seed and checks at seed + i."""
+    def reports(cfg: RunConfig, alg: AlgebraDescriptor, kw: dict) -> list:
+        rng = np.random.default_rng(cfg.seed)
+        return [r for i in range(cfg.sets)
+                for r in one_set(alg, rng, {**kw, "seed": cfg.seed + i})]
+    return reports
 
 
-def _fe_cone_reports(cfg: RunConfig, alg: AlgebraDescriptor, tol: dict) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    reports = []
-    for i in range(cfg.sets):
-        k = ver.random_fe_constants(alg, rng)
-        kw = {"n": cfg.trials, "seed": cfg.seed + i, **tol}
-        reports += [
-            ver.check_cauchy_additive(alg, k.f, **kw),
+@_per_set
+def _fe_cone_reports(alg, rng, kw) -> list:
+    k = ver.random_fe_constants(alg, rng)
+    return [ver.check_cauchy_additive(alg, k.f, **kw),
             ver.check_pexider_log(alg, k.q, k.gamma1, k.gamma2, **kw),
-            ver.check_fe_cone(alg, k, **kw),
-        ]
-    return reports
+            ver.check_fe_cone(alg, k, **kw)]
 
 
-def _fe_1d_reports(cfg: RunConfig, tol: dict) -> list:
-    rng = np.random.default_rng(cfg.seed)
-    reports = []
-    for i in range(cfg.sets):
-        constants = ver.random_fe1d_constants(rng)
-        univariate = {
-            "A": rng.uniform(-3, 3),
-            "B": rng.uniform(-3, 3),
-            "C": rng.uniform(-5, 5),
-            "D": rng.uniform(-5, 5),
-        }
-        kw = {"n": cfg.trials, "seed": cfg.seed + i, **tol}
-        reports += [
-            ver.check_fe_univariate_abcd(constants, **kw),
-            ver.check_fe_univariate_g_alpha(univariate, **kw),
-        ]
-    return reports
+@_per_set
+def _fe_1d_reports(alg, rng, kw) -> list:
+    constants = ver.random_fe1d_constants(rng)
+    univariate = {"A": rng.uniform(-3, 3), "B": rng.uniform(-3, 3),
+                  "C": rng.uniform(-5, 5), "D": rng.uniform(-5, 5)}
+    return [ver.check_fe_univariate_abcd(constants, **kw),
+            ver.check_fe_univariate_g_alpha(univariate, **kw)]
 
 
-# the check subcommands that ``suite`` runs, in its report order
-_SUITE = ("algebra", "hua", "involution", "jacobian", "fe-cone", "fe-1d", "factorization")
+def _jacobian_reports(cfg: RunConfig, alg: AlgebraDescriptor, kw: dict) -> list:
+    # at most 200 trials, 100 in ``suite``
+    cap = 100 if cfg.command == ("suite",) else 200
+    return [ver.check_jacobian(alg, **{**kw, "n": min(cfg.trials, cap)}, step=cfg.step)]
 
 
-def _check_reports(cfg: RunConfig, alg: AlgebraDescriptor, what: str) -> list:
-    """Reports of ``check <what>`` or ``test my-property``; the Jacobian runs
-    at most 200 trials, 100 in ``suite``.  A check gets ``tol`` only when it
-    was set, and otherwise keeps its own default."""
-    tol = {} if cfg.tol is None else {"tol": cfg.tol}
-    kw = {"n": cfg.trials, "seed": cfg.seed, **tol}
-    if what == "algebra":
-        return [
-            ver.check_jordan_axioms(alg, **kw),
-            ver.check_det_product_rule(alg, **kw),
-            ver.check_det_operator_power(alg, **kw),
-        ]
-    if what == "hua":
-        return [ver.check_hua(alg, **kw)]
-    if what == "involution":
-        return [ver.check_involution(alg, **kw)]
-    if what == "jacobian":
-        cap = 100 if cfg.command == ("suite",) else 200
-        return [ver.check_jacobian(alg, n=min(cfg.trials, cap), seed=cfg.seed,
-                                   step=cfg.step, **tol)]
-    if what == "fe-cone":
-        return _fe_cone_reports(cfg, alg, tol)
-    if what == "fe-1d":
-        return _fe_1d_reports(cfg, tol)
-    p = _shape_p(cfg, alg)
-    a = _cone_param(cfg, "a", alg)
-    b = _cone_param(cfg, "b", alg)
-    if what == "factorization":
-        return [ver.density_factorization_check(alg, p, a, b, **kw)]
-    return [ver.my_property_test(alg, p, a, b, cfg.n, seed=cfg.seed,
-                                 n_permutations=cfg.permutations, subsample=cfg.subsample)]
-
-
-# the check whose ``tol`` default a failure report of each subcommand carries
-# when --tol is unset; ``algebra`` runs three checks and carries the first
-# one's, the 1e-10 of check_jordan_axioms (the strictest of the three)
-_DEFAULT_TOL_OF = {
-    "algebra": ver.check_jordan_axioms,
-    "hua": ver.check_hua,
-    "involution": ver.check_involution,
-    "jacobian": ver.check_jacobian,
-    "fe-cone": ver.check_fe_cone,
-    "fe-1d": ver.check_fe_univariate_abcd,
-    "factorization": ver.density_factorization_check,
+# command -> (its reports from (cfg, alg, kw), the check whose ``tol`` default
+# a failure report carries); kw holds n, seed and, only when set, tol.
+# ``suite`` runs the ``check`` rows in this order.  ``algebra`` carries the
+# 1e-10 of check_jordan_axioms, the strictest of its three checks; None
+# (``my-property``) carries the significance level.
+_CHECKS = {
+    ("check", "algebra"): (lambda cfg, alg, kw: [
+        ver.check_jordan_axioms(alg, **kw), ver.check_det_product_rule(alg, **kw),
+        ver.check_det_operator_power(alg, **kw)], ver.check_jordan_axioms),
+    ("check", "hua"): (lambda cfg, alg, kw: [ver.check_hua(alg, **kw)], ver.check_hua),
+    ("check", "involution"): (lambda cfg, alg, kw: [ver.check_involution(alg, **kw)],
+                              ver.check_involution),
+    ("check", "jacobian"): (_jacobian_reports, ver.check_jacobian),
+    ("check", "fe-cone"): (_fe_cone_reports, ver.check_fe_cone),
+    ("check", "fe-1d"): (_fe_1d_reports, ver.check_fe_univariate_abcd),
+    ("check", "factorization"): (lambda cfg, alg, kw: [ver.density_factorization_check(
+        alg, *_shape_and_scales(cfg, alg), **kw)], ver.density_factorization_check),
+    ("test", "my-property"): (lambda cfg, alg, kw: [ver.my_property_test(
+        alg, *_shape_and_scales(cfg, alg), cfg.n, seed=cfg.seed,
+        n_permutations=cfg.permutations, subsample=cfg.subsample)], None),
 }
 
 
-def _failure_tolerance(cfg: RunConfig, what: str) -> float:
-    """The tolerance the check behind ``what`` would have used: ``--tol`` when
-    set, else its own default; ``my-property`` takes no tolerance, and its
-    failure report carries the significance level instead."""
-    if what not in _DEFAULT_TOL_OF:
+def _failure_tolerance(cfg: RunConfig, tol_of) -> float:
+    """The tolerance of a failure report: ``--tol`` when set, else the
+    default of the check ``tol_of``; the significance level without one."""
+    if tol_of is None:
         return ver.SIGNIFICANCE
     if cfg.tol is not None:
         return cfg.tol
-    return inspect.signature(_DEFAULT_TOL_OF[what]).parameters["tol"].default
+    return inspect.signature(tol_of).parameters["tol"].default
 
 
 def _dispatch_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
@@ -387,25 +370,24 @@ def _dispatch_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
     run; alone, a shape below the range raises."""
     suite = cfg.command == ("suite",)
     errors = (NotInConeError, SingularElementError) + ((ShapeOutOfRangeError,) if suite else ())
+    kw = {"n": cfg.trials, "seed": cfg.seed, **({} if cfg.tol is None else {"tol": cfg.tol})}
     reports = []
-    for what in _SUITE if suite else cfg.command[1:]:
+    for command in [c for c in _CHECKS if c[0] == "check"] if suite else [cfg.command]:
+        check_reports, tol_of = _CHECKS[command]
         try:
-            reports += _check_reports(cfg, alg, what)
+            reports += check_reports(cfg, alg, kw)
         except errors as exc:
             reports.append(ver.CheckReport(
-                check=what, algebra=alg.to_dict(), trials=0, max_residual=math.inf,
+                check=command[1], algebra=alg.to_dict(), trials=0, max_residual=math.inf,
                 mean_residual=math.inf, passed=False, seed=cfg.seed,
-                tolerance=_failure_tolerance(cfg, what), error=str(exc)))
+                tolerance=_failure_tolerance(cfg, tol_of), error=str(exc)))
     return reports
 
 
 def _run_sample(cfg: RunConfig, alg: AlgebraDescriptor):
-    p = _shape_p(cfg, alg)
-    a = _cone_param(cfg, "a", alg)
     if cfg.command[1] == "wishart":
-        return sample_wishart(WishartParams(p, a), cfg.seed, cfg.n)
-    b = _cone_param(cfg, "b", alg)
-    return sample_gig(GigParams(p, a, b), cfg.seed, cfg.n)
+        return sample_wishart(WishartParams(*_shape_and_scales(cfg, alg, "a")), cfg.seed, cfg.n)
+    return sample_gig(GigParams(*_shape_and_scales(cfg, alg)), cfg.seed, cfg.n)
 
 
 def _write(path: str, text: str) -> None:
@@ -416,42 +398,47 @@ def _write(path: str, text: str) -> None:
     just written can block until its earlier writeback is done.  Only a
     regular file is cut, so a pipe or a device (``-o /dev/stdout``) takes
     the bytes as before.  A symlink is followed, and an existing file keeps
-    its inode and mode.
+    its inode and mode.  A path that cannot be written is a usage error.
     """
     data = text.encode()
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            os.ftruncate(fh.fileno(), len(data))
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), len(data))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _report_line(r) -> str:
+def _status(items: list) -> tuple[list[str], int]:
+    """The status word of each report or sample batch, and the run's exit code.
+
+    A batch is OK and a report PASS or FAIL, and either is INCONCLUSIVE when
+    a Metropolis sampler left its acceptance band.  The exit code is 1 if
+    any word is FAIL, else 2 if any is INCONCLUSIVE, else 0.
+    """
+    words = []
+    for item in items:
+        if isinstance(item, SampleBatch):
+            word = "INCONCLUSIVE" if item.mcmc is not None and item.mcmc["diverged"] else "OK"
+        elif isinstance(item, ver.IndependenceReport) and item.inconclusive:
+            word = "INCONCLUSIVE"
+        else:
+            word = "PASS" if item.passed else "FAIL"
+        words.append(word)
+    return words, 1 if "FAIL" in words else 2 if "INCONCLUSIVE" in words else 0
+
+
+def _report_line(r, status: str) -> str:
     if isinstance(r, ver.IndependenceReport):
-        status = "INCONCLUSIVE" if r.inconclusive else ("PASS" if r.passed else "FAIL")
         min_p = min(r.dcor_p_values + r.ks_p_values)
         return (f"[{status}] {r.check} kind={r.algebra['kind']} n={r.n} "
                 f"seed={r.seed} min_p={min_p:.4g} significance={r.significance:g}")
-    status = "PASS" if r.passed else "FAIL"
     alg = r.algebra
     where = f"kind={alg['kind']} dim={alg['dim']}" if alg else "univariate"
     return (f"[{status}] {r.check} {where} trials={r.trials} "
             f"max_residual={r.max_residual:.4g} tol={r.tolerance:g}")
-
-
-def _exit_code(reports: list) -> int:
-    hard_fail = False
-    inconclusive = False
-    for r in reports:
-        if isinstance(r, ver.IndependenceReport) and r.inconclusive:
-            inconclusive = True
-        elif not r.passed:
-            hard_fail = True
-    if hard_fail:
-        return 1
-    if inconclusive:
-        return 2
-    return 0
 
 
 def run(argv) -> int:
@@ -473,24 +460,25 @@ def run(argv) -> int:
                            ser.dumps_canonical(ser.batch_metadata(batch)) + "\n")
                 else:
                     _write(cfg.output, ser.batch_to_json(batch))
+            [status], code = _status([batch])
             rate = "" if batch.mcmc is None else f" accept={batch.mcmc['acceptance_rate']:.3f}"
-            diverged = batch.mcmc is not None and batch.mcmc["diverged"]
-            print(f"[{'INCONCLUSIVE' if diverged else 'OK'}] sample {cfg.command[1]} "
+            print(f"[{status}] sample {cfg.command[1]} "
                   f"method={batch.method} n={batch.n} seed={batch.seed}{rate}")
-            return 2 if diverged else 0
+            return code
         reports = _dispatch_reports(cfg, alg)
+        if cfg.output:
+            if cfg.format == "csv":
+                _write(cfg.output, ser.reports_to_csv(reports))
+            else:
+                _write(cfg.output, ser.reports_to_json(reports))
     except (UsageError, ShapeOutOfRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
 
-    if cfg.output:
-        if cfg.format == "csv":
-            _write(cfg.output, ser.reports_to_csv(reports))
-        else:
-            _write(cfg.output, ser.reports_to_json(reports))
-    for r in reports:
-        print(_report_line(r))
-    return _exit_code(reports)
+    statuses, code = _status(reports)
+    for r, status in zip(reports, statuses):
+        print(_report_line(r, status))
+    return code
 
 
 def main() -> None:

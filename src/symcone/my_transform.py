@@ -5,7 +5,8 @@ its own inverse.  :func:`batch_my_map` is the one batched form of the map:
 the finite-difference Jacobian and every check of :mod:`symcone.verification`
 that maps points call it.  This module also provides the nested-inverse
 rewrite of its second component (Hua's identity) and the change-of-variables
-Jacobian of the map, both in closed form and as a finite-difference oracle.
+Jacobian of the map, in closed form (also as a log) and as a
+finite-difference oracle.
 The Jacobian functions come in ``batch_*`` variants over stacked
 coordinates; the element-level ones are thin wrappers around them.
 """
@@ -89,6 +90,13 @@ def batch_jacobian_det_formula(alg: AlgebraDescriptor, u, v) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     return (batch_det(alg, u) * batch_det(alg, u + v)) ** (-2.0 * alg.dim / alg.rank)
+
+
+def batch_log_jacobian_det(alg: AlgebraDescriptor, u, v) -> np.ndarray:
+    """-2 (dim/rank) (log det u + log det(u+v)), the log of
+    :func:`batch_jacobian_det_formula`, which stays finite where that
+    overflows; it does not check cone membership."""
+    return -2.0 * alg.dim_over_rank * (np.log(batch_det(alg, u)) + np.log(batch_det(alg, u + v)))
 
 
 def _psi_coords(alg: AlgebraDescriptor, z: np.ndarray) -> np.ndarray:

@@ -49,7 +49,12 @@ from .distributions import (
     sample_gig,
     sample_wishart,
 )
-from .my_transform import batch_jacobian_det_formula, batch_jacobian_det_numeric, batch_my_map
+from .my_transform import (
+    batch_jacobian_det_formula,
+    batch_jacobian_det_numeric,
+    batch_log_jacobian_det,
+    batch_my_map,
+)
 
 SIGNIFICANCE = 0.01
 
@@ -440,8 +445,8 @@ def density_factorization_check(
     lhs = (batch_gig_log_unnorm(alg, -p, left_b, left_a, u)
            + batch_wishart_log_unnorm(alg, p, left_b, v))
     x, y = batch_my_map(alg, u, v)
-    jac = -2.0 * alg.dim_over_rank * (np.log(batch_det(alg, u)) + np.log(batch_det(alg, u + v)))
-    rhs = jac + batch_gig_log_unnorm(alg, -p, ac, bc, x) + batch_wishart_log_unnorm(alg, p, ac, y)
+    rhs = (batch_log_jacobian_det(alg, u, v)
+           + batch_gig_log_unnorm(alg, -p, ac, bc, x) + batch_wishart_log_unnorm(alg, p, ac, y))
     diff = lhs - rhs
     residuals = np.abs(diff - diff.mean())
     return _report("density-factorization", alg, residuals, tol, seed)

@@ -299,9 +299,6 @@ def test_inverse_singular():
         ja.inverse(ja.from_matrix(a2, np.diag([1.0, 1e-15])))
     with pytest.raises(ja.SingularElementError):
         ja.inverse(ja.zero(a2))
-    # explicit threshold override admits small eigenvalues
-    x = ja.inverse(ja.from_matrix(a2, np.diag([1.0, 1e-6])), threshold=1e-9)
-    assert np.allclose(ja.to_matrix(x), np.diag([1.0, 1e6]))
 
 
 @pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=IDS)

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import errno
 import hashlib
 import inspect
 import json
@@ -100,6 +101,30 @@ def test_suite_runs_all_residual_checks(tmp_path):
     assert code == 0
     names = {r["check"] for r in json.loads(out.read_text())["reports"]}
     assert names == set(CHECKS)
+
+
+# the check subcommands, in the order ``suite`` runs them
+CHECK_SUBCOMMANDS = ["algebra", "hua", "involution", "jacobian", "fe-cone", "fe-1d",
+                     "factorization"]
+
+
+def test_suite_equals_its_check_subcommands_run_one_after_another(tmp_path):
+    flags = ("--kind", "lorentz", "--dim", "4", "--trials", "60", "--seed", "3")
+    out = tmp_path / "s.json"
+    assert run_cli("suite", *flags, "-o", str(out)) == 0
+    one_by_one = []
+    for what in CHECK_SUBCOMMANDS:
+        assert run_cli("check", what, *flags, "-o", str(tmp_path / "c.json")) == 0
+        one_by_one += json.loads((tmp_path / "c.json").read_text())["reports"]
+    assert json.loads(out.read_text())["reports"] == one_by_one
+    assert len(one_by_one) == 12
+
+
+def test_each_check_subcommand_is_named_once_in_the_cli():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    constants = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)]
+    assert {what: constants.count(what) for what in CHECK_SUBCOMMANDS} == dict.fromkeys(
+        CHECK_SUBCOMMANDS, 1)
 
 
 @pytest.mark.parametrize("tol", [None, "1e-3"])
@@ -572,6 +597,53 @@ def test_output_to_dev_stdout_into_a_pipe_delivers_the_bytes(name):
     written, status = done.stdout.rsplit(b"\n[", 1)
     assert hashlib.sha256(written + b"\n").hexdigest() == recorded[name]
     assert status.startswith((b"OK] ", b"PASS] "))
+
+
+# each call, and the function that does its work
+UNWRITABLE_CALLS = {
+    "check-hua": (("check", "hua", "--kind", "sym-real", "--rank", "2", "--trials", "10"),
+                  ver, "check_hua"),
+    "sample-wishart-csv": (("sample", "wishart", "-n", "10", "--format", "csv"),
+                           cli, "sample_wishart"),
+}
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before -o was checked")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("call", UNWRITABLE_CALLS)
+def test_an_output_path_that_cannot_be_written_is_a_usage_error_before_the_work(
+        call, where, tmp_path, monkeypatch, capsys):
+    argv, module, work = UNWRITABLE_CALLS[call]
+    monkeypatch.setattr(module, work, _must_not_run)
+    if where == "directory":
+        (tmp_path / "out").mkdir()
+        path, reason = tmp_path / "out", "it is a directory"
+    else:
+        path, reason = tmp_path / "missing" / "x.json", f"no directory {tmp_path / 'missing'}"
+    assert run_cli(*argv, "-o", str(path)) == 64
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: cannot write {path}: {reason}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.rglob("*")] == (["out"] if where == "directory" else [])
+
+
+@pytest.mark.parametrize("call", UNWRITABLE_CALLS)
+def test_a_failing_write_is_a_usage_error_with_the_path_and_the_reason(
+        call, tmp_path, monkeypatch, capsys):
+    argv, _, _ = UNWRITABLE_CALLS[call]
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "open", no_space)
+    path = tmp_path / "x.out"
+    assert run_cli(*argv, "-o", str(path)) == 64
+    assert capsys.readouterr().err == (
+        f"usage error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_seeded_sample_written_twice_to_one_path_has_one_digest(tmp_path, monkeypatch):

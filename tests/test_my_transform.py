@@ -186,6 +186,26 @@ def test_batch_jacobian_matches_per_point(alg):
         assert formula == pytest.approx(mt.jacobian_det_formula(ue, ve), rel=1e-14)
 
 
+@pytest.mark.parametrize("alg", KINDS + [ja.sym_real(1), ja.herm_complex(3)],
+                         ids=IDS + ["sym-real-dim1", "herm-complex-dim9"])
+def test_log_jacobian_is_the_log_of_the_closed_form(alg):
+    rng = np.random.default_rng(9)
+    u = ja.random_cone_points_banded(alg, rng, 200)
+    v = ja.random_cone_points_banded(alg, rng, 200)
+    np.testing.assert_allclose(mt.batch_log_jacobian_det(alg, u, v),
+                               np.log(mt.batch_jacobian_det_formula(alg, u, v)), rtol=1e-12)
+
+
+def test_log_jacobian_stays_finite_where_the_closed_form_overflows():
+    alg = ja.herm_complex(4)
+    u = 1e-5 * ja.identity(alg).coords
+    with np.errstate(over="ignore"):
+        assert mt.batch_jacobian_det_formula(alg, u, u) == np.inf
+    # det u = 1e-20 and det 2u = 16e-20, to the power -2 dim/rank = -8
+    expected = -8.0 * (np.log(1e-20) + np.log(16e-20))
+    assert mt.batch_log_jacobian_det(alg, u, u) == pytest.approx(expected, rel=1e-12)
+
+
 def test_inversion_derivative_block():
     # top-left block of the map's Jacobian is the derivative of u -> (u+v)^-1,
     # which must equal -P((u+v)^-1)
