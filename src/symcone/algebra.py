@@ -24,6 +24,15 @@ maps each :class:`Kind` to its kernels: the spin-factor formulas for
 functions look their kernel up in that table and hold no per-kind branch;
 :func:`kernels` gives other modules the same entry.
 
+Determinants and inverses are closed forms wherever one exists: on the spin
+factor, and on the matrix kinds at rank <= 3 (adjugate and cofactor
+expansion, complex entries multiplied out in real arithmetic).  Both run on
+rows rescaled by a power of two and scale the result back, so an inverse
+holds from 1e-300 to 1e300 and a determinant outside the double range is
+inf or 0, never nan.  The matrix kinds at rank >= 4 take both from LAPACK,
+as they take their eigenvalues and square roots at every rank.  Banded cone
+points come from Gram-Schmidt, with no LAPACK call.
+
 All functions are pure.  The ``batch_*`` variants accept coordinate arrays
 with arbitrary leading axes and operate elementwise over them; the
 element-level API is a thin wrapper around them.
@@ -190,7 +199,12 @@ def _pow2_rows(a):
     bits as on the raw rows, while its squares can neither overflow nor
     turn subnormal.
     """
-    _, k = np.frexp(np.max(np.abs(a), axis=-1))  # inf and nan rows get k = 0
+    # one np.maximum per coordinate: a max over the short last axis takes
+    # several times longer on a batch
+    top = np.abs(a[..., 0])
+    for j in range(1, a.shape[-1]):
+        top = np.maximum(top, np.abs(a[..., j]))
+    _, k = np.frexp(top)  # inf and nan rows get k = 0
     return np.ldexp(a, -k[..., None]), k
 
 
@@ -327,10 +341,41 @@ def _offdiag_pairs(rank: int):
     return np.array(rows, dtype=int), np.array(cols, dtype=int)
 
 
+def _entry_dot(x, y):
+    """Re(x conj(y)) of two off-diagonal entries, each a tuple of its real
+    part and, over the complex field, its imaginary part."""
+    return x[0] * y[0] if len(x) == 1 else x[0] * y[0] + x[1] * y[1]
+
+
+def _entry_mul(x, y, conj=False):
+    """x y, or x conj(y) with ``conj``, of two entries as :func:`_entry_dot`
+    takes them, multiplied out in real arithmetic."""
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    if conj:
+        return (x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1])
+    return (x[0] * y[0] - x[1] * y[1], x[1] * y[0] + x[0] * y[1])
+
+
 class _MatrixForm:
     """Kernels of the Hermitian r x r matrices over ``field`` (float or
-    complex), computed on the matrix form.  A complex off-diagonal entry
-    takes two coordinates, real part first."""
+    complex).  A complex off-diagonal entry takes two coordinates, real part
+    first.
+
+    At rank <= 3 the determinant and the inverse are closed forms on the
+    coordinates, with no matrix built: the adjugate (Cayley-Hamilton; at rank
+    1 it is 1, at rank 2 (d2, d1, -o)) and the cofactor expansion along the
+    first row, which at rank 2 is ``rank2_det``.  Complex entries are
+    multiplied out in real and imaginary parts and every sum is written out,
+    so a row gives the same bits alone as inside a batch.  Both run on rows
+    rescaled by :func:`_pow2_rows` and scale the result back, so an inverse
+    holds from 1e-300 to 1e300 and a determinant outside the double range is
+    inf or 0.  An exactly singular row gives det 0 and a non-finite inverse
+    row, as on the spin factor, where LAPACK raised for the whole batch.
+    Rank >= 4 has no closed form and takes both from LAPACK, as do the
+    eigenvalues, the square root and the spectral decomposition at every
+    rank.
+    """
 
     def __init__(self, field, make):
         self.field = field
@@ -395,9 +440,54 @@ class _MatrixForm:
     def trace(self, alg, a):
         return np.add.reduce(a[..., : alg.rank], axis=-1)
 
+    def _entries(self, alg, s):
+        """Diagonal coordinates and off-diagonal entries of rows ``s``, the
+        entries in coordinate order, each as :func:`_entry_dot` takes it."""
+        r, w = alg.rank, 2 if self.field is complex else 1
+        diag = [s[..., i] for i in range(r)]
+        off = [tuple(s[..., j] for j in range(i, i + w)) for i in range(r, alg.dim, w)]
+        return diag, off
+
+    def _adjugate(self, alg, s):
+        """Adjugate coordinates of rows ``s`` at rank <= 3."""
+        adj = np.empty_like(s)
+        if alg.rank == 1:
+            adj[...] = 1.0
+        elif alg.rank == 2:
+            adj[..., 0], adj[..., 1], adj[..., 2:] = s[..., 1], s[..., 0], -s[..., 2:]
+        else:
+            (d1, d2, d3), (o12, o13, o23) = self._entries(alg, s)
+            adj[..., 0] = d2 * d3 - 0.5 * _entry_dot(o23, o23)
+            adj[..., 1] = d1 * d3 - 0.5 * _entry_dot(o13, o13)
+            adj[..., 2] = d1 * d2 - 0.5 * _entry_dot(o12, o12)
+            # an off-diagonal coordinate is sqrt 2 times its matrix entry
+            cofactors = ((_entry_mul(o13, o23, conj=True), d3, o12),
+                         (_entry_mul(o12, o23), d2, o13),
+                         (_entry_mul(o13, o12, conj=True), d1, o23))
+            j = 3
+            for prod, d, o in cofactors:
+                for c in range(len(o)):
+                    adj[..., j] = prod[c] / _SQRT2 - d * o[c]
+                    j += 1
+        return adj
+
+    def _expand(self, alg, s, adj):
+        """Determinant of rows ``s`` by the cofactor expansion along the first
+        row, from their adjugate coordinates ``adj``."""
+        (d1, *_), off = self._entries(alg, s)
+        _, adj_off = self._entries(alg, adj)
+        out = d1 * adj[..., 0]
+        if alg.rank > 1:
+            # the first row's r - 1 entries come first in coordinate order
+            out += 0.5 * sum(_entry_dot(o, c) for o, c in zip(off[: alg.rank - 1], adj_off))
+        return out
+
     def det(self, alg, a):
-        d = np.linalg.det(self.to_matrices(alg, a))
-        return d.real if np.iscomplexobj(d) else d
+        if alg.rank > 3:
+            d = np.linalg.det(self.to_matrices(alg, a))
+            return d.real if np.iscomplexobj(d) else d
+        s, k = _pow2_rows(a)
+        return np.ldexp(self._expand(alg, s, self._adjugate(alg, s)), alg.rank * k)
 
     def rank2_det(self, alg, a):
         """Closed-form determinant at rank 2: d1 d2 - |off|^2 / 2."""
@@ -407,7 +497,11 @@ class _MatrixForm:
         return np.linalg.eigvalsh(self.to_matrices(alg, a))[..., ::-1]
 
     def inverse(self, alg, a):
-        return self.from_matrices(alg, np.linalg.inv(self.to_matrices(alg, a)))
+        if alg.rank > 3:
+            return self.from_matrices(alg, np.linalg.inv(self.to_matrices(alg, a)))
+        s, k = _pow2_rows(a)
+        adj = self._adjugate(alg, s)
+        return np.ldexp(adj / self._expand(alg, s, adj)[..., None], -k[..., None])
 
     def quad_apply(self, alg, a, b):
         ma = self.to_matrices(alg, a)
@@ -439,14 +533,25 @@ class _MatrixForm:
                           for k in order]
 
     def banded(self, alg, rng, n, lo, hi):
+        """lam_r e + sum_{j<r} (lam_j - lam_r) q_j q_j*, with q_j the columns
+        that modified Gram-Schmidt makes of a Gaussian matrix g.  They equal
+        the QR columns of g up to a phase each, which q_j q_j* does not see."""
         r = alg.rank
         g = rng.standard_normal((n, r, r))
         if self.field is complex:
             g = g + 1j * rng.standard_normal((n, r, r))
-        q, _ = np.linalg.qr(g)
         lam = rng.uniform(lo, hi, size=(n, r))
-        mats = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
-        return self.from_matrices(alg, mats)
+        x = lam[:, -1:] * self.identity(alg)
+        q = []
+        for j in range(r - 1):
+            v = g[:, :, j]
+            for u in q:
+                v = v - np.sum(u.conj() * v, axis=-1, keepdims=True) * u
+            v = v / np.sqrt(np.sum(v.real ** 2 + v.imag ** 2, axis=-1, keepdims=True))
+            q.append(v)
+            outer = v[:, :, None] * v[:, None, :].conj()
+            x += (lam[:, j] - lam[:, -1])[:, None] * self.from_matrices(alg, outer)
+        return x
 
 
 _KERNELS = {

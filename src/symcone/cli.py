@@ -25,7 +25,9 @@ written by :func:`_write`: an existing file is overwritten in place, without
 also takes a pipe or a device such as ``/dev/stdout``.  A write killed part
 way leaves the new bytes followed by the old file's tail.  An ``-o`` that is
 a directory or lies in a missing one is a usage error before any work, and
-a write that fails is one too, naming the path and the reason.
+a write that fails is one too, naming the path and the reason.  So is a
+status line that stdout cannot take, as when the reader of a pipe has gone
+(``symcone suite | head -c 1``): ``cannot write stdout: Broken pipe``.
 
 Exit codes (:func:`_status`): 0 all checks passed, 1 a check failed, 2
 results inconclusive (an MCMC sampler left its acceptance band), 64 usage
@@ -35,6 +37,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -441,6 +444,24 @@ def _report_line(r, status: str) -> str:
             f"max_residual={r.max_residual:.4g} tol={r.tolerance:g}")
 
 
+def _print_lines(lines: list) -> None:
+    """Print the status lines; a stdout that cannot take them is a usage
+    error, as a file that cannot be written is in :func:`_write`.
+
+    When the reader of a pipe has gone, stdout is closed, which fails once
+    more on the bytes still buffered but leaves Python's own flush at exit
+    nothing to fail on.
+    """
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        raise UsageError(f"cannot write stdout: {exc.strerror}") from exc
+
+
 def run(argv) -> int:
     """Execute one CLI invocation and return its exit code."""
     parser = _build_parser()
@@ -462,8 +483,8 @@ def run(argv) -> int:
                     _write(cfg.output, ser.batch_to_json(batch))
             [status], code = _status([batch])
             rate = "" if batch.mcmc is None else f" accept={batch.mcmc['acceptance_rate']:.3f}"
-            print(f"[{status}] sample {cfg.command[1]} "
-                  f"method={batch.method} n={batch.n} seed={batch.seed}{rate}")
+            _print_lines([f"[{status}] sample {cfg.command[1]} "
+                          f"method={batch.method} n={batch.n} seed={batch.seed}{rate}"])
             return code
         reports = _dispatch_reports(cfg, alg)
         if cfg.output:
@@ -471,13 +492,11 @@ def run(argv) -> int:
                 _write(cfg.output, ser.reports_to_csv(reports))
             else:
                 _write(cfg.output, ser.reports_to_json(reports))
+        statuses, code = _status(reports)
+        _print_lines([_report_line(r, status) for r, status in zip(reports, statuses)])
     except (UsageError, ShapeOutOfRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
-
-    statuses, code = _status(reports)
-    for r, status in zip(reports, statuses):
-        print(_report_line(r, status))
     return code
 
 

@@ -500,6 +500,132 @@ def test_lorentz_det_keeps_the_unscaled_bits_in_range():
 
 
 # ---------------------------------------------------------------------------
+# Closed-form det, inverse and banded points of the matrix kinds at rank <= 3
+# ---------------------------------------------------------------------------
+
+CLOSED_FORM_ALGEBRAS = [ja.sym_real(1), ja.sym_real(2), ja.sym_real(3),
+                        ja.herm_complex(2), ja.herm_complex(3)]
+CLOSED_FORM_IDS = [f"{a.kind.value}-rank{a.rank}" for a in CLOSED_FORM_ALGEBRAS]
+
+
+def _lapack_det_and_inverse(alg, x):
+    m = ja.coords_to_matrices(alg, x)
+    return np.linalg.det(m).real, ja.matrices_to_coords(alg, np.linalg.inv(m))
+
+
+def _no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("det", "inv", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)
+def test_rank_three_or_below_calls_no_lapack_for_det_inverse_and_banded_points(alg, monkeypatch):
+    _no_lapack(monkeypatch)
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(20), 50)
+    assert np.all(ja.batch_det(alg, x) > 0)
+    assert np.all(np.isfinite(ja.batch_inverse(alg, x)))
+
+
+def test_rank_four_keeps_lapack_for_det_and_inverse(monkeypatch):
+    # no closed form there; the banded points need no LAPACK at any rank
+    alg = ja.herm_complex(4)
+    _no_lapack(monkeypatch)
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(21), 5)
+    for kernel in (ja.batch_det, ja.batch_inverse):
+        with pytest.raises(AssertionError, match="LAPACK called"):
+            kernel(alg, x)
+
+
+@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)
+def test_closed_forms_agree_with_lapack_across_scales(alg):
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(22), 500)
+    det, _ = _lapack_det_and_inverse(alg, x)
+    # the determinant of these scales stays in the double range at rank 3;
+    # numpy's det goes through log |det|, whose rounding grows with the
+    # scale, so the reference determinant is the unit-scale one
+    for scale in 10.0 ** np.arange(-100, 101, 20):
+        _, inv = _lapack_det_and_inverse(alg, scale * x)
+        np.testing.assert_allclose(ja.batch_det(alg, scale * x), det * scale**alg.rank,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(ja.batch_inverse(alg, scale * x), inv, rtol=1e-12,
+                                   atol=1e-13 * np.abs(inv).max())
+    # Gaussian coordinates, which also leave the cone
+    g = np.random.default_rng(23).standard_normal((500, alg.dim))
+    det, inv = _lapack_det_and_inverse(alg, g)
+    np.testing.assert_allclose(ja.batch_det(alg, g), det, rtol=1e-9, atol=1e-14)
+    np.testing.assert_allclose(ja.batch_inverse(alg, g), inv, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)
+def test_closed_forms_scale_exactly_by_powers_of_two(alg):
+    # the rows are rescaled by a power of two before the formulas, so the
+    # inverse holds from 2^-500 to 2^500 and det wherever it is in range
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(24), 200)
+    det, inv = ja.batch_det(alg, x), ja.batch_inverse(alg, x)
+    for m in range(-500, 501, 50):
+        np.testing.assert_array_equal(ja.batch_inverse(alg, np.ldexp(x, m)), np.ldexp(inv, -m))
+        if abs(alg.rank * m) < 1000:
+            np.testing.assert_array_equal(ja.batch_det(alg, np.ldexp(x, m)),
+                                          np.ldexp(det, alg.rank * m))
+
+
+@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)
+def test_a_row_alone_gives_the_bits_it_gives_in_a_batch(alg):
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(25), 60)
+    x[::7] *= 1e90  # rows of another scale in the same batch
+    det, inv = ja.batch_det(alg, x), ja.batch_inverse(alg, x)
+    for i in range(len(x)):
+        assert ja.batch_det(alg, x[i]) == det[i]
+        np.testing.assert_array_equal(ja.batch_inverse(alg, x[i]), inv[i])
+    stacked = x.reshape(3, 20, alg.dim)
+    np.testing.assert_array_equal(ja.batch_det(alg, stacked), det.reshape(3, 20))
+    np.testing.assert_array_equal(ja.batch_inverse(alg, stacked), inv.reshape(stacked.shape))
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(2), ja.herm_complex(2)], ids=["sym-real", "herm-complex"])
+def test_matrix_det_keeps_the_rank2_det_bits_in_range(alg):
+    k = ja.kernels(alg)
+    rng = np.random.default_rng(26)
+    for exponent in range(-140, 141, 20):
+        x = rng.standard_normal((2000, alg.dim)) * 10.0**exponent
+        np.testing.assert_array_equal(k.det(alg, x), k.rank2_det(alg, x))
+
+
+@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)
+def test_an_exactly_singular_row_gives_a_non_finite_inverse_row(alg):
+    # LAPACK raised LinAlgError for the whole batch; the closed form, as on
+    # the spin factor, gives det 0 and a non-finite inverse for that row only
+    singular = ja.matrices_to_coords(alg, np.diag([1.0] * (alg.rank - 1) + [0.0]))
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(27), 3)
+    x[1] = singular
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = ja.batch_inverse(alg, x)
+    assert ja.batch_det(alg, x)[1] == 0.0
+    assert not np.all(np.isfinite(inv[1]))
+    np.testing.assert_array_equal(inv[[0, 2]], ja.batch_inverse(alg, x[[0, 2]]))
+
+
+@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS + [ja.sym_real(4), ja.herm_complex(4)],
+                         ids=CLOSED_FORM_IDS + ["sym-real-rank4", "herm-complex-rank4"])
+def test_banded_points_are_the_qr_construction_up_to_rounding(alg):
+    # the draws are g, then lam; Gram-Schmidt columns differ from the QR
+    # columns by a phase each, which q diag(lam) q* does not see
+    n, r = 300, alg.rank
+    got = ja.random_cone_points_banded(alg, np.random.default_rng(28), n, 0.2, 5.0)
+    rng = np.random.default_rng(28)
+    g = rng.standard_normal((n, r, r))
+    if ja.kernels(alg).field is complex:
+        g = g + 1j * rng.standard_normal((n, r, r))
+    lam = rng.uniform(0.2, 5.0, size=(n, r))
+    q, _ = np.linalg.qr(g)
+    want = ja.matrices_to_coords(alg, (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2))
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # Kernel-table properties across scale and distance to the cone boundary
 # ---------------------------------------------------------------------------
 

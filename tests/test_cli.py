@@ -599,6 +599,24 @@ def test_output_to_dev_stdout_into_a_pipe_delivers_the_bytes(name):
     assert status.startswith((b"OK] ", b"PASS] "))
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [("check", "hua", "--trials", "10"), ("suite", "--trials", "10")],
+                         ids=["check", "suite"])
+def test_status_lines_into_a_closed_pipe_are_a_usage_error(argv, unbuffered):
+    # the read end is closed before the child has imported numpy, so its
+    # first status line meets a pipe with no reader; buffered, the failure
+    # comes at the flush, unbuffered at the first print
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    env.pop(cli.SEED_ENV_VAR, None)
+    child = subprocess.Popen([sys.executable, "-m", "symcone.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 64
+    assert err.decode() == "usage error: cannot write stdout: Broken pipe\n"
+
+
 # each call, and the function that does its work
 UNWRITABLE_CALLS = {
     "check-hua": (("check", "hua", "--kind", "sym-real", "--rank", "2", "--trials", "10"),

@@ -7,6 +7,10 @@ re-records the manifest and says so:
 
     PYTHONPATH=src python tests/test_cli_manifest.py --record
 
+Recording prints each call whose entry changed and flags a change of its
+exit code or of the ``[STATUS]`` words of its stdout, which a change that
+moves only digits must not make.
+
 The digests hold for one numpy and LAPACK build; another build may round
 differently in the last bit, and a comparison across builds starts by
 re-recording the manifest on the reference side.
@@ -17,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -97,6 +102,33 @@ def test_seeded_cli_output_matches_the_manifest(argv, manifest, monkeypatch):
     assert replay(argv) == recorded[0]
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+def _outcome(entry: dict) -> tuple:
+    """The exit code and the status words (``[PASS]``, ``[FAIL]`` ...) of an entry."""
+    return entry["exit"], re.findall(r"^\[(\w+)\]", entry["stdout"], flags=re.MULTILINE)
+
+
+def record() -> None:
+    """Replay every call, write the manifest, and print what changed."""
     os.environ.pop(cli.SEED_ENV_VAR, None)
-    MANIFEST.write_text(json.dumps([replay(argv) for argv in CALLS], indent=1) + "\n")
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else []
+    before = {json.dumps(entry["argv"]): entry for entry in old}
+    entries = [replay(argv) for argv in CALLS]
+    changed = 0
+    for entry in entries:
+        was = before.get(json.dumps(entry["argv"]))
+        if was == entry:
+            continue
+        changed += 1
+        call = " ".join(entry["argv"])
+        if was is None:
+            print(f"new: {call}")
+        elif _outcome(was) != _outcome(entry):
+            print(f"changed, OUTCOME CHANGED {_outcome(was)} -> {_outcome(entry)}: {call}")
+        else:
+            print(f"changed: {call}")
+    print(f"{changed} of {len(entries)} entries changed")
+    MANIFEST.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    record()
