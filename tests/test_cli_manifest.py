@@ -75,6 +75,22 @@ CALLS = [
      "-n", "40", "--seed", "7", "-o", "{out}/g.json"],
     ["sample", "wishart", "--kind", "lorentz", "--dim", "3", "-n", "40", "--seed", "8",
      "--format", "csv", "-o", "{out}/lw.csv"],
+    # every Metropolis path: the closed-form rank-2 target on each kind (Lorentz
+    # dim 9 is past the length at which numpy sums a short axis in another
+    # order), a non-identity Wishart scale, and the LAPACK target at rank 3
+    *[["sample", *law, "-n", str(n), "--seed", str(seed), "--format", fmt,
+       "-o", f"{{out}}/mh.{fmt}"]
+      for seed, (law, n) in enumerate((
+          (["gig", "--kind", "herm-complex", "--rank", "2", "--p", "3",
+            "--b", "diag:0.5,1.5"], 50),
+          (["gig", "--kind", "lorentz", "--dim", "5", "--p", "-2",
+            "--a", "coords:1.5,0.3,0,0.2,-0.4"], 40),
+          (["wishart", "--kind", "lorentz", "--dim", "9"], 60),
+          (["wishart", "--kind", "lorentz", "--dim", "4", "--p", "2.5",
+            "--a", "coords:2,0.5,-0.3,0.2"], 45),
+          (["gig", "--kind", "sym-real", "--rank", "3", "--p", "-1.5",
+            "--b", "diag:2,1,0.5"], 40)), start=21)
+      for fmt in ("json", "csv")],
 ]
 
 
