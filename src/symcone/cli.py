@@ -23,7 +23,9 @@ Every output file (reports, sample batches, the ``.meta.json`` sidecar) is
 written by :func:`_write`: an existing file is overwritten in place, without
 ``O_TRUNC``, and a regular file is then cut to the new length, so ``-o``
 also takes a pipe or a device such as ``/dev/stdout``.  A write killed part
-way leaves the new bytes followed by the old file's tail.  An ``-o`` that is
+way leaves the new bytes followed by the old file's tail.  ``sample``
+writes its draws only to ``-o``, so a ``sample`` without one is a usage
+error before any draw.  An ``-o`` that is
 a directory or lies in a missing one is a usage error before any work, and
 a write that fails is one too, naming the path and the reason.  So is a
 status line that stdout cannot take, as when the reader of a pipe has gone
@@ -259,6 +261,10 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"permutations must be >= 1, got {cfg.permutations}")
     if cfg.subsample is not None and cfg.subsample < 2:
         raise UsageError(f"subsample must be >= 2, got {cfg.subsample}")
+    # a sample's draws go only to -o, so without one the work would be lost
+    if cfg.command[0] == "sample" and not cfg.output:
+        raise UsageError("sample writes its draws only to -o; give -o FILE, "
+                         "or -o /dev/stdout to print them")
     # an -o found unwritable only after the work would lose the work
     if cfg.output:
         out = Path(cfg.output)

@@ -24,11 +24,14 @@ route available for each family:
   chains can be compared.  At rank 2 the Metropolis target is evaluated in
   closed form (every rank-2 algebra is a spin factor, so the log density
   needs only tr x, det x and two inner products) on every row, with the
-  off-cone rows set to -inf by one ``np.where`` instead of a gather and a
-  scatter; higher ranks take eigenvalues and inverses from LAPACK at every
-  step.  The step loop, target calls included, runs under one
-  ``np.errstate`` and carries each chain's RMS coordinate instead of
-  recomputing it, so a step is a handful of small array operations.
+  three linear terms from one product ``x @ w`` and the off-cone rows set
+  to -inf by one ``np.where`` instead of a gather and a scatter; higher
+  ranks take eigenvalues and inverses from LAPACK at every step.  The step
+  loop, target calls included, runs under one ``np.errstate``, carries
+  each chain's RMS coordinate instead of recomputing it, builds each
+  proposal in one buffer and reads its burn-in update factors from a
+  table, so a step is a handful of small array operations; it needs no
+  guard for off-cone proposals, whose -inf target already rejects them.
 
 Each family and kind has one sampling route, chosen from the algebra.  The
 Metropolis settings (burn-in, thinning, chains, proposal scale, target
@@ -409,10 +412,22 @@ def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
     A step costs a handful of small array operations.  The whole loop, and
     the first ``log_pdf`` call before it, run under one ``np.errstate``, so
     the target sets none of its own; each chain's RMS is carried from step
-    to step (an accepted chain takes its proposal's) instead of being recomputed;
-    half the squared norm of each noise row is tabulated when the chain's
-    noise is drawn; the burn-in gains are precomputed; and accepted chains
-    are updated in place with ``np.copyto(..., where=acc)``.
+    to step (an accepted chain takes its proposal's) instead of being
+    recomputed, with the row norm summed as ``np.linalg.norm`` sums it,
+    because its bits set the proposal scale; half the squared norm of each
+    noise row is tabulated when the chain's noise is drawn; the proposal is
+    built in one buffer; and accepted chains are updated in place with
+    ``np.copyto(..., where=acc)``.  The burn-in update factors
+    exp(gain (1 - target)) and exp(gain (0 - target)) are tabulated with
+    ``np.exp`` (``math.exp`` rounds differently), so a burn-in step picks
+    one per chain with ``np.where``; the adapted factor times the proposal
+    scale is formed once per burn-in step and once for all later steps.
+
+    A proposal off the cone needs no guard of its own: its target is -inf,
+    so the log acceptance ratio is -inf, or NaN where the Hastings term is
+    +inf or NaN, and a log uniform is below it in neither case.  A target
+    of +inf is accepted; the rank-2 target gives one only where det x
+    overflows (coordinates beyond about 1e154, at p > dim/rank).
 
     The settings are the module constants, read here at every call.
     """
@@ -430,31 +445,37 @@ def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
         noise[:, c, :] = z
         half_z_sq[:, c] = 0.5 * np.add.reduce(z * z, axis=1)
         log_u[:, c] = np.log(gen.uniform(size=steps))
-    gains = [0.5 / (1.0 + step) ** 0.6 for step in range(burn_in)]
+    # Python's float power: numpy's vectorized one can differ in the last bit,
+    # and the gains set the proposal scale
+    gains = np.fromiter((0.5 / (1.0 + step) ** 0.6 for step in range(burn_in)), float, burn_in)
+    grow = np.exp(gains * (1 - target))
+    shrink = np.exp(gains * (0 - target))
 
     sqrt_dim = math.sqrt(alg.dim)
     half_dim = alg.dim * 0.5
     cur = np.tile(init, (chains, 1))
+    prop = np.empty_like(cur)
     rms = _row_norm(cur) / sqrt_dim
     factors = np.ones(chains)
+    scaled = factors * scale
     accepted_post = np.zeros(chains)
     kept = np.empty((per_chain, chains, alg.dim))
     with np.errstate(divide="ignore", invalid="ignore"):
         lp_cur = log_pdf(cur)
         for step in range(steps):
-            std = factors * scale * rms
-            prop = cur + std[:, None] * noise[step]
+            np.multiply((scaled * rms)[:, None], noise[step], out=prop)
+            prop += cur
             lp_prop = log_pdf(prop)
             rms_prop = _row_norm(prop) / sqrt_dim
             ratio_sq = (rms / rms_prop) ** 2
             hastings = half_dim * np.log(ratio_sq) + half_z_sq[step] * (1.0 - ratio_sq)
-            log_alpha = lp_prop - lp_cur + np.where(np.isfinite(lp_prop), hastings, -np.inf)
-            acc = log_u[step] < log_alpha
+            acc = log_u[step] < lp_prop - lp_cur + hastings
             np.copyto(cur, prop, where=acc[:, None])
             np.copyto(lp_cur, lp_prop, where=acc)
             np.copyto(rms, rms_prop, where=acc)
             if step < burn_in:
-                factors *= np.exp(gains[step] * (acc.astype(float) - target))
+                factors *= np.where(acc, grow[step], shrink[step])
+                scaled = factors * scale
             else:
                 accepted_post += acc
                 if (step - burn_in) % thin == thin - 1:
@@ -491,7 +512,14 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
     algebra is a spin factor, so the kernel table's ``rank2_det`` gives
     det x without a matrix, the cone is tr x > 0, det x > 0, and by
     Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
-    <b, x^-1> = (tr x tr b - <b, x>) / det x.  It is computed on every row,
+    <b, x^-1> = (tr x tr b - <b, x>) / det x.  The linear terms tr x, <a, x>
+    and <b, x> come from one product ``x @ w``, whose columns are the
+    kernel table's ``trace`` and ``inner`` applied to the coordinate basis,
+    built once.  On finite rows tr x keeps its bits (its column holds ones
+    or a two, and zeros), so the cone mask is unchanged; the inner products
+    may round differently from the kernels' sums, which moves only the
+    target's last bits, and those decide an accept only through a
+    comparison with a uniform.  The target is computed on every row,
     off-cone rows included, and ``np.where`` puts -inf on the off-cone rows;
     their log and division warnings are left to the caller's ``np.errstate``
     (:func:`_metropolis_cone` runs every call under one).  Higher ranks take
@@ -502,14 +530,18 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
     if alg.rank == 2:
         tr_b = None if b_coords is None else float(batch_trace(alg, b_coords))
         k = kernels(alg)  # looked up once, not at every step
+        basis = np.eye(alg.dim)
+        inners = [k.inner(alg, c, basis) for c in (a_coords, b_coords) if c is not None]
+        w = np.stack([k.trace(alg, basis), *inners], axis=1)
 
         def log_pdf(x):
-            tr = k.trace(alg, x)
+            lin = x @ w
+            tr = lin[..., 0]
             dt = k.rank2_det(alg, x)
             ok = (tr > 0.0) & (dt > 0.0)
-            val = exponent * np.log(dt) - k.inner(alg, a_coords, x)
+            val = exponent * np.log(dt) - lin[..., 1]
             if b_coords is not None:
-                val -= (tr * tr_b - k.inner(alg, b_coords, x)) / dt
+                val -= (tr * tr_b - lin[..., 2]) / dt
             return np.where(ok, val, -np.inf)
 
         return log_pdf

@@ -175,17 +175,31 @@ def test_my_property_cli(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore:MCMC acceptance rate:RuntimeWarning")
-def test_diverged_sample_prints_inconclusive(capsys, mcmc_settings):
+def test_diverged_sample_prints_inconclusive(capsys, mcmc_settings, tmp_path):
     mcmc_settings(CHAINS=1, BURN_IN=0)
     code = run_cli("sample", "gig", "--kind", "sym-real", "--rank", "2", "--p", "-2", "-n", "200",
-                   "--seed", "16")
+                   "--seed", "16", "-o", str(tmp_path / "g.json"))
     assert code == 2
     assert capsys.readouterr().out.startswith("[INCONCLUSIVE] sample gig method=mcmc")
 
 
-def test_sample_shape_guard_is_usage_error():
+def test_sample_shape_guard_is_usage_error(tmp_path, capsys):
     assert run_cli("sample", "wishart", "--kind", "sym-real", "--rank", "2",
-                   "--p", "0.5", "-n", "10") == 64
+                   "--p", "0.5", "-n", "10", "-o", str(tmp_path / "w.json")) == 64
+    assert "shape p must be >" in capsys.readouterr().err
+
+
+def test_sample_without_an_output_is_a_usage_error_before_the_draw(monkeypatch, capsys):
+    # the draws go only to -o, so a run without one would throw them away
+    monkeypatch.setattr(cli, "sample_wishart", _must_not_run)
+    monkeypatch.setattr(cli, "sample_gig", _must_not_run)
+    for family in ("wishart", "gig"):
+        assert run_cli("sample", family, "--kind", "lorentz", "--dim", "4",
+                       "-n", "100000", "--format", "csv") == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: sample writes its draws only to -o")
+        assert "-o /dev/stdout" in captured.err
 
 
 def _usage_case(*extra, message="usage error"):
@@ -321,8 +335,8 @@ def test_importing_the_package_and_cli_loads_no_scipy():
     ("test", "my-property", "--kind", "sym-real", "--rank", "1", "--p", "nan",
      "--permutations", "700"),
 ], ids=["gig-rank1-p-nan", "gig-rank1-p-inf", "gig-rank1-b-inf", "my-property-rank1-p-nan"])
-def test_non_finite_parameters_that_used_to_hang_are_usage_errors(argv):
-    done = _run_cli_subprocess(*argv, "-n", "10")
+def test_non_finite_parameters_that_used_to_hang_are_usage_errors(argv, tmp_path):
+    done = _run_cli_subprocess(*argv, "-n", "10", "-o", str(tmp_path / "out.json"))
     assert done.returncode == 64
     assert "must be finite" in done.stderr
 
@@ -340,7 +354,7 @@ def test_non_finite_shape_is_usage_error(argv, capsys):
 
 def test_single_draw_sample_and_unsubsampled_dcor_stay_valid(tmp_path):
     assert run_cli("sample", "gig", "--kind", "sym-real", "--rank", "1",
-                   "--p", "2", "-n", "1") == 0
+                   "--p", "2", "-n", "1", "-o", str(tmp_path / "g.json")) == 0
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"subsample": None}))
     assert run_cli("test", "my-property", "--kind", "sym-real", "--rank", "1",
@@ -441,9 +455,11 @@ def test_a_jacobian_that_leaves_the_cone_prints_the_checks_tolerance(capsys):
     ("test", "my-property", "-n", "10"),
     ("check", "factorization", "--trials", "10"),
 ], ids=["sample-wishart", "test-my-property", "check-factorization"])
-def test_shape_at_the_density_bound_is_a_usage_error_with_the_librarys_message(argv, capsys):
+def test_shape_at_the_density_bound_is_a_usage_error_with_the_librarys_message(argv, capsys,
+                                                                              tmp_path):
     # p = dim/rank - 1 on sym-real r=2 (dim 3)
-    assert run_cli(*argv, "--kind", "sym-real", "--rank", "2", "--p", "0.5") == 64
+    assert run_cli(*argv, "--kind", "sym-real", "--rank", "2", "--p", "0.5",
+                   "-o", str(tmp_path / "out.json")) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {_range_message(0.5, ja.sym_real(2))}\n"

@@ -447,10 +447,23 @@ def _reference_log_pdf_batch(alg, p, a_coords, b_coords=None):
     return log_pdf
 
 
-def _scaled_params(alg, scale):
-    """a = A / scale and b = B * scale, so GIG and Wishart draws sit near scale."""
-    pts = ja.random_cone_points_banded(alg, np.random.default_rng(alg.dim), 2, 0.5, 2.0)
+def _scaled_params(alg, scale, lo=0.5, hi=2.0):
+    """a = A / scale and b = B * scale, with the eigenvalues of A and B drawn
+    from [lo, hi], so GIG and Wishart draws sit near scale."""
+    pts = ja.random_cone_points_banded(alg, np.random.default_rng(alg.dim), 2, lo, hi)
     return ja.Element(alg, pts[0] / scale), ja.Element(alg, pts[1] * scale)
+
+
+def _near_bound_shape(alg):
+    """A Wishart shape 0.05 above the density bound dim/rank - 1: the exponent
+    p - dim/rank is negative and the chains hug the cone's boundary, where an
+    accept decision is most sensitive to how the target rounds."""
+    return alg.dim_over_rank - 0.95
+
+
+# GIG parameters far from e and from each other, so tr x, <a, x> and <b, x>
+# are three unrelated linear terms of the target
+SKEWED = {"lo": 0.01, "hi": 10.0}
 
 
 def _rank2_points(alg, rng, scale, n):
@@ -474,12 +487,15 @@ MCMC_EDGE_SETTINGS = {"single-chain": SINGLE_CHAIN, "wide-proposals": WIDE_PROPO
 def test_rank2_target_leaves_seeded_samplers_unchanged(alg, scale, settings, monkeypatch,
                                                        mcmc_settings):
     a, b = _scaled_params(alg, scale)
+    skewed_a, skewed_b = _scaled_params(alg, scale, **SKEWED)
     mcmc_settings(**MCMC_EDGE_SETTINGS[settings])
 
     def draw():
         return (
             dist.sample_gig(dist.GigParams(-1.7, a, b), 7, 300),
+            dist.sample_gig(dist.GigParams(0.8, skewed_a, skewed_b), 8, 300),
             dist._wishart_mcmc(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9, 300),
+            dist._wishart_mcmc(dist.WishartParams(_near_bound_shape(alg), a), 10, 300),
         )
 
     closed_form = draw()
@@ -643,27 +659,33 @@ LEAN_SETTINGS = {
     "single-chain": SINGLE_CHAIN,
     "diverging": WIDE_PROPOSALS,
 }
-# the default settings run 5000 burn-in steps, so they draw one family per
-# algebra: the GIG, plus the Lorentz dim 3 Wishart, which has no exact sampler
+LEAN_FAMILIES = ("gig", "gig-skewed", "wishart", "wishart-near-bound")
+# the default settings run 5000 burn-in steps, so they skip the Wishart at
+# p = dim/rank + 0.5 except on Lorentz dim 3, which has no exact sampler; the
+# skewed GIG and the near-bound Wishart probe the closed-form target, so they
+# run at rank 2 only
 LEAN_CASES = [
     pytest.param(alg, config, family, id=f"{alg_id}-{config}-{family}")
     for alg, alg_id in zip(LEAN_ALGEBRAS, LEAN_IDS)
     for config in LEAN_SETTINGS
-    for family in ("gig", "wishart")
-    if config != "default" or family == "gig" or alg == L2
+    for family in LEAN_FAMILIES
+    if (config != "default" or family != "wishart" or alg == L2)
+    and (family in ("gig", "wishart") or alg.rank == 2)
 ]
 
 
 def _lean_draw(alg, family):
     """The batch and the warnings of one seeded Metropolis call."""
-    a, b = _scaled_params(alg, 1.0)
+    a, b = _scaled_params(alg, 1.0, **(SKEWED if family == "gig-skewed" else {}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if family == "gig":
             batch = dist._gig_mcmc(dist.GigParams(-1.7, a, b), 7, LEAN_N)
+        elif family == "gig-skewed":
+            batch = dist._gig_mcmc(dist.GigParams(0.8, a, b), 8, LEAN_N)
         else:
-            batch = dist._wishart_mcmc(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9,
-                                       LEAN_N)
+            p = alg.dim_over_rank + 0.5 if family == "wishart" else _near_bound_shape(alg)
+            batch = dist._wishart_mcmc(dist.WishartParams(p, a), 9, LEAN_N)
     return batch, [(w.category, str(w.message)) for w in caught]
 
 
