@@ -266,8 +266,6 @@ class _SpinFactor:
         return out
 
     def inner(self, alg, a, b):
-        # np.add.reduce is np.sum without the Python wrapper; the Metropolis
-        # target calls inner, trace and rank2_det at every step
         return 2.0 * np.add.reduce(a * b, axis=-1)
 
     def trace(self, alg, a):
@@ -291,13 +289,6 @@ class _SpinFactor:
     def quad_apply(self, alg, a, b):
         ab = self.jordan(alg, a, b)
         return 2.0 * self.jordan(alg, a, ab) - self.jordan(alg, self.jordan(alg, a, a), b)
-
-    def lmap(self, alg, a):
-        m = np.zeros(a.shape + (alg.dim,))
-        m[..., 0, :] = a
-        m[..., :, 0] = a
-        m[..., 1:, 1:] += a[..., 0, None, None] * np.eye(alg.dim - 1)
-        return m
 
     def sqrt(self, alg, a):
         lam, unit = _spin_unit(a)
@@ -508,13 +499,6 @@ class _MatrixForm:
         mb = self.to_matrices(alg, b)
         return self.from_matrices(alg, ma @ mb @ ma)
 
-    def lmap(self, alg, a):
-        # column j is the product of a with basis element j
-        basis = _basis_matrices(alg)
-        ma = self.to_matrices(alg, a)[..., None, :, :]
-        cols = self.from_matrices(alg, (ma @ basis + basis @ ma) / 2.0)
-        return cols.swapaxes(-1, -2)
-
     def sqrt(self, alg, a):
         w, u = np.linalg.eigh(self.to_matrices(alg, a))
         _require_positive(w)
@@ -620,13 +604,6 @@ def from_matrix(alg: AlgebraDescriptor, mat) -> Element:
     return Element(alg, matrices_to_coords(alg, mat))
 
 
-@lru_cache(maxsize=None)
-def _basis_matrices(alg: AlgebraDescriptor) -> np.ndarray:
-    """Stacked canonical basis matrices, shape (dim, rank, rank)."""
-    eye = np.eye(alg.dim)
-    return coords_to_matrices(alg, eye)
-
-
 def canonical_basis(alg: AlgebraDescriptor) -> list[Element]:
     """The canonical orthonormal basis as a list of elements."""
     return [Element(alg, row) for row in np.eye(alg.dim)]
@@ -676,7 +653,8 @@ def batch_lmap(alg: AlgebraDescriptor, a) -> np.ndarray:
 
     Column j of each operator is the product of ``a`` with basis element j.
     """
-    return _KERNELS[alg.kind].lmap(alg, np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
+    return batch_jordan(alg, a[..., None, :], np.eye(alg.dim)).swapaxes(-1, -2)
 
 
 def batch_quad_rep(alg: AlgebraDescriptor, a) -> np.ndarray:

@@ -22,11 +22,12 @@ used, and ``suite`` goes on with its other checks.
 Every output file (reports, sample batches, the ``.meta.json`` sidecar) is
 written by :func:`_write`: an existing file is overwritten in place, without
 ``O_TRUNC``, and a regular file is then cut to the new length, so ``-o``
-also takes a pipe or a device such as ``/dev/stdout``.  A write killed part
-way leaves the new bytes followed by the old file's tail.  ``sample``
-writes its draws only to ``-o``, so a ``sample`` without one is a usage
-error before any draw.  An ``-o`` that is
-a directory or lies in a missing one is a usage error before any work, and
+also takes a pipe or a device such as ``/dev/stdout``; a CSV sample, whose
+sidecar goes beside ``-o``, is a usage error there before any draw.  A
+write killed part way leaves the new bytes followed by the old file's tail.
+``sample`` writes its draws only to ``-o``, so a ``sample`` without one is a
+usage error before any draw.  An ``-o`` that is a directory or lies in a
+missing one is a usage error before any work, and
 a write that fails is one too, naming the path and the reason.  So is a
 status line that stdout cannot take, as when the reader of a pipe has gone
 (``symcone suite | head -c 1``): ``cannot write stdout: Broken pipe``.
@@ -272,6 +273,11 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError(f"cannot write {out}: it is a directory")
         if not out.parent.is_dir():
             raise UsageError(f"cannot write {out}: no directory {out.parent}")
+        # a CSV sample also writes a sidecar file beside -o, which a pipe or a device lacks
+        if (cfg.command[0] == "sample" and cfg.format == "csv"
+                and out.exists() and not out.is_file()):
+            raise UsageError(f"a csv sample also writes {out}.meta.json, so -o must be a "
+                             f"regular file; use --format json to write to {out}")
     if cfg.command == ("test", "my-property"):
         if cfg.n < 2:
             raise UsageError(f"my-property needs n >= 2, got {cfg.n}")

@@ -319,8 +319,7 @@ def _bartlett(alg: AlgebraDescriptor, p: float, a: Element, seed: int, n: int) -
             off = off + 1j * rng.normal(0.0, math.sqrt(0.5), size=(n, n_off))
         t[:, idx[0], idx[1]] = off
     x = t @ t.conj().swapaxes(-1, -2)
-    e = identity(alg)
-    if not np.allclose(a.coords, e.coords):
+    if not np.array_equal(a.coords, identity(alg).coords):
         # transport standard-scale draws to scale a through P(a^(-1/2))
         root = coords_to_matrices(alg, cone_sqrt(inverse(a)).coords)
         x = root @ x @ root

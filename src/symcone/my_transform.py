@@ -5,10 +5,12 @@ its own inverse.  :func:`batch_my_map` is the one batched form of the map:
 the finite-difference Jacobian and every check of :mod:`symcone.verification`
 that maps points call it.  This module also provides the nested-inverse
 rewrite of its second component (Hua's identity) and the change-of-variables
-Jacobian of the map, in closed form (also as a log) and as a
-finite-difference oracle.
-The Jacobian functions come in ``batch_*`` variants over stacked
-coordinates; the element-level ones are thin wrappers around them.
+Jacobian of the map, in closed form and as a finite-difference oracle.
+:func:`batch_log_jacobian_det` is the one closed form; it and the oracle
+:func:`batch_log_jacobian_det_numeric` give logs, so they stay finite where
+the Jacobian leaves the double range.  The element-level
+:func:`jacobian_det_formula` and :func:`jacobian_det_numeric` are their
+exps.
 """
 
 from __future__ import annotations
@@ -76,26 +78,22 @@ def hua_rhs(a: Element, b: Element) -> Element:
 
 
 def jacobian_det_formula(u: Element, v: Element) -> float:
-    """Closed-form Jacobian of the map at (u, v): (det u * det(u+v))^(-2 dim / rank)."""
+    """Closed-form Jacobian of the map at (u, v): (det u * det(u+v))^(-2 dim / rank),
+    the exp of :func:`batch_log_jacobian_det` (inf or 0 outside the double range)."""
     if not in_cone(u) or not in_cone(v):
         raise NotInConeError("jacobian requires open-cone inputs")
-    return float(batch_jacobian_det_formula(u.algebra, u.coords, v.coords))
-
-
-def batch_jacobian_det_formula(alg: AlgebraDescriptor, u, v) -> np.ndarray:
-    """Closed-form Jacobian at stacked cone points u, v of shape (..., dim).
-
-    Like the other ``batch_*`` kernels it does not check cone membership.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return (batch_det(alg, u) * batch_det(alg, u + v)) ** (-2.0 * alg.dim / alg.rank)
+    return float(np.exp(batch_log_jacobian_det(u.algebra, u.coords, v.coords)))
 
 
 def batch_log_jacobian_det(alg: AlgebraDescriptor, u, v) -> np.ndarray:
-    """-2 (dim/rank) (log det u + log det(u+v)), the log of
-    :func:`batch_jacobian_det_formula`, which stays finite where that
-    overflows; it does not check cone membership."""
+    """Log of the closed-form Jacobian at stacked cone points u, v of shape
+    (..., dim): -2 (dim/rank) (log det u + log det(u+v)).
+
+    It stays finite where the Jacobian itself overflows or underflows.  Like
+    the other ``batch_*`` kernels it does not check cone membership.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
     return -2.0 * alg.dim_over_rank * (np.log(batch_det(alg, u)) + np.log(batch_det(alg, u + v)))
 
 
@@ -130,14 +128,14 @@ def batch_jacobian_fd_matrix(alg: AlgebraDescriptor, u, v, step: float = 1e-5) -
     return (fp - fm).swapaxes(-1, -2) / (2.0 * h)[..., None, :]
 
 
-def batch_jacobian_det_numeric(
+def batch_log_jacobian_det_numeric(
     alg: AlgebraDescriptor,
     u,
     v,
     step: float = 1e-5,
     richardson: bool = False,
 ) -> np.ndarray:
-    """|det| of the finite-difference Jacobian matrices at stacked points (u, v).
+    """log |det| of the finite-difference Jacobian matrices at stacked points (u, v).
 
     With ``richardson=True`` the central-difference matrices at steps h and
     h/2 are combined as (4 A_{h/2} - A_h) / 3 before taking the determinant,
@@ -147,7 +145,7 @@ def batch_jacobian_det_numeric(
     a = batch_jacobian_fd_matrix(alg, u, v, step)
     if richardson:
         a = (4.0 * batch_jacobian_fd_matrix(alg, u, v, step / 2.0) - a) / 3.0
-    return np.abs(np.linalg.det(a))
+    return np.linalg.slogdet(a)[1]
 
 
 def jacobian_fd_matrix(u: Element, v: Element, step: float = 1e-5) -> np.ndarray:
@@ -167,7 +165,7 @@ def jacobian_det_numeric(
     step: float = 1e-5,
     richardson: bool = False,
 ) -> float:
-    """|det| of the finite-difference Jacobian matrix of the map at (u, v);
-    ``richardson`` as in :func:`batch_jacobian_det_numeric`."""
+    """|det| of the finite-difference Jacobian matrix of the map at (u, v), the
+    exp of :func:`batch_log_jacobian_det_numeric`, with ``richardson`` as there."""
     alg = _require_same(u, v)
-    return float(batch_jacobian_det_numeric(alg, u.coords, v.coords, step, richardson))
+    return float(np.exp(batch_log_jacobian_det_numeric(alg, u.coords, v.coords, step, richardson)))

@@ -202,6 +202,21 @@ def test_sample_without_an_output_is_a_usage_error_before_the_draw(monkeypatch, 
         assert "-o /dev/stdout" in captured.err
 
 
+def test_csv_sample_to_a_device_is_a_usage_error_before_the_draw(monkeypatch, capsys):
+    # the sidecar would otherwise be created beside the device
+    monkeypatch.setattr(cli, "sample_wishart", _must_not_run)
+    monkeypatch.setattr(cli, "sample_gig", _must_not_run)
+    for family in ("wishart", "gig"):
+        assert run_cli("sample", family, "-n", "10", "--format", "csv", "-o", "/dev/null") == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: a csv sample also writes /dev/null.meta.json")
+        assert "--format json" in captured.err
+    assert not Path("/dev/null.meta.json").exists()
+    monkeypatch.undo()
+    assert run_cli("sample", "wishart", "-n", "10", "--format", "json", "-o", "/dev/null") == 0
+
+
 def _usage_case(*extra, message="usage error"):
     return pytest.param(extra, message, id="".join(extra))
 

@@ -337,6 +337,17 @@ def test_wishart_sampler_determinism_and_range():
         dist.sample_wishart(dist.WishartParams(0.5, E2), 0, 10)
 
 
+@pytest.mark.parametrize("alg", [A2, H2], ids=["sym2", "herm2"])
+def test_wishart_scale_near_identity_is_transported(alg):
+    # W(p, c e) is W(p, e) scaled by 1/c, however close c is to 1
+    e = ja.identity(alg)
+    c = 1.0 + 1e-6
+    at_e = dist.sample_wishart(dist.WishartParams(2.5, e), 4, 200).coords
+    near_e = dist.sample_wishart(dist.WishartParams(2.5, c * e), 4, 200).coords
+    np.testing.assert_allclose(c * near_e, at_e, rtol=1e-12, atol=1e-12)
+    assert np.max(np.abs(near_e - at_e)) > 1e-7
+
+
 def test_sample_batch_elements_view():
     batch = dist.sample_wishart(dist.WishartParams(2.0, E2), 9, 5)
     els = batch.elements

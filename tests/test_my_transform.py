@@ -172,18 +172,18 @@ def test_batch_jacobian_matches_per_point(alg):
     v = ja.random_cone_points_banded(alg, rng, 12).reshape(3, 4, alg.dim)
     batch = mt.batch_jacobian_fd_matrix(alg, u, v)
     assert batch.shape == (3, 4, 2 * alg.dim, 2 * alg.dim)
-    dets = mt.batch_jacobian_det_numeric(alg, u, v)
-    rich = mt.batch_jacobian_det_numeric(alg, u, v, richardson=True)
+    logs = mt.batch_log_jacobian_det_numeric(alg, u, v)
+    rich = mt.batch_log_jacobian_det_numeric(alg, u, v, richardson=True)
+    closed = mt.batch_log_jacobian_det(alg, u, v)
     for idx in np.ndindex(3, 4):
         ue, ve = ja.Element(alg, u[idx]), ja.Element(alg, v[idx])
         assert np.abs(batch[idx] - mt.jacobian_fd_matrix(ue, ve)).max() < 1e-12
         assert np.abs(batch[idx] - _fd_matrix_loop(ue, ve, 1e-5)).max() < 1e-12
-        assert dets[idx] == pytest.approx(mt.jacobian_det_numeric(ue, ve), rel=1e-12)
-        assert rich[idx] == pytest.approx(
+        assert np.exp(logs[idx]) == pytest.approx(mt.jacobian_det_numeric(ue, ve), rel=1e-12)
+        assert np.exp(rich[idx]) == pytest.approx(
             mt.jacobian_det_numeric(ue, ve, richardson=True), rel=1e-12
         )
-        formula = mt.batch_jacobian_det_formula(alg, u[idx], v[idx])
-        assert formula == pytest.approx(mt.jacobian_det_formula(ue, ve), rel=1e-14)
+        assert np.exp(closed[idx]) == pytest.approx(mt.jacobian_det_formula(ue, ve), rel=1e-14)
 
 
 @pytest.mark.parametrize("alg", KINDS + [ja.sym_real(1), ja.herm_complex(3)],
@@ -192,18 +192,30 @@ def test_log_jacobian_is_the_log_of_the_closed_form(alg):
     rng = np.random.default_rng(9)
     u = ja.random_cone_points_banded(alg, rng, 200)
     v = ja.random_cone_points_banded(alg, rng, 200)
-    np.testing.assert_allclose(mt.batch_log_jacobian_det(alg, u, v),
-                               np.log(mt.batch_jacobian_det_formula(alg, u, v)), rtol=1e-12)
+    power = (ja.batch_det(alg, u) * ja.batch_det(alg, u + v)) ** (-2.0 * alg.dim / alg.rank)
+    np.testing.assert_allclose(mt.batch_log_jacobian_det(alg, u, v), np.log(power), rtol=1e-12)
 
 
 def test_log_jacobian_stays_finite_where_the_closed_form_overflows():
     alg = ja.herm_complex(4)
-    u = 1e-5 * ja.identity(alg).coords
-    with np.errstate(over="ignore"):
-        assert mt.batch_jacobian_det_formula(alg, u, u) == np.inf
+    u = ja.Element(alg, 1e-5 * ja.identity(alg).coords)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert mt.jacobian_det_formula(u, u) == np.inf
     # det u = 1e-20 and det 2u = 16e-20, to the power -2 dim/rank = -8
     expected = -8.0 * (np.log(1e-20) + np.log(16e-20))
-    assert mt.batch_log_jacobian_det(alg, u, u) == pytest.approx(expected, rel=1e-12)
+    assert mt.batch_log_jacobian_det(alg, u.coords, u.coords) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(18), ja.herm_complex(13)],
+                         ids=["sym-real-r18", "herm-complex-r13"])
+def test_log_jacobian_numeric_stays_finite_where_the_determinant_underflows(alg):
+    rng = np.random.default_rng(1)
+    u = ja.random_cone_points_banded(alg, rng, 1)
+    v = ja.random_cone_points_banded(alg, rng, 1)
+    with np.errstate(under="ignore"):
+        assert np.linalg.det(mt.batch_jacobian_fd_matrix(alg, u, v)) == 0.0
+    closed = mt.batch_log_jacobian_det(alg, u, v)
+    assert abs(mt.batch_log_jacobian_det_numeric(alg, u, v) - closed) < 1e-4
 
 
 def test_inversion_derivative_block():

@@ -83,18 +83,25 @@ def test_jacobian_richardson_path_matches_per_trial_loop(monkeypatch):
     v = ja.random_cone_points_banded(alg, rng, n)
     expected, refined = [], 0
     for ui, vi in zip(u, v):
-        ue, ve = ja.Element(alg, ui), ja.Element(alg, vi)
-        formula = mt.jacobian_det_formula(ue, ve)
-        rel = abs(mt.jacobian_det_numeric(ue, ve, step) - formula) / formula
+        formula = mt.batch_log_jacobian_det(alg, ui, vi)
+        rel = abs(np.expm1(mt.batch_log_jacobian_det_numeric(alg, ui, vi, step) - formula))
         if rel > tol:
             refined += 1
-            numeric = mt.jacobian_det_numeric(ue, ve, step, richardson=True)
-            rel = abs(numeric - formula) / formula
+            numeric = mt.batch_log_jacobian_det_numeric(alg, ui, vi, step, richardson=True)
+            rel = abs(np.expm1(numeric - formula))
         expected.append(rel)
     assert 0 < refined < n
     # the stacked closed form may differ from the scalar one by an ulp per trial
     np.testing.assert_allclose(captured[0], expected, rtol=1e-12, atol=1e-15)
     assert report.passed
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(18), ja.herm_complex(13)],
+                         ids=["sym-real-r18", "herm-complex-r13"])
+def test_jacobian_check_passes_where_the_jacobian_leaves_the_double_range(alg):
+    # the Jacobian itself underflows here, so only its log can be compared
+    report = ver.check_jacobian(alg, n=3, seed=1)
+    assert report.passed and report.max_residual < 1e-6
 
 
 @pytest.mark.parametrize("alg", [A2, ja.herm_complex(2), ja.lorentz(3)],
@@ -124,10 +131,10 @@ def test_jacobian_gate_can_fail(monkeypatch):
     assert ver.check_jacobian(alg, n=50, seed=6).passed
 
     def skewed_formula(a, u, v):
-        exponent = -2.0 * a.dim / a.rank * (1.0 + 1e-4)
-        return (ja.batch_det(a, u) * ja.batch_det(a, u + v)) ** exponent
+        # the exponent -2 dim/rank skewed by a factor 1 + 1e-4
+        return (1.0 + 1e-4) * mt.batch_log_jacobian_det(a, u, v)
 
-    monkeypatch.setattr(ver, "batch_jacobian_det_formula", skewed_formula)
+    monkeypatch.setattr(ver, "batch_log_jacobian_det", skewed_formula)
     report = ver.check_jacobian(alg, n=50, seed=6)
     assert not report.passed
     assert report.max_residual > 10.0 * report.tolerance
