@@ -333,6 +333,33 @@ def test_report_determinism():
     assert ser.reports_to_json([i1]) == ser.reports_to_json([i2])
 
 
+# dCor and its permutation p-values at the benchmark's B = 500 and subsample
+# 400, recorded before the permutation sums took their min form; each p-value
+# is (count + 1) / 501
+PINNED_DCOR = [
+    (1, 20000, False,
+     [0.07736111798001295, 0.12353091714682847, 0.07596855590419854],
+     [0.6047904191616766, 0.05389221556886228, 0.6846307385229541]),
+    (1, 20000, True,
+     [0.6891737742053816, 0.6352661655994319, 0.6832434912956218],
+     [0.001996007984031936, 0.001996007984031936, 0.001996007984031936]),
+    (2, 2000, False,
+     [0.07141265300253813, 0.06969391633153077, 0.0984560037649324],
+     [0.8423153692614771, 0.8562874251497006, 0.2155688622754491]),
+]
+
+
+@pytest.mark.parametrize("rank, n, negative, dcor, p_values", PINNED_DCOR,
+                         ids=["rank-1", "rank-1-negative-control", "sym-real-2"])
+def test_my_property_dcor_p_values_are_pinned(rank, n, negative, dcor, p_values):
+    alg = ja.sym_real(rank)
+    e = ja.identity(alg)
+    report = ver.my_property_test(alg, 2.0, e, e, n, seed=8, n_permutations=500,
+                                  subsample=400, negative_control=negative)
+    assert report.dcor == dcor
+    assert report.dcor_p_values == p_values
+
+
 def test_p_value_uniformity_over_seeded_runs():
     # under the property, p-values across independent seeded runs are roughly
     # uniform; count how many fall below 0.05 per statistic over 50 runs
