@@ -21,7 +21,9 @@ route available for each family:
   random-walk Metropolis on the coordinates, with scale adaptation during
   burn-in and thinning afterwards.  Each chain consumes an independent
   stream spawned from the master seed, so batches are reproducible and
-  chains can be compared.  At rank 2 the Metropolis target is evaluated in
+  chains can be compared.  Each chain runs at the power of two set by its
+  start point and its draws are scaled back exactly, so the samplers hold
+  from 1e-160 to 1e160.  At rank 2 the Metropolis target is evaluated in
   closed form (every rank-2 algebra is a spin factor, so the log density
   needs only tr x, det x and two inner products) on every row, with the
   three linear terms from one product ``x @ w`` and the off-cone rows set
@@ -426,7 +428,8 @@ def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
     so the log acceptance ratio is -inf, or NaN where the Hastings term is
     +inf or NaN, and a log uniform is below it in neither case.  A target
     of +inf is accepted; the rank-2 target gives one only where det x
-    overflows (coordinates beyond about 1e154, at p > dim/rank).
+    overflows (coordinates beyond about 1e154, at p > dim/rank), and the
+    callers run every chain near scale 1 (:func:`_scaled_metropolis`).
 
     The settings are the module constants, read here at every call.
     """
@@ -561,24 +564,55 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
     return log_pdf
 
 
+def _sqrt_ratio(num: float, den: float) -> float:
+    """sqrt(num / den) for positive floats, from their mantissas and exponents.
+
+    It is finite wherever the root is, also where the ratio itself overflows
+    or underflows, and it has the bits of ``math.sqrt(num / den)`` wherever
+    that ratio is a normal float: both round the same mantissa quotient, and
+    the powers of two (an even one under the root) are exact.
+    """
+    m_num, e_num = math.frexp(num)
+    m_den, e_den = math.frexp(den)
+    shift = e_num - e_den
+    return math.ldexp(math.sqrt(m_num / m_den * (2.0 if shift % 2 else 1.0)), shift // 2)
+
+
+def _scaled_metropolis(params, seed: int, n: int, init: np.ndarray) -> SampleBatch:
+    """Metropolis draws of ``params``' law, with the chain run at scale 2^-k.
+
+    k is the exponent of the start point's largest coordinate, so the chain
+    starts with its largest coordinate in [1, 2).  If X has the law with
+    scales a and b, then 2^-k X has it with a 2^k and b 2^-k; the target is
+    evaluated on that law and the draws are multiplied back by 2^k.  Every
+    scaling is by a power of two and so exact, and the proposal rule is
+    scale-free, so a chain at scale 2^-k takes the same steps wherever its
+    target rounds alike.  What changes is that det x, whose closed form
+    overflows for coordinates beyond about 1e154, is evaluated near 1.
+    """
+    alg = params.algebra
+    k = math.frexp(float(np.max(np.abs(init))))[1] - 1
+    a = np.ldexp(params.a.coords, k)
+    b = None if isinstance(params, WishartParams) else np.ldexp(params.b.coords, -k)
+    log_pdf = _log_pdf_batch(alg, params.p, a, b)
+    coords, meta = _metropolis_cone(alg, log_pdf, seed, n, np.ldexp(init, -k))
+    np.ldexp(coords, k, out=coords)
+    return SampleBatch(alg, params.record(), coords, seed, "mcmc", meta)
+
+
 def _wishart_mcmc(params: WishartParams, seed: int, n: int) -> SampleBatch:
     """Metropolis Wishart draws, started at a multiple of the identity near the mean."""
     alg = params.algebra
     e = identity(alg)
     init = e.coords * (alg.rank * max(params.p - alg.dim_over_rank, 0.5) / inner(params.a, e))
-    log_pdf = _log_pdf_batch(alg, params.p, params.a.coords)
-    coords, meta = _metropolis_cone(alg, log_pdf, seed, n, init)
-    return SampleBatch(alg, params.record(), coords, seed, "mcmc", meta)
+    return _scaled_metropolis(params, seed, n, init)
 
 
 def _gig_mcmc(params: GigParams, seed: int, n: int) -> SampleBatch:
     """Metropolis GIG draws, started at sqrt(<b, e> / <a, e>) e."""
-    alg = params.algebra
-    e = identity(alg)
-    init = e.coords * math.sqrt(inner(params.b, e) / inner(params.a, e))
-    log_pdf = _log_pdf_batch(alg, params.p, params.a.coords, params.b.coords)
-    coords, meta = _metropolis_cone(alg, log_pdf, seed, n, init)
-    return SampleBatch(alg, params.record(), coords, seed, "mcmc", meta)
+    e = identity(params.algebra)
+    init = e.coords * _sqrt_ratio(inner(params.b, e), inner(params.a, e))
+    return _scaled_metropolis(params, seed, n, init)
 
 
 def sample_wishart(params: WishartParams, seed: int, n: int) -> SampleBatch:

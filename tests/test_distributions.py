@@ -425,6 +425,53 @@ def test_mcmc_divergence_is_flagged(mcmc_settings):
     assert batch.mcmc["diverged"]
 
 
+def _mcmc_trace_mean(batch, scale):
+    assert batch.method == "mcmc"
+    assert not batch.mcmc["diverged"]
+    assert batch.all_in_cone()
+    tr = ja.batch_trace(batch.algebra, batch.coords) / scale
+    return st.mean_std_err(tr, n_chains=batch.mcmc["chains"])
+
+
+def test_metropolis_wishart_holds_across_scale(mcmc_settings):
+    # at a = 1e-156 e the chains start near 2e156 e, where det x overflows
+    mcmc_settings(BURN_IN=1000)
+    e = ja.identity(L2)
+    for scale in (1.0, 1e156, 1e-156, 1e160, 1e-160):
+        params = dist.WishartParams(2.0, ja.Element(L2, e.coords / scale))
+        mean, err = _mcmc_trace_mean(dist.sample_wishart(params, 1, 2000), scale)
+        assert abs(mean - 4.0) < 3.0 * err  # E tr X = rank * p at a = e
+
+
+@pytest.mark.parametrize("alg", [A2, ja.sym_real(3), H2, ja.lorentz(4)],
+                         ids=["sym2", "sym3", "herm2", "lorentz-dim5"])
+def test_metropolis_gig_holds_across_scale(alg, mcmc_settings):
+    # GIG(p, a / s, s b) is s GIG(p, a, b); its start sqrt(<b, e> / <a, e>) e
+    # overflowed as a ratio at s = 1e156, and det x of points near s e
+    # overflows or underflows at the larger scales
+    mcmc_settings(BURN_IN=1000)
+    e = ja.identity(alg)
+
+    def trace_mean(scale):
+        params = dist.GigParams(-1.7, ja.Element(alg, e.coords / scale),
+                                ja.Element(alg, e.coords * scale))
+        return _mcmc_trace_mean(dist.sample_gig(params, 2, 1000), scale)
+
+    ref, ref_err = trace_mean(1.0)
+    for scale in (1e156, 1e-156, 1e160, 1e-160):
+        mean, err = trace_mean(scale)
+        assert abs(mean - ref) < 3.0 * math.hypot(err, ref_err)
+
+
+def test_gig_start_ratio_keeps_its_bits_and_never_overflows():
+    rng = np.random.default_rng(16)
+    for num, den in 10.0 ** rng.uniform(-150, 150, (2000, 2)):
+        assert dist._sqrt_ratio(num, den) == math.sqrt(num / den)
+    for num, den, root in ((2e156, 2e-156, 1e156), (1e-160, 1e160, 1e-160),
+                           (4.0, 1.0, 2.0), (2.0, 1.0, math.sqrt(2.0))):
+        assert dist._sqrt_ratio(num, den) == pytest.approx(root, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Rank-2 closed-form Metropolis target
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_batched_permutation_test_matches_loop(m, data, subsampled, monkeypatch)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
-@pytest.mark.parametrize("m", [3, 17, 200])
+@pytest.mark.parametrize("m", [3, 17, 200, 400])
 def test_identical_columns_give_identical_sums(m):
     # a permutation that leaves the sample unchanged must tie with the
     # observed column exactly, wherever it sits in the block
@@ -98,6 +98,42 @@ def test_identical_columns_give_identical_sums(m):
     a, _ = st._centered_distance_matrices(rng.standard_normal(m), np.zeros(m))
     stat = st._permuted_dcov_sums(a, np.repeat(rng.standard_normal((m, 1)), 13, axis=1))
     assert np.all(stat == stat[0])
+    # the identity in the last of 501 columns, the width of a B = 500 block
+    y = rng.standard_normal(m)
+    y -= y.min()
+    yt = np.stack([y, *(y[rng.permutation(m)] for _ in range(499)), y], axis=1)
+    stat = st._permuted_dcov_sums(a, yt)
+    assert stat[-1] == stat[0]
+
+
+def _direct_dcov_sums(a, yt):
+    """sum_{i<j} a[i, j] |yt[i, k] - yt[j, k]|, one row of pairs at a time."""
+    stat = np.zeros(yt.shape[1])
+    for f in range(1, yt.shape[0]):
+        stat += (np.abs(yt[:f] - yt[f]) * a[f, :f, None]).sum(axis=0)
+    return stat
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e8, 1e12])
+def test_permuted_sums_match_the_direct_sums_at_any_offset(offset, monkeypatch):
+    # the min form cancels to the result; the shift in permutation_dcor_test
+    # keeps that cancellation at rounding level however far the data sit
+    # from 0
+    calls = []
+
+    def spy(a, yt):
+        stat = sums(a, yt)
+        calls.append((a, yt.copy(), stat))
+        return stat
+
+    sums = st._permuted_dcov_sums
+    monkeypatch.setattr(st, "_permuted_dcov_sums", spy)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal(400)
+    y = offset + rng.standard_normal(400)
+    st.permutation_dcor_test(x, y, 100, np.random.default_rng(15), subsample=None)
+    (a, yt, stat), = calls
+    np.testing.assert_allclose(stat, _direct_dcov_sums(a, yt), rtol=1e-12, atol=0)
 
 
 def test_permutation_test_identical_samples_reach_the_floor():
