@@ -1,36 +1,21 @@
-"""Batch command-line front end.
+"""Batch command-line front end, a thin layer over :mod:`symcone.verification`
+and the samplers: a check runs the settings it is given and reports only
+what it computes.
 
-Runs verification checks and samplers from flags or a JSON config file and
-writes JSON/CSV reports.  Flag values override config-file values, which
-override the built-in defaults (the field defaults of :class:`RunConfig`);
-the default seed can also be set through the SYMCONE_SEED environment
-variable.  A check receives ``tol`` only when ``--tol`` or the config file
-sets it, and otherwise keeps its own default.  A config-file field must
-hold the JSON type of its flag (an integer, a number or a string), or null
-where the default is null.  The Metropolis settings are not options: they are the
-constants of :mod:`symcone.distributions`.  The algebra comes from the
-kernel table (``--kind`` takes the values of :class:`~symcone.algebra.Kind`).
-The rules on shapes and algebras live in the library, and their errors are
-usage errors here; the CLI adds only the rules against vacuous runs.
+Flag values override config-file values, which override the field defaults
+of :class:`RunConfig`; SYMCONE_SEED sets the default seed.  ``--trials``
+reaches every residual check as given, and ``tol`` only when ``--tol`` or
+the config file sets it.  ``--step``, ``--permutations`` and ``--subsample``
+default to the defaults in the signatures of ``check_jacobian`` and
+``my_property_test``.  The Metropolis settings are the constants of
+:mod:`symcone.distributions`, not options.  The library's errors on shapes
+and algebras are usage errors here; :func:`_validate` adds only the rules
+against vacuous runs and unwritable output.
 
-The check subcommands (``check <what>``, ``test my-property``) are the rows of
-one table, :data:`_CHECKS`, which the parser, ``suite`` and the failure
-reports read, so adding a check is one row.  A check that leaves the cone
-fails under its own name, the run's algebra and the tolerance it would have
-used, and ``suite`` goes on with its other checks.
-
-Every output file (reports, sample batches, the ``.meta.json`` sidecar) is
-written by :func:`_write`: an existing file is overwritten in place, without
-``O_TRUNC``, and a regular file is then cut to the new length, so ``-o``
-also takes a pipe or a device such as ``/dev/stdout``; a CSV sample, whose
-sidecar goes beside ``-o``, is a usage error there before any draw.  A
-write killed part way leaves the new bytes followed by the old file's tail.
-``sample`` writes its draws only to ``-o``, so a ``sample`` without one is a
-usage error before any draw.  An ``-o`` that is a directory or lies in a
-missing one is a usage error before any work, and
-a write that fails is one too, naming the path and the reason.  So is a
-status line that stdout cannot take, as when the reader of a pipe has gone
-(``symcone suite | head -c 1``): ``cannot write stdout: Broken pipe``.
+The check subcommands are the rows of one table, :data:`_CHECKS`, which the
+parser, ``suite`` and the failure reports read.  A check that leaves the
+cone fails under its own name, and ``suite`` goes on.  Every output file is
+written by :func:`_write`.
 
 Exit codes (:func:`_status`): 0 all checks passed, 1 a check failed, 2
 results inconclusive (an MCMC sampler left its acceptance band), 64 usage
@@ -82,10 +67,15 @@ class UsageError(ValueError):
     pass
 
 
+def _library_default(check, name: str):
+    """The default of parameter ``name`` in the signature of ``check``."""
+    return inspect.signature(check).parameters[name].default
+
+
 @dataclass
 class RunConfig:
     """Merged, validated settings for one CLI invocation; the field defaults
-    are the built-in defaults of the flags."""
+    are the flags' defaults, read from the library for the settings of one check."""
 
     command: tuple
     kind: str = "sym-real"
@@ -101,9 +91,9 @@ class RunConfig:
     output: str | None = None
     format: str = "json"
     sets: int = 1
-    step: float = 1e-5
-    permutations: int = 1000
-    subsample: int | None = 1000
+    step: float = _library_default(ver.check_jacobian, "step")
+    permutations: int = _library_default(ver.my_property_test, "n_permutations")
+    subsample: int | None = _library_default(ver.my_property_test, "subsample")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig) if f.name != "command"}
@@ -338,12 +328,6 @@ def _fe_1d_reports(alg, rng, kw) -> list:
             ver.check_fe_univariate_g_alpha(univariate, **kw)]
 
 
-def _jacobian_reports(cfg: RunConfig, alg: AlgebraDescriptor, kw: dict) -> list:
-    # at most 200 trials, 100 in ``suite``
-    cap = 100 if cfg.command == ("suite",) else 200
-    return [ver.check_jacobian(alg, **{**kw, "n": min(cfg.trials, cap)}, step=cfg.step)]
-
-
 # command -> (its reports from (cfg, alg, kw), the check whose ``tol`` default
 # a failure report carries); kw holds n, seed and, only when set, tol.
 # ``suite`` runs the ``check`` rows in this order.  ``algebra`` carries the
@@ -356,7 +340,8 @@ _CHECKS = {
     ("check", "hua"): (lambda cfg, alg, kw: [ver.check_hua(alg, **kw)], ver.check_hua),
     ("check", "involution"): (lambda cfg, alg, kw: [ver.check_involution(alg, **kw)],
                               ver.check_involution),
-    ("check", "jacobian"): (_jacobian_reports, ver.check_jacobian),
+    ("check", "jacobian"): (lambda cfg, alg, kw: [ver.check_jacobian(
+        alg, **kw, step=cfg.step)], ver.check_jacobian),
     ("check", "fe-cone"): (_fe_cone_reports, ver.check_fe_cone),
     ("check", "fe-1d"): (_fe_1d_reports, ver.check_fe_univariate_abcd),
     ("check", "factorization"): (lambda cfg, alg, kw: [ver.density_factorization_check(
@@ -374,7 +359,7 @@ def _failure_tolerance(cfg: RunConfig, tol_of) -> float:
         return ver.SIGNIFICANCE
     if cfg.tol is not None:
         return cfg.tol
-    return inspect.signature(tol_of).parameters["tol"].default
+    return _library_default(tol_of, "tol")
 
 
 def _dispatch_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
@@ -413,7 +398,8 @@ def _write(path: str, text: str) -> None:
     just written can block until its earlier writeback is done.  Only a
     regular file is cut, so a pipe or a device (``-o /dev/stdout``) takes
     the bytes as before.  A symlink is followed, and an existing file keeps
-    its inode and mode.  A path that cannot be written is a usage error.
+    its inode and mode.  A path that cannot be written is a usage error.  A
+    write killed part way leaves the new bytes followed by the old tail.
     """
     data = text.encode()
     try:
@@ -485,14 +471,13 @@ def run(argv) -> int:
         cfg = _merge_config(args)
         alg = _algebra(cfg)
         if cfg.command[0] == "sample":
-            batch = _run_sample(cfg, alg)
-            if cfg.output:
-                if cfg.format == "csv":
-                    _write(cfg.output, ser.batch_to_csv(batch))
-                    _write(cfg.output + ".meta.json",
-                           ser.dumps_canonical(ser.batch_metadata(batch)) + "\n")
-                else:
-                    _write(cfg.output, ser.batch_to_json(batch))
+            batch = _run_sample(cfg, alg)  # _validate requires -o
+            if cfg.format == "csv":
+                _write(cfg.output, ser.batch_to_csv(batch))
+                _write(cfg.output + ".meta.json",
+                       ser.dumps_canonical(ser.batch_metadata(batch)) + "\n")
+            else:
+                _write(cfg.output, ser.batch_to_json(batch))
             [status], code = _status([batch])
             rate = "" if batch.mcmc is None else f" accept={batch.mcmc['acceptance_rate']:.3f}"
             _print_lines([f"[{status}] sample {cfg.command[1]} "

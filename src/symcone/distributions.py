@@ -21,19 +21,16 @@ route available for each family:
   random-walk Metropolis on the coordinates, with scale adaptation during
   burn-in and thinning afterwards.  Each chain consumes an independent
   stream spawned from the master seed, so batches are reproducible and
-  chains can be compared.  Each chain runs at the power of two set by its
-  start point and its draws are scaled back exactly, so the samplers hold
-  from 1e-160 to 1e160.  At rank 2 the Metropolis target is evaluated in
-  closed form (every rank-2 algebra is a spin factor, so the log density
-  needs only tr x, det x and two inner products) on every row, with the
-  three linear terms from one product ``x @ w`` and the off-cone rows set
-  to -inf by one ``np.where`` instead of a gather and a scatter; higher
-  ranks take eigenvalues and inverses from LAPACK at every step.  The step
-  loop, target calls included, runs under one ``np.errstate``, carries
-  each chain's RMS coordinate instead of recomputing it, builds each
-  proposal in one buffer and reads its burn-in update factors from a
-  table, so a step is a handful of small array operations; it needs no
-  guard for off-cone proposals, whose -inf target already rejects them.
+  chains can be compared.  At rank 2 the target is evaluated in closed
+  form (every rank-2 algebra is a spin factor, so the log density needs
+  only tr x, det x and two inner products); higher ranks take eigenvalues
+  and inverses from LAPACK at every step.  :func:`_metropolis_cone`
+  describes the step loop.
+
+The rank-1 GIG sampler, its quadrature CDF and every Metropolis chain work
+on the law of 2^-k X, with k the exponent of a start point (for the GIG
+sqrt(<b, e> / <a, e>) e), and scale back by 2^k exactly, so the samplers
+hold from 1e-160 to 1e160.
 
 Each family and kind has one sampling route, chosen from the algebra.  The
 Metropolis settings (burn-in, thinning, chains, proposal scale, target
@@ -55,6 +52,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     NotInConeError,
+    _require_same,
     batch_det,
     batch_eigenvalues,
     batch_in_cone,
@@ -144,8 +142,7 @@ class GigParams:
     b: Element
 
     def __post_init__(self):
-        if self.a.algebra != self.b.algebra:
-            raise NotInConeError("GIG parameters must share an algebra")
+        _require_same(self.a, self.b)
         _require_finite(self.p, a=self.a, b=self.b)
         if not in_cone(self.a) or not in_cone(self.b):
             raise NotInConeError("GIG parameters must lie in the open cone")
@@ -269,30 +266,32 @@ def gig_norm_constant_rank1(params: GigParams) -> float:
 def gig_cdf_rank1(params: GigParams):
     """Quadrature CDF of the rank-1 GIG, returned as a vectorized callable.
 
-    Builds the density on a dense log-spaced grid spanning everything within
-    80 nats of the log-density maximum, integrates it with the trapezoid
-    rule, and interpolates.  Accurate to far below Kolmogorov-Smirnov
-    resolution at any feasible sample size.
+    Builds the density of 2^-k X, as :func:`sample_gig` does, on a dense
+    log-spaced grid spanning everything within 80 nats of the log-density
+    maximum over every double, integrates it with the trapezoid rule, and
+    interpolates.  Accurate to far below Kolmogorov-Smirnov resolution at
+    any feasible sample size.
     """
     alg = params.algebra
     if alg.rank != 1:
         raise ValueError("quadrature CDF is implemented for rank 1 only")
     p = params.p
-    a = float(params.a.coords[0])
-    b = float(params.b.coords[0])
+    k, a, b = _pow2_scales(params, _gig_start(params))
+    a, b = float(a[0]), float(b[0])
 
     def log_f(t):
         return p * t - a * np.exp(t) - b * np.exp(-t)
 
-    coarse = np.linspace(-60.0, 60.0, 4001)
-    lf = log_f(coarse)
-    keep = lf > lf.max() - 80.0
-    lo, hi = coarse[keep][0] - 0.1, coarse[keep][-1] + 0.1
+    coarse = np.linspace(-745.0, 745.0, 5961)  # steps of 0.25
+    with np.errstate(over="ignore"):
+        lf = log_f(coarse)
+    keep = lf >= lf.max() - 80.0
+    lo, hi = coarse[keep][0] - 0.25, coarse[keep][-1] + 0.25
     t = np.linspace(lo, hi, GIG_CDF_GRID)
     dens = np.exp(log_f(t) - lf.max())
     cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(t))])
     cdf_grid /= cdf_grid[-1]
-    xs = np.exp(t)
+    xs = np.ldexp(np.exp(t), k)
 
     def cdf(x):
         return np.interp(np.asarray(x, float), xs, cdf_grid, left=0.0, right=1.0)
@@ -329,10 +328,12 @@ def _bartlett(alg: AlgebraDescriptor, p: float, a: Element, seed: int, n: int) -
 
 
 def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.ndarray:
-    """Exact rank-1 GIG draws, density proportional to x^(p-1) e^(-a x - b/x)."""
+    """Exact rank-1 GIG draws, density proportional to x^(p-1) e^(-a x - b/x),
+    by Devroye's (2014) exponential envelope on the log scale."""
     rng = np.random.default_rng(seed)
     lam = float(p)
-    omega = 2.0 * math.sqrt(a * b)
+    ab = a * b  # below the normal range (2^-1022) it loses bits, above it overflows
+    omega = 2.0 * (math.sqrt(ab) if 2.0**-1022 <= ab < math.inf else math.sqrt(a) * math.sqrt(b))
     swap = lam < 0
     lam = abs(lam)
     alpha = math.hypot(omega, lam) - lam
@@ -355,6 +356,11 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
         s = 1.0
     elif v > 2.0:
         s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
+    elif alpha == 0:
+        # omega below about 1e-8 lam rounds alpha to 0 (so lam > 0); at this
+        # small lam psi needs it, and the s rule's log(2 / alpha) comes from omega
+        alpha = omega * (omega / (2.0 * lam))
+        s = min(1.0 / lam, math.log(4.0 * lam) - 2.0 * math.log(omega))
     else:
         s_cap = 1.0 / lam if lam > 0 else np.inf
         s = min(s_cap, math.log(1.0 + 1.0 / alpha + math.sqrt(1.0 / alpha**2 + 2.0 / alpha)))
@@ -387,7 +393,8 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
         m = accepted.size
         out[filled : filled + m] = accepted
         filled += m
-    z = np.exp(out) * (lam / omega + math.sqrt(1.0 + (lam / omega) ** 2))
+    r = lam / omega  # r^2 overflows past 1.3e154; from 1e150 on the factor is 2r
+    z = np.exp(out) * (r + math.sqrt(1.0 + r**2) if r < 1e150 else 2.0 * r)
     if swap:
         z = 1.0 / z
     return z * math.sqrt(b / a)
@@ -578,22 +585,31 @@ def _sqrt_ratio(num: float, den: float) -> float:
     return math.ldexp(math.sqrt(m_num / m_den * (2.0 if shift % 2 else 1.0)), shift // 2)
 
 
-def _scaled_metropolis(params, seed: int, n: int, init: np.ndarray) -> SampleBatch:
-    """Metropolis draws of ``params``' law, with the chain run at scale 2^-k.
+def _gig_start(params: GigParams) -> np.ndarray:
+    """sqrt(<b, e> / <a, e>) e, about where the GIG's mass lies."""
+    e = identity(params.algebra)
+    return e.coords * _sqrt_ratio(inner(params.b, e), inner(params.a, e))
 
-    k is the exponent of the start point's largest coordinate, so the chain
-    starts with its largest coordinate in [1, 2).  If X has the law with
-    scales a and b, then 2^-k X has it with a 2^k and b 2^-k; the target is
-    evaluated on that law and the draws are multiplied back by 2^k.  Every
-    scaling is by a power of two and so exact, and the proposal rule is
-    scale-free, so a chain at scale 2^-k takes the same steps wherever its
-    target rounds alike.  What changes is that det x, whose closed form
-    overflows for coordinates beyond about 1e154, is evaluated near 1.
+
+def _pow2_scales(params, init: np.ndarray) -> tuple:
+    """k, which brings the largest coordinate of ``init`` into [1, 2) at 2^-k,
+    and the scales a 2^k and b 2^-k (b None for a Wishart) that the law of
+    2^-k X has when X has a and b.  Every scaling by 2^k is exact."""
+    k = math.frexp(float(np.max(np.abs(init))))[1] - 1
+    b = None if isinstance(params, WishartParams) else np.ldexp(params.b.coords, -k)
+    return k, np.ldexp(params.a.coords, k), b
+
+
+def _scaled_metropolis(params, seed: int, n: int, init: np.ndarray) -> SampleBatch:
+    """Metropolis draws of ``params``' law, with the chain run on 2^-k X
+    (:func:`_pow2_scales`) and the draws multiplied back by 2^k.  The
+    proposal rule is scale-free, so a chain at scale 2^-k takes the same
+    steps wherever its target rounds alike.  What changes is that det x,
+    whose closed form overflows for coordinates beyond about 1e154, is
+    evaluated near 1.
     """
     alg = params.algebra
-    k = math.frexp(float(np.max(np.abs(init))))[1] - 1
-    a = np.ldexp(params.a.coords, k)
-    b = None if isinstance(params, WishartParams) else np.ldexp(params.b.coords, -k)
+    k, a, b = _pow2_scales(params, init)
     log_pdf = _log_pdf_batch(alg, params.p, a, b)
     coords, meta = _metropolis_cone(alg, log_pdf, seed, n, np.ldexp(init, -k))
     np.ldexp(coords, k, out=coords)
@@ -610,9 +626,7 @@ def _wishart_mcmc(params: WishartParams, seed: int, n: int) -> SampleBatch:
 
 def _gig_mcmc(params: GigParams, seed: int, n: int) -> SampleBatch:
     """Metropolis GIG draws, started at sqrt(<b, e> / <a, e>) e."""
-    e = identity(params.algebra)
-    init = e.coords * _sqrt_ratio(inner(params.b, e), inner(params.a, e))
-    return _scaled_metropolis(params, seed, n, init)
+    return _scaled_metropolis(params, seed, n, _gig_start(params))
 
 
 def sample_wishart(params: WishartParams, seed: int, n: int) -> SampleBatch:
@@ -644,7 +658,6 @@ def sample_gig(params: GigParams, seed: int, n: int) -> SampleBatch:
     alg = params.algebra
     if alg.rank != 1:
         return _gig_mcmc(params, seed, n)
-    draws = _gig_rejection_rank1(
-        params.p, float(params.a.coords[0]), float(params.b.coords[0]), seed, n
-    )
+    k, a, b = _pow2_scales(params, _gig_start(params))
+    draws = np.ldexp(_gig_rejection_rank1(params.p, float(a[0]), float(b[0]), seed, n), k)
     return SampleBatch(alg, params.record(), draws[:, None], seed, "rejection")

@@ -2,22 +2,22 @@
 solution families, and the forward independence property of the cone map.
 
 Every residual check draws seeded random cone points, evaluates both sides
-of its identity, and returns a :class:`CheckReport` whose ``passed`` field
-is ``max_residual <= tolerance``; a check's ``tol`` default is its
-tolerance, and the CLI passes ``tol`` only when it is set.  The checks map
-points with :func:`symcone.my_transform.batch_my_map`, take the Jacobian of
-the map as a log from :mod:`symcone.my_transform`, and evaluate densities
-with the batch log densities of :mod:`symcone.distributions`; this module
-writes out none of them.  Logs keep the Jacobian and density checks finite
-where the Jacobian itself leaves the double range.  The independence test
-returns an :class:`IndependenceReport` whose ``passed`` field requires every
-p-value to clear ``BONFERRONI_GATE``, the significance level shared among
-the tests named by ``DCOR_FUNCTIONALS`` and ``KS_LABELS``.  The density-factorization
+of its identity, and returns a :class:`CheckReport` of what it computed,
+whose ``passed`` field is ``max_residual <= tolerance``; a check's ``tol``
+default is its tolerance.  The checks map points with
+:func:`symcone.my_transform.batch_my_map`, take the Jacobian of the map as a
+log from :mod:`symcone.my_transform`, and evaluate densities with the batch
+log densities of :mod:`symcone.distributions`; this module writes out none
+of them.  Logs keep the Jacobian and density checks finite where the
+Jacobian itself leaves the double range.  The independence test returns an
+:class:`IndependenceReport` whose ``passed`` field requires every p-value
+to clear ``BONFERRONI_GATE``, the significance level shared among the tests
+named by ``DCOR_FUNCTIONALS`` and ``KS_LABELS``.  The density-factorization
 check and the independence test need a shape p > dim/rank - 1 and raise
 :class:`~symcone.distributions.ShapeOutOfRangeError` below it, before any
-draw.  Reports are plain dataclasses
-whose ``to_dict`` follows the field order; given the same seed and
-configuration they are reproducible bit for bit.
+draw.  Reports are plain dataclasses whose ``to_dict`` follows the field
+order; given the same seed and configuration they are reproducible bit for
+bit.  The CLI takes its defaults from the signatures here.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class CheckReport:
     passed: bool
     seed: int
     tolerance: float
-    p_values: list[float] | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
@@ -156,7 +155,7 @@ class IndependenceReport:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _report(check, alg, residuals, tol, seed, p_values=None) -> CheckReport:
+def _report(check, alg, residuals, tol, seed) -> CheckReport:
     residuals = np.asarray(residuals, float)
     max_r = float(np.max(residuals))
     return CheckReport(
@@ -168,7 +167,6 @@ def _report(check, alg, residuals, tol, seed, p_values=None) -> CheckReport:
         passed=bool(max_r <= tol),
         seed=seed,
         tolerance=tol,
-        p_values=p_values,
     )
 
 
@@ -457,7 +455,7 @@ def my_property_test(
     b: Element,
     n: int,
     seed: int = 0,
-    n_permutations: int = 500,
+    n_permutations: int = 1000,
     subsample: int | None = 1000,
     negative_control: bool = False,
 ) -> IndependenceReport:
@@ -482,8 +480,10 @@ def my_property_test(
     The report's ``passed`` field applies a Bonferroni correction across
     the listed tests; it is ``False`` whenever any p-value falls to
     ``BONFERRONI_GATE`` or below, and ``inconclusive`` is flagged if an MCMC
-    sampler finished outside its acceptance band.  A shape p outside the
-    density range raises ShapeOutOfRangeError before anything is drawn.
+    sampler finished outside its acceptance band.  A dCor p-value is at
+    least 1/(n_permutations + 1), below the gate from 700 permutations on.
+    A shape p outside the density range raises ShapeOutOfRangeError before
+    anything is drawn.
     """
     require_density_range(p, alg)
     child = [int(s) for s in np.random.SeedSequence(seed).generate_state(6, np.uint64)]

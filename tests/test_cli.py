@@ -183,6 +183,15 @@ def test_diverged_sample_prints_inconclusive(capsys, mcmc_settings, tmp_path):
     assert capsys.readouterr().out.startswith("[INCONCLUSIVE] sample gig method=mcmc")
 
 
+@pytest.mark.filterwarnings("ignore:MCMC acceptance rate:RuntimeWarning")
+def test_diverged_independence_test_prints_inconclusive(capsys, mcmc_settings):
+    mcmc_settings(CHAINS=1, BURN_IN=0)
+    code = run_cli("test", "my-property", "--kind", "sym-real", "--rank", "2", "--p", "2",
+                   "-n", "200", "--seed", "16", "--subsample", "100")
+    assert code == 2
+    assert capsys.readouterr().out.startswith("[INCONCLUSIVE] my-property kind=sym-real")
+
+
 def test_sample_shape_guard_is_usage_error(tmp_path, capsys):
     assert run_cli("sample", "wishart", "--kind", "sym-real", "--rank", "2",
                    "--p", "0.5", "-n", "10", "-o", str(tmp_path / "w.json")) == 64
@@ -386,13 +395,23 @@ def test_check_fe_cone_with_sets(tmp_path):
     assert all(r["passed"] for r in reports)
 
 
-def test_suite_and_check_keep_their_jacobian_caps(tmp_path):
-    for argv, cap in ((("check", "jacobian"), 200), (("suite",), 100)):
+def test_suite_and_check_run_the_jacobian_at_the_trials_asked_for(tmp_path):
+    for argv in (("check", "jacobian"), ("suite",)):
         out = tmp_path / "r.json"
         assert run_cli(*argv, "--kind", "sym-real", "--rank", "1", "--trials", "300",
                        "-o", str(out)) == 0
         reports = json.loads(out.read_text())["reports"]
-        assert [r["trials"] for r in reports if r["check"] == "jacobian-closed-form"] == [cap]
+        assert [r["trials"] for r in reports if r["check"] == "jacobian-closed-form"] == [300]
+        assert all("p_values" not in r for r in reports)
+
+
+def test_run_config_takes_its_check_settings_from_the_library():
+    defaults = cli._DEFAULTS
+    jacobian = inspect.signature(ver.check_jacobian).parameters
+    independence = inspect.signature(ver.my_property_test).parameters
+    assert defaults["step"] == jacobian["step"].default
+    assert defaults["permutations"] == independence["n_permutations"].default == 1000
+    assert defaults["subsample"] == independence["subsample"].default
 
 
 def _range_message(p, alg):

@@ -381,6 +381,70 @@ def test_gig_rejection_other_shapes(p, a, b):
     assert stat < st.ks_critical_value(n, alpha=0.01)
 
 
+def _ks_against_quadrature(p, a, b, n, seed=23):
+    params = dist.GigParams(p, scalar(a), scalar(b))
+    stat, _ = st.ks_against_cdf(dist.sample_gig(params, seed, n).coords[:, 0],
+                                dist.gig_cdf_rank1(params))
+    return stat < st.ks_critical_value(n, alpha=0.01)
+
+
+@pytest.mark.parametrize("p,a,b", [(0.05, 0.01, 0.01), (30.0, 5.0, 5.0)],
+                         ids=["small-t-and-s", "big-s"])
+def test_gig_rejection_envelope_branches(p, a, b):
+    # Devroye's rules for t and s take their small forms at the first shape
+    # and their big forms at the second
+    assert _ks_against_quadrature(p, a, b, 200000)
+
+
+@pytest.mark.parametrize("p,a,b", [(0.5, 1e-12, 1e-6), (0.05, 1e-20, 1e-20),
+                                   (0.5, 1e-160, 1e-160), (-0.5, 1e-160, 1e-160)])
+def test_gig_rejection_holds_where_alpha_rounds_to_zero(p, a, b):
+    # hypot(omega, |p|) - |p| rounds to 0; the s rule divided by it, and at
+    # 1e-160 (|p| / omega)^2 overflowed
+    assert _ks_against_quadrature(p, a, b, 20000)
+
+
+@pytest.mark.parametrize("a,b", [(1e-30, 1.5e30), (1e-100, 1.5e100), (1e-160, 1.5e160),
+                                 (1.5e160, 1e-160)])
+def test_gig_rejection_and_quadrature_hold_across_scale(a, b):
+    # sqrt(b / a) overflowed the sampler at 1e160, and the quadrature grid
+    # missed the mass from 1e30 on
+    assert _ks_against_quadrature(2.0, a, b, 20000)
+
+
+def test_gig_rejection_draws_scale_exactly():
+    # 2^-j X ~ GIG(p, a 2^j, b 2^-j) for X ~ GIG(p, a, b), draw for draw
+    unit = dist.sample_gig(dist.GigParams(2.0, ONE, scalar(1.5)), 5, 100).coords
+    for j in (-530, -100, 100, 530):
+        params = dist.GigParams(2.0, scalar(math.ldexp(1.0, j)), scalar(math.ldexp(1.5, -j)))
+        assert np.array_equal(dist.sample_gig(params, 5, 100).coords, np.ldexp(unit, -j))
+
+
+def test_gig_params_from_two_algebras_are_a_mismatch():
+    with pytest.raises(ja.AlgebraMismatchError):
+        dist.GigParams(2.0, ONE, ja.identity(ja.herm_complex(1)))
+
+
+# draws recorded before the rank-1 GIG took its small-omega forms and ran at
+# a power-of-two scale: plain, alpha rounding to 0 at |p| >= 1.36, omega
+# near 1e28, small omega with alpha above 0, and a negative shape
+GIG_RANK1_BITS = [
+    ((2.0, 1.0, 1.5), ["0x1.fbcd850ce3d75p-1", "0x1.0d5d17acd7cd2p-1", "0x1.22dd6122e00c0p+1"]),
+    ((3.0, 1e-20, 1e-10),
+     ["0x1.6200627bacc7bp+66", "0x1.25da86292d1b0p+65", "0x1.e0504b866df35p+67"]),
+    ((-4.0, 1e30, 1e25), ["0x1.9e7c6e4338fe5p-9", "0x1.9e7c6e4338f78p-9", "0x1.9e7c6e43390e1p-9"]),
+    ((0.7, 1e-5, 2e-4), ["0x1.e00f378e30670p+11", "0x1.4ebd9ebf54912p+7", "0x1.a0c9c55b20825p+12"]),
+    ((-0.2, 3.0, 1e-3), ["0x1.1129262752d29p-11", "0x1.b04ef347276a3p-13", "0x1.07f992a160275p-6"]),
+]
+
+
+@pytest.mark.parametrize("pab, draws", GIG_RANK1_BITS)
+def test_gig_rejection_keeps_its_bits(pab, draws):
+    p, a, b = pab
+    batch = dist.sample_gig(dist.GigParams(p, scalar(a), scalar(b)), 5, 3)
+    assert [float(z).hex() for z in batch.coords[:, 0]] == draws
+
+
 def test_gig_mcmc_agrees_with_rejection():
     params = dist.GigParams(-1.0, ONE, ONE)
     n = 10000

@@ -324,6 +324,14 @@ def test_my_property_negative_control_fails_through_dcor_alone():
     assert all(p <= ver.SIGNIFICANCE / 7 for p in report.dcor_p_values)
 
 
+def test_default_negative_control_fails_through_dcor_alone():
+    # the default B = 1000 puts the dCor floor 1/1001 below the gate; at
+    # B = 500 the floor 1/501 is above it and no dCor test could reject
+    report = ver.my_property_test(A1, 2.0, ONE, ONE, 4000, seed=5, negative_control=True)
+    assert report.n_permutations == 1000
+    assert all(p <= ver.BONFERRONI_GATE for p in report.dcor_p_values)
+
+
 def test_report_determinism():
     r1 = ver.check_hua(A2, n=200, seed=42)
     r2 = ver.check_hua(A2, n=200, seed=42)
