@@ -2,20 +2,40 @@
 and the samplers: a check runs the settings it is given and reports only
 what it computes.
 
-Flag values override config-file values, which override the field defaults
-of :class:`RunConfig`; SYMCONE_SEED sets the default seed.  ``--trials``
-reaches every residual check as given, and ``tol`` only when ``--tol`` or
-the config file sets it.  ``--step``, ``--permutations`` and ``--subsample``
-default to the defaults in the signatures of ``check_jacobian`` and
-``my_property_test``.  The Metropolis settings are the constants of
-:mod:`symcone.distributions`, not options.  The library's errors on shapes
-and algebras are usage errors here; :func:`_validate` adds only the rules
-against vacuous runs and unwritable output.
+Runs verification checks and samplers from flags or a JSON config file and
+writes JSON/CSV reports.  Flag values override config-file values, which
+override the built-in defaults (the field defaults of :class:`RunConfig`);
+the default seed can also be set through the SYMCONE_SEED environment
+variable.  ``--trials`` reaches every residual check as given, and a check
+receives ``tol`` only when ``--tol`` or the config file sets it, and
+otherwise keeps its own default.  ``--step``, ``--permutations`` and
+``--subsample`` default to the defaults in the signatures of
+``check_jacobian`` and ``my_property_test``.  A config-file field must hold
+the JSON type of its flag (an integer, a number or a string), or null where
+the default is null.  The Metropolis settings are not options: they are the
+constants of :mod:`symcone.distributions`.  The algebra comes from the
+kernel table (``--kind`` takes the values of :class:`~symcone.algebra.Kind`).
+The rules on shapes and algebras live in the library, and their errors are
+usage errors here; the CLI adds only the rules against vacuous runs.
 
-The check subcommands are the rows of one table, :data:`_CHECKS`, which the
-parser, ``suite`` and the failure reports read.  A check that leaves the
-cone fails under its own name, and ``suite`` goes on.  Every output file is
-written by :func:`_write`.
+The check subcommands (``check <what>``, ``test my-property``) are the rows of
+one table, :data:`_CHECKS`, which the parser, ``suite`` and the failure
+reports read, so adding a check is one row.  A check that leaves the cone
+fails under its own name, the run's algebra and the tolerance it would have
+used, and ``suite`` goes on with its other checks.
+
+Every output file (reports, sample batches, the ``.meta.json`` sidecar) is
+written by :func:`_write`: an existing file is overwritten in place, without
+``O_TRUNC``, and a regular file is then cut to the new length, so ``-o``
+also takes a pipe or a device such as ``/dev/stdout``; a CSV sample, whose
+sidecar goes beside ``-o``, is a usage error there before any draw.  A
+write killed part way leaves the new bytes followed by the old file's tail.
+``sample`` writes its draws only to ``-o``, so a ``sample`` without one is a
+usage error before any draw.  An ``-o`` that is a directory or lies in a
+missing one is a usage error before any work, and
+a write that fails is one too, naming the path and the reason.  So is a
+status line that stdout cannot take, as when the reader of a pipe has gone
+(``symcone suite | head -c 1``): ``cannot write stdout: Broken pipe``.
 
 Exit codes (:func:`_status`): 0 all checks passed, 1 a check failed, 2
 results inconclusive (an MCMC sampler left its acceptance band), 64 usage
@@ -398,8 +418,7 @@ def _write(path: str, text: str) -> None:
     just written can block until its earlier writeback is done.  Only a
     regular file is cut, so a pipe or a device (``-o /dev/stdout``) takes
     the bytes as before.  A symlink is followed, and an existing file keeps
-    its inode and mode.  A path that cannot be written is a usage error.  A
-    write killed part way leaves the new bytes followed by the old tail.
+    its inode and mode.  A path that cannot be written is a usage error.
     """
     data = text.encode()
     try:

@@ -269,8 +269,11 @@ def gig_cdf_rank1(params: GigParams):
     Builds the density of 2^-k X, as :func:`sample_gig` does, on a dense
     log-spaced grid spanning everything within 80 nats of the log-density
     maximum over every double, integrates it with the trapezoid rule, and
-    interpolates.  Accurate to far below Kolmogorov-Smirnov resolution at
-    any feasible sample size.
+    interpolates.  The grid is bracketed twice, so a law concentrated far
+    below the first grid's step gets the same number of points.  Accurate
+    to far below Kolmogorov-Smirnov resolution at any feasible sample size
+    for omega = 2 sqrt(ab) up to about 1e14, where log f's own rounding
+    (omega times the unit roundoff) begins to show.
     """
     alg = params.algebra
     if alg.rank != 1:
@@ -282,13 +285,14 @@ def gig_cdf_rank1(params: GigParams):
     def log_f(t):
         return p * t - a * np.exp(t) - b * np.exp(-t)
 
-    coarse = np.linspace(-745.0, 745.0, 5961)  # steps of 0.25
-    with np.errstate(over="ignore"):
-        lf = log_f(coarse)
-    keep = lf >= lf.max() - 80.0
-    lo, hi = coarse[keep][0] - 0.25, coarse[keep][-1] + 0.25
-    t = np.linspace(lo, hi, GIG_CDF_GRID)
-    dens = np.exp(log_f(t) - lf.max())
+    t = np.linspace(-745.0, 745.0, 5961)  # steps of 0.25 over log x for every double x
+    for _ in range(2):  # bracket the mass on that grid, then on the first fine grid,
+        with np.errstate(over="ignore"):  # which a peak narrower than 0.25 needs
+            lt = log_f(t)
+        keep = np.flatnonzero(lt >= lt.max() - 80.0)
+        t = np.linspace(t[max(keep[0] - 1, 0)], t[min(keep[-1] + 1, t.size - 1)], GIG_CDF_GRID)
+    lt = log_f(t)
+    dens = np.exp(lt - lt.max())
     cdf_grid = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0 * np.diff(t))])
     cdf_grid /= cdf_grid[-1]
     xs = np.ldexp(np.exp(t), k)

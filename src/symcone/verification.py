@@ -4,11 +4,11 @@ solution families, and the forward independence property of the cone map.
 Every residual check draws seeded random cone points, evaluates both sides
 of its identity, and returns a :class:`CheckReport` of what it computed,
 whose ``passed`` field is ``max_residual <= tolerance``; a check's ``tol``
-default is its tolerance.  The checks map points with
-:func:`symcone.my_transform.batch_my_map`, take the Jacobian of the map as a
-log from :mod:`symcone.my_transform`, and evaluate densities with the batch
-log densities of :mod:`symcone.distributions`; this module writes out none
-of them.  Logs keep the Jacobian and density checks finite where the
+default is its tolerance, and the CLI passes ``tol`` only when it is set.
+The checks map points with :func:`symcone.my_transform.batch_my_map`, take
+the Jacobian of the map as a log from :mod:`symcone.my_transform`, and
+evaluate densities with the batch log densities of
+:mod:`symcone.distributions`; this module writes out none of them.  Logs keep the Jacobian and density checks finite where the
 Jacobian itself leaves the double range.  The independence test returns an
 :class:`IndependenceReport` whose ``passed`` field requires every p-value
 to clear ``BONFERRONI_GATE``, the significance level shared among the tests

@@ -412,6 +412,15 @@ def test_gig_rejection_and_quadrature_hold_across_scale(a, b):
     assert _ks_against_quadrature(2.0, a, b, 20000)
 
 
+@pytest.mark.parametrize("a", [5e4, 5e8])
+def test_gig_quadrature_holds_for_a_concentrated_law(a):
+    # omega near 1e5 and 1e9 with the mode at log x = 0.125, half way between
+    # two points of the 0.25 bracketing grid and hundreds of nats above both:
+    # the density normalized by their maximum overflowed, and one fine grid
+    # gave the law at 1e9 about three points per standard deviation
+    assert _ks_against_quadrature(2.0, a, a * math.exp(0.25), 20000)
+
+
 def test_gig_rejection_draws_scale_exactly():
     # 2^-j X ~ GIG(p, a 2^j, b 2^-j) for X ~ GIG(p, a, b), draw for draw
     unit = dist.sample_gig(dist.GigParams(2.0, ONE, scalar(1.5)), 5, 100).coords
