@@ -133,8 +133,23 @@ def lorentz(n: int) -> AlgebraDescriptor:
     return AlgebraDescriptor(Kind.LORENTZ, 2, n - 1, n + 1)
 
 
+def descriptor_of_kind(kind: str, rank, dim) -> AlgebraDescriptor:
+    """The algebra of ``kind`` from the one field that kind reads: ``rank``
+    for the matrix kinds, ``dim`` for lorentz.  The other is not checked."""
+    return _KERNELS[Kind(kind)].descriptor(int(rank), int(dim))
+
+
 def descriptor_from_dict(d: dict) -> AlgebraDescriptor:
-    return _KERNELS[Kind(d["kind"])].descriptor(int(d["rank"]), int(d["dim"]))
+    """The algebra that ``AlgebraDescriptor.to_dict`` wrote.  It is built
+    from the field its kind reads (:func:`descriptor_of_kind`), and a
+    ``rank`` or ``dim`` that contradicts it raises ValueError naming that
+    field; a written algebra is never silently changed."""
+    alg = descriptor_of_kind(d["kind"], d["rank"], d["dim"])
+    for field in ("rank", "dim"):
+        if int(d[field]) != getattr(alg, field):
+            raise ValueError(f"{field} {d[field]} contradicts {alg.kind.value} with "
+                             f"rank {alg.rank} and dim {alg.dim}")
+    return alg
 
 
 @dataclass(frozen=True, eq=False)

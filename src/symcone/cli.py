@@ -31,8 +31,9 @@ also takes a pipe or a device such as ``/dev/stdout``; a CSV sample, whose
 sidecar goes beside ``-o``, is a usage error there before any draw.  A
 write killed part way leaves the new bytes followed by the old file's tail.
 ``sample`` writes its draws only to ``-o``, so a ``sample`` without one is a
-usage error before any draw.  An ``-o`` that is a directory or lies in a
-missing one is a usage error before any work, and
+usage error before any draw; so is ``test my-property --format csv``, whose
+report row would hold none of the test's p-values.  An ``-o`` that is a
+directory or lies in a missing one is a usage error before any work, and
 a write that fails is one too, naming the path and the reason.  So is a
 status line that stdout cannot take, as when the reader of a pipe has gone
 (``symcone suite | head -c 1``): ``cannot write stdout: Broken pipe``.
@@ -65,7 +66,7 @@ from .algebra import (
     Kind,
     NotInConeError,
     SingularElementError,
-    descriptor_from_dict,
+    descriptor_of_kind,
     from_matrix,
     identity,
     in_cone,
@@ -291,6 +292,10 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == ("test", "my-property"):
         if cfg.n < 2:
             raise UsageError(f"my-property needs n >= 2, got {cfg.n}")
+        # a csv report row has no column for its dCor and KS p-values
+        if cfg.format == "csv":
+            raise UsageError("my-property reports its p-values only in JSON; "
+                             "use --format json")
         # the smallest permutation p-value, 1/(B+1), must clear the
         # Bonferroni gate, or the dCor tests cannot reject
         if 1.0 / (cfg.permutations + 1) >= ver.BONFERRONI_GATE:
@@ -302,9 +307,10 @@ def _validate(cfg: RunConfig) -> None:
 
 def _algebra(cfg: RunConfig) -> AlgebraDescriptor:
     """The run's algebra from the kernel table: the matrix kinds read
-    ``rank``, lorentz reads ``dim``; an invalid one is a usage error."""
+    ``rank``, lorentz reads ``dim``, and the other flag is not read; an
+    invalid one is a usage error."""
     try:
-        return descriptor_from_dict({"kind": cfg.kind, "rank": cfg.rank, "dim": cfg.dim})
+        return descriptor_of_kind(cfg.kind, cfg.rank, cfg.dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

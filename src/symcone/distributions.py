@@ -16,7 +16,8 @@ route available for each family:
   identification of the cone Wishart with shape p and scale a as the
   classical Wishart W_r(2p, (2a)^-1), which the unit tests pin via moments;
 * rank-1 GIG: an exact rejection sampler (Devroye's two-sided exponential
-  envelope on the log scale);
+  envelope on the log scale), one set of closed forms for every (p, a, b)
+  whose law a double can resolve (:func:`_gig_rejection_rank1`);
 * everything else (Lorentz Wishart, higher-rank GIG): multi-chain
   random-walk Metropolis on the coordinates, with scale adaptation during
   burn-in and thinning afterwards.  Each chain consumes an independent
@@ -248,9 +249,13 @@ def gig_norm_constant_rank1(params: GigParams) -> float:
     """Normalizing constant of the rank-1 GIG in closed form.
 
     The integral of x^(p-1) exp(-a x - b / x) over (0, inf) is
-    2 (b/a)^(p/2) K_p(z) at z = 2 sqrt(ab), with K_p the modified Bessel
-    function of the second kind, taken as the exponentially scaled ``kve``
-    times e^(-z).  Only rank 1 is supported.
+    2 (b/a)^(p/2) K_p(z) at z = 2 sqrt(a) sqrt(b), with K_p the modified
+    Bessel function of the second kind, taken as the exponentially scaled
+    ``kve`` times e^(-z).  The factor 2 (b/a)^(p/2) e^(-z) is one exponent,
+    so neither a * b nor b / a overflows on the way: the result is 0.0 where
+    the constant underflows and inf where it exceeds every double.  From
+    z = 2^30 on, where scipy's ``kve`` is nan, that factor is 0 for every
+    |p| below about 1e6, and so is the constant.  Only rank 1 is supported.
     """
     from scipy.special import kve  # imported here: scipy dominates import time
 
@@ -259,8 +264,10 @@ def gig_norm_constant_rank1(params: GigParams) -> float:
     p = params.p
     a = float(params.a.coords[0])
     b = float(params.b.coords[0])
-    z = 2.0 * math.sqrt(a * b)
-    return float(2.0 * (b / a) ** (0.5 * p) * kve(p, z) * math.exp(-z))
+    z = 2.0 * math.sqrt(a) * math.sqrt(b)
+    with np.errstate(over="ignore"):
+        scale = np.exp(math.log(2.0) + 0.5 * p * (math.log(b) - math.log(a)) - z)
+    return float(scale * kve(p, z)) if z < 2.0**30 else 0.0
 
 
 def gig_cdf_rank1(params: GigParams):
@@ -333,20 +340,41 @@ def _bartlett(alg: AlgebraDescriptor, p: float, a: Element, seed: int, n: int) -
 
 def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.ndarray:
     """Exact rank-1 GIG draws, density proportional to x^(p-1) e^(-a x - b/x),
-    by Devroye's (2014) exponential envelope on the log scale."""
+    by Devroye's (2014) exponential envelope on the log scale.
+
+    With lam = |p| and omega = 2 sqrt(a) sqrt(b), the log u of a draw over
+    sqrt(b/a) (negated for p < 0) has log-density lam u - omega cosh u, whose
+    mode is asinh(lam / omega).  About it, x = u - asinh(lam / omega) has
+    log-density psi(x) = -alpha (cosh x - 1) - lam (e^x - 1 - x), with
+    alpha = hypot(omega, lam) - lam.  One set of closed forms holds at
+    every scale:
+
+    * alpha = c^2 with c = omega / sqrt(hypot(omega, lam) + lam): the
+      difference cancels where omega is far below lam, and c neither
+      cancels nor underflows, so the s rule takes log alpha as 2 log c;
+    * alpha (cosh x - 1) is 2 (c sinh(x/2))^2 and alpha sinh x is
+      2 (c sinh(x/2)) (c cosh(x/2)): cosh x - 1 loses every digit at the
+      law's width 1/sqrt(omega) once omega nears 1e15, and c sinh(x/2)
+      stays finite where alpha underflows and sinh x overflows;
+    * the mode is added to the log-draws, before the one exp, so no
+      factor of it under- or overflows.
+
+    The draws follow the law for a and b normal doubles (with the law
+    itself inside the doubles) up to the omega at which its relative spread
+    1/sqrt(omega) falls below double resolution, about 1e24 to 1e28;
+    beyond it they gather on the doubles next to the mode.
+    """
     rng = np.random.default_rng(seed)
-    lam = float(p)
-    ab = a * b  # below the normal range (2^-1022) it loses bits, above it overflows
-    omega = 2.0 * (math.sqrt(ab) if 2.0**-1022 <= ab < math.inf else math.sqrt(a) * math.sqrt(b))
-    swap = lam < 0
-    lam = abs(lam)
-    alpha = math.hypot(omega, lam) - lam
+    lam = abs(float(p))
+    omega = 2.0 * math.sqrt(a) * math.sqrt(b)
+    c = omega / math.sqrt(math.hypot(omega, lam) + lam)
+    alpha = c * c  # hypot(omega, lam) - lam, without its cancellation
 
     def psi(x):
-        return -alpha * (np.cosh(x) - 1.0) - lam * (np.expm1(x) - x)
+        return -2.0 * (c * np.sinh(x / 2.0)) ** 2 - lam * (np.expm1(x) - x)
 
     def dpsi(x):
-        return -alpha * np.sinh(x) - lam * np.expm1(x)
+        return -2.0 * (c * np.sinh(x / 2.0)) * (c * np.cosh(x / 2.0)) - lam * np.expm1(x)
 
     v = -psi(1.0)
     if 0.5 <= v <= 2.0:
@@ -360,14 +388,9 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
         s = 1.0
     elif v > 2.0:
         s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
-    elif alpha == 0:
-        # omega below about 1e-8 lam rounds alpha to 0 (so lam > 0); at this
-        # small lam psi needs it, and the s rule's log(2 / alpha) comes from omega
-        alpha = omega * (omega / (2.0 * lam))
-        s = min(1.0 / lam, math.log(4.0 * lam) - 2.0 * math.log(omega))
     else:
         s_cap = 1.0 / lam if lam > 0 else np.inf
-        s = min(s_cap, math.log(1.0 + 1.0 / alpha + math.sqrt(1.0 / alpha**2 + 2.0 / alpha)))
+        s = min(s_cap, math.log(1.0 + alpha + math.sqrt(1.0 + 2.0 * alpha)) - 2.0 * math.log(c))
 
     eta, zeta = -psi(t), -dpsi(t)
     theta, xi = -psi(-s), dpsi(-s)
@@ -390,18 +413,21 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
             -s_d + q_w * v1,
             np.where(u < (q_w + r_w) / total, t_d - r_w * np.log(v1), -s_d + p_w * np.log(v1)),
         )
-        f1 = np.exp(-eta - zeta * (cand - t))
-        f2 = np.exp(-theta + xi * (cand + s))
-        envelope = np.where((cand >= -s_d) & (cand <= t_d), 1.0, np.where(cand > t_d, f1, f2))
-        accepted = cand[w * envelope <= np.exp(psi(cand))]
+        # 1 on [-s_d, t_d] and the tangents of psi at t and -s outside it:
+        # their exponents cross 0 at t_d and -s_d, so it is the least of the three
+        tangents = np.minimum(-eta - zeta * (cand - t), -theta + xi * (cand + s))
+        envelope = np.exp(np.minimum(tangents, 0.0))
+        # past x = 709.78 expm1 overflows and psi is -inf (nan at lam = 0,
+        # where e^x itself overflows): such a candidate is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            accepted = cand[w * envelope <= np.exp(psi(cand))]
         m = accepted.size
         out[filled : filled + m] = accepted
         filled += m
-    r = lam / omega  # r^2 overflows past 1.3e154; from 1e150 on the factor is 2r
-    z = np.exp(out) * (r + math.sqrt(1.0 + r**2) if r < 1e150 else 2.0 * r)
-    if swap:
-        z = 1.0 / z
-    return z * math.sqrt(b / a)
+    out += math.asinh(lam / omega)
+    if p < 0:
+        np.negative(out, out=out)
+    return np.exp(out, out=out) * math.sqrt(b / a)
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:

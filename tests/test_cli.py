@@ -19,6 +19,7 @@ from symcone import algebra as ja
 from symcone import cli
 from symcone import distributions as dist
 from symcone import serialization as ser
+from symcone import stats
 from symcone import verification as ver
 
 
@@ -331,6 +332,38 @@ def test_invalid_jacobian_step_is_usage_error(step, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "hua", "--trials", "0"], "trials and n must be positive"),
+    (["check", "fe-cone", "--sets", "0"], "sets must be >= 1"),
+    (["check", "factorization", "--kind", "sym-real", "--rank", "2", "--a", "diag:-1,1"],
+     "--a must lie in the open cone"),
+    (["check", "hua", "--config", "{tmp}/missing.json"],
+     "cannot read config file {tmp}/missing.json: "),
+    (["check", "hua", "--config", "{tmp}/array.json"], "config file must hold a JSON object"),
+], ids=["trials-0", "sets-0", "a-off-the-cone", "missing-config", "config-array"])
+def test_usage_errors_say_what_is_wrong(argv, message, tmp_path, capsys):
+    (tmp_path / "array.json").write_text('[{"trials": 5}]')
+    assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {message.format(tmp=tmp_path)}")
+
+
+def test_csv_my_property_report_is_a_usage_error_before_the_draw(tmp_path, monkeypatch,
+                                                                  capsys):
+    # a csv report row has no column for the test's p-values, so the file
+    # held no n, no p-value and no significance
+    monkeypatch.setattr(ver, "my_property_test", _must_not_run)
+    out = tmp_path / "r.csv"
+    assert run_cli("test", "my-property", "--kind", "sym-real", "--rank", "1",
+                   "--format", "csv", "-o", str(out)) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: my-property reports its p-values only in JSON; "
+                            "use --format json\n")
+    assert not out.exists()
+
+
 def _run_cli_subprocess(*argv, binary=False):
     # in a child with a timeout, so a regression that hangs fails instead
     src = Path(cli.__file__).resolve().parents[1]
@@ -363,6 +396,22 @@ def test_non_finite_parameters_that_used_to_hang_are_usage_errors(argv, tmp_path
     done = _run_cli_subprocess(*argv, "-n", "10", "-o", str(tmp_path / "out.json"))
     assert done.returncode == 64
     assert "must be finite" in done.stderr
+
+
+@pytest.mark.parametrize("p, scale", [("0", "1e-200"), ("1e-9", "1e-170"), ("1e-3", "1e-200")])
+def test_rank1_gig_at_a_tiny_omega_follows_its_law(p, scale, tmp_path):
+    # omega = 2e-200 and 2e-170: at p = 0 the sampler divided by zero, and at
+    # p = 1e-9 it never returned
+    out = tmp_path / "g.json"
+    done = _run_cli_subprocess("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", p,
+                               "--a", f"diag:{scale}", "--b", f"diag:{scale}", "-n", "20000",
+                               "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    draws = np.array(json.loads(out.read_text())["samples"])[:, 0]
+    law = dist.GigParams(float(p), ja.Element(ja.sym_real(1), np.array([float(scale)])),
+                         ja.Element(ja.sym_real(1), np.array([float(scale)])))
+    _, p_value = stats.ks_against_cdf(draws, dist.gig_cdf_rank1(law))
+    assert p_value > 1e-6
 
 
 @pytest.mark.parametrize("argv", [

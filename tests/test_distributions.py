@@ -1,7 +1,12 @@
 """Densities, Laplace transforms, normalizers, and samplers."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +266,14 @@ def test_gig_norm_constant_matches_quadrature(p, a, b):
         _gig_norm_by_quadrature(p, a, b), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [-2.0, 0.0, 2.0, 35.0])
+@pytest.mark.parametrize("a", [1e9, 1e200])
+def test_gig_norm_constant_is_zero_where_it_underflows(p, a):
+    # e^(-2e9) and e^(-2e200) leave no double; scipy's kve is nan from
+    # z = 2^30 on, and at 1e200 a * b overflowed to inf
+    assert dist.gig_norm_constant_rank1(dist.GigParams(p, scalar(a), scalar(a))) == 0.0
+
+
 def test_gig_norm_constant_rank2_unsupported():
     with pytest.raises(ValueError):
         dist.gig_norm_constant_rank1(dist.GigParams(1.0, E2, E2))
@@ -429,21 +442,81 @@ def test_gig_rejection_draws_scale_exactly():
         assert np.array_equal(dist.sample_gig(params, 5, 100).coords, np.ldexp(unit, -j))
 
 
+# Draws a rank-1 GIG batch for each (p, a, b) in argv[1] (seed: the case's
+# index) and prints each batch's KS p-value: against gig_cdf_rank1 up to
+# omega = 1e12, above it against the normal limit of log X,
+# N(log(sqrt(b/a)) + asinh(p/omega), 1/hypot(p, omega)), to within
+# 1/sqrt(omega).  The centre is taken as a ratio, so log X near 700 keeps
+# every digit of its spread.
+_SWEEP_CHILD = """
+import json, math, sys
+import numpy as np
+from scipy.special import ndtr
+from symcone import algebra as ja, distributions as dist, stats as st
+one = ja.sym_real(1)
+p_values = []
+for seed, (p, a, b) in enumerate(json.loads(sys.argv[1])):
+    params = dist.GigParams(p, ja.Element(one, np.array([a])), ja.Element(one, np.array([b])))
+    x = dist.sample_gig(params, seed, int(sys.argv[2])).coords[:, 0]
+    omega = 2.0 * math.sqrt(a) * math.sqrt(b)
+    if omega <= 1e12:
+        cdf = dist.gig_cdf_rank1(params)
+    else:
+        mode = math.sqrt(b) / math.sqrt(a) * math.exp(math.asinh(p / omega))
+        cdf = lambda x: ndtr(np.log(x / mode) * math.sqrt(math.hypot(p, omega)))
+    p_values.append(st.ks_against_cdf(x, cdf)[1])
+print(json.dumps(p_values))
+"""
+
+
+def _whole_range_cases():
+    # 150 laws with p in [-50, 50] or +-{0, 1e-9, 1e-3}, and a and b in
+    # 10^[-300, 300] with omega = 2 sqrt(ab) <= 1e24
+    rng = np.random.default_rng(18)
+    cases = []
+    while len(cases) < 150:
+        if rng.uniform() < 0.25:
+            p = float(rng.choice([0.0, 1e-9, 1e-3]) * rng.choice([-1.0, 1.0]))
+        else:
+            p = float(rng.uniform(-50.0, 50.0))
+        la, lb = rng.uniform(-300.0, 300.0, size=2)
+        if (la + lb) / 2.0 + math.log10(2.0) <= 24.0:
+            cases.append((p, 10.0**la, 10.0**lb))
+    # the concentrated laws where cosh(x) - 1 cancelled, and the tiny-omega
+    # laws at which the sampler divided by 0 or never returned
+    cases += [(2.0, w / 2.0, w / 2.0) for w in (1e15, 1e16, 1e18, 1e24)]
+    return cases + [(0.0, 1e-200, 1e-200), (1e-9, 1e-170, 1e-170), (1e-3, 1e-200, 1e-200)]
+
+
+def test_gig_rejection_follows_the_law_over_the_whole_range():
+    # in a child with a timeout, so a sampler that never returns fails;
+    # a RuntimeWarning there is an error
+    cases = _whole_range_cases()
+    src = Path(dist.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _SWEEP_CHILD, json.dumps(cases),
+         "5000"], env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    p_values = json.loads(done.stdout)
+    assert [case for case, pv in zip(cases, p_values) if not pv > 1e-6] == []
+
+
 def test_gig_params_from_two_algebras_are_a_mismatch():
     with pytest.raises(ja.AlgebraMismatchError):
         dist.GigParams(2.0, ONE, ja.identity(ja.herm_complex(1)))
 
 
-# draws recorded before the rank-1 GIG took its small-omega forms and ran at
-# a power-of-two scale: plain, alpha rounding to 0 at |p| >= 1.36, omega
-# near 1e28, small omega with alpha above 0, and a negative shape
+# seed-5 draws of the rank-1 GIG: plain, omega = 2 sqrt(ab) far below |p|,
+# omega near 6e27 (where the law's relative sd is 1.3e-14), small omega at a
+# small shape, and a negative shape
 GIG_RANK1_BITS = [
-    ((2.0, 1.0, 1.5), ["0x1.fbcd850ce3d75p-1", "0x1.0d5d17acd7cd2p-1", "0x1.22dd6122e00c0p+1"]),
+    ((2.0, 1.0, 1.5), ["0x1.fbcd850ce3d75p-1", "0x1.0d5d17acd7cd3p-1", "0x1.22dd6122e00c0p+1"]),
     ((3.0, 1e-20, 1e-10),
-     ["0x1.6200627bacc7bp+66", "0x1.25da86292d1b0p+65", "0x1.e0504b866df35p+67"]),
-    ((-4.0, 1e30, 1e25), ["0x1.9e7c6e4338fe5p-9", "0x1.9e7c6e4338f78p-9", "0x1.9e7c6e43390e1p-9"]),
-    ((0.7, 1e-5, 2e-4), ["0x1.e00f378e30670p+11", "0x1.4ebd9ebf54912p+7", "0x1.a0c9c55b20825p+12"]),
-    ((-0.2, 3.0, 1e-3), ["0x1.1129262752d29p-11", "0x1.b04ef347276a3p-13", "0x1.07f992a160275p-6"]),
+     ["0x1.6200627bacc9bp+66", "0x1.25da86292d1d1p+65", "0x1.e0504b866df3ap+67"]),
+    ((-4.0, 1e30, 1e25), ["0x1.9e7c6e4339149p-9", "0x1.9e7c6e43391a7p-9", "0x1.9e7c6e43390ccp-9"]),
+    ((0.7, 1e-5, 2e-4), ["0x1.e00f378e3066fp+11", "0x1.4ebd9ebf54906p+7", "0x1.a0c9c55b20825p+12"]),
+    ((-0.2, 3.0, 1e-3), ["0x1.1129262752d28p-11", "0x1.b04ef347276a2p-13", "0x1.07f992a160275p-6"]),
 ]
 
 

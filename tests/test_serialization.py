@@ -250,6 +250,26 @@ def test_csv_reader_rejects_a_row_of_another_algebra():
         ser.batch_coords_from_csv("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("d, field", [
+    ({"kind": "sym-real", "rank": 2, "dim": 5, "coords": [1.0, 1.0, 0.0]}, "dim 5"),
+    ({"kind": "lorentz", "rank": 7, "dim": 4, "coords": [2.0, 0.0, 0.0, 0.0]}, "rank 7"),
+    ({"kind": "herm-complex", "rank": 2, "dim": 3, "coords": [1.0, 1.0, 0.0, 0.0]}, "dim 3"),
+])
+def test_element_reader_rejects_a_rank_or_dim_its_kind_contradicts(d, field):
+    # the kind reads one of the two fields; the other was ignored
+    with pytest.raises(ValueError, match=f"^{field} contradicts"):
+        ser.element_from_dict(d)
+
+
+@pytest.mark.parametrize("prefix, field", [("sym-real,2,5", "dim 5"), ("lorentz,7,3", "rank 7")])
+def test_csv_reader_rejects_a_first_row_prefix_its_kind_contradicts(prefix, field):
+    text, _ = _sym_real_2_csv()
+    lines = text.splitlines()
+    lines[1:] = [prefix + line[len("sym-real,2,3"):] for line in lines[1:]]
+    with pytest.raises(ValueError, match=f"line 2: no valid kind,rank,dim prefix \\({field} "):
+        ser.batch_coords_from_csv("\n".join(lines) + "\n")
+
+
 def test_csv_reader_rejects_an_extra_cell():
     text, _ = _sym_real_2_csv()
     lines = text.splitlines()
