@@ -21,19 +21,24 @@ route available for each family:
 * everything else (Lorentz Wishart, higher-rank GIG): multi-chain
   random-walk Metropolis on the coordinates, with scale adaptation during
   burn-in and thinning afterwards.  Each chain consumes an independent
-  stream spawned from the master seed, so batches are reproducible and
-  chains can be compared.  At rank 2 the target is evaluated in closed
-  form (every rank-2 algebra is a spin factor, so the log density needs
-  only tr x, det x and two inner products); higher ranks take eigenvalues
-  and inverses from LAPACK at every step.  :func:`_metropolis_cone`
-  describes the step loop.
+  stream spawned from its law's seed, so batches are reproducible and
+  chains can be compared.  Several laws drawn together run in one step
+  loop, each in its own block of chains, with one target call per step
+  for all of them; a chain's acceptance uniforms are drawn per block of
+  steps.  At rank 2 the target is evaluated in closed form (every rank-2
+  algebra is a spin factor, so the log density needs only tr x, det x and
+  two inner products); higher ranks take eigenvalues and inverses from
+  LAPACK at every step.  :func:`_metropolis_cone` describes the step loop.
 
 The rank-1 GIG sampler, its quadrature CDF and every Metropolis chain work
 on the law of 2^-k X, with k the exponent of a start point (for the GIG
 sqrt(<b, e> / <a, e>) e), and scale back by 2^k exactly, so the samplers
 hold from 1e-160 to 1e160.
 
-Each family and kind has one sampling route, chosen from the algebra.  The
+Each family and kind has one sampling route, chosen from the algebra in
+one place, :func:`sample_laws`, which draws a list of laws on one algebra
+at one n; :func:`sample_wishart` and :func:`sample_gig` are its one-law
+calls, and a law's batch is the same alone or among others.  The
 Metropolis settings (burn-in, thinning, chains, proposal scale, target
 acceptance rate and acceptance band) are the module constants below, not
 parameters: every caller uses the same values, and the batch's ``mcmc``
@@ -59,7 +64,6 @@ from .algebra import (
     batch_in_cone,
     batch_inner,
     batch_inverse,
-    batch_trace,
     coords_to_matrices,
     det,
     identity,
@@ -255,7 +259,11 @@ def gig_norm_constant_rank1(params: GigParams) -> float:
     so neither a * b nor b / a overflows on the way: the result is 0.0 where
     the constant underflows and inf where it exceeds every double.  From
     z = 2^30 on, where scipy's ``kve`` is nan, that factor is 0 for every
-    |p| below about 1e6, and so is the constant.  Only rank 1 is supported.
+    |p| below about 1e6, and so is the constant.  Where ``kve`` overflows,
+    z is so small (below about 7.5e-102 at |p| = 3) that K_p(z) is its limit
+    Gamma(|p|) (2/z)^|p| / 2 to every digit, and the whole constant is one
+    exponent of logs, so it stays finite where that factor underflows.  Only
+    rank 1 is supported.
     """
     from scipy.special import kve  # imported here: scipy dominates import time
 
@@ -265,9 +273,16 @@ def gig_norm_constant_rank1(params: GigParams) -> float:
     a = float(params.a.coords[0])
     b = float(params.b.coords[0])
     z = 2.0 * math.sqrt(a) * math.sqrt(b)
+    if z >= 2.0**30:
+        return 0.0
+    log_scale = math.log(2.0) + 0.5 * p * (math.log(b) - math.log(a))
+    k = kve(p, z)
     with np.errstate(over="ignore"):
-        scale = np.exp(math.log(2.0) + 0.5 * p * (math.log(b) - math.log(a)) - z)
-    return float(scale * kve(p, z)) if z < 2.0**30 else 0.0
+        if math.isinf(k):
+            q = abs(p)
+            return float(np.exp(log_scale + math.lgamma(q) + q * (math.log(2.0) - math.log(z))
+                                - math.log(2.0)))
+        return float(np.exp(log_scale - z) * k)
 
 
 def gig_cdf_rank1(params: GigParams):
@@ -359,10 +374,12 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
     * the mode is added to the log-draws, before the one exp, so no
       factor of it under- or overflows.
 
-    The draws follow the law for a and b normal doubles (with the law
-    itself inside the doubles) up to the omega at which its relative spread
-    1/sqrt(omega) falls below double resolution, about 1e24 to 1e28;
-    beyond it they gather on the doubles next to the mode.
+    The draws follow the law for a and b normal doubles up to the omega at
+    which its relative spread 1/sqrt(omega) falls below double resolution,
+    about 1e24 to 1e28; beyond it they gather on the doubles next to the
+    mode.  A draw past the largest double is returned as inf, without a
+    warning, for the caller to reject: a law with a and b near the smallest
+    normal double has mass there.
     """
     rng = np.random.default_rng(seed)
     lam = abs(float(p))
@@ -371,7 +388,10 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
     alpha = c * c  # hypot(omega, lam) - lam, without its cancellation
 
     def psi(x):
-        return -2.0 * (c * np.sinh(x / 2.0)) ** 2 - lam * (np.expm1(x) - x)
+        # at lam = 0 the second term is 0, also past x = 709.78, where expm1
+        # overflows and 0 * inf would be NaN
+        tilt = lam * (np.expm1(x) - x) if lam else 0.0
+        return -2.0 * (c * np.sinh(x / 2.0)) ** 2 - tilt
 
     def dpsi(x):
         return -2.0 * (c * np.sinh(x / 2.0)) * (c * np.cosh(x / 2.0)) - lam * np.expm1(x)
@@ -417,8 +437,10 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
         # their exponents cross 0 at t_d and -s_d, so it is the least of the three
         tangents = np.minimum(-eta - zeta * (cand - t), -theta + xi * (cand + s))
         envelope = np.exp(np.minimum(tangents, 0.0))
-        # past x = 709.78 expm1 overflows and psi is -inf (nan at lam = 0,
-        # where e^x itself overflows): such a candidate is rejected
+        # past x = 709.78 expm1 overflows, and psi is -inf where lam > 0 (the
+        # law's weight there unless |p| is below about 4e-306); past x = 1420
+        # sinh overflows too, and psi is -inf at lam = 0: such a candidate is
+        # rejected
         with np.errstate(over="ignore", invalid="ignore"):
             accepted = cand[w * envelope <= np.exp(psi(cand))]
         m = accepted.size
@@ -427,7 +449,8 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
     out += math.asinh(lam / omega)
     if p < 0:
         np.negative(out, out=out)
-    return np.exp(out, out=out) * math.sqrt(b / a)
+    with np.errstate(over="ignore"):  # the caller rejects a draw past the largest double
+        return np.exp(out, out=out) * math.sqrt(b / a)
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:
@@ -435,26 +458,37 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
-def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
-    """Vectorized multi-chain random-walk Metropolis on cone coordinates.
+def _metropolis_cone(alg, laws, n):
+    """Vectorized multi-chain random-walk Metropolis on cone coordinates,
+    for several laws in one step loop.
 
-    ``log_pdf`` maps a coordinate array (m, dim) to log densities (m,), with
-    -inf outside the cone.  The proposal standard deviation tracks the RMS
-    coordinate of the current point, which keeps mixing uniform across the
-    cone but makes the proposal state-dependent, so the acceptance ratio
-    carries the corresponding Hastings correction.  Each chain pre-draws its
-    proposal noise and acceptance uniforms from its own stream spawned off
-    the master seed, so the merged batch (chain-major order) is reproducible
-    and independent of how chains would be scheduled.
+    ``laws`` lists each law as (p, a, b, seed, init) at the scale its chains
+    run at, with b None for a Wishart; every law gets n draws, and its
+    (coords, meta) come back in list order.  Each law runs its own chains
+    (the same number for every law, as it depends on n alone), which sit in
+    one block of rows, in law order, and :func:`_log_pdf_batch` evaluates
+    every law's target in one call per step.  Every step operation is
+    row-wise, so a law's draws, ``mcmc`` record and divergence warning are
+    those it gives alone.
+
+    The proposal standard deviation tracks the RMS coordinate of the current
+    point, which keeps mixing uniform across the cone but makes the proposal
+    state-dependent, so the acceptance ratio carries the corresponding
+    Hastings correction.  Each chain draws its proposal noise and then its
+    acceptance uniforms from its own stream spawned off its law's seed, so
+    the merged batch (chain-major order) is reproducible and independent of
+    how chains would be scheduled.  The noise is drawn up front; the
+    uniforms, which come after it in the stream, and half the squared norm
+    of each noise row are formed per block of steps, so the loop holds one
+    noise array and no per-step table of the whole run.
 
     A step costs a handful of small array operations.  The whole loop, and
     the first ``log_pdf`` call before it, run under one ``np.errstate``, so
     the target sets none of its own; each chain's RMS is carried from step
     to step (an accepted chain takes its proposal's) instead of being
     recomputed, with the row norm summed as ``np.linalg.norm`` sums it,
-    because its bits set the proposal scale; half the squared norm of each
-    noise row is tabulated when the chain's noise is drawn; the proposal is
-    built in one buffer; and accepted chains are updated in place with
+    because its bits set the proposal scale; the proposal is built in one
+    buffer; and accepted chains are updated in place with
     ``np.copyto(..., where=acc)``.  The burn-in update factors
     exp(gain (1 - target)) and exp(gain (0 - target)) are tabulated with
     ``np.exp`` (``math.exp`` rounds differently), so a burn-in step picks
@@ -466,7 +500,7 @@ def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
     +inf or NaN, and a log uniform is below it in neither case.  A target
     of +inf is accepted; the rank-2 target gives one only where det x
     overflows (coordinates beyond about 1e154, at p > dim/rank), and the
-    callers run every chain near scale 1 (:func:`_scaled_metropolis`).
+    caller runs every chain near scale 1 (:func:`_metropolis_batches`).
 
     The settings are the module constants, read here at every call.
     """
@@ -474,16 +508,17 @@ def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
     per_chain = -(-n // chains)
     burn_in, thin, scale, target = BURN_IN, THIN, PROPOSAL_SCALE, TARGET_ACCEPT
     steps = burn_in + per_chain * thin
-    streams = np.random.SeedSequence(seed).spawn(chains)
-    noise = np.empty((steps, chains, alg.dim))
-    half_z_sq = np.empty((steps, chains))
-    log_u = np.empty((steps, chains))
-    for c, ss in enumerate(streams):
-        gen = np.random.default_rng(ss)
-        z = gen.standard_normal((steps, alg.dim))
-        noise[:, c, :] = z
-        half_z_sq[:, c] = 0.5 * np.add.reduce(z * z, axis=1)
-        log_u[:, c] = np.log(gen.uniform(size=steps))
+    p, a, b, seeds, inits = zip(*laws)
+    # a Wishart's b is 0 where a GIG shares the loop, so its target subtracts 0
+    b = None if all(x is None for x in b) else np.stack(
+        [np.zeros(alg.dim) if x is None else x for x in b])
+    log_pdf = _log_pdf_batch(alg, p, np.stack(a), b, chains)
+    gens = [np.random.default_rng(ss)
+            for seed in seeds for ss in np.random.SeedSequence(seed).spawn(chains)]
+    rows = len(gens)
+    noise = np.empty((steps, rows, alg.dim))
+    for c, gen in enumerate(gens):
+        noise[:, c, :] = gen.standard_normal((steps, alg.dim))
     # Python's float power: numpy's vectorized one can differ in the last bit,
     # and the gains set the proposal scale
     gains = np.fromiter((0.5 / (1.0 + step) ** 0.6 for step in range(burn_in)), float, burn_in)
@@ -492,89 +527,109 @@ def _metropolis_cone(alg, log_pdf, seed, n, init: np.ndarray):
 
     sqrt_dim = math.sqrt(alg.dim)
     half_dim = alg.dim * 0.5
-    cur = np.tile(init, (chains, 1))
+    cur = np.repeat(np.stack(inits), chains, axis=0)
     prop = np.empty_like(cur)
     rms = _row_norm(cur) / sqrt_dim
-    factors = np.ones(chains)
+    factors = np.ones(rows)
     scaled = factors * scale
-    accepted_post = np.zeros(chains)
-    kept = np.empty((per_chain, chains, alg.dim))
+    accepted_post = np.zeros(rows)
+    kept = np.empty((per_chain, rows, alg.dim))
+    block_steps = 256  # the steps whose uniforms are drawn at a time
     with np.errstate(divide="ignore", invalid="ignore"):
         lp_cur = log_pdf(cur)
-        for step in range(steps):
-            np.multiply((scaled * rms)[:, None], noise[step], out=prop)
-            prop += cur
-            lp_prop = log_pdf(prop)
-            rms_prop = _row_norm(prop) / sqrt_dim
-            ratio_sq = (rms / rms_prop) ** 2
-            hastings = half_dim * np.log(ratio_sq) + half_z_sq[step] * (1.0 - ratio_sq)
-            acc = log_u[step] < lp_prop - lp_cur + hastings
-            np.copyto(cur, prop, where=acc[:, None])
-            np.copyto(lp_cur, lp_prop, where=acc)
-            np.copyto(rms, rms_prop, where=acc)
-            if step < burn_in:
-                factors *= np.where(acc, grow[step], shrink[step])
-                scaled = factors * scale
-            else:
-                accepted_post += acc
-                if (step - burn_in) % thin == thin - 1:
-                    kept[(step - burn_in) // thin] = cur
+        for start in range(0, steps, block_steps):
+            block = noise[start : start + block_steps]
+            half_z_sq = 0.5 * np.add.reduce(block * block, axis=2)
+            log_u = np.log(np.stack([gen.uniform(size=len(block)) for gen in gens], axis=1))
+            for step, z, half_z_sq_row, log_u_row in zip(
+                    range(start, steps), block, half_z_sq, log_u):
+                np.multiply((scaled * rms)[:, None], z, out=prop)
+                prop += cur
+                lp_prop = log_pdf(prop)
+                rms_prop = _row_norm(prop) / sqrt_dim
+                ratio_sq = (rms / rms_prop) ** 2
+                hastings = half_dim * np.log(ratio_sq) + half_z_sq_row * (1.0 - ratio_sq)
+                acc = log_u_row < lp_prop - lp_cur + hastings
+                np.copyto(cur, prop, where=acc[:, None])
+                np.copyto(lp_cur, lp_prop, where=acc)
+                np.copyto(rms, rms_prop, where=acc)
+                if step < burn_in:
+                    factors *= np.where(acc, grow[step], shrink[step])
+                    scaled = factors * scale
+                else:
+                    accepted_post += acc
+                    if (step - burn_in) % thin == thin - 1:
+                        kept[(step - burn_in) // thin] = cur
     rate_per_chain = accepted_post / (steps - burn_in)
-    rate = float(rate_per_chain.mean())
     lo, hi = ACCEPT_BAND
-    diverged = not (lo <= rate <= hi)
-    if diverged:
-        warnings.warn(
-            f"MCMC acceptance rate {rate:.3f} outside [{lo}, {hi}] after adaptation",
-            RuntimeWarning,
-        )
-    coords = kept.transpose(1, 0, 2).reshape(chains * per_chain, alg.dim)[:n]
-    meta = {
-        "burn_in": burn_in,
-        "thin": thin,
-        "chains": chains,
-        "per_chain": per_chain,
-        "acceptance_rate": rate,
-        "acceptance_per_chain": [float(x) for x in rate_per_chain],
-        "proposal_scale": scale,
-        "adapted_factors": [float(x) for x in factors],
-        "diverged": diverged,
-    }
-    return coords, meta
+    out = []
+    for first in range(0, rows, chains):
+        own = slice(first, first + chains)
+        rate = float(rate_per_chain[own].mean())
+        diverged = not (lo <= rate <= hi)
+        if diverged:
+            warnings.warn(
+                f"MCMC acceptance rate {rate:.3f} outside [{lo}, {hi}] after adaptation",
+                RuntimeWarning,
+            )
+        coords = kept[:, own].transpose(1, 0, 2).reshape(chains * per_chain, alg.dim)[:n]
+        meta = {
+            "burn_in": burn_in,
+            "thin": thin,
+            "chains": chains,
+            "per_chain": per_chain,
+            "acceptance_rate": rate,
+            "acceptance_per_chain": [float(x) for x in rate_per_chain[own]],
+            "proposal_scale": scale,
+            "adapted_factors": [float(x) for x in factors[own]],
+            "diverged": diverged,
+        }
+        out.append((coords, meta))
+    return out
 
 
-def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
-    """Metropolis target (p - dim/r) log det x - <a, x> - <b, x^-1>, -inf off the cone.
+def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, rows: int):
+    """Metropolis target (p - dim/r) log det x - <a, x> - <b, x^-1> of
+    several laws, -inf off the cone.
 
-    Without ``b`` this is the Wishart log density up to its constant, with
-    ``b`` the GIG one.  Rank 2 is evaluated in closed form: every rank-2
-    algebra is a spin factor, so the kernel table's ``rank2_det`` gives
-    det x without a matrix, the cone is tr x > 0, det x > 0, and by
-    Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
+    ``p`` holds one shape per law, ``a_coords`` and ``b_coords`` one row per
+    law, and x holds ``rows`` rows of each law in turn: every row takes its
+    law's exponent, ``a`` and ``b``, spread to one entry per row when the
+    target is built.  Without ``b`` (None) every law is a Wishart, whose log
+    density this is up to its constant; with ``b`` the GIG one, and a
+    Wishart among GIG laws has the row b = 0.  Rank 2 is evaluated in closed
+    form: every rank-2 algebra is a spin factor, so the kernel table's
+    ``rank2_det`` gives det x without a matrix, the cone is tr x > 0,
+    det x > 0, and by Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
     <b, x^-1> = (tr x tr b - <b, x>) / det x.  The linear terms tr x, <a, x>
-    and <b, x> come from one product ``x @ w``, whose columns are the
-    kernel table's ``trace`` and ``inner`` applied to the coordinate basis,
-    built once.  On finite rows tr x keeps its bits (its column holds ones
-    or a two, and zeros), so the cone mask is unchanged; the inner products
-    may round differently from the kernels' sums, which moves only the
-    target's last bits, and those decide an accept only through a
-    comparison with a uniform.  The target is computed on every row,
-    off-cone rows included, and ``np.where`` puts -inf on the off-cone rows;
-    their log and division warnings are left to the caller's ``np.errstate``
-    (:func:`_metropolis_cone` runs every call under one).  Higher ranks take
-    the eigenvalues and the inverse from LAPACK.
+    and <b, x> of a law's rows come from one product with its ``w``, whose
+    columns are the kernel table's ``trace`` and ``inner`` applied to the
+    coordinate basis, built once; one stacked ``@`` forms every law's.  On
+    finite rows tr x keeps its bits (its column holds ones or a two, and
+    zeros), so the cone mask is unchanged; the inner products may round
+    differently from the kernels' sums, which moves only the target's last
+    bits, and those decide an accept only through a comparison with a
+    uniform.  A law's product is the one it would form alone, so its target
+    keeps its bits whichever laws share the call.  The target is computed
+    on every row, off-cone rows included, and ``np.where`` puts -inf on the
+    off-cone rows; their log and division warnings are left to the caller's
+    ``np.errstate`` (:func:`_metropolis_cone` runs every call under one).
+    Higher ranks take the eigenvalues and the inverse from LAPACK.
     """
-    exponent = p - alg.dim_over_rank
+    laws = len(p)
+    law = np.repeat(np.arange(laws), rows)  # the law of each row
+    exponent = (np.asarray(p, float) - alg.dim_over_rank)[law]
 
     if alg.rank == 2:
-        tr_b = None if b_coords is None else float(batch_trace(alg, b_coords))
         k = kernels(alg)  # looked up once, not at every step
         basis = np.eye(alg.dim)
-        inners = [k.inner(alg, c, basis) for c in (a_coords, b_coords) if c is not None]
-        w = np.stack([k.trace(alg, basis), *inners], axis=1)
+        scales = [c for c in (a_coords, b_coords) if c is not None]
+        w = np.stack([np.broadcast_to(k.trace(alg, basis), (laws, alg.dim)),
+                      *[k.inner(alg, c[:, None, :], basis) for c in scales]], axis=-1)
+        tr_b = None if b_coords is None else k.trace(alg, b_coords)[law]
 
         def log_pdf(x):
-            lin = x @ w
+            lin = (x.reshape(laws, rows, alg.dim) @ w).reshape(laws * rows, -1)
             tr = lin[..., 0]
             dt = k.rank2_det(alg, x)
             ok = (tr > 0.0) & (dt > 0.0)
@@ -590,11 +645,11 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p: float, a_coords, b_coords=None):
         ok = lam[..., -1] > 0.0
         out = np.full(x.shape[:-1], -np.inf)
         if np.any(ok):
-            xo = x[ok]
+            xo, own = x[ok], law[ok]
             log_det = np.sum(np.log(lam[ok]), axis=-1)
-            val = exponent * log_det - batch_inner(alg, a_coords, xo)
+            val = exponent[ok] * log_det - batch_inner(alg, a_coords[own], xo)
             if b_coords is not None:
-                val -= batch_inner(alg, b_coords, batch_inverse(alg, xo))
+                val -= batch_inner(alg, b_coords[own], batch_inverse(alg, xo))
             out[ok] = val
         return out
 
@@ -630,64 +685,91 @@ def _pow2_scales(params, init: np.ndarray) -> tuple:
     return k, np.ldexp(params.a.coords, k), b
 
 
-def _scaled_metropolis(params, seed: int, n: int, init: np.ndarray) -> SampleBatch:
-    """Metropolis draws of ``params``' law, with the chain run on 2^-k X
-    (:func:`_pow2_scales`) and the draws multiplied back by 2^k.  The
+def _wishart_start(params: WishartParams) -> np.ndarray:
+    """A multiple of the identity near the Wishart mean."""
+    alg = params.algebra
+    e = identity(alg)
+    return e.coords * (alg.rank * max(params.p - alg.dim_over_rank, 0.5) / inner(params.a, e))
+
+
+def _metropolis_batches(laws, n: int) -> list[SampleBatch]:
+    """Metropolis draws of each (params, seed) law in ``laws``, in one
+    :func:`_metropolis_cone` loop.
+
+    A Wishart's chains start at :func:`_wishart_start`, a GIG's at
+    :func:`_gig_start`.  Each law's chains run on 2^-k X
+    (:func:`_pow2_scales`), and its draws are multiplied back by 2^k.  The
     proposal rule is scale-free, so a chain at scale 2^-k takes the same
     steps wherever its target rounds alike.  What changes is that det x,
     whose closed form overflows for coordinates beyond about 1e154, is
     evaluated near 1.
     """
-    alg = params.algebra
-    k, a, b = _pow2_scales(params, init)
-    log_pdf = _log_pdf_batch(alg, params.p, a, b)
-    coords, meta = _metropolis_cone(alg, log_pdf, seed, n, np.ldexp(init, -k))
-    np.ldexp(coords, k, out=coords)
-    return SampleBatch(alg, params.record(), coords, seed, "mcmc", meta)
+    chained, powers = [], []
+    for params, seed in laws:
+        init = _gig_start(params) if isinstance(params, GigParams) else _wishart_start(params)
+        k, a, b = _pow2_scales(params, init)
+        chained.append((params.p, a, b, seed, np.ldexp(init, -k)))
+        powers.append(k)
+    batches = []
+    drawn = _metropolis_cone(laws[0][0].algebra, chained, n)
+    for (params, seed), k, (coords, meta) in zip(laws, powers, drawn):
+        np.ldexp(coords, k, out=coords)
+        batches.append(SampleBatch(params.algebra, params.record(), coords, seed, "mcmc", meta))
+    return batches
 
 
-def _wishart_mcmc(params: WishartParams, seed: int, n: int) -> SampleBatch:
-    """Metropolis Wishart draws, started at a multiple of the identity near the mean."""
-    alg = params.algebra
-    e = identity(alg)
-    init = e.coords * (alg.rank * max(params.p - alg.dim_over_rank, 0.5) / inner(params.a, e))
-    return _scaled_metropolis(params, seed, n, init)
+def sample_laws(laws, n: int) -> list[SampleBatch]:
+    """Draw n samples of each (params, seed) law in ``laws``, all on one
+    algebra; a law's params are :class:`WishartParams` or
+    :class:`GigParams`, and its batch is the one it gives alone.
 
+    This is the one place a sampling route is chosen.  A Wishart on a matrix
+    kind takes the exact Bartlett construction and a rank-1 GIG exact
+    rejection; every other law (the Lorentz Wishart, which has no triangular
+    factorization, and the GIG at rank 2 and above) is Metropolis, and all
+    of them run in one :func:`_metropolis_cone` loop, whose batches record
+    burn-in, thinning and the realized acceptance rate.  An acceptance rate
+    outside ``ACCEPT_BAND`` is flagged in the batch's ``mcmc`` record (and
+    warned about), never hidden.
 
-def _gig_mcmc(params: GigParams, seed: int, n: int) -> SampleBatch:
-    """Metropolis GIG draws, started at sqrt(<b, e> / <a, e>) e."""
-    return _scaled_metropolis(params, seed, n, _gig_start(params))
+    A Wishart shape outside the density range p > dim/rank - 1 raises
+    ShapeOutOfRangeError before anything is drawn (the discrete shapes below
+    it have no density and are not sampled).  A rank-1 GIG draw beyond the
+    largest double raises ValueError naming the law.
+    """
+    laws = list(laws)
+    for params, _ in laws:
+        _require_same(laws[0][0].a, params.a)
+        if isinstance(params, WishartParams):
+            require_density_range(params.p, params.algebra)
+    batches, chained = {}, []
+    for i, (params, seed) in enumerate(laws):
+        alg = params.algebra
+        if isinstance(params, WishartParams) and kernels(alg).field is not None:
+            coords = _bartlett(alg, params.p, params.a, seed, n)
+            batches[i] = SampleBatch(alg, params.record(), coords, seed, "bartlett")
+        elif isinstance(params, GigParams) and alg.rank == 1:
+            k, a, b = _pow2_scales(params, _gig_start(params))
+            draws = _gig_rejection_rank1(params.p, float(a[0]), float(b[0]), seed, n)
+            with np.errstate(over="ignore"):
+                np.ldexp(draws, k, out=draws)
+            if not np.all(np.isfinite(draws)):
+                raise ValueError(
+                    f"GIG(p={params.p}, a={params.a.coords[0]}, b={params.b.coords[0]}) has mass "
+                    f"above the largest double, and a draw fell there")
+            batches[i] = SampleBatch(alg, params.record(), draws[:, None], seed, "rejection")
+        else:
+            chained.append(i)
+    if chained:
+        batches.update(zip(chained, _metropolis_batches([laws[i] for i in chained], n)))
+    return [batches[i] for i in range(len(laws))]
 
 
 def sample_wishart(params: WishartParams, seed: int, n: int) -> SampleBatch:
-    """Draw n Wishart samples.
-
-    Matrix kinds use the exact Bartlett construction; the Lorentz family has
-    no triangular factorization, so it is sampled by Metropolis against the
-    closed-form density (tr x and det x of the spin factor, no eigenvalue
-    call) and should be validated through Laplace-transform probes.
-    Requires the absolutely continuous range p > dim/rank - 1 (the discrete
-    shapes below it have no density and are not sampled).
-    """
-    alg = params.algebra
-    require_density_range(params.p, alg)
-    if kernels(alg).field is None:
-        return _wishart_mcmc(params, seed, n)
-    coords = _bartlett(alg, params.p, params.a, seed, n)
-    return SampleBatch(alg, params.record(), coords, seed, "bartlett")
+    """Draw n Wishart samples: :func:`sample_laws` of the one law."""
+    return sample_laws([(params, seed)], n)[0]
 
 
 def sample_gig(params: GigParams, seed: int, n: int) -> SampleBatch:
-    """Draw n GIG samples: exact rejection at rank 1, Metropolis otherwise.
-
-    The Metropolis path records burn-in, thinning, and the realized
-    acceptance rate in the batch; an acceptance rate outside
-    ``ACCEPT_BAND`` is flagged in the metadata (and warned about), never
-    hidden.
-    """
-    alg = params.algebra
-    if alg.rank != 1:
-        return _gig_mcmc(params, seed, n)
-    k, a, b = _pow2_scales(params, _gig_start(params))
-    draws = np.ldexp(_gig_rejection_rank1(params.p, float(a[0]), float(b[0]), seed, n), k)
-    return SampleBatch(alg, params.record(), draws[:, None], seed, "rejection")
+    """Draw n GIG samples: :func:`sample_laws` of the one law."""
+    return sample_laws([(params, seed)], n)[0]

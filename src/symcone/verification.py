@@ -48,8 +48,7 @@ from .distributions import (
     batch_gig_log_unnorm,
     batch_wishart_log_unnorm,
     require_density_range,
-    sample_gig,
-    sample_wishart,
+    sample_laws,
 )
 from .my_transform import batch_log_jacobian_det, batch_log_jacobian_det_numeric, batch_my_map
 
@@ -477,6 +476,12 @@ def my_property_test(
     U and V strongly dependent and must drive the permutation p-values below
     the significance level.
 
+    All four samples (X, Y, the fresh V and the fresh U; three under the
+    negative control) are drawn up front in one
+    :func:`~symcone.distributions.sample_laws` call, so their Metropolis
+    laws share one step loop.  Each has its own child seed of ``seed``, and
+    its batch is the one it would give alone.
+
     The report's ``passed`` field applies a Bonferroni correction across
     the listed tests; it is ``False`` whenever any p-value falls to
     ``BONFERRONI_GATE`` or below, and ``inconclusive`` is flagged if an MCMC
@@ -487,18 +492,18 @@ def my_property_test(
     """
     require_density_range(p, alg)
     child = [int(s) for s in np.random.SeedSequence(seed).generate_state(6, np.uint64)]
-    batches = []
-    bx = sample_gig(GigParams(-p, a, b), child[0], n)
-    batches.append(bx)
-    x = bx.coords
+    laws = {"x": (GigParams(-p, a, b), child[0]), "y": (WishartParams(p, a), child[1]),
+            "v": (WishartParams(p, b), child[3]), "u": (GigParams(-p, b, a), child[4])}
+    if negative_control:
+        del laws["y"]
+    batches = dict(zip(laws, sample_laws(laws.values(), n)))
+    x = batches["x"].coords
     if negative_control:
         rng_noise = np.random.default_rng(child[1])
         g = rng_noise.standard_normal((n, alg.dim))
         y = x + 0.25 * batch_jordan(alg, g, g)
     else:
-        by = sample_wishart(WishartParams(p, a), child[1], n)
-        batches.append(by)
-        y = by.coords
+        y = batches["y"].coords
     u, v = batch_my_map(alg, x, y)
     mapped = {"u": _functionals(alg, u, a.coords), "v": _functionals(alg, v, b.coords)}
     rng_perm = np.random.default_rng(child[2])
@@ -510,10 +515,7 @@ def my_property_test(
         dcors.append(r)
         dcor_ps.append(pv)
 
-    bv = sample_wishart(WishartParams(p, b), child[3], n)
-    bu = sample_gig(GigParams(-p, b, a), child[4], n)
-    batches.extend([bv, bu])
-    fresh = {"u": bu.coords, "v": bv.coords}
+    fresh = {"u": batches["u"].coords, "v": batches["v"].coords}
     ks_stats, ks_ps = [], []
     for label in KS_LABELS:
         side, name = label.split("_")
@@ -526,7 +528,8 @@ def my_property_test(
         np.stack([mapped[side][name] for side in "uv" for name in DCOR_FUNCTIONALS])
     )
 
-    inconclusive = any(bb.mcmc is not None and bb.mcmc.get("diverged") for bb in batches)
+    inconclusive = any(bb.mcmc is not None and bb.mcmc.get("diverged")
+                       for bb in batches.values())
     passed = bool(all(pv > BONFERRONI_GATE for pv in dcor_ps + ks_ps)) and not inconclusive
     return IndependenceReport(
         algebra=alg.to_dict(),

@@ -189,7 +189,7 @@ def test_criterion_07_gig_sampler_rank1():
     stat, _ = st.ks_against_cdf(rejection.coords[:, 0], cdf)
     crit = st.ks_critical_value(n, alpha=0.01)
     ok = stat < crit
-    mcmc = dist._gig_mcmc(params, 405, n)
+    mcmc = dist._metropolis_batches([(params, 405)], n)[0]
     _, p_two = st.ks_2sample(rejection.coords[:, 0], mcmc.coords[:, 0])
     ok &= p_two > 0.01
     _line(7, "gig sampler rank 1", ok,

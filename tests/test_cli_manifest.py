@@ -69,6 +69,16 @@ CALLS = [
      "--permutations", "699"],
     ["test", "my-property", "--kind", "sym-real", "--rank", "2", "-n", "200",
      "--permutations", "700", "--subsample", "100", "--seed", "2", "-o", "{out}/myp2.json"],
+    # the independence test's Metropolis laws drawn together: four on Lorentz
+    # (GIG and Wishart), two on herm-complex r = 2, two on the LAPACK target
+    *[["test", "my-property", *law, "-n", "200", "--permutations", "700",
+       "--subsample", "100", "--seed", str(seed), "-o", "{out}/myp.json"]
+      for seed, law in enumerate((
+          ["--kind", "lorentz", "--dim", "3", "--a", "coords:1.5,0.3,0.2",
+           "--b", "coords:1,-0.2,0.1"],
+          ["--kind", "herm-complex", "--rank", "2", "--p", "2.5",
+           "--a", "diag:2,1", "--b", "diag:0.5,1.5"],
+          ["--kind", "sym-real", "--rank", "3", "--b", "diag:2,1,0.5"]), start=31)],
     ["sample", "wishart", "--kind", "sym-real", "--rank", "2", "-n", "40", "--seed", "6",
      "--format", "csv", "-o", "{out}/w.csv"],
     ["sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "2", "--b", "diag:1.5",

@@ -32,6 +32,11 @@ SINGLE_CHAIN = {"BURN_IN": 0, "THIN": 1, "CHAINS": 1}
 WIDE_PROPOSALS = {"BURN_IN": 200, "THIN": 2, "CHAINS": 4, "PROPOSAL_SCALE": 80.0}
 
 
+def _mcmc(params, seed, n):
+    """The Metropolis batch of one law, also where an exact route exists."""
+    return dist._metropolis_batches([(params, seed)], n)[0]
+
+
 def scalar(v):
     return ja.Element(A1, np.array([float(v)]))
 
@@ -274,6 +279,33 @@ def test_gig_norm_constant_is_zero_where_it_underflows(p, a):
     assert dist.gig_norm_constant_rank1(dist.GigParams(p, scalar(a), scalar(a))) == 0.0
 
 
+@pytest.mark.parametrize("p, a, b", [(3.0, 1.0, 1e-300), (-3.0, 1e-300, 1.0)])
+def test_gig_norm_constant_holds_where_the_bessel_function_overflows(p, a, b):
+    # K_3(2e-150) overflows and (b/a)^(p/2) underflows, whose product was nan;
+    # the constant is Gamma(3) = 2 to within the rounding of its logs
+    assert dist.gig_norm_constant_rank1(dist.GigParams(p, scalar(a), scalar(b))) == pytest.approx(
+        2.0, rel=1e-12)
+
+
+# on each side of the z = 2 sqrt(ab) below which kve(2.5, z) overflows (z near
+# 3.18e-122 at a = 3), the two nearest pairs first
+KVE_SWITCH = [(8.413873941523413e-245, True), (8.413873941523416e-245, False),
+              (2.1e-245, True), (3.4e-244, False)]
+
+
+@pytest.mark.parametrize("b, overflows", KVE_SWITCH)
+def test_gig_norm_constant_matches_quadrature_where_kve_overflows(b, overflows):
+    from scipy.special import kve
+
+    p, a = 2.5, 3.0
+    assert math.isinf(kve(p, 2.0 * math.sqrt(a) * math.sqrt(b))) == overflows
+    quadrature = _gig_norm_by_quadrature(p, a, b)
+    # the law with -p and a and b swapped has the same constant (x -> 1/x)
+    for law in ((p, a, b), (-p, b, a)):
+        params = dist.GigParams(law[0], scalar(law[1]), scalar(law[2]))
+        assert dist.gig_norm_constant_rank1(params) == pytest.approx(quadrature, rel=1e-12)
+
+
 def test_gig_norm_constant_rank2_unsupported():
     with pytest.raises(ValueError):
         dist.gig_norm_constant_rank1(dist.GigParams(1.0, E2, E2))
@@ -502,6 +534,18 @@ def test_gig_rejection_follows_the_law_over_the_whole_range():
     assert [case for case, pv in zip(cases, p_values) if not pv > 1e-6] == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1e-9, 0.0])
+def test_gig_rejection_refuses_a_draw_past_the_largest_double(p):
+    # near the smallest normal a and b, about 3e-6 of the law lies past the
+    # largest double: at p = 1e-9 a draw overflowed with a warning, and at
+    # p = 0 psi was 0 * inf = nan there, so that mass was silently left out
+    tiny = scalar(2.3e-308)
+    with pytest.raises(ValueError, match=r"GIG\(p=.*, a=2.3e-308, b=2.3e-308\) has mass "
+                                         r"above the largest double"):
+        dist.sample_gig(dist.GigParams(p, tiny, tiny), 3, 2_000_000)
+
+
 def test_gig_params_from_two_algebras_are_a_mismatch():
     with pytest.raises(ja.AlgebraMismatchError):
         dist.GigParams(2.0, ONE, ja.identity(ja.herm_complex(1)))
@@ -531,7 +575,7 @@ def test_gig_mcmc_agrees_with_rejection():
     params = dist.GigParams(-1.0, ONE, ONE)
     n = 10000
     rej = dist.sample_gig(params, 11, n)
-    mc = dist._gig_mcmc(params, 12, n)
+    mc = _mcmc(params, 12, n)
     assert mc.mcmc is not None
     assert 0.1 <= mc.mcmc["acceptance_rate"] <= 0.7
     _, p_value = st.ks_2sample(rej.coords[:, 0], mc.coords[:, 0])
@@ -651,6 +695,25 @@ def _reference_log_pdf_batch(alg, p, a_coords, b_coords=None):
     return log_pdf
 
 
+def _one_law_target(alg, p, a_coords, b_coords, rows):
+    """The sampler's target of one law on ``rows`` rows."""
+    return dist._log_pdf_batch(alg, [p], a_coords[None],
+                               None if b_coords is None else b_coords[None], rows)
+
+
+def _law_by_law_target(alg, p, a_coords, b_coords, rows):
+    """The target of several laws from :func:`_reference_log_pdf_batch`,
+    one law's ``rows`` rows at a time."""
+    b_rows = [None] * len(p) if b_coords is None else b_coords
+    targets = [_reference_log_pdf_batch(alg, *law) for law in zip(p, a_coords, b_rows)]
+
+    def log_pdf(x):
+        blocks = x.reshape(len(targets), rows, alg.dim)
+        return np.concatenate([target(block) for target, block in zip(targets, blocks)])
+
+    return log_pdf
+
+
 def _scaled_params(alg, scale, lo=0.5, hi=2.0):
     """a = A / scale and b = B * scale, with the eigenvalues of A and B drawn
     from [lo, hi], so GIG and Wishart draws sit near scale."""
@@ -698,12 +761,12 @@ def test_rank2_target_leaves_seeded_samplers_unchanged(alg, scale, settings, mon
         return (
             dist.sample_gig(dist.GigParams(-1.7, a, b), 7, 300),
             dist.sample_gig(dist.GigParams(0.8, skewed_a, skewed_b), 8, 300),
-            dist._wishart_mcmc(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9, 300),
-            dist._wishart_mcmc(dist.WishartParams(_near_bound_shape(alg), a), 10, 300),
+            _mcmc(dist.WishartParams(alg.dim_over_rank + 0.5, a), 9, 300),
+            _mcmc(dist.WishartParams(_near_bound_shape(alg), a), 10, 300),
         )
 
     closed_form = draw()
-    monkeypatch.setattr(dist, "_log_pdf_batch", _reference_log_pdf_batch)
+    monkeypatch.setattr(dist, "_log_pdf_batch", _law_by_law_target)
     for got, ref in zip(closed_form, draw()):
         assert got.coords.tobytes() == ref.coords.tobytes()
         assert got.mcmc == ref.mcmc
@@ -715,7 +778,7 @@ def test_rank2_target_matches_eigenvalue_target(alg, scale):
     x = _rank2_points(alg, np.random.default_rng(11), scale, 200)
     a, b = _scaled_params(alg, scale)
     for p, b_coords in ((2.3, None), (-1.7, b.coords)):
-        got = dist._log_pdf_batch(alg, p, a.coords, b_coords)(x)
+        got = _one_law_target(alg, p, a.coords, b_coords, len(x))(x)
         ref = _reference_log_pdf_batch(alg, p, a.coords, b_coords)(x)
         assert np.all(np.isfinite(ref))
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
@@ -734,12 +797,12 @@ def test_rank2_target_is_minus_inf_off_the_open_cone(alg, scale):
     a, b = _scaled_params(alg, scale)
     gaussian = scale * np.random.default_rng(3).standard_normal((400, alg.dim))
     for b_coords in (None, b.coords):
-        target = dist._log_pdf_batch(alg, 2.3, a.coords, b_coords)
         # under the error state the sampler calls the target with: the log and
         # division warnings of off-cone rows are the caller's to silence
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.all(target(off_cone) == -np.inf)
-            got = target(gaussian)
+            assert np.all(_one_law_target(alg, 2.3, a.coords, b_coords, len(off_cone))(off_cone)
+                          == -np.inf)
+            got = _one_law_target(alg, 2.3, a.coords, b_coords, len(gaussian))(gaussian)
         ref = _reference_log_pdf_batch(alg, 2.3, a.coords, b_coords)(gaussian)
         assert not np.any(np.isnan(got))
         assert np.array_equal(got == -np.inf, ref == -np.inf)
@@ -816,6 +879,14 @@ def _reference_metropolis_cone(alg, log_pdf, seed, n, init):
     return coords, meta
 
 
+def _reference_law_by_law(alg, laws, n):
+    """:func:`_reference_metropolis_cone` on :func:`_reference_masked_log_pdf_batch`,
+    one law at a time."""
+    return [_reference_metropolis_cone(alg, _reference_masked_log_pdf_batch(alg, p, a, b),
+                                       seed, n, init)
+            for p, a, b, seed, init in laws]
+
+
 def _reference_masked_log_pdf_batch(alg, p, a_coords, b_coords=None):
     """The rank-2 target as a gather of the cone rows and a scatter of their values.
 
@@ -884,12 +955,12 @@ def _lean_draw(alg, family):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if family == "gig":
-            batch = dist._gig_mcmc(dist.GigParams(-1.7, a, b), 7, LEAN_N)
+            batch = _mcmc(dist.GigParams(-1.7, a, b), 7, LEAN_N)
         elif family == "gig-skewed":
-            batch = dist._gig_mcmc(dist.GigParams(0.8, a, b), 8, LEAN_N)
+            batch = _mcmc(dist.GigParams(0.8, a, b), 8, LEAN_N)
         else:
             p = alg.dim_over_rank + 0.5 if family == "wishart" else _near_bound_shape(alg)
-            batch = dist._wishart_mcmc(dist.WishartParams(p, a), 9, LEAN_N)
+            batch = _mcmc(dist.WishartParams(p, a), 9, LEAN_N)
     return batch, [(w.category, str(w.message)) for w in caught]
 
 
@@ -898,8 +969,7 @@ def test_lean_metropolis_step_keeps_every_chain(alg, config, family, monkeypatch
                                                 mcmc_settings):
     mcmc_settings(**LEAN_SETTINGS[config])
     got, got_warnings = _lean_draw(alg, family)
-    monkeypatch.setattr(dist, "_metropolis_cone", _reference_metropolis_cone)
-    monkeypatch.setattr(dist, "_log_pdf_batch", _reference_masked_log_pdf_batch)
+    monkeypatch.setattr(dist, "_metropolis_cone", _reference_law_by_law)
     ref, ref_warnings = _lean_draw(alg, family)
     assert got.coords.tobytes() == ref.coords.tobytes()
     assert got.mcmc == ref.mcmc
@@ -908,3 +978,73 @@ def test_lean_metropolis_step_keeps_every_chain(alg, config, family, monkeypatch
     assert [c for c, _ in got_warnings] == ([RuntimeWarning] if got.mcmc["diverged"] else [])
     if config != "single-chain":
         assert got.mcmc["diverged"] == (config == "diverging")
+
+
+# ---------------------------------------------------------------------------
+# Several laws in one draw: each batch is the one its law gives alone
+# ---------------------------------------------------------------------------
+
+JOINT_ALGEBRAS = [L2, H2, ja.sym_real(3), A1]
+JOINT_IDS = ["lorentz-dim3", "herm2", "sym3", "rank1"]
+
+
+def _joint_laws(alg):
+    """The X, Y, V and U laws of the independence test at a != b: two GIG and
+    two Wishart laws, Metropolis, Bartlett or rejection by the algebra."""
+    a, b = _scaled_params(alg, 1.0, **SKEWED)
+    p = alg.dim_over_rank + 0.5
+    return [(dist.GigParams(-p, a, b), 11), (dist.WishartParams(p, a), 12),
+            (dist.WishartParams(p, b), 13), (dist.GigParams(-p, b, a), 14)]
+
+
+def _with_warnings(draw):
+    """The batches of ``draw()`` and the warnings they raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batches = draw()
+    return batches, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("config", LEAN_SETTINGS)
+@pytest.mark.parametrize("alg", JOINT_ALGEBRAS, ids=JOINT_IDS)
+def test_joint_draw_gives_each_law_its_own_batch(alg, config, mcmc_settings):
+    mcmc_settings(**LEAN_SETTINGS[config])
+    laws = _joint_laws(alg)
+    joint, joint_warnings = _with_warnings(lambda: dist.sample_laws(laws, LEAN_N))
+    alone, alone_warnings = _with_warnings(lambda: [
+        dist.sample_wishart(params, seed, LEAN_N) if isinstance(params, dist.WishartParams)
+        else dist.sample_gig(params, seed, LEAN_N) for params, seed in laws])
+    assert len(joint) == len(laws)
+    for got, ref in zip(joint, alone):
+        assert (got.method, got.params, got.seed) == (ref.method, ref.params, ref.seed)
+        assert got.coords.tobytes() == ref.coords.tobytes()
+        assert got.mcmc == ref.mcmc
+    assert joint_warnings == alone_warnings
+    # the GIG is Metropolis from rank 2 on, the Wishart on Lorentz alone
+    methods = [b.method for b in joint]
+    if alg.rank == 1:
+        assert methods == ["rejection", "bartlett", "bartlett", "rejection"]
+    elif alg.kind is ja.Kind.LORENTZ:
+        assert methods == ["mcmc"] * 4
+    else:
+        assert methods == ["mcmc", "bartlett", "bartlett", "mcmc"]
+    # each Metropolis law is flagged, and warns, on its own
+    flagged = [b.mcmc["diverged"] for b in joint if b.mcmc is not None]
+    assert [c for c, _ in joint_warnings] == [RuntimeWarning] * sum(flagged)
+    if config != "single-chain":
+        assert flagged == [config == "diverging"] * len(flagged)
+
+
+def test_joint_draw_checks_every_law_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a sampler ran")
+
+    for name in ("_bartlett", "_gig_rejection_rank1", "_metropolis_cone"):
+        monkeypatch.setattr(dist, name, no_draws)
+    gig = (dist.GigParams(-2.0, E2, E2), 1)
+    with pytest.raises(dist.ShapeOutOfRangeError):
+        dist.sample_laws([gig, (dist.WishartParams(2.0, E2), 2), (dist.WishartParams(0.5, E2), 3)],
+                         10)
+    with pytest.raises(ja.AlgebraMismatchError):
+        dist.sample_laws([gig, (dist.WishartParams(2.0, ja.identity(H2)), 2)], 10)
+    assert dist.sample_laws([], 10) == []

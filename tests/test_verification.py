@@ -278,8 +278,7 @@ def test_my_property_rejects_a_shape_below_the_density_range_before_drawing(monk
     def no_draws(*args, **kwargs):
         raise AssertionError("a sampler ran")
 
-    monkeypatch.setattr(ver, "sample_gig", no_draws)
-    monkeypatch.setattr(ver, "sample_wishart", no_draws)
+    monkeypatch.setattr(ver, "sample_laws", no_draws)
     for p in (0.5, 0.2, float("nan")):  # dim/rank - 1 = 0.5 on sym-real r=2
         with pytest.raises(dist.ShapeOutOfRangeError, match="dim/rank - 1 = 0.5"):
             ver.my_property_test(A2, p, E2, E2, 2000, negative_control=True)
