@@ -60,7 +60,6 @@ from .distributions import (
     gig_norm_constant_rank1,
     log_gamma_cone,
     sample_gig,
-    sample_laws,
     sample_wishart,
     wishart_laplace,
     wishart_log_density,

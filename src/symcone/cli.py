@@ -74,6 +74,7 @@ from .algebra import (
 )
 from .distributions import (
     GigParams,
+    MassPastDoublesError,
     SampleBatch,
     ShapeOutOfRangeError,
     WishartParams,
@@ -516,7 +517,7 @@ def run(argv) -> int:
                 _write(cfg.output, ser.reports_to_json(reports))
         statuses, code = _status(reports)
         _print_lines([_report_line(r, status) for r, status in zip(reports, statuses)])
-    except (UsageError, ShapeOutOfRangeError) as exc:
+    except (UsageError, ShapeOutOfRangeError, MassPastDoublesError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
     return code

@@ -98,6 +98,10 @@ class ShapeOutOfRangeError(ValueError):
     """Shape parameter outside the range supported by the operation."""
 
 
+class MassPastDoublesError(ValueError):
+    """A law with mass past the largest double, which no batch of doubles holds."""
+
+
 def require_density_range(p: float, alg: AlgebraDescriptor) -> None:
     """Raise ShapeOutOfRangeError unless p > dim/rank - 1 (a NaN p is outside):
     the shapes at which the cone Wishart and GIG laws have densities and the
@@ -249,24 +253,56 @@ def gig_log_density_unnorm(params: GigParams, x: Element) -> float:
         params.algebra, params.p, params.a.coords, params.b.coords, x.coords))
 
 
+def _log_bessel_k(q: float, z: float) -> float:
+    """log K_q(z), for q >= 0 and 0 < z < 2^30, also where K_q(z) is past
+    the largest double.
+
+    Where scipy's exponentially scaled ``kve`` is finite this is its log
+    minus z.  Where it overflows, either z^2/4 is below (q - 1)/2, or q <= 1
+    and z is below 1e-308.  Then K_q(z) is Gamma(q) (2/z)^q / 2 times the
+    series sum_k (z^2/4)^k / (k! (1-q)_k) over k < q, whose terms each fall
+    to at most half the one before, so the sum keeps every digit; the I_q
+    part that series leaves out is then below double resolution.  Otherwise
+    (q above about 300 and z from about sqrt(2q) up) the ratio
+    K_(m+1)/K_m = K_(m-1)/K_m + 2m/z is carried up from order q - floor(q),
+    a sum of two positive terms at each of floor(q) steps.
+    """
+    from scipy.special import kve  # imported here: scipy dominates import time
+
+    k = kve(q, z)
+    if not math.isinf(k):
+        return math.log(k) - z
+    x = z * z / 4.0
+    if q <= 1.0 or 2.0 * x <= q - 1.0:
+        total, term, j = 1.0, 1.0, 1
+        while j < q and abs(term) > 2.0**-53 * total:
+            term *= x / (j * (j - q))
+            total += term
+            j += 1
+        return math.lgamma(q) + q * (math.log(2.0) - math.log(z)) - math.log(2.0) + math.log(total)
+    order = q - math.floor(q)
+    log_k = math.log(kve(order, z)) - z
+    ratio = kve(order, z) / kve(1.0 - order, z)  # K_order / K_(order-1), as K_-v = K_v
+    for _ in range(int(math.floor(q))):
+        ratio = 1.0 / ratio + 2.0 * order / z
+        log_k += math.log(ratio)
+        order += 1.0
+    return log_k
+
+
 def gig_norm_constant_rank1(params: GigParams) -> float:
     """Normalizing constant of the rank-1 GIG in closed form.
 
     The integral of x^(p-1) exp(-a x - b / x) over (0, inf) is
-    2 (b/a)^(p/2) K_p(z) at z = 2 sqrt(a) sqrt(b), with K_p the modified
-    Bessel function of the second kind, taken as the exponentially scaled
-    ``kve`` times e^(-z).  The factor 2 (b/a)^(p/2) e^(-z) is one exponent,
-    so neither a * b nor b / a overflows on the way: the result is 0.0 where
-    the constant underflows and inf where it exceeds every double.  From
-    z = 2^30 on, where scipy's ``kve`` is nan, that factor is 0 for every
-    |p| below about 1e6, and so is the constant.  Where ``kve`` overflows,
-    z is so small (below about 7.5e-102 at |p| = 3) that K_p(z) is its limit
-    Gamma(|p|) (2/z)^|p| / 2 to every digit, and the whole constant is one
-    exponent of logs, so it stays finite where that factor underflows.  Only
+    2 (b/a)^(p/2) K_p(z) at z = 2 sqrt(a) sqrt(b), with K_p = K_|p| the
+    modified Bessel function of the second kind.  The constant is one
+    exponent of logs, log 2 + (p/2)(log b - log a) + log K_|p|(z) with the
+    last from :func:`_log_bessel_k`, so neither a * b, b / a nor K_p itself
+    overflows on the way: the result is 0.0 where the constant underflows
+    and inf where it exceeds every double.  From z = 2^30 on, where scipy's
+    ``kve`` is nan, the constant is 0 for every |p| below about 1e6.  Only
     rank 1 is supported.
     """
-    from scipy.special import kve  # imported here: scipy dominates import time
-
     if params.algebra.rank != 1:
         raise ValueError("normalizing constant is implemented for rank 1 only")
     p = params.p
@@ -276,13 +312,8 @@ def gig_norm_constant_rank1(params: GigParams) -> float:
     if z >= 2.0**30:
         return 0.0
     log_scale = math.log(2.0) + 0.5 * p * (math.log(b) - math.log(a))
-    k = kve(p, z)
     with np.errstate(over="ignore"):
-        if math.isinf(k):
-            q = abs(p)
-            return float(np.exp(log_scale + math.lgamma(q) + q * (math.log(2.0) - math.log(z))
-                                - math.log(2.0)))
-        return float(np.exp(log_scale - z) * k)
+        return float(np.exp(log_scale + _log_bessel_k(abs(p), z)))
 
 
 def gig_cdf_rank1(params: GigParams):
@@ -735,7 +766,7 @@ def sample_laws(laws, n: int) -> list[SampleBatch]:
     A Wishart shape outside the density range p > dim/rank - 1 raises
     ShapeOutOfRangeError before anything is drawn (the discrete shapes below
     it have no density and are not sampled).  A rank-1 GIG draw beyond the
-    largest double raises ValueError naming the law.
+    largest double raises MassPastDoublesError naming the law.
     """
     laws = list(laws)
     for params, _ in laws:
@@ -754,7 +785,7 @@ def sample_laws(laws, n: int) -> list[SampleBatch]:
             with np.errstate(over="ignore"):
                 np.ldexp(draws, k, out=draws)
             if not np.all(np.isfinite(draws)):
-                raise ValueError(
+                raise MassPastDoublesError(
                     f"GIG(p={params.p}, a={params.a.coords[0]}, b={params.b.coords[0]}) has mass "
                     f"above the largest double, and a draw fell there")
             batches[i] = SampleBatch(alg, params.record(), draws[:, None], seed, "rejection")

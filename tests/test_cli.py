@@ -199,6 +199,19 @@ def test_sample_shape_guard_is_usage_error(tmp_path, capsys):
     assert "shape p must be >" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_sample_past_the_largest_double_is_a_usage_error(tmp_path, capsys):
+    code = run_cli("sample", "gig", "--kind", "sym-real", "--rank", "1", "--p", "0",
+                   "--a", "diag:2.3e-308", "--b", "diag:2.3e-308", "-n", "2000000", "--seed", "3",
+                   "-o", str(tmp_path / "g.json"))
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == ("usage error: GIG(p=0.0, a=2.3e-308, b=2.3e-308) has mass above "
+                            "the largest double, and a draw fell there\n")
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_sample_without_an_output_is_a_usage_error_before_the_draw(monkeypatch, capsys):
     # the draws go only to -o, so a run without one would throw them away
     monkeypatch.setattr(cli, "sample_wishart", _must_not_run)

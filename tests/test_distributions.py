@@ -306,6 +306,27 @@ def test_gig_norm_constant_matches_quadrature_where_kve_overflows(b, overflows):
         assert dist.gig_norm_constant_rank1(params) == pytest.approx(quadrature, rel=1e-12)
 
 
+# kve(|p|, z) overflows in each; Gamma(|p|) (2/z)^|p| / 2 alone is 0.5% off K_200(2)
+# and e^22 above K_1000(300).  At p = 1000 the constant is the exponent of a sum of
+# logs near -1000 and +870, whose rounding alone is about 1e-12 of it.
+@pytest.mark.parametrize("p, a, b, rel", [(200.0, 10.0, 0.1, 1e-12),
+                                          (1000.0, 150.0 * math.e, 150.0 / math.e, 1e-11)])
+def test_gig_norm_constant_matches_quadrature_at_large_order(p, a, b, rel):
+    quadrature = _gig_norm_by_quadrature(p, a, b)
+    for law in ((p, a, b), (-p, b, a)):
+        params = dist.GigParams(law[0], scalar(law[1]), scalar(law[2]))
+        assert dist.gig_norm_constant_rank1(params) == pytest.approx(quadrature, rel=rel)
+
+
+@pytest.mark.parametrize("p, a, b", [(2.0, 1e10, 1e-310), (3.0, 1e5, 1e-205)])
+def test_gig_norm_constant_holds_where_b_over_a_is_subnormal(p, a, b):
+    # kve is finite, but 2 (b/a)^(p/2) e^(-z) is a subnormal with few digits;
+    # z is so small that the constant is Gamma(p) / a^p
+    expected = math.gamma(p) / a**p
+    assert dist.gig_norm_constant_rank1(dist.GigParams(p, scalar(a), scalar(b))) == pytest.approx(
+        expected, rel=1e-12)
+
+
 def test_gig_norm_constant_rank2_unsupported():
     with pytest.raises(ValueError):
         dist.gig_norm_constant_rank1(dist.GigParams(1.0, E2, E2))
@@ -541,8 +562,8 @@ def test_gig_rejection_refuses_a_draw_past_the_largest_double(p):
     # largest double: at p = 1e-9 a draw overflowed with a warning, and at
     # p = 0 psi was 0 * inf = nan there, so that mass was silently left out
     tiny = scalar(2.3e-308)
-    with pytest.raises(ValueError, match=r"GIG\(p=.*, a=2.3e-308, b=2.3e-308\) has mass "
-                                         r"above the largest double"):
+    with pytest.raises(dist.MassPastDoublesError,
+                       match=r"GIG\(p=.*, a=2.3e-308, b=2.3e-308\) has mass above the largest double"):
         dist.sample_gig(dist.GigParams(p, tiny, tiny), 3, 2_000_000)
 
 
