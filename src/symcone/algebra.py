@@ -223,6 +223,37 @@ def _pow2_rows(a):
     return np.ldexp(a, -k[..., None]), k
 
 
+def _coordinate_sum(sq, out):
+    """A function that writes to ``out`` the sum of ``sq`` over its first
+    axis, with the bits ``np.add.reduce`` gives each row of the layout that
+    has that axis last; the views it reads are bound here, once.
+
+    numpy sums a contiguous row of fewer than 8 doubles from left to right,
+    as adding the slices sq[0], sq[1], ... in turn does.  From 8 on it sums
+    in 8 unrolled accumulators, so those rows are summed by numpy itself,
+    on a copy with the summed axis last.
+    """
+    if len(sq) >= 8:
+        moved = sq.transpose(*range(1, sq.ndim), 0)
+        rows = np.empty(moved.shape)
+
+        def total():
+            np.copyto(rows, moved)
+            np.add.reduce(rows, axis=-1, out=out)
+
+        return total
+    if len(sq) == 1:
+        return lambda: np.copyto(out, sq[0])
+    first, second, *rest = sq
+
+    def total():
+        np.add(first, second, out=out)
+        for row in rest:
+            np.add(out, row, out=out)
+
+    return total
+
+
 def _spin_polar(a):
     """Eigenvalues x0 +- |xbar| of spin-factor rows, plus the spatial parts
     and their norms on the rows rescaled by :func:`_pow2_rows`, so that the
@@ -288,6 +319,18 @@ class _SpinFactor:
 
     def rank2_det(self, alg, a):
         return a[..., 0] ** 2 - np.add.reduce(a[..., 1:] ** 2, axis=-1)
+
+    def rank2_det_columns(self, alg, x, sq, out):
+        """A function that writes ``rank2_det`` of the coordinate-major
+        points x (dim, n) to ``out``, with its bits, from their squares
+        ``sq``; see :func:`_coordinate_sum`."""
+        spatial, time = _coordinate_sum(sq[1:], out), sq[0]
+
+        def det():
+            spatial()
+            np.subtract(time, out, out=out)
+
+        return det
 
     def det(self, alg, a):
         s, k = _pow2_rows(a)
@@ -498,6 +541,20 @@ class _MatrixForm:
     def rank2_det(self, alg, a):
         """Closed-form determinant at rank 2: d1 d2 - |off|^2 / 2."""
         return a[..., 0] * a[..., 1] - 0.5 * np.add.reduce(a[..., 2:] ** 2, axis=-1)
+
+    def rank2_det_columns(self, alg, x, sq, out):
+        """A function that writes ``rank2_det`` of the coordinate-major
+        points x (dim, n) to ``out``, with its bits, from their squares
+        ``sq``; see :func:`_coordinate_sum`."""
+        off, d1, d2, prod = _coordinate_sum(sq[2:], out), x[0], x[1], np.empty(out.shape)
+        half = np.array(0.5)  # a 0-d array, which a ufunc takes faster than a float
+
+        def det():
+            off()
+            np.multiply(out, half, out=out)
+            np.subtract(np.multiply(d1, d2, out=prod), out, out=out)
+
+        return det
 
     def eigenvalues(self, alg, a):
         return np.linalg.eigvalsh(self.to_matrices(alg, a))[..., ::-1]

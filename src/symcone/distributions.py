@@ -58,6 +58,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     NotInConeError,
+    _coordinate_sum,
     _require_same,
     batch_det,
     batch_eigenvalues,
@@ -402,6 +403,9 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
       2 (c sinh(x/2)) (c cosh(x/2)): cosh x - 1 loses every digit at the
       law's width 1/sqrt(omega) once omega nears 1e15, and c sinh(x/2)
       stays finite where alpha underflows and sinh x overflows;
+    * lam (e^x - 1 - x) is exp(x + log lam) - lam (1 + x) past x = 709.78,
+      where expm1 overflows: at a subnormal lam the law keeps its weight
+      there instead of reading -inf;
     * the mode is added to the log-draws, before the one exp, so no
       factor of it under- or overflows.
 
@@ -410,18 +414,22 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
     about 1e24 to 1e28; beyond it they gather on the doubles next to the
     mode.  A draw past the largest double is returned as inf, without a
     warning, for the caller to reject: a law with a and b near the smallest
-    normal double has mass there.
+    normal double has mass there, at a subnormal |p| too.
     """
     rng = np.random.default_rng(seed)
     lam = abs(float(p))
     omega = 2.0 * math.sqrt(a) * math.sqrt(b)
     c = omega / math.sqrt(math.hypot(omega, lam) + lam)
     alpha = c * c  # hypot(omega, lam) - lam, without its cancellation
+    log_lam = math.log(lam) if lam else -math.inf
 
     def psi(x):
-        # at lam = 0 the second term is 0, also past x = 709.78, where expm1
-        # overflows and 0 * inf would be NaN
-        tilt = lam * (np.expm1(x) - x) if lam else 0.0
+        # past x = 709.78 expm1 overflows, and lam (e^x - 1 - x) is taken as
+        # exp(x + log lam) - lam (1 + x): finite where lam e^x is, as at a
+        # subnormal lam, and 0 at lam = 0, where lam * inf would be NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.expm1(x)
+            tilt = np.where(np.isinf(e), np.exp(x + log_lam) - lam * (1.0 + x), lam * (e - x))
         return -2.0 * (c * np.sinh(x / 2.0)) ** 2 - tilt
 
     def dpsi(x):
@@ -468,9 +476,7 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
         # their exponents cross 0 at t_d and -s_d, so it is the least of the three
         tangents = np.minimum(-eta - zeta * (cand - t), -theta + xi * (cand + s))
         envelope = np.exp(np.minimum(tangents, 0.0))
-        # past x = 709.78 expm1 overflows, and psi is -inf where lam > 0 (the
-        # law's weight there unless |p| is below about 4e-306); past x = 1420
-        # sinh overflows too, and psi is -inf at lam = 0: such a candidate is
+        # past x = 1420 sinh overflows, and psi is -inf: such a candidate is
         # rejected
         with np.errstate(over="ignore", invalid="ignore"):
             accepted = cand[w * envelope <= np.exp(psi(cand))]
@@ -484,11 +490,6 @@ def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.
         return np.exp(out, out=out) * math.sqrt(b / a)
 
 
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, as ``np.linalg.norm(x, axis=1)`` computes it."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
 def _metropolis_cone(alg, laws, n):
     """Vectorized multi-chain random-walk Metropolis on cone coordinates,
     for several laws in one step loop.
@@ -497,10 +498,10 @@ def _metropolis_cone(alg, laws, n):
     run at, with b None for a Wishart; every law gets n draws, and its
     (coords, meta) come back in list order.  Each law runs its own chains
     (the same number for every law, as it depends on n alone), which sit in
-    one block of rows, in law order, and :func:`_log_pdf_batch` evaluates
-    every law's target in one call per step.  Every step operation is
-    row-wise, so a law's draws, ``mcmc`` record and divergence warning are
-    those it gives alone.
+    one block of rows, in law order, and the target of
+    :func:`_log_pdf_batch` evaluates every law in one call per step.  Every
+    step operation is row-wise, so a law's draws, ``mcmc`` record and
+    divergence warning are those it gives alone.
 
     The proposal standard deviation tracks the RMS coordinate of the current
     point, which keeps mixing uniform across the cone but makes the proposal
@@ -513,25 +514,42 @@ def _metropolis_cone(alg, laws, n):
     of each noise row are formed per block of steps, so the loop holds one
     noise array and no per-step table of the whole run.
 
-    A step costs a handful of small array operations.  The whole loop, and
-    the first ``log_pdf`` call before it, run under one ``np.errstate``, so
-    the target sets none of its own; each chain's RMS is carried from step
-    to step (an accepted chain takes its proposal's) instead of being
-    recomputed, with the row norm summed as ``np.linalg.norm`` sums it,
-    because its bits set the proposal scale; the proposal is built in one
-    buffer; and accepted chains are updated in place with
-    ``np.copyto(..., where=acc)``.  The burn-in update factors
-    exp(gain (1 - target)) and exp(gain (0 - target)) are tabulated with
-    ``np.exp`` (``math.exp`` rounds differently), so a burn-in step picks
-    one per chain with ``np.where``; the adapted factor times the proposal
-    scale is formed once per burn-in step and once for all later steps.
+    A step is 30 to 40 numpy calls on arrays of one row per chain, so their
+    dispatch is its cost, and the loop is laid out for few calls:
 
-    A proposal off the cone needs no guard of its own: its target is -inf,
-    so the log acceptance ratio is -inf, or NaN where the Hastings term is
-    +inf or NaN, and a log uniform is below it in neither case.  A target
-    of +inf is accepted; the rank-2 target gives one only where det x
-    overflows (coordinates beyond about 1e154, at p > dim/rank), and the
-    caller runs every chain near scale 1 (:func:`_metropolis_batches`).
+    * every array is coordinate-major, one chain per column.  The state is
+      one (dim + 2, chains) buffer, the coordinates followed by the log
+      target and the RMS coordinate, and the proposal a second one; the
+      noise is (steps, dim, chains).  A row is then a contiguous slice, and
+      an elementwise operation on a coordinate costs one call for every
+      chain;
+    * every view of the two buffers is bound before the loop, and every step
+      operation but the pick of the burn-in factors writes into a
+      preallocated buffer with ``out=``;
+    * the squares of the proposal's coordinates are formed once, for its RMS
+      and for the target (the rank-2 det is a sum of them);
+    * the target marks the proposals off the open cone in a mask, which is
+      and-ed into the accept mask, so no -inf is written; an off-cone
+      proposal is never accepted, whatever its target and Hastings term;
+    * accepted chains take their proposal's coordinates, log target and RMS
+      in one ``np.copyto(state, proposal, where=acc)``.
+
+    The RMS sets the next proposal scale, so its bits are those of
+    ``np.linalg.norm`` over a (chains, dim) row, and the squared norm of a
+    noise row keeps the bits of its (chains, dim) sum too:
+    :func:`symcone.algebra._coordinate_sum` adds the coordinate rows in
+    turn below dim 8, where numpy sums a row from left to right, and from
+    dim 8 on sums a (chains, dim) copy with numpy's own reduce.  The whole
+    loop runs under one ``np.errstate``, so the target sets none of its own.
+    The burn-in update factors exp(gain (0 - target)) and exp(gain (1 -
+    target)) are tabulated with ``np.exp`` (``math.exp`` rounds
+    differently), so a burn-in step picks one per chain, with the accept
+    mask as the index; the adapted factor times the proposal scale is formed
+    once per burn-in step and once for all later steps.
+
+    A target of +inf is accepted; the rank-2 target gives one only where
+    det x overflows (coordinates beyond about 1e154, at p > dim/rank), and
+    the caller runs every chain near scale 1 (:func:`_metropolis_batches`).
 
     The settings are the module constants, read here at every call.
     """
@@ -543,54 +561,79 @@ def _metropolis_cone(alg, laws, n):
     # a Wishart's b is 0 where a GIG shares the loop, so its target subtracts 0
     b = None if all(x is None for x in b) else np.stack(
         [np.zeros(alg.dim) if x is None else x for x in b])
-    log_pdf = _log_pdf_batch(alg, p, np.stack(a), b, chains)
     gens = [np.random.default_rng(ss)
             for seed in seeds for ss in np.random.SeedSequence(seed).spawn(chains)]
-    rows = len(gens)
-    noise = np.empty((steps, rows, alg.dim))
-    for c, gen in enumerate(gens):
-        noise[:, c, :] = gen.standard_normal((steps, alg.dim))
     # Python's float power: numpy's vectorized one can differ in the last bit,
     # and the gains set the proposal scale
     gains = np.fromiter((0.5 / (1.0 + step) ** 0.6 for step in range(burn_in)), float, burn_in)
-    grow = np.exp(gains * (1 - target))
-    shrink = np.exp(gains * (0 - target))
+    # a chain's factor after burn-in step s is multiplied by updates[s, acc];
+    # tabulated before the noise exists, so its temporaries never sit beside it
+    updates = np.exp(np.stack([gains * (0 - target), gains * (1 - target)], axis=1))
+    rows, dim = len(gens), alg.dim
+    noise = np.empty((steps, dim, rows))
+    for c, gen in enumerate(gens):
+        noise[:, :, c] = gen.standard_normal((steps, dim))
 
-    sqrt_dim = math.sqrt(alg.dim)
-    half_dim = alg.dim * 0.5
-    cur = np.repeat(np.stack(inits), chains, axis=0)
-    prop = np.empty_like(cur)
-    rms = _row_norm(cur) / sqrt_dim
+    state, prop = np.empty((dim + 2, rows)), np.empty((dim + 2, rows))
+    x, lp, rms = state[:dim], state[dim], state[dim + 1]
+    x_prop, lp_prop, rms_prop = prop[:dim], prop[dim], prop[dim + 1]
+    sq = np.empty((dim, rows))
+    ok, acc = np.empty(rows, bool), np.empty(rows, bool)
+    std, ratio_sq, hastings, log_alpha = (np.empty(rows) for _ in range(4))
+    # the loop's scalars as 0-d arrays, which a ufunc takes faster than floats
+    sqrt_dim, half_dim, one, scale_0d = map(np.array, (math.sqrt(dim), dim * 0.5, 1.0, scale))
+    acc_index = acc.view(np.uint8)
+    sum_sq = _coordinate_sum(sq, rms_prop)
+    log_pdf = _log_pdf_batch(alg, p, np.stack(a), b, x_prop, sq, lp_prop, ok)
+
+    def evaluate():
+        # the squares, RMS coordinate, log target and cone mask of the proposal
+        np.multiply(x_prop, x_prop, out=sq)
+        sum_sq()
+        np.sqrt(rms_prop, out=rms_prop)
+        np.divide(rms_prop, sqrt_dim, out=rms_prop)
+        log_pdf()
+
     factors = np.ones(rows)
     scaled = factors * scale
     accepted_post = np.zeros(rows)
-    kept = np.empty((per_chain, rows, alg.dim))
+    kept = np.empty((per_chain, dim, rows))
     block_steps = 256  # the steps whose uniforms are drawn at a time
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp_cur = log_pdf(cur)
+        x_prop[...] = np.repeat(np.stack(inits), chains, axis=0).T  # the starts, in the cone
+        evaluate()
+        np.copyto(state, prop)
         for start in range(0, steps, block_steps):
             block = noise[start : start + block_steps]
-            half_z_sq = 0.5 * np.add.reduce(block * block, axis=2)
+            half_z_sq = np.empty((len(block), rows))
+            _coordinate_sum(np.square(block).transpose(1, 0, 2), half_z_sq)()
+            half_z_sq *= 0.5
             log_u = np.log(np.stack([gen.uniform(size=len(block)) for gen in gens], axis=1))
             for step, z, half_z_sq_row, log_u_row in zip(
                     range(start, steps), block, half_z_sq, log_u):
-                np.multiply((scaled * rms)[:, None], z, out=prop)
-                prop += cur
-                lp_prop = log_pdf(prop)
-                rms_prop = _row_norm(prop) / sqrt_dim
-                ratio_sq = (rms / rms_prop) ** 2
-                hastings = half_dim * np.log(ratio_sq) + half_z_sq_row * (1.0 - ratio_sq)
-                acc = log_u_row < lp_prop - lp_cur + hastings
-                np.copyto(cur, prop, where=acc[:, None])
-                np.copyto(lp_cur, lp_prop, where=acc)
-                np.copyto(rms, rms_prop, where=acc)
+                np.multiply(scaled, rms, out=std)
+                np.multiply(z, std, out=x_prop)
+                np.add(x_prop, x, out=x_prop)
+                evaluate()
+                np.divide(rms, rms_prop, out=ratio_sq)
+                np.multiply(ratio_sq, ratio_sq, out=ratio_sq)
+                np.log(ratio_sq, out=hastings)
+                np.multiply(hastings, half_dim, out=hastings)
+                np.subtract(one, ratio_sq, out=ratio_sq)
+                np.multiply(ratio_sq, half_z_sq_row, out=ratio_sq)
+                np.add(hastings, ratio_sq, out=hastings)
+                np.subtract(lp_prop, lp, out=log_alpha)
+                np.add(log_alpha, hastings, out=log_alpha)
+                np.less(log_u_row, log_alpha, out=acc)
+                np.logical_and(acc, ok, out=acc)
+                np.copyto(state, prop, where=acc)
                 if step < burn_in:
-                    factors *= np.where(acc, grow[step], shrink[step])
-                    scaled = factors * scale
+                    np.multiply(factors, updates[step].take(acc_index), out=factors)
+                    np.multiply(factors, scale_0d, out=scaled)
                 else:
-                    accepted_post += acc
+                    np.add(accepted_post, acc, out=accepted_post)
                     if (step - burn_in) % thin == thin - 1:
-                        kept[(step - burn_in) // thin] = cur
+                        np.copyto(kept[(step - burn_in) // thin], x)
     rate_per_chain = accepted_post / (steps - burn_in)
     lo, hi = ACCEPT_BAND
     out = []
@@ -603,7 +646,7 @@ def _metropolis_cone(alg, laws, n):
                 f"MCMC acceptance rate {rate:.3f} outside [{lo}, {hi}] after adaptation",
                 RuntimeWarning,
             )
-        coords = kept[:, own].transpose(1, 0, 2).reshape(chains * per_chain, alg.dim)[:n]
+        coords = kept[:, :, own].transpose(2, 0, 1).reshape(chains * per_chain, dim)[:n]
         meta = {
             "burn_in": burn_in,
             "thin": thin,
@@ -619,70 +662,89 @@ def _metropolis_cone(alg, laws, n):
     return out
 
 
-def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, rows: int):
-    """Metropolis target (p - dim/r) log det x - <a, x> - <b, x^-1> of
-    several laws, -inf off the cone.
+def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok):
+    """The Metropolis target (p - dim/r) log det x - <a, x> - <b, x^-1> of
+    several laws, as a function of no arguments bound to its buffers.
 
     ``p`` holds one shape per law, ``a_coords`` and ``b_coords`` one row per
-    law, and x holds ``rows`` rows of each law in turn: every row takes its
-    law's exponent, ``a`` and ``b``, spread to one entry per row when the
-    target is built.  Without ``b`` (None) every law is a Wishart, whose log
-    density this is up to its constant; with ``b`` the GIG one, and a
-    Wishart among GIG laws has the row b = 0.  Rank 2 is evaluated in closed
-    form: every rank-2 algebra is a spin factor, so the kernel table's
-    ``rank2_det`` gives det x without a matrix, the cone is tr x > 0,
-    det x > 0, and by Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0)
-    <b, x^-1> = (tr x tr b - <b, x>) / det x.  The linear terms tr x, <a, x>
-    and <b, x> of a law's rows come from one product with its ``w``, whose
-    columns are the kernel table's ``trace`` and ``inner`` applied to the
-    coordinate basis, built once; one stacked ``@`` forms every law's.  On
-    finite rows tr x keeps its bits (its column holds ones or a two, and
-    zeros), so the cone mask is unchanged; the inner products may round
+    law, and the points x hold an equal block of chains of each law in turn:
+    every chain takes its law's exponent, ``a`` and ``b``.  Without ``b``
+    (None) every law is a Wishart, whose log density this is up to its
+    constant; with ``b`` the GIG one, and a Wishart among GIG laws has the
+    row b = 0.
+
+    x is a C-contiguous coordinate-major (dim, chains) buffer, as
+    :func:`_metropolis_cone` keeps its points, and ``sq`` the buffer that
+    holds x * x when the function is called.  The function writes the
+    target of every chain to ``lp`` and whether it lies in the open cone to
+    ``ok``.  The target of a chain off the cone is left unspecified, as the
+    caller masks it with ``ok``; the log and division warnings it raises are
+    left to the caller's ``np.errstate`` (:func:`_metropolis_cone` runs
+    every call under one).
+
+    Rank 2 is evaluated in closed form: every rank-2 algebra is a spin
+    factor, so the kernel table's ``rank2_det_columns`` gives det x from the
+    squares without a matrix, the cone is tr x > 0, det x > 0, and by
+    Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0) <b, x^-1> is
+    (tr x tr b - <b, x>) / det x.  The numerator is linear in x, so it is
+    a third row of a law's weights ``w``, after the kernel table's
+    ``trace`` and ``inner`` with a applied to the coordinate basis, all
+    built once: one stacked ``@`` forms tr x, <a, x> and that numerator of
+    every law's chains.  On finite points tr x keeps its bits (its row
+    holds ones or a two, and zeros), and det x those of ``rank2_det``, so
+    the cone mask is that of the kernels; the inner products may round
     differently from the kernels' sums, which moves only the target's last
     bits, and those decide an accept only through a comparison with a
     uniform.  A law's product is the one it would form alone, so its target
-    keeps its bits whichever laws share the call.  The target is computed
-    on every row, off-cone rows included, and ``np.where`` puts -inf on the
-    off-cone rows; their log and division warnings are left to the caller's
-    ``np.errstate`` (:func:`_metropolis_cone` runs every call under one).
-    Higher ranks take the eigenvalues and the inverse from LAPACK.
+    keeps its bits whichever laws share the call.
+
+    Higher ranks take the eigenvalues and the inverse from LAPACK, on a
+    (chains, dim) copy of x, and evaluate the target on the cone rows alone.
     """
-    laws = len(p)
-    law = np.repeat(np.arange(laws), rows)  # the law of each row
+    laws, dim = len(p), alg.dim
+    rows = x.shape[1] // laws
+    law = np.repeat(np.arange(laws), rows)  # the law of each chain
     exponent = (np.asarray(p, float) - alg.dim_over_rank)[law]
 
     if alg.rank == 2:
         k = kernels(alg)  # looked up once, not at every step
-        basis = np.eye(alg.dim)
-        scales = [c for c in (a_coords, b_coords) if c is not None]
-        w = np.stack([np.broadcast_to(k.trace(alg, basis), (laws, alg.dim)),
-                      *[k.inner(alg, c[:, None, :], basis) for c in scales]], axis=-1)
-        tr_b = None if b_coords is None else k.trace(alg, b_coords)[law]
+        basis = np.eye(dim)
+        trace = k.trace(alg, basis)
+        w = [np.broadcast_to(trace, (laws, dim)), k.inner(alg, a_coords[:, None, :], basis)]
+        if b_coords is not None:
+            w.append(k.trace(alg, b_coords)[:, None] * trace
+                     - k.inner(alg, b_coords[:, None, :], basis))
+        w = np.stack(w, axis=1)  # (laws, terms, dim)
+        lin = np.empty((w.shape[1], laws * rows))
+        lin_by_law = lin.reshape(-1, laws, rows).transpose(1, 0, 2)
+        tr, a_x = lin[0], lin[1]
+        b_num = None if b_coords is None else lin[2]
+        x_by_law = x.reshape(dim, laws, rows).transpose(1, 0, 2)  # a view, as x is contiguous
+        dt, low, zero = np.empty(laws * rows), np.empty(laws * rows), np.array(0.0)
+        det = k.rank2_det_columns(alg, x, sq, dt)
 
-        def log_pdf(x):
-            lin = (x.reshape(laws, rows, alg.dim) @ w).reshape(laws * rows, -1)
-            tr = lin[..., 0]
-            dt = k.rank2_det(alg, x)
-            ok = (tr > 0.0) & (dt > 0.0)
-            val = exponent * np.log(dt) - lin[..., 1]
-            if b_coords is not None:
-                val -= (tr * tr_b - lin[..., 2]) / dt
-            return np.where(ok, val, -np.inf)
+        def log_pdf():
+            np.matmul(w, x_by_law, out=lin_by_law)
+            det()
+            np.greater(np.minimum(tr, dt, out=low), zero, out=ok)
+            np.multiply(np.log(dt, out=lp), exponent, out=lp)
+            np.subtract(lp, a_x, out=lp)
+            if b_num is not None:
+                np.subtract(lp, np.divide(b_num, dt, out=b_num), out=lp)
 
         return log_pdf
 
-    def log_pdf(x):
-        lam = batch_eigenvalues(alg, x)
-        ok = lam[..., -1] > 0.0
-        out = np.full(x.shape[:-1], -np.inf)
+    def log_pdf():
+        rows_major = np.ascontiguousarray(x.T)
+        lam = batch_eigenvalues(alg, rows_major)
+        np.greater(lam[..., -1], 0.0, out=ok)
         if np.any(ok):
-            xo, own = x[ok], law[ok]
+            xo, own = rows_major[ok], law[ok]
             log_det = np.sum(np.log(lam[ok]), axis=-1)
             val = exponent[ok] * log_det - batch_inner(alg, a_coords[own], xo)
             if b_coords is not None:
                 val -= batch_inner(alg, b_coords[own], batch_inverse(alg, xo))
-            out[ok] = val
-        return out
+            lp[ok] = val
 
     return log_pdf
 

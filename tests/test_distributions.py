@@ -556,11 +556,12 @@ def test_gig_rejection_follows_the_law_over_the_whole_range():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("p", [1e-9, 0.0])
+@pytest.mark.parametrize("p", [1e-9, 0.0, 1e-300, 1e-310])
 def test_gig_rejection_refuses_a_draw_past_the_largest_double(p):
     # near the smallest normal a and b, about 3e-6 of the law lies past the
-    # largest double: at p = 1e-9 a draw overflowed with a warning, and at
-    # p = 0 psi was 0 * inf = nan there, so that mass was silently left out
+    # largest double: at p = 1e-9 a draw overflowed with a warning, at p = 0
+    # psi was 0 * inf = nan there, and at the subnormal p = 1e-310 it was
+    # -inf, where lam (e^x - 1 - x) is finite, so that mass was silently left out
     tiny = scalar(2.3e-308)
     with pytest.raises(dist.MassPastDoublesError,
                        match=r"GIG\(p=.*, a=2.3e-308, b=2.3e-308\) has mass above the largest double"):
@@ -716,21 +717,32 @@ def _reference_log_pdf_batch(alg, p, a_coords, b_coords=None):
     return log_pdf
 
 
-def _one_law_target(alg, p, a_coords, b_coords, rows):
-    """The sampler's target of one law on ``rows`` rows."""
-    return dist._log_pdf_batch(alg, [p], a_coords[None],
-                               None if b_coords is None else b_coords[None], rows)
+def _one_law_target(alg, p, a_coords, b_coords):
+    """The sampler's target of one law on points (n, dim), -inf where it
+    marks a point off the cone."""
+
+    def log_pdf(x):
+        cols = np.ascontiguousarray(x.T)
+        lp, ok = np.empty(len(x)), np.empty(len(x), bool)
+        dist._log_pdf_batch(alg, [p], a_coords[None], None if b_coords is None else b_coords[None],
+                            cols, cols * cols, lp, ok)()
+        return np.where(ok, lp, -np.inf)
+
+    return log_pdf
 
 
-def _law_by_law_target(alg, p, a_coords, b_coords, rows):
+def _law_by_law_target(alg, p, a_coords, b_coords, x, sq, lp, ok):
     """The target of several laws from :func:`_reference_log_pdf_batch`,
-    one law's ``rows`` rows at a time."""
+    one law's block of chains at a time, bound as the sampler binds its
+    target: to coordinate-major points, with the cone mask true but where
+    the target is -inf, which no log uniform is below."""
     b_rows = [None] * len(p) if b_coords is None else b_coords
     targets = [_reference_log_pdf_batch(alg, *law) for law in zip(p, a_coords, b_rows)]
 
-    def log_pdf(x):
-        blocks = x.reshape(len(targets), rows, alg.dim)
-        return np.concatenate([target(block) for target, block in zip(targets, blocks)])
+    def log_pdf():
+        blocks = x.T.reshape(len(targets), -1, alg.dim)
+        lp[...] = np.concatenate([target(block) for target, block in zip(targets, blocks)])
+        np.greater(lp, -np.inf, out=ok)
 
     return log_pdf
 
@@ -799,7 +811,7 @@ def test_rank2_target_matches_eigenvalue_target(alg, scale):
     x = _rank2_points(alg, np.random.default_rng(11), scale, 200)
     a, b = _scaled_params(alg, scale)
     for p, b_coords in ((2.3, None), (-1.7, b.coords)):
-        got = _one_law_target(alg, p, a.coords, b_coords, len(x))(x)
+        got = _one_law_target(alg, p, a.coords, b_coords)(x)
         ref = _reference_log_pdf_batch(alg, p, a.coords, b_coords)(x)
         assert np.all(np.isfinite(ref))
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
@@ -821,9 +833,8 @@ def test_rank2_target_is_minus_inf_off_the_open_cone(alg, scale):
         # under the error state the sampler calls the target with: the log and
         # division warnings of off-cone rows are the caller's to silence
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.all(_one_law_target(alg, 2.3, a.coords, b_coords, len(off_cone))(off_cone)
-                          == -np.inf)
-            got = _one_law_target(alg, 2.3, a.coords, b_coords, len(gaussian))(gaussian)
+            assert np.all(_one_law_target(alg, 2.3, a.coords, b_coords)(off_cone) == -np.inf)
+            got = _one_law_target(alg, 2.3, a.coords, b_coords)(gaussian)
         ref = _reference_log_pdf_batch(alg, 2.3, a.coords, b_coords)(gaussian)
         assert not np.any(np.isnan(got))
         assert np.array_equal(got == -np.inf, ref == -np.inf)
@@ -946,8 +957,11 @@ def _reference_masked_log_pdf_batch(alg, p, a_coords, b_coords=None):
     return log_pdf
 
 
-LEAN_ALGEBRAS = [L2, ja.lorentz(5), A2, ja.sym_real(3), H2, A1]
-LEAN_IDS = ["lorentz-dim3", "lorentz-dim6", "sym2", "sym3", "herm2", "rank1"]
+# Lorentz dim 9 sums its squares with numpy's reduce (dim >= 8), and
+# herm-complex r = 3 (also dim 9) takes the LAPACK target
+LEAN_ALGEBRAS = [L2, ja.lorentz(5), ja.lorentz(8), A2, ja.sym_real(3), H2, ja.herm_complex(3), A1]
+LEAN_IDS = ["lorentz-dim3", "lorentz-dim6", "lorentz-dim9", "sym2", "sym3", "herm2", "herm3",
+            "rank1"]
 # n = 203 divides by none of the chain counts above 1
 LEAN_N = 203
 LEAN_SETTINGS = {
