@@ -24,14 +24,16 @@ maps each :class:`Kind` to its kernels: the spin-factor formulas for
 functions look their kernel up in that table and hold no per-kind branch;
 :func:`kernels` gives other modules the same entry.
 
-Determinants and inverses are closed forms wherever one exists: on the spin
-factor, and on the matrix kinds at rank <= 3 (adjugate and cofactor
-expansion, complex entries multiplied out in real arithmetic).  Both run on
-rows rescaled by a power of two and scale the result back, so an inverse
-holds from 1e-300 to 1e300 and a determinant outside the double range is
-inf or 0, never nan.  The matrix kinds at rank >= 4 take both from LAPACK,
-as they take their eigenvalues and square roots at every rank.  Banded cone
-points come from Gram-Schmidt, with no LAPACK call.
+Determinants and inverses are closed forms on the spin factor.  The matrix
+kinds take both from one L D L* elimination at every rank, complex entries
+multiplied out in real arithmetic: det is the product of the pivots, and
+the error of both stays within a small multiple of eps times the condition
+number.  Rows with a non-positive pivot lie off the open cone and take both
+from LAPACK's eigendecomposition, as every row takes its eigenvalues and
+square root.  Determinants and inverses run on rows rescaled by a power of
+two and scale the result back, so an inverse holds from 1e-300 to 1e300
+and a determinant outside the double range is inf or 0, never nan.  Banded
+cone points come from Gram-Schmidt, with no LAPACK call.
 
 All functions are pure.  The ``batch_*`` variants accept coordinate arrays
 with arbitrary leading axes and operate elementwise over them; the
@@ -43,7 +45,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -200,9 +202,10 @@ def _require_same(x: Element, y: Element) -> AlgebraDescriptor:
 # The kernel table: one entry per cone kind
 # ---------------------------------------------------------------------------
 
-def _require_positive(lam) -> None:
+def _positive_sqrt(lam):
     if np.min(lam) <= 0:
         raise NotInConeError("square root requires strictly positive eigenvalues")
+    return np.sqrt(lam)
 
 
 def _pow2_rows(a):
@@ -350,8 +353,7 @@ class _SpinFactor:
 
     def sqrt(self, alg, a):
         lam, unit = _spin_unit(a)
-        _require_positive(lam)
-        s = np.sqrt(lam)
+        s = _positive_sqrt(lam)
         out = np.empty_like(a)
         out[..., 0] = (s[..., 0] + s[..., 1]) / 2.0
         out[..., 1:] = ((s[..., 0] - s[..., 1]) / 2.0)[..., None] * unit
@@ -406,24 +408,34 @@ def _entry_mul(x, y, conj=False):
     return (x[0] * y[0] - x[1] * y[1], x[1] * y[0] + x[0] * y[1])
 
 
+def _entry_sub(z, pairs, conj=False):
+    """z minus the sum of x y, or of x conj(y) with ``conj``, over the
+    pairs (x, y), all entries as :func:`_entry_dot` takes them."""
+    for x, y in pairs:
+        z = tuple(c - d for c, d in zip(z, _entry_mul(x, y, conj)))
+    return z
+
+
 class _MatrixForm:
     """Kernels of the Hermitian r x r matrices over ``field`` (float or
     complex).  A complex off-diagonal entry takes two coordinates, real part
     first.
 
-    At rank <= 3 the determinant and the inverse are closed forms on the
-    coordinates, with no matrix built: the adjugate (Cayley-Hamilton; at rank
-    1 it is 1, at rank 2 (d2, d1, -o)) and the cofactor expansion along the
-    first row, which at rank 2 is ``rank2_det``.  Complex entries are
-    multiplied out in real and imaginary parts and every sum is written out,
-    so a row gives the same bits alone as inside a batch.  Both run on rows
-    rescaled by :func:`_pow2_rows` and scale the result back, so an inverse
-    holds from 1e-300 to 1e300 and a determinant outside the double range is
-    inf or 0.  An exactly singular row gives det 0 and a non-finite inverse
-    row, as on the spin factor, where LAPACK raised for the whole batch.
-    Rank >= 4 has no closed form and takes both from LAPACK, as do the
-    eigenvalues, the square root and the spectral decomposition at every
-    rank.
+    The determinant and the inverse come from one elimination, s = L D L*
+    (:meth:`_ldl`), written once for every rank, on the coordinates with no
+    matrix built: det is the product of the pivots and s^-1 = M* D^-1 M with
+    M = L^-1.  Complex entries are multiplied out in real and imaginary
+    parts, so a row gives the same bits alone as inside a batch.  On the
+    open cone every pivot is positive and the elimination is backward
+    stable, so the error of both is within a small multiple of eps times
+    the condition number.  A row with a non-positive pivot takes both from
+    the eigendecomposition that the square root uses: det is the product of
+    the eigenvalues, the inverse U diag(1/w) U*.  Both run on rows rescaled
+    by :func:`_pow2_rows` and scale the result back, so an inverse holds
+    from 1e-300 to 1e300 and a determinant outside the double range is inf
+    or 0.  An exactly singular row gives det 0 and a non-finite inverse
+    row, as on the spin factor.  The eigenvalues, the square root and the
+    spectral decomposition come from LAPACK.
     """
 
     def __init__(self, field, make):
@@ -489,54 +501,63 @@ class _MatrixForm:
     def trace(self, alg, a):
         return np.add.reduce(a[..., : alg.rank], axis=-1)
 
-    def _entries(self, alg, s):
-        """Diagonal coordinates and off-diagonal entries of rows ``s``, the
-        entries in coordinate order, each as :func:`_entry_dot` takes it."""
-        r, w = alg.rank, 2 if self.field is complex else 1
-        diag = [s[..., i] for i in range(r)]
-        off = [tuple(s[..., j] for j in range(i, i + w)) for i in range(r, alg.dim, w)]
-        return diag, off
+    def _ldl(self, alg, a, from_ldl, from_eigh):
+        """``from_ldl`` of the pivots and the factor of rows ``a`` rescaled by
+        :func:`_pow2_rows`, and the exponents.
 
-    def _adjugate(self, alg, s):
-        """Adjugate coordinates of rows ``s`` at rank <= 3."""
-        adj = np.empty_like(s)
-        if alg.rank == 1:
-            adj[...] = 1.0
-        elif alg.rank == 2:
-            adj[..., 0], adj[..., 1], adj[..., 2:] = s[..., 1], s[..., 0], -s[..., 2:]
-        else:
-            (d1, d2, d3), (o12, o13, o23) = self._entries(alg, s)
-            adj[..., 0] = d2 * d3 - 0.5 * _entry_dot(o23, o23)
-            adj[..., 1] = d1 * d3 - 0.5 * _entry_dot(o13, o13)
-            adj[..., 2] = d1 * d2 - 0.5 * _entry_dot(o12, o12)
-            # an off-diagonal coordinate is sqrt 2 times its matrix entry
-            cofactors = ((_entry_mul(o13, o23, conj=True), d3, o12),
-                         (_entry_mul(o12, o23), d2, o13),
-                         (_entry_mul(o13, o12, conj=True), d1, o23))
-            j = 3
-            for prod, d, o in cofactors:
-                for c in range(len(o)):
-                    adj[..., j] = prod[c] / _SQRT2 - d * o[c]
-                    j += 1
-        return adj
+        The factor is s = L D L*, the elimination without pivoting, with L
+        unit lower triangular and D the diagonal of the pivots.  Step i
+        divides row i of what is left of s by its pivot, which gives row i
+        of L*, and subtracts the outer product of the two rows from the rows
+        below.  ``from_ldl`` gets the pivots and the upper entries (i, j) of
+        L*, each as :func:`_entry_dot` takes it.
 
-    def _expand(self, alg, s, adj):
-        """Determinant of rows ``s`` by the cofactor expansion along the first
-        row, from their adjugate coordinates ``adj``."""
-        (d1, *_), off = self._entries(alg, s)
-        _, adj_off = self._entries(alg, adj)
-        out = d1 * adj[..., 0]
-        if alg.rank > 1:
-            # the first row's r - 1 entries come first in coordinate order
-            out += 0.5 * sum(_entry_dot(o, c) for o, c in zip(off[: alg.rank - 1], adj_off))
-        return out
+        The pivots are all positive exactly on the open cone (Sylvester's
+        criterion), where this elimination is backward stable.  A row with
+        a non-positive pivot takes ``from_eigh`` of its rescaled row
+        instead; a nan row keeps its nan result.
+        """
+        s, k = _pow2_rows(a)
+        r, w, c = alg.rank, alg.peirce, np.moveaxis(s, -1, 0)  # c: coordinate-major
+        # an off-diagonal entry has w coordinates, each sqrt 2 times its part
+        piv, off = list(c[:r]), [x / _SQRT2 for x in c[r:]]
+        up = {ij: tuple(off[w * n:w * n + w]) for n, ij in enumerate(zip(*_offdiag_pairs(r)))}
+        with np.errstate(divide="ignore", invalid="ignore"):  # on rows replaced below
+            for i in range(r):
+                for j in range(i + 1, r):
+                    lt = tuple(x / piv[i] for x in up[i, j])
+                    piv[j] = piv[j] - _entry_dot(lt, up[i, j])
+                    for m in range(j + 1, r):
+                        up[j, m] = _entry_sub(up[j, m], [(up[i, m], lt)], conj=True)
+                    up[i, j] = lt
+            out = np.asarray(from_ldl(piv, up))  # one row gives a numpy scalar
+        outside = reduce(np.fmin, piv) <= 0  # fmin: a pivot past a zero one may be nan
+        if outside.any():
+            out[outside] = from_eigh(s[outside])
+        return out, k
+
+    def _ldl_inverse(self, alg, piv, up):
+        """Coordinates of s^-1 = M* D^-1 M, with M = L^-1, from the pivots
+        and the entries of L* that :meth:`_ldl` gives."""
+        r = alg.rank
+        # p: minus the upper entries of M* = (L*)^-1 by back substitution,
+        # column by column; q: those entries divided by the pivot of their column
+        p = {}
+        for k in range(r):
+            for j in reversed(range(k)):
+                p[j, k] = _entry_sub(up[j, k], [(up[j, i], p[i, k]) for i in range(j + 1, k)])
+        q = {(j, k): tuple(c / piv[k] for c in e) for (j, k), e in p.items()}
+        coords = [sum((_entry_dot(q[j, i], p[j, i]) for i in range(j + 1, r)), 1.0 / piv[j])
+                  for j in range(r)]
+        for j, k in zip(*_offdiag_pairs(r)):
+            e = _entry_sub(q[j, k], [(q[j, i], p[k, i]) for i in range(k + 1, r)], conj=True)
+            coords += [-_SQRT2 * c for c in e]
+        return np.stack(coords, axis=-1)
 
     def det(self, alg, a):
-        if alg.rank > 3:
-            d = np.linalg.det(self.to_matrices(alg, a))
-            return d.real if np.iscomplexobj(d) else d
-        s, k = _pow2_rows(a)
-        return np.ldexp(self._expand(alg, s, self._adjugate(alg, s)), alg.rank * k)
+        out, k = self._ldl(alg, a, lambda piv, up: reduce(np.multiply, piv),
+                           lambda s: np.prod(self.eigenvalues(alg, s), axis=-1))
+        return np.ldexp(out, alg.rank * k)
 
     def rank2_det(self, alg, a):
         """Closed-form determinant at rank 2: d1 d2 - |off|^2 / 2."""
@@ -560,22 +581,23 @@ class _MatrixForm:
         return np.linalg.eigvalsh(self.to_matrices(alg, a))[..., ::-1]
 
     def inverse(self, alg, a):
-        if alg.rank > 3:
-            return self.from_matrices(alg, np.linalg.inv(self.to_matrices(alg, a)))
-        s, k = _pow2_rows(a)
-        adj = self._adjugate(alg, s)
-        return np.ldexp(adj / self._expand(alg, s, adj)[..., None], -k[..., None])
+        out, k = self._ldl(alg, a, lambda piv, up: self._ldl_inverse(alg, piv, up),
+                           lambda s: self._spectral_map(alg, s, np.reciprocal))
+        return np.ldexp(out, -k[..., None])
 
     def quad_apply(self, alg, a, b):
         ma = self.to_matrices(alg, a)
         mb = self.to_matrices(alg, b)
         return self.from_matrices(alg, ma @ mb @ ma)
 
-    def sqrt(self, alg, a):
+    def _spectral_map(self, alg, a, f):
+        """Coordinates of U f(w) U*, with U diag(w) U* the eigendecomposition
+        of rows ``a``."""
         w, u = np.linalg.eigh(self.to_matrices(alg, a))
-        _require_positive(w)
-        root = (u * np.sqrt(w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
-        return self.from_matrices(alg, root)
+        return self.from_matrices(alg, (u * f(w)[..., None, :]) @ u.conj().swapaxes(-1, -2))
+
+    def sqrt(self, alg, a):
+        return self._spectral_map(alg, a, _positive_sqrt)
 
     def norm(self, alg, c) -> float:
         return math.hypot(*c)

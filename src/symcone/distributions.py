@@ -27,8 +27,9 @@ route available for each family:
   for all of them; a chain's acceptance uniforms are drawn per block of
   steps.  At rank 2 the target is evaluated in closed form (every rank-2
   algebra is a spin factor, so the log density needs only tr x, det x and
-  two inner products); higher ranks take eigenvalues and inverses from
-  LAPACK at every step.  :func:`_metropolis_cone` describes the step loop.
+  two inner products); higher ranks take the eigenvalues from LAPACK and
+  the inverse from the kernel table at every step.  :func:`_metropolis_cone`
+  describes the step loop.
 
 The rank-1 GIG sampler, its quadrature CDF and every Metropolis chain work
 on the law of 2^-k X, with k the exponent of a start point (for the GIG
@@ -698,8 +699,9 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok)
     uniform.  A law's product is the one it would form alone, so its target
     keeps its bits whichever laws share the call.
 
-    Higher ranks take the eigenvalues and the inverse from LAPACK, on a
-    (chains, dim) copy of x, and evaluate the target on the cone rows alone.
+    Higher ranks take the eigenvalues from LAPACK and the inverse from the
+    kernel table (:func:`batch_inverse`), on a (chains, dim) copy of x, and
+    evaluate the target on the cone rows alone.
     """
     laws, dim = len(p), alg.dim
     rows = x.shape[1] // laws

@@ -1,5 +1,6 @@
 """Element arithmetic, operators, and spectral calculus for all three families."""
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -500,12 +501,15 @@ def test_lorentz_det_keeps_the_unscaled_bits_in_range():
 
 
 # ---------------------------------------------------------------------------
-# Closed-form det, inverse and banded points of the matrix kinds at rank <= 3
+# Det, inverse and banded points of the matrix kinds: one elimination, L D L*
 # ---------------------------------------------------------------------------
 
 CLOSED_FORM_ALGEBRAS = [ja.sym_real(1), ja.sym_real(2), ja.sym_real(3),
                         ja.herm_complex(2), ja.herm_complex(3)]
 CLOSED_FORM_IDS = [f"{a.kind.value}-rank{a.rank}" for a in CLOSED_FORM_ALGEBRAS]
+HIGH_RANK_ALGEBRAS = [ja.sym_real(4), ja.sym_real(5), ja.herm_complex(4)]
+HIGH_RANK_IDS = ["sym-real-rank4", "sym-real-rank5", "herm-complex-rank4"]
+EPS = np.finfo(float).eps
 
 
 def _lapack_det_and_inverse(alg, x):
@@ -517,26 +521,116 @@ def _no_lapack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK called")
 
-    for name in ("det", "inv", "qr"):
+    # eigh and eigvalsh would be the fallback off the open cone
+    for name in ("det", "inv", "qr", "eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
 
 
-@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)
+@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS + HIGH_RANK_ALGEBRAS,
+                         ids=CLOSED_FORM_IDS + HIGH_RANK_IDS)
 def test_rank_three_or_below_calls_no_lapack_for_det_inverse_and_banded_points(alg, monkeypatch):
+    # every rank: the elimination has all pivots positive on cone points
     _no_lapack(monkeypatch)
     x = ja.random_cone_points_banded(alg, np.random.default_rng(20), 50)
     assert np.all(ja.batch_det(alg, x) > 0)
     assert np.all(np.isfinite(ja.batch_inverse(alg, x)))
 
 
-def test_rank_four_keeps_lapack_for_det_and_inverse(monkeypatch):
-    # no closed form there; the banded points need no LAPACK at any rank
-    alg = ja.herm_complex(4)
-    _no_lapack(monkeypatch)
-    x = ja.random_cone_points_banded(alg, np.random.default_rng(21), 5)
-    for kernel in (ja.batch_det, ja.batch_inverse):
-        with pytest.raises(AssertionError, match="LAPACK called"):
-            kernel(alg, x)
+def _exact_det_and_inverse(m):
+    """det and inverse of a real positive definite matrix of floats, by
+    Gauss-Jordan elimination in exact rational arithmetic."""
+    n = len(m)
+    a = [[Fraction(float(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    det = Fraction(1)
+    for col in range(n):
+        det *= a[col][col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(n):
+            if r != col:
+                a[r] = [v - a[r][col] * w for v, w in zip(a[r], a[col])]
+    return det, np.array([[float(v) for v in row[n:]] for row in a])
+
+
+def _conditioned_points(alg, rng, cond, n):
+    """Cone points with eigenvalues 1 and 1/cond and the others log-uniform
+    between.  Two small eigenvalues are what a cofactor expansion loses
+    digits on, which :func:`_cone_point`'s points (one small) do not show."""
+    r = alg.rank
+    g = rng.standard_normal((n, r, r))
+    if ja.kernels(alg).field is complex:
+        g = g + 1j * rng.standard_normal((n, r, r))
+    q, _ = np.linalg.qr(g)
+    lam = 10.0 ** rng.uniform(-np.log10(cond), 0.0, (n, r))
+    lam[:, 0], lam[:, -1] = 1.0, 1.0 / cond
+    return ja.matrices_to_coords(alg, (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(2), ja.sym_real(3), ja.sym_real(4),
+                                 ja.herm_complex(2), ja.herm_complex(3)],
+                         ids=["sym-real-rank2", "sym-real-rank3", "sym-real-rank4",
+                              "herm-complex-rank2", "herm-complex-rank3"])
+def test_det_and_inverse_hold_to_eps_times_the_condition_number(alg):
+    # against exact rational arithmetic on the matrix the coordinates stand
+    # for (the kernels divide an off-diagonal coordinate by sqrt 2 as
+    # coords_to_matrices does); a Hermitian matrix m = a + ib enters as the
+    # real form [[a, -b], [b, a]], whose det is det(m)^2 and whose inverse
+    # is the real form of m^-1.  A cofactor expansion at rank 3 is off by
+    # about 1e6 eps cond here
+    rng = np.random.default_rng(alg.dim)
+    r = alg.rank
+    for cond in 10.0 ** np.arange(2, 13, 2):
+        x = _conditioned_points(alg, rng, cond, 20)
+        det, inv = ja.batch_det(alg, x), ja.coords_to_matrices(alg, ja.batch_inverse(alg, x))
+        for m, d, got in zip(ja.coords_to_matrices(alg, x), det, inv):
+            if np.iscomplexobj(m):
+                exact, real_form = _exact_det_and_inverse(np.block([[m.real, -m.imag],
+                                                                    [m.imag, m.real]]))
+                det_error = abs(Fraction(float(d)) ** 2 - exact) / exact / 2
+                want = real_form[:r, :r] + 1j * real_form[r:, :r]
+            else:
+                exact, want = _exact_det_and_inverse(m)
+                det_error = abs(Fraction(float(d)) - exact) / exact
+            assert det_error <= 4 * EPS * cond
+            assert np.linalg.norm(got - want) <= 4 * EPS * cond * np.linalg.norm(want)
+
+
+def _anti_identity(r):
+    return np.eye(r)[::-1]
+
+
+OFF_CONE = [_anti_identity(2), _anti_identity(3), _anti_identity(4),
+            np.array([[1e-10, 1.0], [1.0, 1.0]]), np.diag([-1.0, 1.0, 1.0])]
+
+
+@pytest.mark.parametrize("kind", [ja.sym_real, ja.herm_complex], ids=["sym-real", "herm-complex"])
+@pytest.mark.parametrize("m", OFF_CONE, ids=["J2", "J3", "J4", "tiny-pivot", "diag-1,1,1"])
+def test_rows_off_the_cone_give_lapacks_det_and_inverse(kind, m):
+    # a zero or negative pivot leaves the elimination, whose pivots are
+    # positive only on the open cone, for the spectral form
+    alg = kind(len(m))
+    x = ja.matrices_to_coords(alg, m)
+    inv = np.linalg.inv(m)
+    assert ja.batch_det(alg, x) == pytest.approx(np.linalg.det(m), rel=1e-14, abs=0.0)
+    np.testing.assert_allclose(ja.coords_to_matrices(alg, ja.batch_inverse(alg, x)), inv,
+                               rtol=1e-14, atol=1e-14 * np.abs(inv).max())
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(3), ja.herm_complex(3)],
+                         ids=["sym-real", "herm-complex"])
+def test_singular_and_nan_rows_give_non_finite_inverse_rows_alone(alg):
+    rows = ja.matrices_to_coords(alg, np.array([np.diag([0.0, 1.0, 1.0]),
+                                                np.diag([1.0, 1.0, 0.0]),
+                                                np.full((3, 3), np.nan)]))
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(29), 6)
+    x[1::2] = rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det, inv = ja.batch_det(alg, x), ja.batch_inverse(alg, x)
+    np.testing.assert_array_equal(det[[1, 3]], 0.0)
+    assert np.isnan(det[5])
+    assert not np.any(np.all(np.isfinite(inv[1::2]), axis=-1))
+    np.testing.assert_array_equal(det[::2], ja.batch_det(alg, x[::2]))
+    np.testing.assert_array_equal(inv[::2], ja.batch_inverse(alg, x[::2]))
 
 
 @pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)
@@ -585,13 +679,59 @@ def test_a_row_alone_gives_the_bits_it_gives_in_a_batch(alg):
     np.testing.assert_array_equal(ja.batch_inverse(alg, stacked), inv.reshape(stacked.shape))
 
 
-@pytest.mark.parametrize("alg", [ja.sym_real(2), ja.herm_complex(2)], ids=["sym-real", "herm-complex"])
-def test_matrix_det_keeps_the_rank2_det_bits_in_range(alg):
-    k = ja.kernels(alg)
-    rng = np.random.default_rng(26)
-    for exponent in range(-140, 141, 20):
-        x = rng.standard_normal((2000, alg.dim)) * 10.0**exponent
-        np.testing.assert_array_equal(k.det(alg, x), k.rank2_det(alg, x))
+def _spin_image(x, off_scale=1.0 / np.sqrt(2.0)):
+    """phi(d1, d2, s) = ((d1 + d2) / 2, (d1 - d2) / 2, s / sqrt 2), the Jordan
+    isomorphism of a rank-2 matrix algebra onto the spin factor of its dim."""
+    d1, d2 = x[..., :1], x[..., 1:2]
+    return np.concatenate([(d1 + d2) / 2, (d1 - d2) / 2, off_scale * x[..., 2:]], axis=-1)
+
+
+def _commutation_errors(mat, spin, x, y, phi):
+    """How far each kernel is from commuting with phi on the rows x and y,
+    in units of eps times the rounding each result can carry: cond for det
+    and inverse, sqrt(cond) for the square root, the row norms otherwise."""
+    px, py = phi(x), phi(y)
+    lam = ja.batch_eigenvalues(spin, px)
+    cond = lam[:, 0] / lam[:, 1]
+    nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
+
+    def rel(got, want, scale):
+        diff = np.linalg.norm(np.reshape(got - want, (len(x), -1)), axis=-1)
+        return np.max(diff / (EPS * scale))
+
+    inv, root = ja.batch_inverse(spin, px), ja.batch_sqrt(spin, px)
+    det = ja.batch_det(spin, px)
+    return {
+        "det": rel(ja.batch_det(mat, x), det, cond * np.abs(det)),
+        "inverse": rel(phi(ja.batch_inverse(mat, x)), inv, cond * np.linalg.norm(inv, axis=-1)),
+        "jordan": rel(phi(ja.batch_jordan(mat, x, y)), ja.batch_jordan(spin, px, py), nx * ny),
+        "inner": rel(ja.batch_inner(mat, x, y), ja.batch_inner(spin, px, py), nx * ny),
+        "trace": rel(ja.batch_trace(mat, x), ja.batch_trace(spin, px), nx),
+        "eigenvalues": rel(ja.batch_eigenvalues(mat, x), lam, nx),
+        "sqrt": rel(phi(ja.batch_sqrt(mat, x)), root,
+                    np.sqrt(cond) * np.linalg.norm(root, axis=-1)),
+    }
+
+
+@pytest.mark.parametrize("mat,spin", [(ja.sym_real(2), ja.lorentz(2)),
+                                      (ja.herm_complex(2), ja.lorentz(3))],
+                         ids=["sym-real-rank2-lorentz-dim3", "herm-complex-rank2-lorentz-dim4"])
+def test_rank2_matrix_kernels_commute_with_the_spin_factor_isomorphism(mat, spin):
+    # the spin factor's closed forms are an independent oracle of the rank-2
+    # elimination and of the matrix kind's LAPACK eigenvalues and square root
+    rng = np.random.default_rng(30)
+
+    def points():
+        conditioned = [_conditioned_points(mat, rng, c, 50) for c in 10.0 ** np.arange(1, 9)]
+        return np.concatenate([ja.random_cone_points_banded(mat, rng, 500)] + conditioned)
+
+    x, y = points(), points()
+    errors = _commutation_errors(mat, spin, x, y, _spin_image)
+    assert max(errors.values()) <= 8, errors
+    # negative control: with s / 2 for s / sqrt 2 the map keeps the cone but
+    # is no isomorphism, and only the trace does not see it
+    errors = _commutation_errors(mat, spin, x, y, lambda z: _spin_image(z, 0.5))
+    assert min(value for name, value in errors.items() if name != "trace") > 1e6, errors
 
 
 def _mixed_magnitude_rows(rng, n, dim):

@@ -7,9 +7,10 @@ re-records the manifest and says so:
 
     PYTHONPATH=src python tests/test_cli_manifest.py --record
 
-Recording prints each call whose entry changed and flags a change of its
-exit code or of the ``[STATUS]`` words of its stdout, which a change that
-moves only digits must not make.
+Recording prints each call whose entry changed, with the stdout lines that
+differ (old -> new) and the files whose digest moved, and flags a change of
+its exit code or of the ``[STATUS]`` words of its stdout, which a change
+that moves only digits must not make.
 
 The digests hold for one numpy and LAPACK build; another build may round
 differently in the last bit, and a comparison across builds starts by
@@ -19,6 +20,7 @@ re-recording the manifest on the reference side.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -128,9 +130,28 @@ def test_seeded_cli_output_matches_the_manifest(argv, manifest, monkeypatch):
     assert replay(argv) == recorded[0]
 
 
+def test_a_re_recording_shows_the_stdout_lines_and_files_that_differ():
+    was = {"stdout": "[PASS] a=1.0\n[PASS] b=2\n", "files": {"x.csv": "1", "y.csv": "2"}}
+    now = {"stdout": "[PASS] a=1.5\n[PASS] b=2\n[FAIL] c\n", "files": {"x.csv": "1", "y.csv": "3"}}
+    assert _differences(was, now) == ["    [PASS] a=1.0 -> [PASS] a=1.5",
+                                      "    (none) -> [FAIL] c", "    file y.csv"]
+
+
 def _outcome(entry: dict) -> tuple:
     """The exit code and the status words (``[PASS]``, ``[FAIL]`` ...) of an entry."""
     return entry["exit"], re.findall(r"^\[(\w+)\]", entry["stdout"], flags=re.MULTILINE)
+
+
+def _differences(was: dict, entry: dict) -> list:
+    """The stdout lines that differ between two recordings of a call, each as
+    ``old -> new`` (a missing line reads ``(none)``), then the files whose
+    digest differs."""
+    lines = itertools.zip_longest(was["stdout"].splitlines(), entry["stdout"].splitlines(),
+                                  fillvalue="(none)")
+    shown = [f"    {old} -> {new}" for old, new in lines if old != new]
+    names = sorted(set(was["files"]) | set(entry["files"]))
+    return shown + [f"    file {name}" for name in names
+                    if was["files"].get(name) != entry["files"].get(name)]
 
 
 def record() -> None:
@@ -148,10 +169,13 @@ def record() -> None:
         call = " ".join(entry["argv"])
         if was is None:
             print(f"new: {call}")
-        elif _outcome(was) != _outcome(entry):
+            continue
+        if _outcome(was) != _outcome(entry):
             print(f"changed, OUTCOME CHANGED {_outcome(was)} -> {_outcome(entry)}: {call}")
         else:
             print(f"changed: {call}")
+        for line in _differences(was, entry):
+            print(line)
     print(f"{changed} of {len(entries)} entries changed")
     MANIFEST.write_text(json.dumps(entries, indent=1) + "\n")
 

@@ -352,7 +352,7 @@ PINNED_DCOR = [
      [0.6891737742053817, 0.6352661655994319, 0.6832434912956218],
      [0.001996007984031936, 0.001996007984031936, 0.001996007984031936]),
     (2, 2000, False,
-     [0.07141265300253813, 0.06969391633153077, 0.0984560037649324],
+     [0.0714126530025381, 0.06969391633153074, 0.09845600376493238],
      [0.8423153692614771, 0.8562874251497006, 0.2155688622754491]),
 ]
 
