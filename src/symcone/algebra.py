@@ -33,7 +33,9 @@ from LAPACK's eigendecomposition, as every row takes its eigenvalues and
 square root.  Determinants and inverses run on rows rescaled by a power of
 two and scale the result back, so an inverse holds from 1e-300 to 1e300
 and a determinant outside the double range is inf or 0, never nan.  Banded
-cone points come from Gram-Schmidt, with no LAPACK call.
+cone points come from Gram-Schmidt, with no LAPACK call.  The
+multiplication operators L(a) are contracted from each algebra's structure
+tensor, the operators of its basis elements.
 
 All functions are pure.  The ``batch_*`` variants accept coordinate arrays
 with arbitrary leading axes and operate elementwise over them; the
@@ -226,6 +228,26 @@ def _pow2_rows(a):
     return np.ldexp(a, -k[..., None]), k
 
 
+def _row_sum(a):
+    """Sum of ``a`` over its last axis, with the bits ``np.add.reduce``
+    gives.
+
+    numpy sums a row of fewer than 8 doubles from left to right, as adding
+    the columns in turn does, which on a batch of short rows is several
+    times faster.  From 8 on it sums in 8 unrolled accumulators, so those
+    rows, and a single column, are summed by numpy itself.  So is a batch
+    of fewer than 32 rows per column, where the call per column costs more
+    than numpy's pass over the rows.
+    """
+    d = a.shape[-1]
+    if not 2 <= d < 8 or a.size < 32 * d * d:
+        return np.add.reduce(a, axis=-1)
+    total = a[..., 0] + a[..., 1]
+    for j in range(2, d):
+        total += a[..., j]
+    return total
+
+
 def _coordinate_sum(sq, out):
     """A function that writes to ``out`` the sum of ``sq`` over its first
     axis, with the bits ``np.add.reduce`` gives each row of the layout that
@@ -310,18 +332,18 @@ class _SpinFactor:
     def jordan(self, alg, a, b):
         a, b = np.broadcast_arrays(a, b)
         out = np.empty(a.shape)
-        out[..., 0] = np.sum(a * b, axis=-1)
+        out[..., 0] = _row_sum(a * b)
         out[..., 1:] = a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
         return out
 
     def inner(self, alg, a, b):
-        return 2.0 * np.add.reduce(a * b, axis=-1)
+        return 2.0 * _row_sum(a * b)
 
     def trace(self, alg, a):
         return 2.0 * a[..., 0]
 
     def rank2_det(self, alg, a):
-        return a[..., 0] ** 2 - np.add.reduce(a[..., 1:] ** 2, axis=-1)
+        return a[..., 0] ** 2 - _row_sum(a[..., 1:] ** 2)
 
     def rank2_det_columns(self, alg, x, sq, out):
         """A function that writes ``rank2_det`` of the coordinate-major
@@ -496,10 +518,10 @@ class _MatrixForm:
         return self.from_matrices(alg, (ma @ mb + mb @ ma) / 2.0)
 
     def inner(self, alg, a, b):
-        return np.add.reduce(a * b, axis=-1)
+        return _row_sum(a * b)
 
     def trace(self, alg, a):
-        return np.add.reduce(a[..., : alg.rank], axis=-1)
+        return _row_sum(a[..., : alg.rank])
 
     def _ldl(self, alg, a, from_ldl, from_eigh):
         """``from_ldl`` of the pivots and the factor of rows ``a`` rescaled by
@@ -561,7 +583,7 @@ class _MatrixForm:
 
     def rank2_det(self, alg, a):
         """Closed-form determinant at rank 2: d1 d2 - |off|^2 / 2."""
-        return a[..., 0] * a[..., 1] - 0.5 * np.add.reduce(a[..., 2:] ** 2, axis=-1)
+        return a[..., 0] * a[..., 1] - 0.5 * _row_sum(a[..., 2:] ** 2)
 
     def rank2_det_columns(self, alg, x, sq, out):
         """A function that writes ``rank2_det`` of the coordinate-major
@@ -742,13 +764,24 @@ def batch_quad_apply(alg: AlgebraDescriptor, a, b) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
+def _structure_tensor(alg: AlgebraDescriptor) -> np.ndarray:
+    """The operators L(e_k) of the basis elements, shape (dim, dim, dim):
+    entry (k, i, j) is coordinate i of e_k o e_j."""
+    basis = np.eye(alg.dim)
+    t = batch_jordan(alg, basis[:, None, :], basis).swapaxes(-1, -2)
+    t.setflags(write=False)
+    return t
+
+
 def batch_lmap(alg: AlgebraDescriptor, a) -> np.ndarray:
     """Multiplication operators L(a): y -> a o y, shape (..., dim, dim).
 
-    Column j of each operator is the product of ``a`` with basis element j.
+    L(a) is linear in a, so it is the sum of a_k L(e_k) over the structure
+    tensor's operators.  ``einsum`` adds the terms in a fixed order, which
+    no BLAS build changes.
     """
-    a = np.asarray(a, dtype=float)
-    return batch_jordan(alg, a[..., None, :], np.eye(alg.dim)).swapaxes(-1, -2)
+    return np.einsum("...k,kij->...ij", np.asarray(a, dtype=float), _structure_tensor(alg))
 
 
 def batch_quad_rep(alg: AlgebraDescriptor, a) -> np.ndarray:

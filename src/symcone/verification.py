@@ -5,6 +5,8 @@ Every residual check draws seeded random cone points, evaluates both sides
 of its identity, and returns a :class:`CheckReport` of what it computed,
 whose ``passed`` field is ``max_residual <= tolerance``; a check's ``tol``
 default is its tolerance, and the CLI passes ``tol`` only when it is set.
+Checks run one after another at one (algebra, n, integer seed) share their
+cone points, drawn once (:func:`_cone_pairs`).
 The checks map points with :func:`symcone.my_transform.batch_my_map`, take
 the Jacobian of the map as a log from :mod:`symcone.my_transform`, and
 evaluate densities with the batch log densities of
@@ -23,6 +25,7 @@ bit.  The CLI takes its defaults from the signatures here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,10 +176,27 @@ def _norms(alg, coords) -> np.ndarray:
     return np.sqrt(batch_inner(alg, coords, coords))
 
 
+@lru_cache(maxsize=1)
+def _seeded_cone_pairs(alg, n, seed):
+    return _cone_pairs(alg, n, np.random.default_rng(seed))
+
+
 def _cone_pairs(alg, n, seed):
-    """Two arrays of n banded cone points, drawn in turn from one seeded stream."""
+    """Two read-only arrays of n banded cone points, drawn in turn from one
+    seeded stream.
+
+    An ``int`` seed keeps the last pair drawn (:func:`_seeded_cone_pairs`),
+    so the checks run one after another at one (algebra, n, seed), as
+    ``symcone suite`` runs them, draw their points once and share them.  A
+    seed of ``None`` or a Generator draws fresh points on every call.
+    """
+    if isinstance(seed, int):
+        return _seeded_cone_pairs(alg, n, seed)
     rng = np.random.default_rng(seed)
-    return random_cone_points_banded(alg, rng, n), random_cone_points_banded(alg, rng, n)
+    pair = random_cone_points_banded(alg, rng, n), random_cone_points_banded(alg, rng, n)
+    for points in pair:
+        points.setflags(write=False)
+    return pair
 
 
 def random_fe_constants(alg: AlgebraDescriptor, rng: np.random.Generator) -> FeSolutionConstants:
@@ -248,12 +268,13 @@ def check_det_product_rule(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
 def check_det_operator_power(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Relative residual of Det P(x) = (det x)^(2 dim / rank) on cone points.
 
+    The points x are the first array of :func:`_cone_pairs`, the stream's
+    first draw, so they are the x of the other checks at the same seed.
     Batched: the operators P(x) of a block of at most BLOCK_TRIALS trials are
     built and their determinants taken in one stacked call; the block bounds
     the memory of the stacked operators.
     """
-    rng = np.random.default_rng(seed)
-    x = random_cone_points_banded(alg, rng, n)
+    x = _cone_pairs(alg, n, seed)[0]
     power = 2.0 * alg.dim / alg.rank
     residuals = []
     for start in range(0, n, BLOCK_TRIALS):

@@ -125,7 +125,7 @@ def test_lmap_commutes_with_square(alg):
         assert np.linalg.norm(comm, 2) < 1e-9
 
 
-BATCH_ALGEBRAS = ALL_ALGEBRAS + [ja.sym_real(4), ja.herm_complex(4)]
+BATCH_ALGEBRAS = ALL_ALGEBRAS + [ja.sym_real(4), ja.herm_complex(4), ja.sym_real(5), ja.lorentz(9)]
 BATCH_IDS = [f"{a.kind.value}-dim{a.dim}" for a in BATCH_ALGEBRAS]
 
 
@@ -145,6 +145,15 @@ def test_batch_operators_match_element_level(alg):
         scale = 1.0 + np.abs(x[idx]).max() ** 2
         assert np.abs(lb[idx] - ja.batch_jordan(alg, x[idx], basis).T).max() < 1e-12 * scale
         assert np.abs(qb[idx] - ja.batch_quad_apply(alg, x[idx], basis).T).max() < 1e-12 * scale
+
+
+def test_lorentz_lmap_keeps_the_bits_of_its_columns_of_products():
+    # the spin factor's structure constants are 0 and 1, so the contraction
+    # adds each entry of L(a) to zeros only
+    for alg in (ja.lorentz(2), ja.lorentz(5), ja.lorentz(9)):
+        x = ja.random_cone_points_banded(alg, np.random.default_rng(alg.dim), 300)
+        columns = ja.batch_jordan(alg, x[:, None, :], np.eye(alg.dim)).swapaxes(-1, -2)
+        assert ja.batch_lmap(alg, x).tobytes() == columns.tobytes()
 
 
 def test_quad_rep_examples():
@@ -774,6 +783,44 @@ def test_rank2_det_of_columns_keeps_the_rank2_det_bits(alg):
         out = np.empty(len(x))
         k.rank2_det_columns(alg, cols, cols * cols, out)()
         assert out.tobytes() == k.rank2_det(alg, x).tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 12))
+def test_row_sum_has_the_bits_of_numpys_row_sum(dim):
+    rng = np.random.default_rng(200 + dim)
+    rows = _mixed_magnitude_rows(rng, 4000, dim)
+    row = _mixed_magnitude_rows(rng, 1, dim)[0]
+    wide = _mixed_magnitude_rows(rng, 4000, 12)
+    # a batch, stacked leading axes, strided rows, columns cut from wider
+    # rows, one row broadcast against the batch, a few rows, and one row alone
+    for a in (rows, rows.reshape(8, 500, dim), rows[::3], wide[:, :dim], row * rows, rows[:20],
+              row):
+        assert ja._row_sum(a).tobytes() == np.add.reduce(a, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("alg", [ja.lorentz(2), ja.lorentz(5), ja.lorentz(6), ja.lorentz(7),
+                                 ja.lorentz(8), ja.sym_real(2), ja.sym_real(3), ja.sym_real(4),
+                                 ja.herm_complex(2), ja.herm_complex(3)],
+                         ids=["lorentz-dim3", "lorentz-dim6", "lorentz-dim7", "lorentz-dim8",
+                              "lorentz-dim9", "sym-real-dim3", "sym-real-dim6", "sym-real-dim10",
+                              "herm-complex-dim4", "herm-complex-dim9"])
+def test_short_axis_kernels_keep_the_bits_of_numpys_row_sum(alg):
+    k = ja.kernels(alg)
+    rng = np.random.default_rng(29)
+    x = _mixed_magnitude_rows(rng, 4000, alg.dim)
+    y = _mixed_magnitude_rows(rng, 4000, alg.dim)
+    row = y[0]
+
+    def outputs():
+        return [k.inner(alg, x, y), k.inner(alg, row, x), k.inner(alg, x, row),
+                k.trace(alg, x), k.rank2_det(alg, x), k.jordan(alg, x, y)[..., 0],
+                k.jordan(alg, row, x)[..., 0]]
+
+    fast = outputs()
+    with mock.patch.object(ja, "_row_sum", lambda a: np.add.reduce(a, axis=-1)):
+        reference = outputs()
+    for got, want in zip(fast, reference):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)

@@ -116,6 +116,62 @@ def test_batched_checks_block_invariant(alg, monkeypatch):
         monkeypatch.undo()
 
 
+def _sweep_checks(alg, seed):
+    """The twelve residual checks the identity sweep runs on one algebra,
+    all at one seed; the Jacobian check at fewer trials, as there."""
+    rng = np.random.default_rng(41)
+    k = ver.random_fe_constants(alg, rng)
+    a, b = (ja.Element(alg, ja.random_cone_points_banded(alg, rng, 1, 0.5, 2.0)[0])
+            for _ in range(2))
+    p, kw = alg.dim_over_rank, {"n": 60, "seed": seed}
+    return {
+        "jordan-axioms": lambda: ver.check_jordan_axioms(alg, **kw),
+        "det-product-rule": lambda: ver.check_det_product_rule(alg, **kw),
+        "det-operator-power": lambda: ver.check_det_operator_power(alg, **kw),
+        "hua": lambda: ver.check_hua(alg, **kw),
+        "involution": lambda: ver.check_involution(alg, **kw),
+        "jacobian": lambda: ver.check_jacobian(alg, n=20, seed=seed),
+        "cauchy-additive": lambda: ver.check_cauchy_additive(alg, k.f, **kw),
+        "pexider-log": lambda: ver.check_pexider_log(alg, k.q, k.gamma1, k.gamma2, **kw),
+        "fe-cone": lambda: ver.check_fe_cone(alg, k, **kw),
+        "fe-cone-perturbed": lambda: ver.check_perturbed_fe_rejects(alg, k, 0.5, **kw),
+        "density-factorization": lambda: ver.density_factorization_check(alg, p, a, b, **kw),
+        "density-factorization-control": lambda: ver.density_factorization_check(
+            alg, p, a, b, negative_control=True, **kw),
+    }
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(3), ja.herm_complex(3)],
+                         ids=["sym-real-dim6", "herm-complex-dim9"])
+def test_checks_that_share_their_points_report_the_same_in_any_order(alg):
+    checks = _sweep_checks(alg, seed=7)
+    alone = {}
+    for name, check in checks.items():
+        ver._seeded_cone_pairs.cache_clear()
+        alone[name] = check().to_dict()
+    ver._seeded_cone_pairs.cache_clear()
+    forward = {name: check().to_dict() for name, check in checks.items()}
+    backward = {name: check().to_dict() for name, check in reversed(checks.items())}
+    assert forward == alone
+    assert backward == alone
+
+
+def test_shared_cone_points_are_read_only_and_keyed_on_the_algebra():
+    sym, spin = ja.sym_real(2), ja.lorentz(2)  # both of dim 3
+    for seed in (5, None):
+        for points in ver._cone_pairs(sym, 40, seed):
+            with pytest.raises(ValueError):
+                points[0, 0] = 1.0
+    first, second = ver._cone_pairs(sym, 40, None), ver._cone_pairs(sym, 40, None)
+    assert not np.array_equal(first[0], second[0])
+    assert not np.array_equal(ver._cone_pairs(sym, 40, 5)[0], ver._cone_pairs(spin, 40, 5)[0])
+    # each is the pair its own seeded stream gives
+    for alg in (sym, spin):
+        rng = np.random.default_rng(5)
+        for points in ver._cone_pairs(alg, 40, 5):
+            assert np.array_equal(points, ja.random_cone_points_banded(alg, rng, 40))
+
+
 def test_det_operator_power_gate_can_fail(monkeypatch):
     alg = ja.sym_real(3)
     assert ver.check_det_operator_power(alg, n=200, seed=3).passed
