@@ -28,11 +28,13 @@ Determinants and inverses are closed forms on the spin factor.  The matrix
 kinds take both from one L D L* elimination at every rank, complex entries
 multiplied out in real arithmetic: det is the product of the pivots, and
 the error of both stays within a small multiple of eps times the condition
-number.  Rows with a non-positive pivot lie off the open cone and take both
-from LAPACK's eigendecomposition, as every row takes its eigenvalues and
-square root.  Determinants and inverses run on rows rescaled by a power of
-two and scale the result back, so an inverse holds from 1e-300 to 1e300
-and a determinant outside the double range is inf or 0, never nan.  Banded
+number.  The same pivots decide open-cone membership (Sylvester's
+criterion), with no LAPACK call.  Rows with a non-positive pivot lie off
+the open cone and take det and inverse from LAPACK's eigendecomposition,
+as every row takes its eigenvalues and square root.  Determinants and
+inverses run on rows rescaled by a power of two and scale the result
+back, so an inverse holds from 1e-300 to 1e300 and a determinant outside
+the double range is inf or 0, never nan.  Banded
 cone points come from Gram-Schmidt, with no LAPACK call.  The
 multiplication operators L(a) are contracted from each algebra's structure
 tensor, the operators of its basis elements.
@@ -305,10 +307,11 @@ class _SpinFactor:
 
     Every method takes the descriptor first and float coordinate arrays
     (..., dim) after it, as do those of :class:`_MatrixForm`.  The
-    eigenvalues, spectral decomposition, determinant, inverse and square
-    root work on rows rescaled by :func:`_pow2_rows`, so they hold from the
-    smallest to the largest doubles; a determinant outside the double range
-    gives inf or 0.  ``rank2_det`` is the unscaled determinant.
+    eigenvalues, spectral decomposition, determinant, inverse, square root
+    and cone membership work on rows rescaled by :func:`_pow2_rows`, so
+    they hold from the smallest to the largest doubles; a determinant
+    outside the double range gives inf or 0.  ``rank2_det`` is the unscaled
+    determinant.
     """
 
     field = None  # no matrix form
@@ -363,6 +366,16 @@ class _SpinFactor:
 
     def eigenvalues(self, alg, a):
         return _spin_polar(a)[0]
+
+    def in_cone(self, alg, a):
+        """Open-cone membership of rows ``a``: the smaller eigenvalue
+        x0 - |xbar|, as :func:`_spin_polar` gives it, is positive, and the
+        row is finite, which the larger eigenvalue of its rescaled row is
+        exactly when the row is."""
+        s, k = _pow2_rows(a)
+        nrm = np.linalg.norm(s[..., 1:], axis=-1)
+        with np.errstate(invalid="ignore"):  # inf - inf on a row with two inf coordinates
+            return (np.ldexp(s[..., 0] - nrm, k) > 0) & np.isfinite(s[..., 0] + nrm)
 
     def inverse(self, alg, a):
         s, k = _pow2_rows(a)
@@ -456,8 +469,9 @@ class _MatrixForm:
     by :func:`_pow2_rows` and scale the result back, so an inverse holds
     from 1e-300 to 1e300 and a determinant outside the double range is inf
     or 0.  An exactly singular row gives det 0 and a non-finite inverse
-    row, as on the spin factor.  The eigenvalues, the square root and the
-    spectral decomposition come from LAPACK.
+    row, as on the spin factor.  Open-cone membership reads the same pivots
+    (:meth:`in_cone`).  The eigenvalues, the square root, the spectral
+    decomposition and det and inverse off the open cone come from LAPACK.
     """
 
     def __init__(self, field, make):
@@ -523,16 +537,32 @@ class _MatrixForm:
     def trace(self, alg, a):
         return _row_sum(a[..., : alg.rank])
 
-    def _ldl(self, alg, a, from_ldl, from_eigh):
-        """``from_ldl`` of the pivots and the factor of rows ``a`` rescaled by
-        :func:`_pow2_rows`, and the exponents.
+    def _eliminate(self, alg, s):
+        """The pivots and the upper entries of L* of rows ``s``.
 
         The factor is s = L D L*, the elimination without pivoting, with L
         unit lower triangular and D the diagonal of the pivots.  Step i
         divides row i of what is left of s by its pivot, which gives row i
         of L*, and subtracts the outer product of the two rows from the rows
-        below.  ``from_ldl`` gets the pivots and the upper entries (i, j) of
-        L*, each as :func:`_entry_dot` takes it.
+        below.  The upper entries (i, j) of L* come as :func:`_entry_dot`
+        takes them.  The caller sets the floating-point error state.
+        """
+        r, w, c = alg.rank, alg.peirce, np.moveaxis(s, -1, 0)  # c: coordinate-major
+        # an off-diagonal entry has w coordinates, each sqrt 2 times its part
+        piv, off = list(c[:r]), [x / _SQRT2 for x in c[r:]]
+        up = {ij: tuple(off[w * n:w * n + w]) for n, ij in enumerate(zip(*_offdiag_pairs(r)))}
+        for i in range(r):
+            for j in range(i + 1, r):
+                lt = tuple(x / piv[i] for x in up[i, j])
+                piv[j] = piv[j] - _entry_dot(lt, up[i, j])
+                for m in range(j + 1, r):
+                    up[j, m] = _entry_sub(up[j, m], [(up[i, m], lt)], conj=True)
+                up[i, j] = lt
+        return piv, up
+
+    def _ldl(self, alg, a, from_ldl, from_eigh):
+        """``from_ldl`` of the pivots and the factor (:meth:`_eliminate`) of
+        rows ``a`` rescaled by :func:`_pow2_rows`, and the exponents.
 
         The pivots are all positive exactly on the open cone (Sylvester's
         criterion), where this elimination is backward stable.  A row with
@@ -540,23 +570,32 @@ class _MatrixForm:
         instead; a nan row keeps its nan result.
         """
         s, k = _pow2_rows(a)
-        r, w, c = alg.rank, alg.peirce, np.moveaxis(s, -1, 0)  # c: coordinate-major
-        # an off-diagonal entry has w coordinates, each sqrt 2 times its part
-        piv, off = list(c[:r]), [x / _SQRT2 for x in c[r:]]
-        up = {ij: tuple(off[w * n:w * n + w]) for n, ij in enumerate(zip(*_offdiag_pairs(r)))}
         with np.errstate(divide="ignore", invalid="ignore"):  # on rows replaced below
-            for i in range(r):
-                for j in range(i + 1, r):
-                    lt = tuple(x / piv[i] for x in up[i, j])
-                    piv[j] = piv[j] - _entry_dot(lt, up[i, j])
-                    for m in range(j + 1, r):
-                        up[j, m] = _entry_sub(up[j, m], [(up[i, m], lt)], conj=True)
-                    up[i, j] = lt
+            piv, up = self._eliminate(alg, s)
             out = np.asarray(from_ldl(piv, up))  # one row gives a numpy scalar
         outside = reduce(np.fmin, piv) <= 0  # fmin: a pivot past a zero one may be nan
         if outside.any():
             out[outside] = from_eigh(s[outside])
         return out, k
+
+    def in_cone(self, alg, a):
+        """Open-cone membership of rows ``a``: every pivot of their rescaled
+        rows (:meth:`_eliminate`) is positive and finite.
+
+        On a finite row that is Sylvester's criterion; a finite row on the
+        open cone has finite pivots, as each is at most its diagonal entry.
+        A non-finite coordinate makes a pivot non-finite or negative: an inf
+        or nan diagonal entry stays in its pivot, and an off-diagonal one
+        (i, j) subtracts inf or nan from pivot j at step i.  So a row with
+        an inf coordinate, whose other pivots may all be positive, is
+        outside, as is a nan row.
+        """
+        with np.errstate(all="ignore"):  # a row off the cone may overflow or divide by 0
+            piv, _ = self._eliminate(alg, _pow2_rows(a)[0])
+            inside = (piv[0] > 0) & (piv[0] < np.inf)
+            for p in piv[1:]:
+                inside &= (p > 0) & (p < np.inf)
+        return inside
 
     def _ldl_inverse(self, alg, piv, up):
         """Coordinates of s^-1 = M* D^-1 M, with M = L^-1, from the pivots
@@ -767,9 +806,18 @@ def batch_quad_apply(alg: AlgebraDescriptor, a, b) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _structure_tensor(alg: AlgebraDescriptor) -> np.ndarray:
     """The operators L(e_k) of the basis elements, shape (dim, dim, dim):
-    entry (k, i, j) is coordinate i of e_k o e_j."""
+    entry (k, i, j) is coordinate i of e_k o e_j.
+
+    In the orthonormal bases of these algebras every such constant is 0,
+    +-1, +-1/2 or +-1/(2 sqrt 2).  ``batch_jordan`` on the basis gives them
+    with its rounding (0.4999999999999999 for 1/2), so each is set to the
+    nearest of those values, as a double.
+    """
     basis = np.eye(alg.dim)
     t = batch_jordan(alg, basis[:, None, :], basis).swapaxes(-1, -2)
+    exact = np.array([0.0, _SQRT2 / 4.0, 0.5, 1.0])  # sqrt 2 / 4 is 1/(2 sqrt 2) rounded
+    nearest = np.abs(np.abs(t)[..., None] - exact).argmin(axis=-1)
+    t = np.copysign(exact[nearest], t)
     t.setflags(write=False)
     return t
 
@@ -797,9 +845,16 @@ def batch_sqrt(alg: AlgebraDescriptor, a) -> np.ndarray:
 
 
 def batch_in_cone(alg: AlgebraDescriptor, a) -> np.ndarray:
-    """Boolean mask of membership in the open cone (min eigenvalue > 0)."""
-    lam = batch_eigenvalues(alg, a)
-    return np.min(lam, axis=-1) > 0.0
+    """Boolean mask of membership in the open cone, with no LAPACK call.
+
+    A row is inside when its coordinates are finite and, on the matrix
+    kinds, every pivot of the L D L* elimination that det and inverse use
+    is positive (Sylvester's criterion), or, on the spin factor, its
+    smaller eigenvalue x0 - |xbar| is positive.  Where the condition number
+    is far below 1/eps this agrees with the sign of the least eigenvalue;
+    near the boundary both are rounding.  A nan or inf row is outside.
+    """
+    return _KERNELS[alg.kind].in_cone(alg, np.asarray(a, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +904,8 @@ def eigenvalues(x: Element) -> np.ndarray:
 
 
 def in_cone(x: Element) -> bool:
-    """True iff x lies in the open cone: its minimum eigenvalue is positive."""
-    return bool(np.min(eigenvalues(x)) > 0.0)
+    """True iff x lies in the open cone, as :func:`batch_in_cone` decides it."""
+    return bool(batch_in_cone(x.algebra, x.coords))
 
 
 def inverse(x: Element) -> Element:

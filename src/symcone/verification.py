@@ -176,7 +176,7 @@ def _norms(alg, coords) -> np.ndarray:
     return np.sqrt(batch_inner(alg, coords, coords))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _seeded_cone_pairs(alg, n, seed):
     return _cone_pairs(alg, n, np.random.default_rng(seed))
 
@@ -185,10 +185,12 @@ def _cone_pairs(alg, n, seed):
     """Two read-only arrays of n banded cone points, drawn in turn from one
     seeded stream.
 
-    An ``int`` seed keeps the last pair drawn (:func:`_seeded_cone_pairs`),
-    so the checks run one after another at one (algebra, n, seed), as
-    ``symcone suite`` runs them, draw their points once and share them.  A
-    seed of ``None`` or a Generator draws fresh points on every call.
+    An ``int`` seed keeps the last two pairs drawn
+    (:func:`_seeded_cone_pairs`), so the checks run one after another at one
+    (algebra, n, seed), as ``symcone suite`` runs them, draw their points
+    once and share them, also when a check at a smaller n, such as
+    :func:`check_jacobian`, runs between them.  A seed of ``None`` or a
+    Generator draws fresh points on every call.
     """
     if isinstance(seed, int):
         return _seeded_cone_pairs(alg, n, seed)

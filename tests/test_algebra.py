@@ -1,5 +1,6 @@
 """Element arithmetic, operators, and spectral calculus for all three families."""
 
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -154,6 +155,25 @@ def test_lorentz_lmap_keeps_the_bits_of_its_columns_of_products():
         x = ja.random_cone_points_banded(alg, np.random.default_rng(alg.dim), 300)
         columns = ja.batch_jordan(alg, x[:, None, :], np.eye(alg.dim)).swapaxes(-1, -2)
         assert ja.batch_lmap(alg, x).tobytes() == columns.tobytes()
+
+
+@pytest.mark.parametrize("alg", BATCH_ALGEBRAS, ids=BATCH_IDS)
+def test_structure_constants_are_the_nearest_doubles_of_their_values(alg):
+    t = ja._structure_tensor(alg)
+    values = {1.0}
+    if ja.kernels(alg).field is not None and alg.rank > 1:
+        values |= {0.5, np.sqrt(2.0) / 4.0} if alg.rank > 2 else {0.5}
+    assert set(np.abs(t[t != 0]).tolist()) == values
+    basis = np.eye(alg.dim)
+    products = ja.batch_jordan(alg, basis[:, None, :], basis).swapaxes(-1, -2)
+    np.testing.assert_allclose(t, products, rtol=0.0, atol=4 * np.finfo(float).eps)
+    # sqrt(2) / 4 rounded is nearer 1/(2 sqrt 2) than either neighbouring
+    # double, such as 1 / (2 * sqrt(2)) in doubles, one below it
+    root = np.sqrt(2.0) / 4.0
+    miss = [abs(Fraction(v) ** 2 - Fraction(1, 8)) for v in
+            (root, np.nextafter(root, 0.0), np.nextafter(root, 1.0))]
+    assert miss[0] < min(miss[1:])
+    assert 1.0 / (2.0 * np.sqrt(2.0)) == np.nextafter(root, 0.0)
 
 
 def test_quad_rep_examples():
@@ -543,6 +563,10 @@ def test_rank_three_or_below_calls_no_lapack_for_det_inverse_and_banded_points(a
     x = ja.random_cone_points_banded(alg, np.random.default_rng(20), 50)
     assert np.all(ja.batch_det(alg, x) > 0)
     assert np.all(np.isfinite(ja.batch_inverse(alg, x)))
+    # membership reads the same pivots, on and off the cone
+    assert np.all(ja.batch_in_cone(alg, x))
+    assert not np.any(ja.batch_in_cone(alg, -x))
+    assert ja.in_cone(ja.Element(alg, x[0])) and not ja.in_cone(ja.Element(alg, -x[0]))
 
 
 def _exact_det_and_inverse(m):
@@ -640,6 +664,117 @@ def test_singular_and_nan_rows_give_non_finite_inverse_rows_alone(alg):
     assert not np.any(np.all(np.isfinite(inv[1::2]), axis=-1))
     np.testing.assert_array_equal(det[::2], ja.batch_det(alg, x[::2]))
     np.testing.assert_array_equal(inv[::2], ja.batch_inverse(alg, x[::2]))
+
+
+# ---------------------------------------------------------------------------
+# Open-cone membership from the pivots of the same elimination
+# ---------------------------------------------------------------------------
+
+def _exact_positive_definite(m):
+    """Sylvester's criterion on a real symmetric matrix of floats: every
+    pivot of Gaussian elimination, in exact rational arithmetic, is > 0."""
+    a = [[Fraction(float(v)) for v in row] for row in m]
+    for col in range(len(a)):
+        if a[col][col] <= 0:
+            return False
+        for r in range(col + 1, len(a)):
+            ratio = a[r][col] / a[col][col]
+            a[r] = [v - ratio * w for v, w in zip(a[r], a[col])]
+    return True
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(2), ja.sym_real(3), ja.sym_real(4),
+                                 ja.herm_complex(2), ja.herm_complex(3)],
+                         ids=["sym-real-rank2", "sym-real-rank3", "sym-real-rank4",
+                              "herm-complex-rank2", "herm-complex-rank3"])
+def test_membership_agrees_with_exact_sylvester_across_conditioning(alg):
+    # points with least eigenvalue 1/cond, shifted by -t e/cond to least
+    # eigenvalue (1 - t)/cond: inside for t < 1, outside for t > 1.  A
+    # Hermitian m = a + ib is positive definite iff its real form
+    # [[a, -b], [b, a]] is
+    rng = np.random.default_rng(alg.dim + 40)
+    e = ja.identity(alg).coords
+    for cond in 10.0 ** np.arange(2, 13, 2):
+        x = _conditioned_points(alg, rng, cond, 10)
+        rows = np.concatenate([x - (t / cond) * e for t in (0.0, 0.5, 0.9, 1.1, 2.0)])
+        exact = []
+        for m in ja.coords_to_matrices(alg, rows):
+            if np.iscomplexobj(m):
+                m = np.block([[m.real, -m.imag], [m.imag, m.real]])
+            exact.append(_exact_positive_definite(m))
+        assert 0 < sum(exact) < len(exact)
+        np.testing.assert_array_equal(ja.batch_in_cone(alg, rows), exact)
+
+
+def _edge_rows(alg):
+    """Rows off the open cone, each with the reason, and scaled cone points."""
+    r, e = alg.rank, ja.identity(alg).coords
+    outside = {"nan": np.full(alg.dim, np.nan)}
+    for sign in (1.0, -1.0):
+        for name, j in (("diagonal", 0), ("last diagonal", r - 1), ("off-diagonal", r),
+                        ("last off-diagonal", alg.dim - 1)):
+            x = e.copy()
+            x[j] = sign * np.inf
+            outside[f"{sign * np.inf} {name}"] = x
+    ones = np.ones(r - 1)
+    matrices = {"diag(0,1,..)": np.diag([0.0, *ones]), "diag(1,..,0)": np.diag([*ones, 0.0]),
+                "diag(-1,1,..)": np.diag([-1.0, *ones]), "anti-identity": _anti_identity(r)}
+    if r == 2:
+        matrices["[[1e-10,1],[1,1]]"] = np.array([[1e-10, 1.0], [1.0, 1.0]])
+    for name, m in matrices.items():
+        outside[name] = ja.matrices_to_coords(alg, m)
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(31), 1)[0]
+    inside = {f"{scale:g}": scale * x for scale in (1e150, 1e-150, 1e300, 1e-300)}
+    return outside, inside
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(2), ja.sym_real(3), ja.sym_real(4),
+                                 ja.herm_complex(2), ja.herm_complex(3)],
+                         ids=["sym-real-rank2", "sym-real-rank3", "sym-real-rank4",
+                              "herm-complex-rank2", "herm-complex-rank3"])
+def test_edge_rows_are_outside_and_scaled_points_inside_without_warnings(alg):
+    # an inf diagonal entry leaves the other pivots positive, and would read
+    # as inside if only their sign were asked; LAPACK's eigenvalues also put
+    # all these rows outside, where they do not raise LinAlgError on a nan
+    # row (rank >= 3) or an inf off-diagonal entry (herm-complex rank 3)
+    outside, inside = _edge_rows(alg)
+    rows = np.array(list(outside.values()) + list(inside.values()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = ja.batch_in_cone(alg, rows)
+        alone = {name: ja.in_cone(ja.Element(alg, x)) for name, x in outside.items()}
+        alone.update({name: ja.in_cone(ja.Element(alg, x)) for name, x in inside.items()})
+    assert mask.tolist() == [False] * len(outside) + [True] * len(inside)
+    assert alone == {**dict.fromkeys(outside, False), **dict.fromkeys(inside, True)}
+
+
+def test_lorentz_rows_with_an_inf_coordinate_are_outside():
+    # x0 - |xbar| is inf at (inf, 0, 0), which the finiteness of the row
+    # puts outside
+    alg = ja.lorentz(2)
+    rows = np.array([[np.inf, 0.0, 0.0], [1.0, np.inf, 0.0], [np.inf, np.inf, 0.0],
+                     [np.nan, 0.0, 0.0], [1e300, 5e299, 0.0], [1e-300, 0.0, 5e-301]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = ja.batch_in_cone(alg, rows)
+    assert mask.tolist() == [False, False, False, False, True, True]
+
+
+@pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS + HIGH_RANK_ALGEBRAS,
+                         ids=CLOSED_FORM_IDS + HIGH_RANK_IDS)
+def test_rows_in_the_cone_have_a_positive_det(alg):
+    # membership and det read the same pivots, so a row inside has det > 0,
+    # here on banded points and conditioned ones up to cond 1e8, each also
+    # shifted across the boundary
+    rng = np.random.default_rng(alg.dim + 50)
+    e = ja.identity(alg).coords
+    x = np.concatenate([ja.random_cone_points_banded(alg, rng, 200)]
+                       + [_conditioned_points(alg, rng, c, 50) for c in 10.0 ** np.arange(1, 9)])
+    least = np.min(ja.batch_eigenvalues(alg, x), axis=-1)
+    rows = np.concatenate([x - t * least[:, None] * e for t in (0.0, 0.5, 0.99, 1.01)])
+    inside = ja.batch_in_cone(alg, rows)
+    assert 0 < inside.sum() < len(rows)
+    assert np.all(ja.batch_det(alg, rows[inside]) > 0)
 
 
 @pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS, ids=CLOSED_FORM_IDS)

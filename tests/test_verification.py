@@ -143,15 +143,23 @@ def _sweep_checks(alg, seed):
 
 @pytest.mark.parametrize("alg", [ja.sym_real(3), ja.herm_complex(3)],
                          ids=["sym-real-dim6", "herm-complex-dim9"])
-def test_checks_that_share_their_points_report_the_same_in_any_order(alg):
+def test_checks_that_share_their_points_report_the_same_in_any_order(alg, monkeypatch):
     checks = _sweep_checks(alg, seed=7)
     alone = {}
     for name, check in checks.items():
         ver._seeded_cone_pairs.cache_clear()
         alone[name] = check().to_dict()
+    draws = []
+    banded = ver.random_cone_points_banded
+    monkeypatch.setattr(ver, "random_cone_points_banded",
+                        lambda alg, rng, n: draws.append(n) or banded(alg, rng, n))
     ver._seeded_cone_pairs.cache_clear()
     forward = {name: check().to_dict() for name, check in checks.items()}
+    # the sweep's order: the Jacobian's smaller pair, drawn between checks
+    # at n = 60, leaves their pair in the memo, so each pair is drawn once
+    assert draws == [60, 60, 20, 20]
     backward = {name: check().to_dict() for name, check in reversed(checks.items())}
+    assert draws == [60, 60, 20, 20]
     assert forward == alone
     assert backward == alone
 
