@@ -29,15 +29,17 @@ kinds take both from one L D L* elimination at every rank, complex entries
 multiplied out in real arithmetic: det is the product of the pivots, and
 the error of both stays within a small multiple of eps times the condition
 number.  The same pivots decide open-cone membership (Sylvester's
-criterion), with no LAPACK call.  Rows with a non-positive pivot lie off
-the open cone and take det and inverse from LAPACK's eigendecomposition,
-as every row takes its eigenvalues and square root.  Determinants and
+criterion), with no LAPACK call.  Finite rows with a non-positive pivot
+lie off the open cone and take det and inverse from LAPACK's
+eigendecomposition, as every row takes its eigenvalues and square root;
+such a row with an inf or nan coordinate gives nan.  Determinants and
 inverses run on rows rescaled by a power of two and scale the result
 back, so an inverse holds from 1e-300 to 1e300 and a determinant outside
-the double range is inf or 0, never nan.  Banded
-cone points come from Gram-Schmidt, with no LAPACK call.  The
-multiplication operators L(a) are contracted from each algebra's structure
-tensor, the operators of its basis elements.
+the double range is inf or 0, never nan.  Banded cone points come from
+Gram-Schmidt, with no LAPACK call.  The matrix kinds' Jordan product is
+one matrix product P = XY, as x o y = (P + P*) / 2.  The multiplication
+operators L(a) are contracted from each algebra's structure tensor, the
+operators of its basis elements.
 
 All functions are pure.  The ``batch_*`` variants accept coordinate arrays
 with arbitrary leading axes and operate elementwise over them; the
@@ -463,9 +465,10 @@ class _MatrixForm:
     parts, so a row gives the same bits alone as inside a batch.  On the
     open cone every pivot is positive and the elimination is backward
     stable, so the error of both is within a small multiple of eps times
-    the condition number.  A row with a non-positive pivot takes both from
-    the eigendecomposition that the square root uses: det is the product of
-    the eigenvalues, the inverse U diag(1/w) U*.  Both run on rows rescaled
+    the condition number.  A finite row with a non-positive pivot takes
+    both from the eigendecomposition that the square root uses: det is the
+    product of the eigenvalues, the inverse U diag(1/w) U*; a non-finite
+    one gives nan.  Both run on rows rescaled
     by :func:`_pow2_rows` and scale the result back, so an inverse holds
     from 1e-300 to 1e300 and a determinant outside the double range is inf
     or 0.  An exactly singular row gives det 0 and a non-finite inverse
@@ -505,20 +508,23 @@ class _MatrixForm:
             m[..., cols, rows] = off.conj()
         return m
 
-    def from_matrices(self, alg, mats):
+    def from_matrices(self, alg, mats, hermitian_part=False):
+        """Coordinates of Hermitian matrices, read from the diagonal and the
+        upper triangle; with ``hermitian_part``, of (M + M*) / 2, formed at
+        those entries only."""
         mats = np.asarray(mats)
         r = alg.rank
-        diag = np.arange(r)
-        out = np.zeros(mats.shape[:-2] + (alg.dim,))
-        out[..., :r] = mats[..., diag, diag].real
-        if r > 1:
-            rows, cols = _offdiag_pairs(r)
-            upper = mats[..., rows, cols]
-            if self.field is complex:
-                out[..., r::2] = _SQRT2 * upper.real
-                out[..., r + 1 :: 2] = _SQRT2 * upper.imag
-            else:
-                out[..., r:] = _SQRT2 * upper.real
+        out = np.empty(mats.shape[:-2] + (alg.dim,))
+        out[..., :r] = np.diagonal(mats, axis1=-2, axis2=-1).real  # a view, not a copy
+        rows, cols = _offdiag_pairs(r)
+        upper = mats[..., rows, cols]
+        if hermitian_part:
+            upper = (upper + mats[..., cols, rows].conj()) / 2.0
+        if self.field is complex:
+            out[..., r::2] = _SQRT2 * upper.real
+            out[..., r + 1 :: 2] = _SQRT2 * upper.imag
+        else:
+            out[..., r:] = _SQRT2 * upper.real
         return out
 
     def identity(self, alg):
@@ -527,9 +533,10 @@ class _MatrixForm:
         return c
 
     def jordan(self, alg, a, b):
-        ma = self.to_matrices(alg, a)
-        mb = self.to_matrices(alg, b)
-        return self.from_matrices(alg, (ma @ mb + mb @ ma) / 2.0)
+        """x o y = (P + P*) / 2 with P = XY, as YX = (XY)* for Hermitian X
+        and Y: one matrix product."""
+        p = self.to_matrices(alg, a) @ self.to_matrices(alg, b)
+        return self.from_matrices(alg, p, hermitian_part=True)
 
     def inner(self, alg, a, b):
         return _row_sum(a * b)
@@ -565,9 +572,12 @@ class _MatrixForm:
         rows ``a`` rescaled by :func:`_pow2_rows`, and the exponents.
 
         The pivots are all positive exactly on the open cone (Sylvester's
-        criterion), where this elimination is backward stable.  A row with
-        a non-positive pivot takes ``from_eigh`` of its rescaled row
-        instead; a nan row keeps its nan result.
+        criterion), where this elimination is backward stable.  A finite row
+        with a non-positive pivot takes ``from_eigh`` of its rescaled row
+        instead.  A row with an inf or nan coordinate is outside, as in
+        :meth:`in_cone`, and has no eigendecomposition (LAPACK raises on an
+        inf matrix), so such a row with a non-positive pivot gives nan; a
+        nan row keeps its nan result.
         """
         s, k = _pow2_rows(a)
         with np.errstate(divide="ignore", invalid="ignore"):  # on rows replaced below
@@ -575,6 +585,9 @@ class _MatrixForm:
             out = np.asarray(from_ldl(piv, up))  # one row gives a numpy scalar
         outside = reduce(np.fmin, piv) <= 0  # fmin: a pivot past a zero one may be nan
         if outside.any():
+            finite = np.isfinite(s).all(axis=-1)
+            out[outside & ~finite] = np.nan  # out may be a view of s: read s first
+            outside &= finite
             out[outside] = from_eigh(s[outside])
         return out, k
 

@@ -218,13 +218,26 @@ def batch_wishart_log_unnorm(alg: AlgebraDescriptor, p: float, a, x) -> np.ndarr
 
     Like the other ``batch_*`` kernels it does not check cone membership.
     """
-    return (p - alg.dim_over_rank) * np.log(batch_det(alg, x)) - batch_inner(alg, a, x)
+    return _wishart_log_unnorm(alg, p, a, x, np.log(batch_det(alg, x)))
+
+
+def _wishart_log_unnorm(alg: AlgebraDescriptor, p: float, a, x, log_det) -> np.ndarray:
+    """:func:`batch_wishart_log_unnorm` from x and its ``log_det``, which a
+    caller holding it passes in place of computing it again."""
+    return (p - alg.dim_over_rank) * log_det - batch_inner(alg, a, x)
 
 
 def batch_gig_log_unnorm(alg: AlgebraDescriptor, p: float, a, b, x) -> np.ndarray:
     """Unnormalized GIG log density (p - dim/r) log det x - <a, x> - <b, x^-1>
     at stacked points x, with a and b as coordinates; no cone check."""
-    return batch_wishart_log_unnorm(alg, p, a, x) - batch_inner(alg, b, batch_inverse(alg, x))
+    return _gig_log_unnorm(alg, p, a, b, x, np.log(batch_det(alg, x)), batch_inverse(alg, x))
+
+
+def _gig_log_unnorm(alg: AlgebraDescriptor, p: float, a, b, x, log_det, inv) -> np.ndarray:
+    """:func:`batch_gig_log_unnorm` from x, its ``log_det`` and its inverse
+    ``inv``, which a caller holding them passes in place of computing them
+    again."""
+    return _wishart_log_unnorm(alg, p, a, x, log_det) - batch_inner(alg, b, inv)
 
 
 def wishart_log_density(params: WishartParams, x: Element) -> float:

@@ -66,8 +66,13 @@ def batch_my_map(alg: AlgebraDescriptor, x, y) -> tuple[np.ndarray, np.ndarray]:
 
     Like the other ``batch_*`` kernels it does not check cone membership.
     """
-    u = batch_inverse(alg, x + y)
-    return u, batch_inverse(alg, x) - u
+    return _my_map(batch_inverse(alg, x + y), batch_inverse(alg, x))
+
+
+def _my_map(inv_sum, inv_x):
+    """The map from the inverses (x+y)^-1 and x^-1, which a caller holding
+    them passes in place of x and y."""
+    return inv_sum, inv_x - inv_sum
 
 
 def hua_rhs(a: Element, b: Element) -> Element:
@@ -94,7 +99,13 @@ def batch_log_jacobian_det(alg: AlgebraDescriptor, u, v) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return -2.0 * alg.dim_over_rank * (np.log(batch_det(alg, u)) + np.log(batch_det(alg, u + v)))
+    return _log_jacobian_det(alg, np.log(batch_det(alg, u)), np.log(batch_det(alg, u + v)))
+
+
+def _log_jacobian_det(alg: AlgebraDescriptor, log_det_u, log_det_sum) -> np.ndarray:
+    """:func:`batch_log_jacobian_det` from log det u and log det(u+v), which a
+    caller holding them passes in place of u and v."""
+    return -2.0 * alg.dim_over_rank * (log_det_u + log_det_sum)
 
 
 def _psi_coords(alg: AlgebraDescriptor, z: np.ndarray) -> np.ndarray:

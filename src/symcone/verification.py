@@ -6,12 +6,16 @@ of its identity, and returns a :class:`CheckReport` of what it computed,
 whose ``passed`` field is ``max_residual <= tolerance``; a check's ``tol``
 default is its tolerance, and the CLI passes ``tol`` only when it is set.
 Checks run one after another at one (algebra, n, integer seed) share their
-cone points, drawn once (:func:`_cone_pairs`).
-The checks map points with :func:`symcone.my_transform.batch_my_map`, take
-the Jacobian of the map as a log from :mod:`symcone.my_transform`, and
-evaluate densities with the batch log densities of
-:mod:`symcone.distributions`; this module writes out none of them.  Logs keep the Jacobian and density checks finite where the
-Jacobian itself leaves the double range.  The independence test returns an
+cone points, drawn once, and what two or more of them derive from those
+points (dets, inverses and the map image), computed once and kept with the
+points (:func:`_cone_pairs`).  The checks map points with
+:func:`symcone.my_transform.batch_my_map`, take the Jacobian of the map as
+a log from :mod:`symcone.my_transform`, and evaluate densities with the log
+densities of :mod:`symcone.distributions`; where the shared record already
+holds a det or an inverse, they call the private core of that library
+function with it.  This module writes out none of these formulas.  Logs
+keep the Jacobian and density checks finite where the Jacobian itself
+leaves the double range.  The independence test returns an
 :class:`IndependenceReport` whose ``passed`` field requires every p-value
 to clear ``BONFERRONI_GATE``, the significance level shared among the tests
 named by ``DCOR_FUNCTIONALS`` and ``KS_LABELS``.  The density-factorization
@@ -25,7 +29,7 @@ bit.  The CLI takes its defaults from the signatures here.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,12 +52,18 @@ from .algebra import (
 from .distributions import (
     GigParams,
     WishartParams,
-    batch_gig_log_unnorm,
-    batch_wishart_log_unnorm,
+    _gig_log_unnorm,
+    _wishart_log_unnorm,
     require_density_range,
     sample_laws,
 )
-from .my_transform import batch_log_jacobian_det, batch_log_jacobian_det_numeric, batch_my_map
+from .my_transform import (
+    _log_jacobian_det,
+    _my_map,
+    batch_log_jacobian_det,
+    batch_log_jacobian_det_numeric,
+    batch_my_map,
+)
 
 SIGNIFICANCE = 0.01
 
@@ -176,29 +186,87 @@ def _norms(alg, coords) -> np.ndarray:
     return np.sqrt(batch_inner(alg, coords, coords))
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _SharedPair:
+    """Read-only cone points x and y, n rows each, and the arrays derived
+    from them that two or more checks read.
+
+    Each derived array is computed on first use by the library's batch
+    kernel and then kept, read-only, as long as the record.  Every kernel is
+    row-wise, so a check that reads an array here, or a slice of it, gets
+    the bits it would compute itself.  (u, v) = psi(x, y) comes from the
+    inverses of x + y and x (:func:`symcone.my_transform._my_map`), so x^-1
+    is computed once for both.  y^-1 is read by one check only and is not
+    kept.
+    """
+
+    alg: AlgebraDescriptor
+    x: np.ndarray
+    y: np.ndarray
+
+    @cached_property
+    def det_x(self):
+        return _read_only(batch_det(self.alg, self.x))
+
+    @cached_property
+    def det_y(self):
+        return _read_only(batch_det(self.alg, self.y))
+
+    @cached_property
+    def det_sum(self):
+        """det(x + y)."""
+        return _read_only(batch_det(self.alg, self.x + self.y))
+
+    @cached_property
+    def inv_x(self):
+        return _read_only(batch_inverse(self.alg, self.x))
+
+    @cached_property
+    def psi(self):
+        """(u, v) = ((x+y)^-1, x^-1 - (x+y)^-1)."""
+        return tuple(map(_read_only, _my_map(batch_inverse(self.alg, self.x + self.y),
+                                             self.inv_x)))
+
+    @cached_property
+    def det_u(self):
+        return _read_only(batch_det(self.alg, self.psi[0]))
+
+    @cached_property
+    def inv_u(self):
+        return _read_only(batch_inverse(self.alg, self.psi[0]))
+
+    @cached_property
+    def det_v(self):
+        return _read_only(batch_det(self.alg, self.psi[1]))
+
+
 @lru_cache(maxsize=2)
 def _seeded_cone_pairs(alg, n, seed):
     return _cone_pairs(alg, n, np.random.default_rng(seed))
 
 
-def _cone_pairs(alg, n, seed):
-    """Two read-only arrays of n banded cone points, drawn in turn from one
-    seeded stream.
+def _cone_pairs(alg, n, seed) -> _SharedPair:
+    """The record (:class:`_SharedPair`) of two read-only arrays of n banded
+    cone points, drawn in turn from one seeded stream.
 
-    An ``int`` seed keeps the last two pairs drawn
-    (:func:`_seeded_cone_pairs`), so the checks run one after another at one
-    (algebra, n, seed), as ``symcone suite`` runs them, draw their points
-    once and share them, also when a check at a smaller n, such as
-    :func:`check_jacobian`, runs between them.  A seed of ``None`` or a
-    Generator draws fresh points on every call.
+    An ``int`` seed keeps the last two records (:func:`_seeded_cone_pairs`),
+    so the checks run one after another at one (algebra, n, seed), as
+    ``symcone suite`` runs them, draw their points once and share them and
+    every array derived from them, also when a check at a smaller n, such as
+    :func:`check_jacobian`, runs between them.  The derived arrays live
+    exactly as long as their points.  A seed of ``None`` or a Generator
+    draws fresh points, in a fresh record, on every call.
     """
     if isinstance(seed, int):
         return _seeded_cone_pairs(alg, n, seed)
     rng = np.random.default_rng(seed)
-    pair = random_cone_points_banded(alg, rng, n), random_cone_points_banded(alg, rng, n)
-    for points in pair:
-        points.setflags(write=False)
-    return pair
+    x = random_cone_points_banded(alg, rng, n)
+    return _SharedPair(alg, _read_only(x), _read_only(random_cone_points_banded(alg, rng, n)))
 
 
 def random_fe_constants(alg: AlgebraDescriptor, rng: np.random.Generator) -> FeSolutionConstants:
@@ -261,9 +329,9 @@ def check_jordan_axioms(alg, n=1000, tol=1e-10, seed=0) -> CheckReport:
 
 def check_det_product_rule(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Relative residual of det(P(x) y) = (det x)^2 det y on cone pairs."""
-    x, y = _cone_pairs(alg, n, seed)
-    lhs = batch_det(alg, batch_quad_apply(alg, x, y))
-    rhs = batch_det(alg, x) ** 2 * batch_det(alg, y)
+    pts = _cone_pairs(alg, n, seed)
+    lhs = batch_det(alg, batch_quad_apply(alg, pts.x, pts.y))
+    rhs = pts.det_x ** 2 * pts.det_y
     return _report("det-product-rule", alg, np.abs(lhs - rhs) / np.abs(rhs), tol, seed)
 
 
@@ -276,30 +344,31 @@ def check_det_operator_power(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     built and their determinants taken in one stacked call; the block bounds
     the memory of the stacked operators.
     """
-    x = _cone_pairs(alg, n, seed)[0]
+    pts = _cone_pairs(alg, n, seed)
     power = 2.0 * alg.dim / alg.rank
     residuals = []
     for start in range(0, n, BLOCK_TRIALS):
-        xs = x[start : start + BLOCK_TRIALS]
-        op_det = np.linalg.det(batch_quad_rep(alg, xs))
-        target = batch_det(alg, xs) ** power
+        block = slice(start, start + BLOCK_TRIALS)
+        op_det = np.linalg.det(batch_quad_rep(alg, pts.x[block]))
+        target = pts.det_x[block] ** power
         residuals.append(np.abs(op_det - target) / np.abs(target))
     return _report("det-operator-power", alg, np.concatenate(residuals), tol, seed)
 
 
 def check_hua(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Residual of a^-1 - (a+b)^-1 = (a + P(a) b^-1)^-1 on cone pairs."""
-    a, b = _cone_pairs(alg, n, seed)
-    lhs = batch_my_map(alg, a, b)[1]  # the map's second component
+    pts = _cone_pairs(alg, n, seed)
+    a, b = pts.x, pts.y
+    lhs = pts.psi[1]  # the map's second component
     rhs = batch_inverse(alg, a + batch_quad_apply(alg, a, batch_inverse(alg, b)))
     return _report("hua-identity", alg, _norms(alg, lhs - rhs), tol, seed)
 
 
 def check_involution(alg, n=1000, tol=1e-9, seed=0) -> CheckReport:
     """Residual of applying the cone map twice on random cone pairs."""
-    x, y = _cone_pairs(alg, n, seed)
-    x2, y2 = batch_my_map(alg, *batch_my_map(alg, x, y))
-    residuals = np.maximum(_norms(alg, x2 - x), _norms(alg, y2 - y))
+    pts = _cone_pairs(alg, n, seed)
+    x2, y2 = batch_my_map(alg, *pts.psi)
+    residuals = np.maximum(_norms(alg, x2 - pts.x), _norms(alg, y2 - pts.y))
     return _report("involution", alg, residuals, tol, seed)
 
 
@@ -312,7 +381,8 @@ def check_jacobian(alg, n=100, tol=1e-4, seed=0, step=1e-5) -> CheckReport:
     BLOCK_TRIALS trials are built in one stacked call, and only the trials
     that miss the tolerance are refined.
     """
-    u, v = _cone_pairs(alg, n, seed)
+    pts = _cone_pairs(alg, n, seed)
+    u, v = pts.x, pts.y
     residuals = []
     for start in range(0, n, BLOCK_TRIALS):
         ub, vb = u[start : start + BLOCK_TRIALS], v[start : start + BLOCK_TRIALS]
@@ -333,7 +403,8 @@ def check_jacobian(alg, n=100, tol=1e-4, seed=0, step=1e-5) -> CheckReport:
 
 def check_cauchy_additive(alg, f_vec: Element, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """f(x) = <f_vec, x> solves f(x) + f(y) = f(x + y) on cone pairs."""
-    x, y = _cone_pairs(alg, n, seed)
+    pts = _cone_pairs(alg, n, seed)
+    x, y = pts.x, pts.y
     fv = f_vec.coords
     residuals = np.abs(
         batch_inner(alg, fv, x) + batch_inner(alg, fv, y) - batch_inner(alg, fv, x + y)
@@ -344,10 +415,10 @@ def check_cauchy_additive(alg, f_vec: Element, n=1000, tol=1e-8, seed=0) -> Chec
 def check_pexider_log(alg, q, gamma1, gamma2, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """The family f_i = q log det + gamma_i solves the multiplicative-type
     equation f1(x) + f2(y) = f3(P(x^(1/2)) y) on cone pairs."""
-    x, y = _cone_pairs(alg, n, seed)
-    z = batch_quad_apply(alg, batch_sqrt(alg, x), y)
-    lhs = q * np.log(batch_det(alg, x)) + gamma1
-    lhs += q * np.log(batch_det(alg, y)) + gamma2
+    pts = _cone_pairs(alg, n, seed)
+    z = batch_quad_apply(alg, batch_sqrt(alg, pts.x), pts.y)
+    lhs = q * np.log(pts.det_x) + gamma1
+    lhs += q * np.log(pts.det_y) + gamma2
     rhs = q * np.log(batch_det(alg, z)) + gamma1 + gamma2
     return _report("pexider-log", alg, np.abs(lhs - rhs), tol, seed)
 
@@ -386,30 +457,28 @@ def check_fe_univariate_abcd(constants: Fe1dConstants, n=1000, tol=1e-8, seed=0)
     return _report("fe-univariate-abcd", None, np.abs(lhs - rhs), tol, seed)
 
 
-def _fe_cone_residuals(alg, k: FeSolutionConstants, x, y, perturbation=0.0):
-    log_det_x = np.log(batch_det(alg, x))
-    log_det_y = np.log(batch_det(alg, y))
-    inv_x = batch_inverse(alg, x)
-    u, w = batch_my_map(alg, x, y)
+def _fe_cone_residuals(alg, k: FeSolutionConstants, pts: _SharedPair, perturbation=0.0):
+    x, y = pts.x, pts.y
+    u, w = pts.psi
     fc, gc = k.f.coords, k.g.coords
     a_side = (
-        k.q * log_det_x
+        k.q * np.log(pts.det_x)
         + batch_inner(alg, fc, x)
-        + batch_inner(alg, gc, inv_x)
+        + batch_inner(alg, gc, pts.inv_x)
         + k.gamma1
         + k.gamma3
     )
     if perturbation:
-        a_side = a_side + perturbation * np.sqrt(batch_det(alg, x))
-    b_side = -k.q * log_det_y + batch_inner(alg, fc, y) + k.gamma2
+        a_side = a_side + perturbation * np.sqrt(pts.det_x)
+    b_side = -k.q * np.log(pts.det_y) + batch_inner(alg, fc, y) + k.gamma2
     c_side = (
-        k.q * np.log(batch_det(alg, u))
+        k.q * np.log(pts.det_u)
         + batch_inner(alg, gc, u)
-        + batch_inner(alg, fc, batch_inverse(alg, u))
+        + batch_inner(alg, fc, pts.inv_u)
         + k.gamma3
     )
     d_side = (
-        -k.q * np.log(batch_det(alg, w))
+        -k.q * np.log(pts.det_v)
         + batch_inner(alg, gc, w)
         + k.gamma1
         + k.gamma2
@@ -420,8 +489,8 @@ def _fe_cone_residuals(alg, k: FeSolutionConstants, x, y, perturbation=0.0):
 def check_fe_cone(alg, constants: FeSolutionConstants, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """The cone solution family (log det, linear, and inverse-linear terms)
     solves a(x) + b(y) = c((x+y)^-1) + d(x^-1 - (x+y)^-1) on cone pairs."""
-    x, y = _cone_pairs(alg, n, seed)
-    return _report("fe-cone", alg, _fe_cone_residuals(alg, constants, x, y), tol, seed)
+    residuals = _fe_cone_residuals(alg, constants, _cone_pairs(alg, n, seed))
+    return _report("fe-cone", alg, residuals, tol, seed)
 
 
 def check_perturbed_fe_rejects(
@@ -430,8 +499,8 @@ def check_perturbed_fe_rejects(
     """Negative control: a non-family term of size ``perturbation`` is added
     to one side, and the report must show the residual blowing past the
     tolerance (``passed`` keeps its usual max_residual <= tol meaning)."""
-    x, y = _cone_pairs(alg, n, seed)
-    residuals = _fe_cone_residuals(alg, constants, x, y, perturbation=perturbation)
+    residuals = _fe_cone_residuals(alg, constants, _cone_pairs(alg, n, seed),
+                                   perturbation=perturbation)
     return _report("fe-cone-perturbed", alg, residuals, tol, seed)
 
 
@@ -444,21 +513,31 @@ def density_factorization_check(
 ) -> CheckReport:
     """Constancy of the log ratio between the two factorized density sides.
 
-    Evaluates, at random cone pairs (u, v), the unnormalized log densities
-    of the mapped pair against the Jacobian-weighted originals; the
-    difference must be the same constant everywhere, so the residual per
-    pair is the deviation from the batch mean.  ``negative_control=True``
-    swaps a and b on the left side only, which must destroy constancy.
+    Evaluates, at random cone pairs (x, y), the unnormalized log densities
+    of U ~ GIG(-p, b, a) at x and V ~ W(p, b) at y against the
+    Jacobian-weighted densities of X ~ GIG(-p, a, b) and Y ~ W(p, a) at the
+    mapped pair (u, v) = psi(x, y), which the involutive map sends back to
+    (x, y); the difference must be the same constant everywhere, so the
+    residual per pair is the deviation from the batch mean.
+    ``negative_control=True`` swaps a and b on the left side only, which
+    must destroy constancy.  The log densities and the log Jacobian are the
+    library's own formulas (the private cores of
+    :func:`~symcone.distributions.batch_gig_log_unnorm`,
+    :func:`~symcone.distributions.batch_wishart_log_unnorm` and
+    :func:`~symcone.my_transform.batch_log_jacobian_det`), evaluated on the
+    dets and inverses that the shared record (:func:`_cone_pairs`) holds.
     """
     require_density_range(p, alg)
-    u, v = _cone_pairs(alg, n, seed)
+    pts = _cone_pairs(alg, n, seed)
+    u, v = pts.psi
+    log_det_x = np.log(pts.det_x)
     ac, bc = a.coords, b.coords
     left_a, left_b = (bc, ac) if negative_control else (ac, bc)
-    lhs = (batch_gig_log_unnorm(alg, -p, left_b, left_a, u)
-           + batch_wishart_log_unnorm(alg, p, left_b, v))
-    x, y = batch_my_map(alg, u, v)
-    rhs = (batch_log_jacobian_det(alg, u, v)
-           + batch_gig_log_unnorm(alg, -p, ac, bc, x) + batch_wishart_log_unnorm(alg, p, ac, y))
+    lhs = (_gig_log_unnorm(alg, -p, left_b, left_a, pts.x, log_det_x, pts.inv_x)
+           + _wishart_log_unnorm(alg, p, left_b, pts.y, np.log(pts.det_y)))
+    rhs = (_log_jacobian_det(alg, log_det_x, np.log(pts.det_sum))
+           + _gig_log_unnorm(alg, -p, ac, bc, u, np.log(pts.det_u), pts.inv_u)
+           + _wishart_log_unnorm(alg, p, ac, v, np.log(pts.det_v)))
     diff = lhs - rhs
     residuals = np.abs(diff - diff.mean())
     return _report("density-factorization", alg, residuals, tol, seed)

@@ -649,18 +649,24 @@ def test_rows_off_the_cone_give_lapacks_det_and_inverse(kind, m):
                                rtol=1e-14, atol=1e-14 * np.abs(inv).max())
 
 
-@pytest.mark.parametrize("alg", [ja.sym_real(3), ja.herm_complex(3)],
-                         ids=["sym-real", "herm-complex"])
+@pytest.mark.parametrize("alg", [ja.sym_real(3), ja.herm_complex(3), ja.herm_complex(4)],
+                         ids=["sym-real", "herm-complex", "herm-complex-rank4"])
 def test_singular_and_nan_rows_give_non_finite_inverse_rows_alone(alg):
-    rows = ja.matrices_to_coords(alg, np.array([np.diag([0.0, 1.0, 1.0]),
-                                                np.diag([1.0, 1.0, 0.0]),
-                                                np.full((3, 3), np.nan)]))
-    x = ja.random_cone_points_banded(alg, np.random.default_rng(29), 6)
-    x[1::2] = rows
+    r = alg.rank
+    rows = ja.matrices_to_coords(alg, np.array([np.diag([0.0] + [1.0] * (r - 1)),
+                                                np.diag([1.0] * (r - 1) + [0.0]),
+                                                np.full((r, r), np.nan)]))
+    # the identity with an inf off-diagonal entry: a pivot of -inf, and no
+    # eigendecomposition (LAPACK raises on it at herm-complex rank >= 3)
+    inf_row = ja.identity(alg).coords.copy()
+    inf_row[r] = np.inf
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(29), 8)
+    x[1::2] = np.vstack([rows, inf_row])
     with np.errstate(divide="ignore", invalid="ignore"):
         det, inv = ja.batch_det(alg, x), ja.batch_inverse(alg, x)
     np.testing.assert_array_equal(det[[1, 3]], 0.0)
-    assert np.isnan(det[5])
+    assert np.isnan(det[[5, 7]]).all()
+    assert np.isnan(inv[7]).all()
     assert not np.any(np.all(np.isfinite(inv[1::2]), axis=-1))
     np.testing.assert_array_equal(det[::2], ja.batch_det(alg, x[::2]))
     np.testing.assert_array_equal(inv[::2], ja.batch_inverse(alg, x[::2]))

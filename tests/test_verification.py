@@ -153,31 +153,74 @@ def test_checks_that_share_their_points_report_the_same_in_any_order(alg, monkey
     banded = ver.random_cone_points_banded
     monkeypatch.setattr(ver, "random_cone_points_banded",
                         lambda alg, rng, n: draws.append(n) or banded(alg, rng, n))
+    calls = _count_kernel_calls(monkeypatch)
     ver._seeded_cone_pairs.cache_clear()
     forward = {name: check().to_dict() for name, check in checks.items()}
     # the sweep's order: the Jacobian's smaller pair, drawn between checks
     # at n = 60, leaves their pair in the memo, so each pair is drawn once
     assert draws == [60, 60, 20, 20]
+    # each det, inverse and map image that two checks share is computed
+    # once: det x, det y, det(x + y), x^-1, (x + y)^-1, det u, u^-1 and
+    # det v; the rest is what one check computes on its own points, the
+    # inverses inside batch_my_map included
+    assert calls == {"batch_det": 9, "batch_inverse": 11, "batch_my_map": 3}
+    calls.clear()
     backward = {name: check().to_dict() for name, check in reversed(checks.items())}
     assert draws == [60, 60, 20, 20]
+    # the shared arrays stay with the memoized pair: none is computed again
+    assert calls == {"batch_det": 4, "batch_inverse": 8, "batch_my_map": 3}
     assert forward == alone
     assert backward == alone
+
+
+def _count_kernel_calls(monkeypatch) -> dict:
+    """Count the calls of batch_det, batch_inverse and batch_my_map through
+    every module that the checks reach them by."""
+    calls = {}
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+        return call
+
+    for module in (ver, dist, mt):
+        for name in ("batch_det", "batch_inverse", "batch_my_map"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def _shared_arrays(pts) -> list:
+    """The points of a shared record and every array derived from them."""
+    return [pts.x, pts.y, pts.det_x, pts.det_y, pts.det_sum, pts.inv_x, *pts.psi,
+            pts.det_u, pts.inv_u, pts.det_v]
 
 
 def test_shared_cone_points_are_read_only_and_keyed_on_the_algebra():
     sym, spin = ja.sym_real(2), ja.lorentz(2)  # both of dim 3
     for seed in (5, None):
-        for points in ver._cone_pairs(sym, 40, seed):
+        for points in _shared_arrays(ver._cone_pairs(sym, 40, seed)):
             with pytest.raises(ValueError):
-                points[0, 0] = 1.0
+                points[0] = 1.0
     first, second = ver._cone_pairs(sym, 40, None), ver._cone_pairs(sym, 40, None)
-    assert not np.array_equal(first[0], second[0])
-    assert not np.array_equal(ver._cone_pairs(sym, 40, 5)[0], ver._cone_pairs(spin, 40, 5)[0])
-    # each is the pair its own seeded stream gives
+    for one, other in zip(_shared_arrays(first), _shared_arrays(second)):
+        assert not np.shares_memory(one, other)
+        assert not np.array_equal(one, other)
+    assert not np.array_equal(ver._cone_pairs(sym, 40, 5).x, ver._cone_pairs(spin, 40, 5).x)
     for alg in (sym, spin):
+        # each is the pair its own seeded stream gives
         rng = np.random.default_rng(5)
-        for points in ver._cone_pairs(alg, 40, 5):
+        pts = ver._cone_pairs(alg, 40, 5)
+        for points in (pts.x, pts.y):
             assert np.array_equal(points, ja.random_cone_points_banded(alg, rng, 40))
+        # and each derived array is the library kernel's on the points
+        u, v = mt.batch_my_map(alg, pts.x, pts.y)
+        expected = [pts.x, pts.y, ja.batch_det(alg, pts.x), ja.batch_det(alg, pts.y),
+                    ja.batch_det(alg, pts.x + pts.y), ja.batch_inverse(alg, pts.x), u, v,
+                    ja.batch_det(alg, u), ja.batch_inverse(alg, u), ja.batch_det(alg, v)]
+        for held, computed in zip(_shared_arrays(pts), expected):
+            np.testing.assert_array_equal(held, computed)
 
 
 def test_det_operator_power_gate_can_fail(monkeypatch):
