@@ -40,7 +40,9 @@ status line that stdout cannot take, as when the reader of a pipe has gone
 
 Exit codes (:func:`_status`): 0 all checks passed, 1 a check failed, 2
 results inconclusive (an MCMC sampler left its acceptance band), 64 usage
-error.
+error, which also covers a law no batch of doubles holds: a draw of a
+Wishart, or of a GIG at any rank, past the largest double
+(:class:`~symcone.distributions.MassPastDoublesError`).
 """
 
 from __future__ import annotations

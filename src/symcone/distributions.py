@@ -6,15 +6,17 @@ is stated once, in :func:`require_density_range`, which every operation
 that needs it calls.  The unnormalized Wishart and GIG log densities are
 written once, as :func:`batch_wishart_log_unnorm` and
 :func:`batch_gig_log_unnorm` over stacked points; the element-level
-densities add their cone checks and normalizers to them.  (The Metropolis target keeps its own closed form,
-whose bits the seeded chains depend on.)  Sampling uses the fastest exact
-route available for each family:
+densities add their cone checks and normalizers to them, and the
+Metropolis target above rank 2 evaluates their cores.  (At rank 2 the
+target keeps its own closed form, whose bits the seeded chains depend
+on.)  Sampling uses the fastest exact route available for each family:
 
 * matrix-kind Wishart: a triangular-factor (Bartlett) construction for the
   standard scale, transported to scale ``a`` through the quadratic operator
-  of a^(-1/2).  For real symmetric matrices this realizes the
-  identification of the cone Wishart with shape p and scale a as the
-  classical Wishart W_r(2p, (2a)^-1), which the unit tests pin via moments;
+  of a^(-1/2), which the batch kernels give at every open-cone scale.  For
+  real symmetric matrices this realizes the identification of the cone
+  Wishart with shape p and scale a as the classical Wishart
+  W_r(2p, (2a)^-1), which the unit tests pin via moments;
 * rank-1 GIG: an exact rejection sampler (Devroye's two-sided exponential
   envelope on the log scale), one set of closed forms for every (p, a, b)
   whose law a double can resolve (:func:`_gig_rejection_rank1`);
@@ -35,6 +37,12 @@ The rank-1 GIG sampler, its quadrature CDF and every Metropolis chain work
 on the law of 2^-k X, with k the exponent of a start point (for the GIG
 sqrt(<b, e> / <a, e>) e), and scale back by 2^k exactly, so the samplers
 hold from 1e-160 to 1e160.
+
+Every route ends in one function, :func:`_sampled`, the only place where
+a law's draws become a :class:`SampleBatch`: it scales them back by 2^k
+(k = 0 for Bartlett) and raises MassPastDoublesError, naming the law, when
+a draw lies past the largest double, as it can for any family at a scale
+near the smallest normal double.
 
 Each family and kind has one sampling route, chosen from the algebra in
 one place, :func:`sample_laws`, which draws a list of laws on one algebra
@@ -66,15 +74,14 @@ from .algebra import (
     batch_in_cone,
     batch_inner,
     batch_inverse,
+    batch_sqrt,
     coords_to_matrices,
     det,
     identity,
     in_cone,
     inner,
-    inverse,
     kernels,
     matrices_to_coords,
-    sqrt as cone_sqrt,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -376,7 +383,15 @@ def gig_cdf_rank1(params: GigParams):
 # ---------------------------------------------------------------------------
 
 def _bartlett(alg: AlgebraDescriptor, p: float, a: Element, seed: int, n: int) -> np.ndarray:
-    """Exact Wishart draws on the matrix kinds via triangular factors."""
+    """Exact Wishart draws on the matrix kinds via triangular factors.
+
+    The standard-scale draws are moved to scale a through P(a^(-1/2)), with
+    a^(-1/2) from the batch kernels, which hold at every open-cone scale
+    (the element-level ``inverse`` refuses a condition number past 1e12).
+    A draw past the largest double comes back inf, or nan where an
+    overflowed product meets one of the other sign, without a warning, for
+    :func:`_sampled` to refuse.
+    """
     rng = np.random.default_rng(seed)
     r = alg.rank
     shapes = p - 0.5 * alg.peirce * np.arange(r)
@@ -391,12 +406,13 @@ def _bartlett(alg: AlgebraDescriptor, p: float, a: Element, seed: int, n: int) -
         if field is complex:
             off = off + 1j * rng.normal(0.0, math.sqrt(0.5), size=(n, n_off))
         t[:, idx[0], idx[1]] = off
-    x = t @ t.conj().swapaxes(-1, -2)
-    if not np.array_equal(a.coords, identity(alg).coords):
-        # transport standard-scale draws to scale a through P(a^(-1/2))
-        root = coords_to_matrices(alg, cone_sqrt(inverse(a)).coords)
-        x = root @ x @ root
-    return matrices_to_coords(alg, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = t @ t.conj().swapaxes(-1, -2)
+        if not np.array_equal(a.coords, identity(alg).coords):
+            # transport standard-scale draws to scale a through P(a^(-1/2))
+            root = coords_to_matrices(alg, batch_sqrt(alg, batch_inverse(alg, a.coords)))
+            x = root @ x @ root
+        return matrices_to_coords(alg, x)
 
 
 def _gig_rejection_rank1(p: float, a: float, b: float, seed: int, n: int) -> np.ndarray:
@@ -714,14 +730,17 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok)
 
     Higher ranks take the eigenvalues from LAPACK and the inverse from the
     kernel table (:func:`batch_inverse`), on a (chains, dim) copy of x, and
-    evaluate the target on the cone rows alone.
+    evaluate the library's density cores :func:`_wishart_log_unnorm` and
+    :func:`_gig_log_unnorm` on the cone rows alone, with each chain's p, a
+    and b.
     """
     laws, dim = len(p), alg.dim
     rows = x.shape[1] // laws
     law = np.repeat(np.arange(laws), rows)  # the law of each chain
-    exponent = (np.asarray(p, float) - alg.dim_over_rank)[law]
+    p_chain = np.asarray(p, float)[law]
 
     if alg.rank == 2:
+        exponent = p_chain - alg.dim_over_rank
         k = kernels(alg)  # looked up once, not at every step
         basis = np.eye(dim)
         trace = k.trace(alg, basis)
@@ -756,10 +775,11 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok)
         if np.any(ok):
             xo, own = rows_major[ok], law[ok]
             log_det = np.sum(np.log(lam[ok]), axis=-1)
-            val = exponent[ok] * log_det - batch_inner(alg, a_coords[own], xo)
-            if b_coords is not None:
-                val -= batch_inner(alg, b_coords[own], batch_inverse(alg, xo))
-            lp[ok] = val
+            if b_coords is None:
+                lp[ok] = _wishart_log_unnorm(alg, p_chain[ok], a_coords[own], xo, log_det)
+            else:
+                lp[ok] = _gig_log_unnorm(alg, p_chain[ok], a_coords[own], b_coords[own], xo,
+                                         log_det, batch_inverse(alg, xo))
 
     return log_pdf
 
@@ -806,9 +826,9 @@ def _metropolis_batches(laws, n: int) -> list[SampleBatch]:
 
     A Wishart's chains start at :func:`_wishart_start`, a GIG's at
     :func:`_gig_start`.  Each law's chains run on 2^-k X
-    (:func:`_pow2_scales`), and its draws are multiplied back by 2^k.  The
-    proposal rule is scale-free, so a chain at scale 2^-k takes the same
-    steps wherever its target rounds alike.  What changes is that det x,
+    (:func:`_pow2_scales`), and :func:`_sampled` multiplies its draws back
+    by 2^k.  The proposal rule is scale-free, so a chain at scale 2^-k
+    takes the same steps wherever its target rounds alike.  What changes is that det x,
     whose closed form overflows for coordinates beyond about 1e154, is
     evaluated near 1.
     """
@@ -818,12 +838,32 @@ def _metropolis_batches(laws, n: int) -> list[SampleBatch]:
         k, a, b = _pow2_scales(params, init)
         chained.append((params.p, a, b, seed, np.ldexp(init, -k)))
         powers.append(k)
-    batches = []
     drawn = _metropolis_cone(laws[0][0].algebra, chained, n)
-    for (params, seed), k, (coords, meta) in zip(laws, powers, drawn):
-        np.ldexp(coords, k, out=coords)
-        batches.append(SampleBatch(params.algebra, params.record(), coords, seed, "mcmc", meta))
-    return batches
+    return [_sampled(params, seed, "mcmc", coords, k, meta)
+            for (params, seed), k, (coords, meta) in zip(laws, powers, drawn)]
+
+
+def _sampled(params, seed: int, method: str, draws: np.ndarray, k: int = 0,
+             mcmc: dict | None = None) -> SampleBatch:
+    """The one place where a law's draws become a :class:`SampleBatch`.
+
+    ``draws`` are those of 2^-k X (k = 0 for Bartlett), as rows of
+    coordinates; they are multiplied back by 2^k in place, exactly.  A
+    draw that is then not finite lies past the largest double, where no
+    batch of doubles holds the law's mass, and MassPastDoublesError names
+    the law: GIG(p=0.0, a=2.3e-308, b=2.3e-308) at dim 1, and with
+    coordinate lists above it, as in Wishart(p=3.0, a=[1e-307, 1e-307, 0.0]).
+    """
+    record = params.record()
+    with np.errstate(over="ignore"):
+        np.ldexp(draws, k, out=draws)
+    if not np.all(np.isfinite(draws)):
+        family = "GIG" if isinstance(params, GigParams) else "Wishart"
+        scales = ", ".join(f"{name}={c[0] if len(c) == 1 else c}"
+                           for name, c in record.items() if name != "p")
+        raise MassPastDoublesError(f"{family}(p={params.p}, {scales}) has mass above the "
+                                   f"largest double, and a draw fell there")
+    return SampleBatch(params.algebra, record, draws, seed, method, mcmc)
 
 
 def sample_laws(laws, n: int) -> list[SampleBatch]:
@@ -842,8 +882,9 @@ def sample_laws(laws, n: int) -> list[SampleBatch]:
 
     A Wishart shape outside the density range p > dim/rank - 1 raises
     ShapeOutOfRangeError before anything is drawn (the discrete shapes below
-    it have no density and are not sampled).  A rank-1 GIG draw beyond the
-    largest double raises MassPastDoublesError naming the law.
+    it have no density and are not sampled).  Every route ends in
+    :func:`_sampled`, so a draw of any law beyond the largest double raises
+    MassPastDoublesError naming the law.
     """
     laws = list(laws)
     for params, _ in laws:
@@ -854,18 +895,12 @@ def sample_laws(laws, n: int) -> list[SampleBatch]:
     for i, (params, seed) in enumerate(laws):
         alg = params.algebra
         if isinstance(params, WishartParams) and kernels(alg).field is not None:
-            coords = _bartlett(alg, params.p, params.a, seed, n)
-            batches[i] = SampleBatch(alg, params.record(), coords, seed, "bartlett")
+            batches[i] = _sampled(params, seed, "bartlett",
+                                  _bartlett(alg, params.p, params.a, seed, n))
         elif isinstance(params, GigParams) and alg.rank == 1:
             k, a, b = _pow2_scales(params, _gig_start(params))
             draws = _gig_rejection_rank1(params.p, float(a[0]), float(b[0]), seed, n)
-            with np.errstate(over="ignore"):
-                np.ldexp(draws, k, out=draws)
-            if not np.all(np.isfinite(draws)):
-                raise MassPastDoublesError(
-                    f"GIG(p={params.p}, a={params.a.coords[0]}, b={params.b.coords[0]}) has mass "
-                    f"above the largest double, and a draw fell there")
-            batches[i] = SampleBatch(alg, params.record(), draws[:, None], seed, "rejection")
+            batches[i] = _sampled(params, seed, "rejection", draws[:, None], k)
         else:
             chained.append(i)
     if chained:

@@ -40,6 +40,15 @@ def test_descriptor_validation():
         ja.AlgebraDescriptor(ja.Kind.SYM_REAL, 0, 1, 0)
     with pytest.raises(ValueError):
         ja.lorentz(1)
+    # each kind's own rule, on descriptors whose dim relation holds
+    with pytest.raises(ValueError, match="Peirce constant must be >= 0"):
+        ja.AlgebraDescriptor(ja.Kind.LORENTZ, 2, -1, 1)
+    with pytest.raises(ValueError, match="sym-real requires Peirce constant 1"):
+        ja.AlgebraDescriptor(ja.Kind.SYM_REAL, 2, 2, 4)
+    with pytest.raises(ValueError, match="herm-complex requires Peirce constant 2"):
+        ja.AlgebraDescriptor(ja.Kind.HERM_COMPLEX, 2, 1, 3)
+    with pytest.raises(ValueError, match="lorentz requires rank 2"):
+        ja.AlgebraDescriptor(ja.Kind.LORENTZ, 3, 1, 6)
 
 
 def test_identity_examples():
@@ -101,6 +110,15 @@ def test_lmap_examples():
     # elements of diag(2,1) scale them by (2, 1, 3/2)
     L = ja.lmap(ja.from_matrix(a2, np.diag([2.0, 1.0])))
     assert np.allclose(L.matrix, np.diag([2.0, 1.0, 1.5]))
+
+
+def test_linear_operator_guards():
+    a2 = ja.sym_real(2)
+    with pytest.raises(ValueError, match="operator matrix has shape"):
+        ja.LinearOperator(a2, np.eye(2))
+    # the Lorentz algebra of dim 3 has coordinates of the same length
+    with pytest.raises(ja.AlgebraMismatchError):
+        ja.lmap(ja.identity(a2)).apply(ja.identity(ja.lorentz(2)))
 
 
 @pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=IDS)
@@ -406,6 +424,8 @@ def test_banded_cone_points_have_banded_spectra(alg):
     lam = ja.batch_eigenvalues(alg, pts)
     assert lam.min() > 0.2 - 1e-9
     assert lam.max() < 5.0 + 1e-9
+    with pytest.raises(ValueError, match="need 0 < lo < hi"):
+        ja.random_cone_points_banded(alg, rng, 5, 2.0, 2.0)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

@@ -212,6 +212,23 @@ def test_sample_past_the_largest_double_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("law, name", [
+    (["--kind", "sym-real", "--rank", "2", "--a", "diag:1e-307,1e-307", "-n", "100000",
+      "--seed", "1"], "Wishart(p=3.0, a=[1e-307, 1e-307, 0.0])"),
+    (["--kind", "lorentz", "--dim", "3", "--a", "coords:3e-308,0,0", "-n", "100",
+      "--seed", "3"], "Wishart(p=3.0, a=[3e-308, 0.0, 0.0])"),
+], ids=["bartlett", "mcmc"])
+def test_wishart_past_the_largest_double_is_a_usage_error(law, name, tmp_path, capsys):
+    code = run_cli("sample", "wishart", *law, "--p", "3", "-o", str(tmp_path / "w.json"))
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == (f"usage error: {name} has mass above the largest double, "
+                            "and a draw fell there\n")
+    assert not (tmp_path / "w.json").exists()
+
+
 def test_sample_without_an_output_is_a_usage_error_before_the_draw(monkeypatch, capsys):
     # the draws go only to -o, so a run without one would throw them away
     monkeypatch.setattr(cli, "sample_wishart", _must_not_run)

@@ -103,6 +103,14 @@ CALLS = [
           (["gig", "--kind", "sym-real", "--rank", "3", "--p", "-1.5",
             "--b", "diag:2,1,0.5"], 40)), start=21)
       for fmt in ("json", "csv")],
+    # a Wishart past the largest double on the Bartlett and Metropolis routes
+    # (a usage error), and Bartlett at a scale of condition number 1e13
+    ["sample", "wishart", "--kind", "sym-real", "--rank", "2", "--a", "diag:1e-307,1e-307",
+     "--p", "3", "-n", "100000", "--seed", "1", "-o", "{out}/w.json"],
+    ["sample", "wishart", "--kind", "lorentz", "--dim", "3", "--a", "coords:3e-308,0,0",
+     "--p", "3", "-n", "100", "--seed", "3", "-o", "{out}/w.json"],
+    ["sample", "wishart", "--kind", "sym-real", "--rank", "2", "--a", "diag:1e-13,1",
+     "--p", "3", "-n", "100", "--seed", "3", "-o", "{out}/w.json"],
 ]
 
 

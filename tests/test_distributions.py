@@ -332,6 +332,19 @@ def test_gig_norm_constant_rank2_unsupported():
         dist.gig_norm_constant_rank1(dist.GigParams(1.0, E2, E2))
 
 
+def test_gig_cdf_rank2_unsupported():
+    with pytest.raises(ValueError, match="rank 1 only"):
+        dist.gig_cdf_rank1(dist.GigParams(1.0, E2, E2))
+
+
+def test_gig_params_and_density_reject_off_cone():
+    off = ja.from_matrix(A2, np.diag([1.0, -1.0]))
+    with pytest.raises(ja.NotInConeError, match="GIG parameters"):
+        dist.GigParams(1.0, E2, off)
+    with pytest.raises(ja.NotInConeError, match="GIG density"):
+        dist.gig_log_density_unnorm(dist.GigParams(1.0, E2, E2), off)
+
+
 # ---------------------------------------------------------------------------
 # Wishart sampling
 # ---------------------------------------------------------------------------
@@ -566,6 +579,50 @@ def test_gig_rejection_refuses_a_draw_past_the_largest_double(p):
     with pytest.raises(dist.MassPastDoublesError,
                        match=r"GIG\(p=.*, a=2.3e-308, b=2.3e-308\) has mass above the largest double"):
         dist.sample_gig(dist.GigParams(p, tiny, tiny), 3, 2_000_000)
+
+
+# a law with mass past the largest double on the Bartlett and Metropolis
+# routes, and the name its error gives it; the rank-1 route has its own test
+# above
+PAST_THE_DOUBLES = [
+    (dist.WishartParams(3.0, 1e-307 * E2), 1, 100_000,
+     r"Wishart\(p=3\.0, a=\[1e-307, 1e-307, 0\.0\]\)"),
+    (dist.WishartParams(3.0, 1e-307 * ja.identity(H2)), 1, 100_000,
+     r"Wishart\(p=3\.0, a=\[1e-307, 1e-307, 0\.0, 0\.0\]\)"),
+    (dist.WishartParams(3.0, 3e-308 * ja.identity(L2)), 3, 100,
+     r"Wishart\(p=3\.0, a=\[3e-308, 0\.0, 0\.0\]\)"),
+]
+
+
+@pytest.mark.parametrize("params, seed, n, name", PAST_THE_DOUBLES,
+                         ids=["bartlett-sym2", "bartlett-herm2", "mcmc-lorentz3"])
+def test_every_route_refuses_a_draw_past_the_largest_double(params, seed, n, name):
+    # the transport's product or the scale-back by 2^k overflows; every route
+    # ends in the one exit, which names the law and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dist.MassPastDoublesError,
+                           match=f"^{name} has mass above the largest double, and a draw fell "
+                                 f"there$"):
+            dist.sample_laws([(params, seed)], n)
+
+
+@pytest.mark.parametrize("alg", [A2, ja.sym_real(3), H2], ids=["sym2", "sym3", "herm2"])
+@pytest.mark.parametrize("smallest", [1e-13, 1e-200])
+def test_bartlett_holds_at_ill_conditioned_scales(alg, smallest):
+    # <a, X> is Gamma(r p) for every kind and open-cone scale a:
+    # E exp(-t <a, X>) = (det a / det((1 + t) a))^p = (1 + t)^(-r p)
+    scale = np.ones(alg.rank)
+    scale[0] = smallest
+    a = ja.from_matrix(alg, np.diag(scale))
+    p, n = 3.0, 20000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = dist.sample_wishart(dist.WishartParams(p, a), 1, n)
+    assert batch.method == "bartlett"
+    assert batch.all_in_cone()
+    values = ja.batch_inner(alg, a.coords, batch.coords)
+    assert sps.kstest(values, sps.gamma(alg.rank * p).cdf).pvalue > 1e-3
 
 
 def test_gig_params_from_two_algebras_are_a_mismatch():

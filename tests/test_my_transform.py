@@ -59,6 +59,15 @@ def test_my_map_rejects_off_cone():
         mt.ConePair(bad, ja.identity(a2))
 
 
+def test_hua_and_jacobian_formula_reject_off_cone():
+    a2 = ja.sym_real(2)
+    bad = ja.from_matrix(a2, np.diag([1.0, -1.0]))
+    with pytest.raises(ja.NotInConeError, match="hua_rhs requires a in the open cone"):
+        mt.hua_rhs(bad, ja.identity(a2))
+    with pytest.raises(ja.NotInConeError, match="jacobian requires open-cone inputs"):
+        mt.jacobian_det_formula(ja.identity(a2), bad)
+
+
 @pytest.mark.parametrize("alg", KINDS, ids=IDS)
 def test_outputs_stay_in_cone(alg):
     rng = np.random.default_rng(1)

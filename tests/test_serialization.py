@@ -27,6 +27,8 @@ def test_canonical_dumps_basic():
     import json
 
     assert json.loads(out) == {"a": 1, "b": [1.5, None, True], "c": 'x"y'}
+    with pytest.raises(TypeError, match="cannot serialize"):
+        ser.dumps_canonical({"a": object()})
 
 
 def test_canonical_dumps_escapes_control_characters():

@@ -160,6 +160,11 @@ def test_permutation_test_needs_two_pairs(size, subsample):
     assert rng.bit_generator.state == state
 
 
+def test_distance_correlation_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        st.distance_correlation(np.arange(5.0), np.arange(6.0))
+
+
 def test_permutation_test_rejects_unequal_lengths():
     # indexing both samples with one subsample would hide the mismatch
     with pytest.raises(ValueError, match="equal length"):
