@@ -37,9 +37,12 @@ inverses run on rows rescaled by a power of two and scale the result
 back, so an inverse holds from 1e-300 to 1e300 and a determinant outside
 the double range is inf or 0, never nan.  Banded cone points come from
 Gram-Schmidt, with no LAPACK call.  The matrix kinds' Jordan product is
-one matrix product P = XY, as x o y = (P + P*) / 2.  The multiplication
-operators L(a) are contracted from each algebra's structure tensor, the
-operators of its basis elements.
+one matrix product P = XY, as x o y = (P + P*) / 2, and P(x)y is XYX; both
+run as real matrix products in each algebra's real form, herm-complex
+through its real 2r x 2r embedding, where numpy's stacked complex product
+takes several times longer.  The multiplication operators L(a) are
+contracted from each algebra's structure tensor, the operators of its
+basis elements.
 
 All functions are pure.  The ``batch_*`` variants accept coordinate arrays
 with arbitrary leading axes and operate elementwise over them; the
@@ -474,7 +477,10 @@ class _MatrixForm:
     or 0.  An exactly singular row gives det 0 and a non-finite inverse
     row, as on the spin factor.  Open-cone membership reads the same pivots
     (:meth:`in_cone`).  The eigenvalues, the square root, the spectral
-    decomposition and det and inverse off the open cone come from LAPACK.
+    decomposition and det and inverse off the open cone come from LAPACK,
+    on the complex matrices, where the real form's eigendecomposition would
+    be twice the size.  The Jordan product and P(x)y are real matrix
+    products in the real form (:func:`_real_form`).
     """
 
     def __init__(self, field, make):
@@ -508,18 +514,15 @@ class _MatrixForm:
             m[..., cols, rows] = off.conj()
         return m
 
-    def from_matrices(self, alg, mats, hermitian_part=False):
+    def from_matrices(self, alg, mats):
         """Coordinates of Hermitian matrices, read from the diagonal and the
-        upper triangle; with ``hermitian_part``, of (M + M*) / 2, formed at
-        those entries only."""
+        upper triangle."""
         mats = np.asarray(mats)
         r = alg.rank
         out = np.empty(mats.shape[:-2] + (alg.dim,))
         out[..., :r] = np.diagonal(mats, axis1=-2, axis2=-1).real  # a view, not a copy
         rows, cols = _offdiag_pairs(r)
         upper = mats[..., rows, cols]
-        if hermitian_part:
-            upper = (upper + mats[..., cols, rows].conj()) / 2.0
         if self.field is complex:
             out[..., r::2] = _SQRT2 * upper.real
             out[..., r + 1 :: 2] = _SQRT2 * upper.imag
@@ -534,9 +537,9 @@ class _MatrixForm:
 
     def jordan(self, alg, a, b):
         """x o y = (P + P*) / 2 with P = XY, as YX = (XY)* for Hermitian X
-        and Y: one matrix product."""
-        p = self.to_matrices(alg, a) @ self.to_matrices(alg, b)
-        return self.from_matrices(alg, p, hermitian_part=True)
+        and Y: one real matrix product in the real form (:func:`_real_form`)."""
+        form = _real_form(alg)
+        return form.read(form.embed(a) @ form.embed(b))
 
     def inner(self, alg, a, b):
         return _row_sum(a * b)
@@ -660,9 +663,10 @@ class _MatrixForm:
         return np.ldexp(out, -k[..., None])
 
     def quad_apply(self, alg, a, b):
-        ma = self.to_matrices(alg, a)
-        mb = self.to_matrices(alg, b)
-        return self.from_matrices(alg, ma @ mb @ ma)
+        """P(x)y = XYX: two real matrix products in the real form."""
+        form = _real_form(alg)
+        ea = form.embed(a)
+        return form.read(ea @ form.embed(b) @ ea)
 
     def _spectral_map(self, alg, a, f):
         """Coordinates of U f(w) U*, with U diag(w) U* the eigendecomposition
@@ -814,6 +818,67 @@ def batch_quad_apply(alg: AlgebraDescriptor, a, b) -> np.ndarray:
     return _KERNELS[alg.kind].quad_apply(
         alg, np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _RealForm:
+    """A matrix algebra inside the real R x R matrices; see :func:`_real_form`."""
+
+    put: np.ndarray  # (dim, R^2): the flattened embedding of each basis element
+    size: int  # R
+    first: np.ndarray  # (dim,) positions in a flattened product, and the scales
+    second: np.ndarray
+    scale: np.ndarray
+
+    def embed(self, a):
+        """The real matrices E(x) of coordinate rows ``a``."""
+        return (a @ self.put).reshape(a.shape[:-1] + (self.size, self.size))
+
+    def read(self, p):
+        """Coordinates of the Hermitian part of real-form matrices ``p``."""
+        flat = p.reshape(p.shape[:-2] + (-1,))
+        return flat[..., self.first] * self.scale + flat[..., self.second] * self.scale
+
+
+@lru_cache(maxsize=None)
+def _real_form(alg: AlgebraDescriptor) -> _RealForm:
+    """The real form of a matrix algebra, in which its products run as real
+    matrix products.
+
+    X is embedded as itself on sym-real (R = r) and as [[Re X, -Im X],
+    [Im X, Re X]] on herm-complex (R = 2r), a real *-homomorphism: E(X)E(Y)
+    = E(XY) and E(X*) = E(X)^T (Faraut & Koranyi, ch. V).  E(x) is x @ put.
+    Every column of ``put`` has at most one nonzero, +-1 or the double
+    nearest +-1/sqrt 2, so that product is exact and gives a row the same
+    bits alone as inside a batch.
+
+    Coordinate c of the Hermitian part (P + P*) / 2 of a product P is read
+    elementwise as p[first] * scale + p[second] * scale from its flattened
+    real form p, at the first two positions where the embedded basis
+    element e_c is positive: two copies of an entry of P, or of an entry
+    and its mirror (the one diagonal position twice on sym-real).  Scaling
+    before the sum keeps a diagonal entry of P in the top binade finite; a
+    sym-real diagonal entry is read exactly unless it is subnormal.  A BLAS
+    readout would not keep the bits of a row inside a batch.
+    """
+    m = _KERNELS[alg.kind].to_matrices(alg, np.eye(alg.dim))
+    if np.iscomplexobj(m):
+        m = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    size = m.shape[-1]
+    # an off-diagonal entry is a coordinate over sqrt 2, which to_matrices
+    # divides out; its coefficient is set to the nearest double
+    put = np.sign(m) * np.where(np.abs(m) == 1.0, 1.0, _SQRT2 / 2.0)
+    put = put.reshape(alg.dim, size * size)
+    # the first two positive positions of each row, or its one twice; the
+    # coordinate is their sum times 1/(2v), v the coefficient there, taken
+    # in doubles rather than as the nearest 1/sqrt 2, so that the rounding
+    # of v cancels instead of biasing every off-diagonal coordinate
+    first, second = np.array([(pos[0], pos[:2][-1])
+                              for pos in (np.flatnonzero(row > 0) for row in put)]).T
+    scale = 0.5 / put.max(axis=1)
+    for a in (put, first, second, scale):
+        a.setflags(write=False)
+    return _RealForm(put, size, first, second, scale)
 
 
 @lru_cache(maxsize=None)

@@ -309,19 +309,15 @@ def check_jordan_axioms(alg, n=1000, tol=1e-10, seed=0) -> CheckReport:
     z = rng.standard_normal((n, alg.dim))
     e = identity(alg).coords
     nx, ny, nz = _norms(alg, x), _norms(alg, y), _norms(alg, z)
-    commut = _norms(alg, batch_jordan(alg, x, y) - batch_jordan(alg, y, x))
+    xy = batch_jordan(alg, x, y)
+    commut = _norms(alg, xy - batch_jordan(alg, y, x))
     commut /= (1.0 + nx) * (1.0 + ny)
     x2 = batch_jordan(alg, x, x)
-    jid = _norms(
-        alg,
-        batch_jordan(alg, x, batch_jordan(alg, x2, y))
-        - batch_jordan(alg, x2, batch_jordan(alg, x, y)),
-    )
+    jid = _norms(alg, batch_jordan(alg, x, batch_jordan(alg, x2, y)) - batch_jordan(alg, x2, xy))
     jid /= (1.0 + nx) ** 3 * (1.0 + ny)
     unit = _norms(alg, batch_jordan(alg, x, e) - x) / (1.0 + nx)
     assoc = np.abs(
-        batch_inner(alg, x, batch_jordan(alg, y, z))
-        - batch_inner(alg, batch_jordan(alg, x, y), z)
+        batch_inner(alg, x, batch_jordan(alg, y, z)) - batch_inner(alg, xy, z)
     ) / ((1.0 + nx) * (1.0 + ny) * (1.0 + nz))
     residuals = np.max(np.stack([commut, jid, unit, assoc]), axis=0)
     return _report("jordan-axioms", alg, residuals, tol, seed)
@@ -549,6 +545,15 @@ def _functionals(alg, z, c) -> dict:
             "inner": batch_inner(alg, c, z)}
 
 
+def _unit_scaled(samples):
+    """Each sample (the last axis of ``samples``) divided by the power of
+    two at its largest |value|, so that it lies in (-1, 1): exact, unless
+    the sample spans more than the double range; an inf or nan sample is
+    left as it is."""
+    _, k = np.frexp(np.max(np.abs(samples), axis=-1, keepdims=True))
+    return np.ldexp(samples, -k)
+
+
 def my_property_test(
     alg,
     p: float,
@@ -573,6 +578,13 @@ def my_property_test(
        and the marginal of U against fresh GIG draws with swapped
        parameters, by two-sample Kolmogorov-Smirnov tests on the trace and
        determinant functionals.
+
+    The dCor tests and the report's correlation matrix read each functional
+    sample divided by the power of two at its largest |value|.  That
+    division is exact and both statistics are scale-invariant, so they give
+    the bits of the unscaled sample wherever those are finite, and their
+    squared distances and products neither overflow nor underflow at any
+    scale a double holds.
 
     ``negative_control=True`` replaces Y with X plus cone noise, which makes
     U and V strongly dependent and must drive the permutation p-values below
@@ -612,7 +624,8 @@ def my_property_test(
     dcors, dcor_ps = [], []
     for name in DCOR_FUNCTIONALS:
         r, pv = stats.permutation_dcor_test(
-            mapped["u"][name], mapped["v"][name], n_permutations, rng_perm, subsample
+            _unit_scaled(mapped["u"][name]), _unit_scaled(mapped["v"][name]), n_permutations,
+            rng_perm, subsample,
         )
         dcors.append(r)
         dcor_ps.append(pv)
@@ -626,9 +639,9 @@ def my_property_test(
         ks_stats.append(s)
         ks_ps.append(pv)
 
-    corr = np.corrcoef(
+    corr = np.corrcoef(_unit_scaled(
         np.stack([mapped[side][name] for side in "uv" for name in DCOR_FUNCTIONALS])
-    )
+    ))
 
     inconclusive = any(bb.mcmc is not None and bb.mcmc.get("diverged")
                        for bb in batches.values())

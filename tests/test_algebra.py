@@ -849,6 +849,131 @@ def test_a_row_alone_gives_the_bits_it_gives_in_a_batch(alg):
     np.testing.assert_array_equal(ja.batch_inverse(alg, stacked), inv.reshape(stacked.shape))
 
 
+ROW_KERNELS = {
+    "jordan": ja.batch_jordan,
+    "quad_apply": ja.batch_quad_apply,
+    "det": lambda alg, a, b: ja.batch_det(alg, a),
+    "inverse": lambda alg, a, b: ja.batch_inverse(alg, a),
+    "sqrt": lambda alg, a, b: ja.batch_sqrt(alg, a),
+    "in_cone": lambda alg, a, b: ja.batch_in_cone(alg, a),
+    "lmap": lambda alg, a, b: ja.batch_lmap(alg, a),
+    "quad_rep": lambda alg, a, b: ja.batch_quad_rep(alg, a),
+}
+ROW_ALGEBRAS = ([ja.sym_real(r) for r in (1, 2, 3, 4)] + [ja.herm_complex(r) for r in (2, 3, 4)]
+                + [ja.lorentz(2), ja.lorentz(5)])
+ROW_IDS = [f"{a.kind.value}-rank{a.rank}-dim{a.dim}" for a in ROW_ALGEBRAS]
+
+
+def _warns_on_an_inf_row(alg, name):
+    """Whether a kernel warns 'invalid value' on a batch with an inf
+    coordinate: where a matrix product multiplies the inf by 0 (L(a)^2 and
+    L(a o a) subtract inf from inf at rank 1), or where the spin factor's
+    formulas form inf - inf or inf / inf."""
+    if alg.kind is ja.Kind.LORENTZ:
+        return name in {"jordan", "quad_apply", "inverse", "sqrt", "quad_rep"}
+    return name == "quad_rep" or (alg.rank > 1 and name in {"jordan", "quad_apply"})
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ROW_KERNELS))
+@pytest.mark.parametrize("alg", ROW_ALGEBRAS, ids=ROW_IDS)
+def test_every_batch_kernel_gives_a_row_alone_its_bits_in_a_batch(alg, name):
+    # the identity checks share one batch's results among trials, so a row
+    # must not see the rows around it, not even an inf or a nan one
+    kernel, n = ROW_KERNELS[name], 4000
+    rng = np.random.default_rng(26)
+    a, b = (ja.random_cone_points_banded(alg, rng, n) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = kernel(alg, a, b)
+        for i in rng.choice(n, 20, replace=False):
+            assert _bits(kernel(alg, a[i], b[i])) == _bits(batch[i]), i
+    # an inf diagonal or time coordinate, and a nan row
+    for bad, row, coords in ((np.inf, 100, 0), (np.nan, 2000, slice(None))):
+        a_bad, b_bad = a.copy(), b.copy()
+        a_bad[row, coords] = b_bad[row, coords] = bad
+        if name == "sqrt" and alg.kind is not ja.Kind.LORENTZ and alg.rank >= 3 and bad != bad:
+            with pytest.raises(np.linalg.LinAlgError):  # LAPACK refuses the whole batch
+                kernel(alg, a_bad, b_bad)
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = kernel(alg, a_bad, b_bad)
+        messages = {str(w.message) for w in caught}
+        if bad == np.inf and _warns_on_an_inf_row(alg, name):
+            assert all(m.startswith("invalid value") for m in messages), messages
+        else:
+            assert not messages
+        for i in (row - 1, row + 1):
+            assert _bits(got[i]) == _bits(batch[i]), (bad, i)
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(1), ja.sym_real(3), ja.herm_complex(2)],
+                         ids=["sym-real-rank1", "sym-real-rank3", "herm-complex-rank2"])
+def test_products_keep_a_diagonal_entry_in_the_top_binade(alg):
+    # x o x and P(x)e have the diagonal entry d^2 > 2^1023, which a sum of
+    # two copies before halving would overflow
+    d = 1.2e154
+    x = np.zeros(alg.dim)
+    x[0] = d
+    e = ja.identity(alg).coords
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for got in (ja.batch_jordan(alg, x, x), ja.batch_quad_apply(alg, x, e)):
+            assert got[0] == d * d and not got[1:].any()
+
+
+ACCURACY_ALGEBRAS = ([ja.sym_real(r) for r in (2, 3, 4, 5)]
+                     + [ja.herm_complex(r) for r in (2, 3, 4)])
+
+
+def _extended_matrices(alg, x):
+    """The matrices of coordinate rows ``x`` in extended precision, and the
+    column-major off-diagonal positions (i < j) in coordinate order."""
+    r, half = alg.rank, np.sqrt(np.longdouble(2.0)) / 2
+    rows, cols = zip(*[(i, j) for j in range(1, r) for i in range(j)])
+    x = x.astype(np.longdouble)
+    off = x[..., r::alg.peirce] * half
+    if alg.peirce == 2:
+        off = off + 1j * (x[..., r + 1::2] * half)
+    m = np.zeros(x.shape[:-1] + (r, r), dtype=np.clongdouble)
+    m[..., range(r), range(r)] = x[..., :r]
+    m[..., rows, cols] = off
+    m[..., cols, rows] = np.conj(off)
+    return m, rows, cols
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS / 2, reason="no extended precision")
+@pytest.mark.parametrize("alg", ACCURACY_ALGEBRAS,
+                         ids=[f"{a.kind.value}-rank{a.rank}" for a in ACCURACY_ALGEBRAS])
+def test_products_hold_to_a_few_eps_of_an_extended_precision_reference(alg):
+    rng = np.random.default_rng(2026)
+    x, y = (ja.random_cone_points_banded(alg, rng, 20000) for _ in range(2))
+    mx, rows, cols = _extended_matrices(alg, x)
+    my = _extended_matrices(alg, y)[0]
+    sqrt2 = np.sqrt(np.longdouble(2.0))
+
+    def coords(m):
+        """Coordinates of the Hermitian part of ``m``, in extended precision."""
+        h = (m + np.conj(np.swapaxes(m, -1, -2))) / 2
+        out = [h[..., i, i].real for i in range(alg.rank)]
+        for i, j in zip(rows, cols):
+            out.append(sqrt2 * h[..., i, j].real)
+            if alg.peirce == 2:
+                out.append(sqrt2 * h[..., i, j].imag)
+        return np.stack(out, axis=-1)
+
+    for got, want in ((ja.batch_jordan(alg, x, y), coords(mx @ my)),
+                      (ja.batch_quad_apply(alg, x, y), coords(mx @ my @ mx))):
+        err = (np.linalg.norm((got - want).astype(float), axis=-1)
+               / np.linalg.norm(want.astype(float), axis=-1))
+        assert np.quantile(err, 0.99) <= 2 * EPS and err.max() <= 4 * EPS, \
+            (np.quantile(err, 0.99) / EPS, err.max() / EPS)
+
+
 def _spin_image(x, off_scale=1.0 / np.sqrt(2.0)):
     """phi(d1, d2, s) = ((d1 + d2) / 2, (d1 - d2) / 2, s / sqrt 2), the Jordan
     isomorphism of a rank-2 matrix algebra onto the spin factor of its dim."""

@@ -56,6 +56,32 @@ def _capture_residuals(monkeypatch):
     return captured
 
 
+@pytest.mark.parametrize("alg", ALL_ALGEBRAS, ids=IDS)
+def test_jordan_axioms_report_matches_the_form_that_forms_x_o_y_three_times(alg):
+    n, seed, tol = 500, 11, 1e-10
+    rng = np.random.default_rng(seed)
+    x, y, z = (rng.standard_normal((n, alg.dim)) for _ in range(3))
+    e = ja.identity(alg).coords
+
+    def norms(a):
+        return np.sqrt(ja.batch_inner(alg, a, a))
+
+    def jp(a, b):
+        return ja.batch_jordan(alg, a, b)
+
+    nx, ny, nz = norms(x), norms(y), norms(z)
+    x2 = jp(x, x)
+    residuals = np.max(np.stack([
+        norms(jp(x, y) - jp(y, x)) / ((1.0 + nx) * (1.0 + ny)),
+        norms(jp(x, jp(x2, y)) - jp(x2, jp(x, y))) / ((1.0 + nx) ** 3 * (1.0 + ny)),
+        norms(jp(x, e) - x) / (1.0 + nx),
+        np.abs(ja.batch_inner(alg, x, jp(y, z)) - ja.batch_inner(alg, jp(x, y), z))
+        / ((1.0 + nx) * (1.0 + ny) * (1.0 + nz)),
+    ]), axis=0)
+    expected = ver._report("jordan-axioms", alg, residuals, tol, seed)
+    assert ver.check_jordan_axioms(alg, n=n, tol=tol, seed=seed).to_dict() == expected.to_dict()
+
+
 def test_det_operator_power_matches_per_trial_loop(monkeypatch):
     alg = ja.herm_complex(3)
     n = ver.BLOCK_TRIALS + 88  # more than one block
@@ -473,6 +499,23 @@ def test_my_property_dcor_p_values_are_pinned(rank, n, negative, dcor, p_values)
                                   subsample=400, negative_control=negative)
     assert report.dcor == dcor
     assert report.dcor_p_values == p_values
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alg", [A1, A2, ja.lorentz(2)], ids=["rank-1", "sym-real-2", "lorentz-3"])
+def test_my_property_statistics_are_the_same_at_every_power_of_two_scale(alg):
+    # (2^-k a, 2^k b) scales X and Y by 2^k and U and V by 2^-k, so every
+    # functional sample is scaled by a power of two; dCor and the correlation
+    # do not see that, while their squares would overflow or underflow at k = 300
+    e = ja.identity(alg).coords
+    reports = {}
+    for k in (0, 100, -100, 300, -300):
+        a, b = ja.Element(alg, np.ldexp(e, -k)), ja.Element(alg, np.ldexp(e, k))
+        report = ver.my_property_test(alg, 2.0, a, b, 300, seed=4, n_permutations=200,
+                                      subsample=200)
+        reports[k] = (report.dcor, report.dcor_p_values, report.ks_p_values,
+                      report.correlation_matrix)
+    assert all(stats == reports[0] for stats in reports.values())
 
 
 def test_p_value_uniformity_over_seeded_runs():
