@@ -30,12 +30,17 @@ multiplied out in real arithmetic: det is the product of the pivots, and
 the error of both stays within a small multiple of eps times the condition
 number.  The same pivots decide open-cone membership (Sylvester's
 criterion), with no LAPACK call.  Finite rows with a non-positive pivot
-lie off the open cone and take det and inverse from LAPACK's
-eigendecomposition, as every row takes its eigenvalues and square root;
-such a row with an inf or nan coordinate gives nan.  Determinants and
-inverses run on rows rescaled by a power of two and scale the result
-back, so an inverse holds from 1e-300 to 1e300 and a determinant outside
-the double range is inf or 0, never nan.  Banded cone points come from
+lie off the open cone and take det from their eigenvalues and the inverse
+from their eigendecomposition; such a row with an inf or nan coordinate
+gives nan.  The eigendecomposition behind the square root, the spectral
+decomposition and that inverse is one batched cyclic Jacobi routine at
+every rank, on the same coordinate-major entries, which leaves a row that
+has converged, and so a row alone or in any batch, with the same bits.
+The eigenvalues alone come from LAPACK's ``eigvalsh``.  Determinants,
+inverses and square roots run on rows rescaled by a power of two (an even
+one for the root) and scale the result back, so an inverse holds from
+1e-300 to 1e300 and a determinant outside the double range is inf or 0,
+never nan.  Banded cone points come from
 Gram-Schmidt, with no LAPACK call.  The matrix kinds' Jordan product is
 one matrix product P = XY, as x o y = (P + P*) / 2, and P(x)y is XYX; both
 run as real matrix products in each algebra's real form, herm-complex
@@ -59,6 +64,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = np.finfo(float).eps
 
 # Relative singularity cutoff: |eigenvalue| <= SINGULAR_RTOL * max|eig|.
 SINGULAR_RTOL = 1e-12
@@ -212,14 +218,17 @@ def _require_same(x: Element, y: Element) -> AlgebraDescriptor:
 # ---------------------------------------------------------------------------
 
 def _positive_sqrt(lam):
-    if np.min(lam) <= 0:
+    """sqrt(lam); NotInConeError if any eigenvalue is <= 0.  The nan
+    eigenvalues of a nan row neither raise nor hide another row's."""
+    if np.any(lam <= 0):
         raise NotInConeError("square root requires strictly positive eigenvalues")
     return np.sqrt(lam)
 
 
-def _pow2_rows(a):
+def _pow2_rows(a, even=False):
     """Rows of ``a`` divided by 2^k, with 2^k the power of two just above
-    their largest |coordinate|, and the exponents k.
+    their largest |coordinate|, and the exponents k; with ``even``, k is
+    rounded up to even, so that a square root scales back by 2^(k/2).
 
     Dividing by a power of two is exact, so a kernel homogeneous in its row
     that runs on the scaled rows and scales its result back gives the same
@@ -232,6 +241,8 @@ def _pow2_rows(a):
     for j in range(1, a.shape[-1]):
         top = np.maximum(top, np.abs(a[..., j]))
     _, k = np.frexp(top)  # inf and nan rows get k = 0
+    if even:
+        k += k & 1
     return np.ldexp(a, -k[..., None]), k
 
 
@@ -341,7 +352,8 @@ class _SpinFactor:
         a, b = np.broadcast_arrays(a, b)
         out = np.empty(a.shape)
         out[..., 0] = _row_sum(a * b)
-        out[..., 1:] = a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
+        with np.errstate(invalid="ignore"):  # inf - inf on a row with an inf coordinate
+            out[..., 1:] = a[..., :1] * b[..., 1:] + b[..., :1] * a[..., 1:]
         return out
 
     def inner(self, alg, a, b):
@@ -385,18 +397,21 @@ class _SpinFactor:
     def inverse(self, alg, a):
         s, k = _pow2_rows(a)
         out = np.concatenate([s[..., :1], -s[..., 1:]], axis=-1)
-        return np.ldexp(out / self.rank2_det(alg, s)[..., None], -k[..., None])
+        with np.errstate(invalid="ignore"):  # inf / inf on a row with an inf coordinate
+            return np.ldexp(out / self.rank2_det(alg, s)[..., None], -k[..., None])
 
     def quad_apply(self, alg, a, b):
         ab = self.jordan(alg, a, b)
-        return 2.0 * self.jordan(alg, a, ab) - self.jordan(alg, self.jordan(alg, a, a), b)
+        with np.errstate(invalid="ignore"):  # inf - inf on a row with an inf coordinate
+            return 2.0 * self.jordan(alg, a, ab) - self.jordan(alg, self.jordan(alg, a, a), b)
 
     def sqrt(self, alg, a):
-        lam, unit = _spin_unit(a)
-        s = _positive_sqrt(lam)
-        out = np.empty_like(a)
-        out[..., 0] = (s[..., 0] + s[..., 1]) / 2.0
-        out[..., 1:] = ((s[..., 0] - s[..., 1]) / 2.0)[..., None] * unit
+        with np.errstate(invalid="ignore"):  # inf - inf, inf / inf on a row with an inf coordinate
+            lam, unit = _spin_unit(a)
+            s = _positive_sqrt(lam)
+            out = np.empty_like(a)
+            out[..., 0] = (s[..., 0] + s[..., 1]) / 2.0
+            out[..., 1:] = ((s[..., 0] - s[..., 1]) / 2.0)[..., None] * unit
         return out
 
     def norm(self, alg, c) -> float:
@@ -456,6 +471,102 @@ def _entry_sub(z, pairs, conj=False):
     return z
 
 
+def _entry_conj(x):
+    """conj(x) of an entry as :func:`_entry_dot` takes it."""
+    return x if len(x) == 1 else (x[0], -x[1])
+
+
+# Cyclic Jacobi sweeps after which the loop stops, whether or not a row
+# still rotates.  On 4000 banded, P(c)-conditioned or Gaussian (indefinite)
+# rows the last rotation came in sweep 1 at rank 2, 4 at rank 3, 5 at rank 4
+# and 5 or 6 at rank 5, so the cap is twice what rank 5 needs
+_JACOBI_SWEEPS = 12
+
+
+def _jacobi(r, w, diag, up):
+    """Eigenvalues and eigenvectors of Hermitian r x r matrices by cyclic
+    Jacobi rotations, vectorised over the batch.
+
+    ``diag`` holds the r diagonal entries and ``up`` the entries (i, j),
+    i < j, as :func:`_entry_dot` takes them, with w real parts per entry:
+    coordinate-major arrays, as :meth:`_MatrixForm._eliminate` reads them.
+    Returns the eigenvalues, a list of r arrays in no set order, and the
+    eigenvector entries v[i, k], row i of eigenvector k, as entries.
+
+    Rotation (p, q) takes the phase u = a_pq / |a_pq| into column q and
+    then zeroes the entry by the real rotation of the smaller angle, t =
+    tan theta = sign(tau) / (|tau| + sqrt(1 + tau^2)) with tau = (a_qq -
+    a_pp) / (2 |a_pq|), which is 0 where tau^2 overflows.  A row is
+    rotated only while |a_pq| > eps sqrt|a_pp| sqrt|a_qq|, the relative
+    threshold with which Jacobi's eigenvalues of a positive definite matrix
+    hold, each relative to itself, to eps times the condition number of the
+    matrix scaled to unit diagonal, which can be far below its own (Demmel
+    & Veselic 1992).  A row that is not rotated keeps every entry, bit for
+    bit, so a row gives the same bits alone as inside a batch, where other
+    rows may rotate longer.  At rank 2 one rotation diagonalises a row; the
+    loop stops when a sweep rotates no row, or after ``_JACOBI_SWEEPS``
+    sweeps.  A nan row never rotates, and a row with an inf entry comes
+    back non-finite.  Every step is elementwise, so the caller sets the
+    floating-point error state: the rows that do not rotate divide by 0.
+    """
+    shape = np.shape(diag[0])
+    vec = {(i, k): (np.full(shape, float(i == k)),) + (np.zeros(shape),) * (w - 1)
+           for i in range(r) for k in range(r)}
+
+    def entry(i, j):
+        return up[i, j] if i < j else _entry_conj(up[j, i])
+
+    def store(i, j, x):
+        if i < j:
+            up[i, j] = x
+        else:
+            up[j, i] = _entry_conj(x)
+
+    for _ in range(_JACOBI_SWEEPS):
+        moved = False
+        for p, q in zip(*_offdiag_pairs(r)):
+            apq = up[p, q]
+            size = np.abs(apq[0]) if w == 1 else np.sqrt(_entry_dot(apq, apq))
+            rotate = size > _EPS * np.sqrt(np.abs(diag[p])) * np.sqrt(np.abs(diag[q]))
+            if not rotate.any():
+                continue
+            moved = True
+            every = rotate.all()
+
+            def keep(new, old):
+                """``new`` on the rotated rows, ``old`` on the others."""
+                if every:
+                    return new
+                return tuple(np.where(rotate, a, b) for a, b in zip(new, old))
+
+            tau = (diag[q] - diag[p]) / (2.0 * size)
+            t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau)
+            cos = 1.0 / np.sqrt(1.0 + t * t)
+            sin = t * cos
+            phase = _entry_conj(tuple(x / size for x in apq))
+
+            def turn(xp, xq):
+                """x_kp' = cos x_kp - sin y and x_kq' = sin x_kp + cos y,
+                with y = conj(u) x_kq, on row k of the matrix or of the
+                eigenvectors."""
+                y = _entry_mul(phase, xq)
+                return (keep(tuple(cos * a - sin * b for a, b in zip(xp, y)), xp),
+                        keep(tuple(sin * a + cos * b for a, b in zip(xp, y)), xq))
+
+            for k in range(r):
+                if k not in (p, q):
+                    new_p, new_q = turn(entry(k, p), entry(k, q))
+                    store(k, p, new_p)
+                    store(k, q, new_q)
+                vec[k, p], vec[k, q] = turn(vec[k, p], vec[k, q])
+            shift = t * size
+            diag[p], diag[q] = keep((diag[p] - shift, diag[q] + shift), (diag[p], diag[q]))
+            up[p, q] = keep((np.zeros(shape),) * w, apq)
+        if not moved:
+            break
+    return diag, vec
+
+
 class _MatrixForm:
     """Kernels of the Hermitian r x r matrices over ``field`` (float or
     complex).  A complex off-diagonal entry takes two coordinates, real part
@@ -469,18 +580,20 @@ class _MatrixForm:
     open cone every pivot is positive and the elimination is backward
     stable, so the error of both is within a small multiple of eps times
     the condition number.  A finite row with a non-positive pivot takes
-    both from the eigendecomposition that the square root uses: det is the
-    product of the eigenvalues, the inverse U diag(1/w) U*; a non-finite
-    one gives nan.  Both run on rows rescaled
-    by :func:`_pow2_rows` and scale the result back, so an inverse holds
-    from 1e-300 to 1e300 and a determinant outside the double range is inf
-    or 0.  An exactly singular row gives det 0 and a non-finite inverse
-    row, as on the spin factor.  Open-cone membership reads the same pivots
-    (:meth:`in_cone`).  The eigenvalues, the square root, the spectral
-    decomposition and det and inverse off the open cone come from LAPACK,
-    on the complex matrices, where the real form's eigendecomposition would
-    be twice the size.  The Jordan product and P(x)y are real matrix
-    products in the real form (:func:`_real_form`).
+    det from its eigenvalues and the inverse U diag(1/w) U* from the
+    eigendecomposition that the square root uses; a non-finite one gives
+    nan.  Both run on rows rescaled by :func:`_pow2_rows` and scale the
+    result back, so an inverse holds from 1e-300 to 1e300 and a
+    determinant outside the double range is inf or 0.  An exactly singular
+    row gives det 0 and a non-finite inverse row, as on the spin factor.
+    Open-cone membership reads the same pivots (:meth:`in_cone`).
+
+    The square root, the spectral decomposition and the inverse off the
+    open cone take their eigenvectors from :func:`_jacobi`, cyclic Jacobi
+    rotations on the entries that the elimination reads, at every rank.
+    The eigenvalues alone come from LAPACK (:meth:`eigenvalues`).  The
+    Jordan product and P(x)y are real matrix products in the real form
+    (:func:`_real_form`).
     """
 
     def __init__(self, field, make):
@@ -539,13 +652,24 @@ class _MatrixForm:
         """x o y = (P + P*) / 2 with P = XY, as YX = (XY)* for Hermitian X
         and Y: one real matrix product in the real form (:func:`_real_form`)."""
         form = _real_form(alg)
-        return form.read(form.embed(a) @ form.embed(b))
+        with np.errstate(invalid="ignore"):  # inf times 0 on a row with an inf coordinate
+            return form.read(form.embed(a) @ form.embed(b))
 
     def inner(self, alg, a, b):
         return _row_sum(a * b)
 
     def trace(self, alg, a):
         return _row_sum(a[..., : alg.rank])
+
+    def _entries(self, alg, s):
+        """The diagonal entries, a list, and the upper entries (i, j), a dict,
+        of the matrices of rows ``s``, as coordinate-major arrays; each upper
+        entry is a tuple as :func:`_entry_dot` takes it."""
+        r, w, c = alg.rank, alg.peirce, np.moveaxis(s, -1, 0)
+        # an off-diagonal entry has w coordinates, each sqrt 2 times its part
+        off = [x / _SQRT2 for x in c[r:]]
+        return list(c[:r]), {ij: tuple(off[w * n:w * n + w])
+                             for n, ij in enumerate(zip(*_offdiag_pairs(r)))}
 
     def _eliminate(self, alg, s):
         """The pivots and the upper entries of L* of rows ``s``.
@@ -557,10 +681,8 @@ class _MatrixForm:
         below.  The upper entries (i, j) of L* come as :func:`_entry_dot`
         takes them.  The caller sets the floating-point error state.
         """
-        r, w, c = alg.rank, alg.peirce, np.moveaxis(s, -1, 0)  # c: coordinate-major
-        # an off-diagonal entry has w coordinates, each sqrt 2 times its part
-        piv, off = list(c[:r]), [x / _SQRT2 for x in c[r:]]
-        up = {ij: tuple(off[w * n:w * n + w]) for n, ij in enumerate(zip(*_offdiag_pairs(r)))}
+        r = alg.rank
+        piv, up = self._entries(alg, s)
         for i in range(r):
             for j in range(i + 1, r):
                 lt = tuple(x / piv[i] for x in up[i, j])
@@ -578,9 +700,8 @@ class _MatrixForm:
         criterion), where this elimination is backward stable.  A finite row
         with a non-positive pivot takes ``from_eigh`` of its rescaled row
         instead.  A row with an inf or nan coordinate is outside, as in
-        :meth:`in_cone`, and has no eigendecomposition (LAPACK raises on an
-        inf matrix), so such a row with a non-positive pivot gives nan; a
-        nan row keeps its nan result.
+        :meth:`in_cone`, and such a row with a non-positive pivot gives nan;
+        a nan row keeps its nan result.
         """
         s, k = _pow2_rows(a)
         with np.errstate(divide="ignore", invalid="ignore"):  # on rows replaced below
@@ -655,7 +776,19 @@ class _MatrixForm:
         return det
 
     def eigenvalues(self, alg, a):
-        return np.linalg.eigvalsh(self.to_matrices(alg, a))[..., ::-1]
+        """Eigenvalues of rows ``a``, descending, from LAPACK's ``eigvalsh``
+        on the finite rows; a row with an inf or nan coordinate gives nan,
+        and LAPACK, which refuses a whole batch on one such row, never sees
+        it.  The eigenvalues keep LAPACK, not :func:`_jacobi`: their one
+        hot caller, the Metropolis target at rank >= 3, runs 50-100 rows a
+        call, where LAPACK's per-matrix loop is several times faster than
+        the sweeps' fixed cost per numpy call."""
+        if np.isfinite(a).all():  # that caller's case, without the copies below
+            return np.linalg.eigvalsh(self.to_matrices(alg, a))[..., ::-1]
+        out = np.full(a.shape[:-1] + (alg.rank,), np.nan)
+        finite = np.isfinite(a).all(axis=-1)
+        out[finite] = np.linalg.eigvalsh(self.to_matrices(alg, a[finite]))[..., ::-1]
+        return out
 
     def inverse(self, alg, a):
         out, k = self._ldl(alg, a, lambda piv, up: self._ldl_inverse(alg, piv, up),
@@ -665,28 +798,56 @@ class _MatrixForm:
     def quad_apply(self, alg, a, b):
         """P(x)y = XYX: two real matrix products in the real form."""
         form = _real_form(alg)
-        ea = form.embed(a)
-        return form.read(ea @ form.embed(b) @ ea)
+        with np.errstate(invalid="ignore"):  # inf times 0 on a row with an inf coordinate
+            ea = form.embed(a)
+            return form.read(ea @ form.embed(b) @ ea)
 
-    def _spectral_map(self, alg, a, f):
+    def _eigen(self, alg, s):
+        """The eigenvalues and eigenvectors of rows ``s``, rescaled by
+        :func:`_pow2_rows`, from :func:`_jacobi`."""
+        with np.errstate(all="ignore"):  # tau^2 may overflow, to t = 0; see _jacobi
+            return _jacobi(alg.rank, alg.peirce, *self._entries(alg, s))
+
+    def _outer_sum(self, alg, weights, vec):
+        """Coordinates of U diag(weights) U*, with ``vec`` the entries of U
+        as :func:`_jacobi` gives them and ``weights`` a list of r arrays."""
+        r = alg.rank
+        with np.errstate(invalid="ignore"):  # inf times 0 on a row with an inf eigenvalue
+            scaled = {(i, k): tuple(weights[k] * x for x in vec[i, k])
+                      for i in range(r) for k in range(r)}
+            coords = [reduce(np.add, [_entry_dot(scaled[i, k], vec[i, k]) for k in range(r)])
+                      for i in range(r)]
+            for i, j in zip(*_offdiag_pairs(r)):
+                terms = [_entry_mul(scaled[i, k], vec[j, k], conj=True) for k in range(r)]
+                coords += [_SQRT2 * reduce(np.add, part) for part in zip(*terms)]
+        return np.stack(coords, axis=-1)
+
+    def _spectral_map(self, alg, s, f):
         """Coordinates of U f(w) U*, with U diag(w) U* the eigendecomposition
-        of rows ``a``."""
-        w, u = np.linalg.eigh(self.to_matrices(alg, a))
-        return self.from_matrices(alg, (u * f(w)[..., None, :]) @ u.conj().swapaxes(-1, -2))
+        (:meth:`_eigen`) of rows ``s``, rescaled by :func:`_pow2_rows`; f
+        maps the eigenvalues, an array (..., r), elementwise."""
+        w, v = self._eigen(alg, s)
+        fw = f(np.stack(w, axis=-1))
+        return self._outer_sum(alg, [fw[..., k] for k in range(alg.rank)], v)
 
     def sqrt(self, alg, a):
-        return self._spectral_map(alg, a, _positive_sqrt)
+        """U sqrt(w) U* on rows rescaled by an even power of two, 4^m, and
+        scaled back by 2^m, so that sqrt(4^m x) = 2^m sqrt(x) bit for bit."""
+        s, k = _pow2_rows(a, even=True)
+        return np.ldexp(self._spectral_map(alg, s, _positive_sqrt), (k // 2)[..., None])
 
     def norm(self, alg, c) -> float:
         return math.hypot(*c)
 
     def spectral(self, alg, c):
-        """Eigenvalues and idempotent coordinates of one element; repeated
-        eigenvalues yield an arbitrary orthonormal completion."""
-        w, u = np.linalg.eigh(self.to_matrices(alg, c))
-        order = np.argsort(w)[::-1]
-        return w[order], [self.from_matrices(alg, np.outer(u[:, k], u[:, k].conj()))
-                          for k in order]
+        """Eigenvalues and idempotent coordinates of one element, from
+        :meth:`_eigen` of its rescaled row; repeated eigenvalues yield an
+        arbitrary orthonormal completion."""
+        s, k = _pow2_rows(c)
+        w, v = self._eigen(alg, s)
+        lam = np.ldexp(np.stack(w), k)
+        order = np.argsort(lam)[::-1]
+        return lam[order], [self._outer_sum(alg, np.eye(alg.rank)[j], v) for j in order]
 
     def banded(self, alg, rng, n, lo, hi):
         """lam_r e + sum_{j<r} (lam_j - lam_r) q_j q_j*, with q_j the columns
@@ -804,7 +965,9 @@ def batch_det(alg: AlgebraDescriptor, a) -> np.ndarray:
 
 
 def batch_eigenvalues(alg: AlgebraDescriptor, a) -> np.ndarray:
-    """Spectral eigenvalues, sorted descending, shape (..., rank)."""
+    """Spectral eigenvalues, sorted descending, shape (..., rank); on the
+    matrix kinds from LAPACK's ``eigvalsh``, with nan for a row with an
+    inf or nan coordinate."""
     return _KERNELS[alg.kind].eigenvalues(alg, np.asarray(a, dtype=float))
 
 
@@ -914,11 +1077,14 @@ def batch_quad_rep(alg: AlgebraDescriptor, a) -> np.ndarray:
     """Quadratic representations P(a) = 2 L(a)^2 - L(a o a), shape (..., dim, dim)."""
     la = batch_lmap(alg, a)
     laa = batch_lmap(alg, batch_jordan(alg, a, a))
-    return 2.0 * la @ la - laa
+    with np.errstate(invalid="ignore"):  # inf times 0, inf - inf on a row with an inf coordinate
+        return 2.0 * la @ la - laa
 
 
 def batch_sqrt(alg: AlgebraDescriptor, a) -> np.ndarray:
-    """Spectral square root; raises NotInConeError off the open cone."""
+    """Spectral square root, on the matrix kinds from batched Jacobi
+    rotations (:func:`_jacobi`); raises NotInConeError when an eigenvalue
+    of a row is not positive.  An inf or nan row gives a non-finite row."""
     return _KERNELS[alg.kind].sqrt(alg, np.asarray(a, dtype=float))
 
 
@@ -1065,8 +1231,9 @@ def spectral_decomposition(x: Element) -> SpectralDecomposition:
 
     The Lorentz family uses the closed form; when the spatial part vanishes
     any orthogonal idempotent pair is valid and the canonical pair built
-    from the first spatial axis is returned.  Repeated eigenvalues in the
-    matrix families yield an arbitrary orthonormal completion.
+    from the first spatial axis is returned.  The matrix families take
+    eigenvalues and idempotents from Jacobi rotations (:func:`_jacobi`);
+    repeated eigenvalues yield an arbitrary orthonormal completion.
     """
     lam, idems = _KERNELS[x.algebra.kind].spectral(x.algebra, x.coords)
     return SpectralDecomposition(lam, [Element(x.algebra, c) for c in idems])

@@ -28,6 +28,7 @@ bit.  The CLI takes its defaults from the signatures here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
@@ -513,8 +514,16 @@ def density_factorization_check(
     of U ~ GIG(-p, b, a) at x and V ~ W(p, b) at y against the
     Jacobian-weighted densities of X ~ GIG(-p, a, b) and Y ~ W(p, a) at the
     mapped pair (u, v) = psi(x, y), which the involutive map sends back to
-    (x, y); the difference must be the same constant everywhere, so the
-    residual per pair is the deviation from the batch mean.
+    (x, y); the difference must be the same constant everywhere.  The
+    residual per pair is the deviation of the difference from its batch
+    mean, divided by max(1, |lhs| + |rhs|) of that pair: relative to the
+    log densities, which grow as <a, x>, once they pass 1, and absolute
+    below, so it reads rounding at every scale of a and b.  When every
+    coordinate of a and b is below 1/2, the pairs are the shared banded
+    ones times the power of two 2^k just above 1 / max |coordinate|, and
+    their dets, inverses and images scale exactly with them; otherwise the
+    terms in a and b, on which the negative control acts, would fall below
+    the rounding of the log dets at unit points.
     ``negative_control=True`` swaps a and b on the left side only, which
     must destroy constancy.  The log densities and the log Jacobian are the
     library's own formulas (the private cores of
@@ -525,17 +534,24 @@ def density_factorization_check(
     """
     require_density_range(p, alg)
     pts = _cone_pairs(alg, n, seed)
-    u, v = pts.psi
-    log_det_x = np.log(pts.det_x)
     ac, bc = a.coords, b.coords
+    k = max(0, -int(np.frexp(max(np.max(np.abs(ac)), np.max(np.abs(bc))))[1]))
+    shift = alg.rank * k * math.log(2.0)  # log det of 2^k e
+
+    def moved(z, sign):
+        """z times 2^(sign k), exactly: x and y move up, u and v down."""
+        return np.ldexp(z, sign * k) if k else z
+
+    u, v = (moved(w, -1) for w in pts.psi)
+    x, log_det_x = moved(pts.x, 1), np.log(pts.det_x) + shift
     left_a, left_b = (bc, ac) if negative_control else (ac, bc)
-    lhs = (_gig_log_unnorm(alg, -p, left_b, left_a, pts.x, log_det_x, pts.inv_x)
-           + _wishart_log_unnorm(alg, p, left_b, pts.y, np.log(pts.det_y)))
-    rhs = (_log_jacobian_det(alg, log_det_x, np.log(pts.det_sum))
-           + _gig_log_unnorm(alg, -p, ac, bc, u, np.log(pts.det_u), pts.inv_u)
-           + _wishart_log_unnorm(alg, p, ac, v, np.log(pts.det_v)))
+    lhs = (_gig_log_unnorm(alg, -p, left_b, left_a, x, log_det_x, moved(pts.inv_x, -1))
+           + _wishart_log_unnorm(alg, p, left_b, moved(pts.y, 1), np.log(pts.det_y) + shift))
+    rhs = (_log_jacobian_det(alg, log_det_x, np.log(pts.det_sum) + shift)
+           + _gig_log_unnorm(alg, -p, ac, bc, u, np.log(pts.det_u) - shift, moved(pts.inv_u, 1))
+           + _wishart_log_unnorm(alg, p, ac, v, np.log(pts.det_v) - shift))
     diff = lhs - rhs
-    residuals = np.abs(diff - diff.mean())
+    residuals = np.abs(diff - diff.mean()) / np.maximum(1.0, np.abs(lhs) + np.abs(rhs))
     return _report("density-factorization", alg, residuals, tol, seed)
 
 

@@ -387,6 +387,25 @@ def test_density_factorization_negative_control():
     assert report.max_residual > 1e-3
 
 
+@pytest.mark.parametrize("alg", [A1, A2, ja.herm_complex(3), ja.lorentz(3)],
+                         ids=["sym-real-1", "sym-real-2", "herm-complex-3", "lorentz-4"])
+def test_density_factorization_holds_and_its_control_fails_at_every_scale(alg):
+    # a = s e and b = s c with c banded, c != e: with a = b the control's
+    # swap of a and b changes nothing, so it could not fail.  The absolute
+    # residual failed the check from s = 1e6 on; at unit points, with s
+    # below about 1e-10, the terms in a and b fell below the rounding of
+    # the log dets and the control passed
+    c = ja.random_cone_points_banded(alg, np.random.default_rng(30), 1)[0]
+    e, p = ja.identity(alg).coords, alg.dim_over_rank
+    for s in 10.0 ** np.arange(-150, 151, 25):
+        a, b = ja.Element(alg, s * e), ja.Element(alg, s * c)
+        report = ver.density_factorization_check(alg, p, a, b, n=200, seed=31)
+        assert report.passed, (s, report.max_residual)
+        control = ver.density_factorization_check(alg, p, a, b, n=200, seed=31,
+                                                  negative_control=True)
+        assert not control.passed and control.max_residual > 1e-5, (s, control.max_residual)
+
+
 def test_density_factorization_identity_point_is_finite():
     # evaluate both log sides at u = v = e directly: all terms finite
     from symcone.distributions import GigParams, gig_log_density_unnorm
