@@ -31,23 +31,22 @@ the error of both stays within a small multiple of eps times the condition
 number.  The same pivots decide open-cone membership (Sylvester's
 criterion), with no LAPACK call.  Finite rows with a non-positive pivot
 lie off the open cone and take det from their eigenvalues and the inverse
-from their eigendecomposition; such a row with an inf or nan coordinate
-gives nan.  The eigendecomposition behind the square root, the spectral
-decomposition and that inverse is one batched cyclic Jacobi routine at
-every rank, on the same coordinate-major entries, which leaves a row that
-has converged, and so a row alone or in any batch, with the same bits.
-The eigenvalues alone come from LAPACK's ``eigvalsh``.  Determinants,
-inverses and square roots run on rows rescaled by a power of two (an even
-one for the root) and scale the result back, so an inverse holds from
-1e-300 to 1e300 and a determinant outside the double range is inf or 0,
-never nan.  Banded cone points come from
-Gram-Schmidt, with no LAPACK call.  The matrix kinds' Jordan product is
-one matrix product P = XY, as x o y = (P + P*) / 2, and P(x)y is XYX; both
-run as real matrix products in each algebra's real form, herm-complex
-through its real 2r x 2r embedding, where numpy's stacked complex product
-takes several times longer.  The multiplication operators L(a) are
-contracted from each algebra's structure tensor, the operators of its
-basis elements.
+from their eigendecomposition; a row with an inf or nan coordinate gives
+nan.  The eigenvalues and the eigendecomposition behind the square root,
+the spectral decomposition and that inverse come from one batched cyclic
+Jacobi routine at every rank, on the same coordinate-major entries, which
+leaves a row that has converged, and so a row alone or in any batch, with
+the same bits.  Eigenvalues, determinants, inverses and square roots run
+on rows rescaled by a power of two (an even one for the root) and scale
+the result back, so an inverse holds from 1e-300 to 1e300 and the
+determinant of a finite row outside the double range is inf or 0, never
+nan.  Banded cone points come from Gram-Schmidt, with no LAPACK call.
+The matrix kinds' Jordan product is one matrix product P = XY, as x o y =
+(P + P*) / 2, and P(x)y is XYX; both run as real matrix products in each
+algebra's real form, herm-complex through its real 2r x 2r embedding,
+where numpy's stacked complex product takes several times longer.  The
+multiplication operators L(a) are contracted from each algebra's
+structure tensor, the operators of its basis elements.
 
 All functions are pure.  The ``batch_*`` variants accept coordinate arrays
 with arbitrary leading axes and operate elementwise over them; the
@@ -567,6 +566,14 @@ def _jacobi(r, w, diag, up):
     return diag, vec
 
 
+def _inside(piv):
+    """Whether every pivot (:meth:`_MatrixForm._eliminate`) of a row is
+    positive and finite: the open-cone test of :meth:`_MatrixForm.in_cone`,
+    which :meth:`_MatrixForm._ldl` shares.  A nan pivot, as one past a zero
+    pivot may be, is neither, so its row is outside."""
+    return reduce(np.logical_and, [(p > 0) & (p < np.inf) for p in piv])
+
+
 class _MatrixForm:
     """Kernels of the Hermitian r x r matrices over ``field`` (float or
     complex).  A complex off-diagonal entry takes two coordinates, real part
@@ -581,18 +588,17 @@ class _MatrixForm:
     stable, so the error of both is within a small multiple of eps times
     the condition number.  A finite row with a non-positive pivot takes
     det from its eigenvalues and the inverse U diag(1/w) U* from the
-    eigendecomposition that the square root uses; a non-finite one gives
-    nan.  Both run on rows rescaled by :func:`_pow2_rows` and scale the
-    result back, so an inverse holds from 1e-300 to 1e300 and a
-    determinant outside the double range is inf or 0.  An exactly singular
-    row gives det 0 and a non-finite inverse row, as on the spin factor.
-    Open-cone membership reads the same pivots (:meth:`in_cone`).
+    eigendecomposition that the square root uses; a row with an inf or nan
+    coordinate gives nan.  Both run on rows rescaled by :func:`_pow2_rows`
+    and scale the result back, so an inverse holds from 1e-300 to 1e300
+    and a determinant outside the double range is inf or 0.  An exactly
+    singular row gives det 0 and a non-finite inverse row, as on the spin
+    factor.  Open-cone membership reads the same pivots (:meth:`in_cone`).
 
-    The square root, the spectral decomposition and the inverse off the
-    open cone take their eigenvectors from :func:`_jacobi`, cyclic Jacobi
+    The eigenvalues, the square root, the spectral decomposition and the
+    inverse off the open cone come from :func:`_jacobi`, cyclic Jacobi
     rotations on the entries that the elimination reads, at every rank.
-    The eigenvalues alone come from LAPACK (:meth:`eigenvalues`).  The
-    Jordan product and P(x)y are real matrix products in the real form
+    The Jordan product and P(x)y are real matrix products in the real form
     (:func:`_real_form`).
     """
 
@@ -692,27 +698,26 @@ class _MatrixForm:
                 up[i, j] = lt
         return piv, up
 
-    def _ldl(self, alg, a, from_ldl, from_eigh):
+    def _ldl(self, alg, a, from_ldl, from_eigen):
         """``from_ldl`` of the pivots and the factor (:meth:`_eliminate`) of
         rows ``a`` rescaled by :func:`_pow2_rows`, and the exponents.
 
         The pivots are all positive exactly on the open cone (Sylvester's
-        criterion), where this elimination is backward stable.  A finite row
-        with a non-positive pivot takes ``from_eigh`` of its rescaled row
-        instead.  A row with an inf or nan coordinate is outside, as in
-        :meth:`in_cone`, and such a row with a non-positive pivot gives nan;
-        a nan row keeps its nan result.
+        criterion), where this elimination is backward stable.  A row
+        outside, by the test of :meth:`in_cone` (:func:`_inside`), takes
+        ``from_eigen`` of its rescaled row instead if it is finite, and nan
+        if it has an inf or nan coordinate.
         """
         s, k = _pow2_rows(a)
         with np.errstate(divide="ignore", invalid="ignore"):  # on rows replaced below
             piv, up = self._eliminate(alg, s)
             out = np.asarray(from_ldl(piv, up))  # one row gives a numpy scalar
-        outside = reduce(np.fmin, piv) <= 0  # fmin: a pivot past a zero one may be nan
+        outside = ~_inside(piv)
         if outside.any():
             finite = np.isfinite(s).all(axis=-1)
             out[outside & ~finite] = np.nan  # out may be a view of s: read s first
             outside &= finite
-            out[outside] = from_eigh(s[outside])
+            out[outside] = from_eigen(s[outside])
         return out, k
 
     def in_cone(self, alg, a):
@@ -728,11 +733,7 @@ class _MatrixForm:
         outside, as is a nan row.
         """
         with np.errstate(all="ignore"):  # a row off the cone may overflow or divide by 0
-            piv, _ = self._eliminate(alg, _pow2_rows(a)[0])
-            inside = (piv[0] > 0) & (piv[0] < np.inf)
-            for p in piv[1:]:
-                inside &= (p > 0) & (p < np.inf)
-        return inside
+            return _inside(self._eliminate(alg, _pow2_rows(a)[0])[0])
 
     def _ldl_inverse(self, alg, piv, up):
         """Coordinates of s^-1 = M* D^-1 M, with M = L^-1, from the pivots
@@ -776,19 +777,7 @@ class _MatrixForm:
         return det
 
     def eigenvalues(self, alg, a):
-        """Eigenvalues of rows ``a``, descending, from LAPACK's ``eigvalsh``
-        on the finite rows; a row with an inf or nan coordinate gives nan,
-        and LAPACK, which refuses a whole batch on one such row, never sees
-        it.  The eigenvalues keep LAPACK, not :func:`_jacobi`: their one
-        hot caller, the Metropolis target at rank >= 3, runs 50-100 rows a
-        call, where LAPACK's per-matrix loop is several times faster than
-        the sweeps' fixed cost per numpy call."""
-        if np.isfinite(a).all():  # that caller's case, without the copies below
-            return np.linalg.eigvalsh(self.to_matrices(alg, a))[..., ::-1]
-        out = np.full(a.shape[:-1] + (alg.rank,), np.nan)
-        finite = np.isfinite(a).all(axis=-1)
-        out[finite] = np.linalg.eigvalsh(self.to_matrices(alg, a[finite]))[..., ::-1]
-        return out
+        return self._sorted_eigen(alg, a)[0]
 
     def inverse(self, alg, a):
         out, k = self._ldl(alg, a, lambda piv, up: self._ldl_inverse(alg, piv, up),
@@ -807,6 +796,17 @@ class _MatrixForm:
         :func:`_pow2_rows`, from :func:`_jacobi`."""
         with np.errstate(all="ignore"):  # tau^2 may overflow, to t = 0; see _jacobi
             return _jacobi(alg.rank, alg.peirce, *self._entries(alg, s))
+
+    def _sorted_eigen(self, alg, a):
+        """The eigenvalues of rows ``a``, descending, an array (..., r); per
+        row, the indices that put :meth:`_eigen`'s list of them in that
+        order; and its eigenvectors.  :meth:`_eigen` runs on the rows
+        rescaled by :func:`_pow2_rows`, and the eigenvalues are scaled back."""
+        s, k = _pow2_rows(a)
+        w, vec = self._eigen(alg, s)
+        w = np.stack(w, axis=-1)
+        order = np.argsort(w, axis=-1)[..., ::-1]
+        return np.ldexp(np.take_along_axis(w, order, axis=-1), k[..., None]), order, vec
 
     def _outer_sum(self, alg, weights, vec):
         """Coordinates of U diag(weights) U*, with ``vec`` the entries of U
@@ -841,13 +841,10 @@ class _MatrixForm:
 
     def spectral(self, alg, c):
         """Eigenvalues and idempotent coordinates of one element, from
-        :meth:`_eigen` of its rescaled row; repeated eigenvalues yield an
-        arbitrary orthonormal completion."""
-        s, k = _pow2_rows(c)
-        w, v = self._eigen(alg, s)
-        lam = np.ldexp(np.stack(w), k)
-        order = np.argsort(lam)[::-1]
-        return lam[order], [self._outer_sum(alg, np.eye(alg.rank)[j], v) for j in order]
+        :meth:`_sorted_eigen`; repeated eigenvalues yield an arbitrary
+        orthonormal completion."""
+        lam, order, vec = self._sorted_eigen(alg, c)
+        return lam, [self._outer_sum(alg, np.eye(alg.rank)[j], vec) for j in order]
 
     def banded(self, alg, rng, n, lo, hi):
         """lam_r e + sum_{j<r} (lam_j - lam_r) q_j q_j*, with q_j the columns
@@ -966,8 +963,8 @@ def batch_det(alg: AlgebraDescriptor, a) -> np.ndarray:
 
 def batch_eigenvalues(alg: AlgebraDescriptor, a) -> np.ndarray:
     """Spectral eigenvalues, sorted descending, shape (..., rank); on the
-    matrix kinds from LAPACK's ``eigvalsh``, with nan for a row with an
-    inf or nan coordinate."""
+    matrix kinds from batched Jacobi rotations (:func:`_jacobi`).  A row
+    with an inf or nan coordinate gives a non-finite row."""
     return _KERNELS[alg.kind].eigenvalues(alg, np.asarray(a, dtype=float))
 
 

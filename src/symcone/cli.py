@@ -67,7 +67,6 @@ from .algebra import (
     Element,
     Kind,
     NotInConeError,
-    SingularElementError,
     descriptor_of_kind,
     from_matrix,
     identity,
@@ -392,13 +391,13 @@ def _failure_tolerance(cfg: RunConfig, tol_of) -> float:
 
 
 def _dispatch_reports(cfg: RunConfig, alg: AlgebraDescriptor) -> list:
-    """Reports of the run's checks.  A check that leaves the cone or meets a
-    singular element (inside ``suite`` also one below the density range)
-    gives one failure report, named after it and carrying the run's algebra
-    and the tolerance the check would have used, and the other checks still
-    run; alone, a shape below the range raises."""
+    """Reports of the run's checks.  A check that leaves the cone (inside
+    ``suite`` also one below the density range) gives one failure report,
+    named after it and carrying the run's algebra and the tolerance the
+    check would have used, and the other checks still run; alone, a shape
+    below the range raises."""
     suite = cfg.command == ("suite",)
-    errors = (NotInConeError, SingularElementError) + ((ShapeOutOfRangeError,) if suite else ())
+    errors = (NotInConeError,) + ((ShapeOutOfRangeError,) if suite else ())
     kw = {"n": cfg.trials, "seed": cfg.seed, **({} if cfg.tol is None else {"tol": cfg.tol})}
     reports = []
     for command in [c for c in _CHECKS if c[0] == "check"] if suite else [cfg.command]:

@@ -7,7 +7,7 @@ that needs it calls.  The unnormalized Wishart and GIG log densities are
 written once, as :func:`batch_wishart_log_unnorm` and
 :func:`batch_gig_log_unnorm` over stacked points; the element-level
 densities add their cone checks and normalizers to them, and the
-Metropolis target above rank 2 evaluates their cores.  (At rank 2 the
+Metropolis target above rank 2 calls them.  (At rank 2 the
 target keeps its own closed form, whose bits the seeded chains depend
 on.)  Sampling uses the fastest exact route available for each family:
 
@@ -29,8 +29,9 @@ on.)  Sampling uses the fastest exact route available for each family:
   for all of them; a chain's acceptance uniforms are drawn per block of
   steps.  At rank 2 the target is evaluated in closed form (every rank-2
   algebra is a spin factor, so the log density needs only tr x, det x and
-  two inner products); higher ranks take the eigenvalues from LAPACK and
-  the inverse from the kernel table at every step.  :func:`_metropolis_cone`
+  two inner products); higher ranks take cone membership from the L D L*
+  pivots and the target from :func:`batch_wishart_log_unnorm` and
+  :func:`batch_gig_log_unnorm` at every step.  :func:`_metropolis_cone`
   describes the step loop.
 
 The rank-1 GIG sampler, its quadrature CDF and every Metropolis chain work
@@ -70,7 +71,6 @@ from .algebra import (
     _coordinate_sum,
     _require_same,
     batch_det,
-    batch_eigenvalues,
     batch_in_cone,
     batch_inner,
     batch_inverse,
@@ -728,11 +728,10 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok)
     uniform.  A law's product is the one it would form alone, so its target
     keeps its bits whichever laws share the call.
 
-    Higher ranks take the eigenvalues from LAPACK and the inverse from the
-    kernel table (:func:`batch_inverse`), on a (chains, dim) copy of x, and
-    evaluate the library's density cores :func:`_wishart_log_unnorm` and
-    :func:`_gig_log_unnorm` on the cone rows alone, with each chain's p, a
-    and b.
+    Higher ranks take cone membership from :func:`batch_in_cone`, on a
+    (chains, dim) copy of x, and the target from the library's densities
+    :func:`batch_wishart_log_unnorm` and :func:`batch_gig_log_unnorm` on
+    the cone rows alone, with each chain's p, a and b.
     """
     laws, dim = len(p), alg.dim
     rows = x.shape[1] // laws
@@ -770,16 +769,13 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok)
 
     def log_pdf():
         rows_major = np.ascontiguousarray(x.T)
-        lam = batch_eigenvalues(alg, rows_major)
-        np.greater(lam[..., -1], 0.0, out=ok)
+        ok[...] = batch_in_cone(alg, rows_major)
         if np.any(ok):
             xo, own = rows_major[ok], law[ok]
-            log_det = np.sum(np.log(lam[ok]), axis=-1)
             if b_coords is None:
-                lp[ok] = _wishart_log_unnorm(alg, p_chain[ok], a_coords[own], xo, log_det)
+                lp[ok] = batch_wishart_log_unnorm(alg, p_chain[ok], a_coords[own], xo)
             else:
-                lp[ok] = _gig_log_unnorm(alg, p_chain[ok], a_coords[own], b_coords[own], xo,
-                                         log_det, batch_inverse(alg, xo))
+                lp[ok] = batch_gig_log_unnorm(alg, p_chain[ok], a_coords[own], b_coords[own], xo)
 
     return log_pdf
 

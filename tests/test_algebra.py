@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp_st
 
 from symcone import algebra as ja
+from symcone import distributions as dist
 
 ALL_ALGEBRAS = [
     ja.sym_real(1),
@@ -890,10 +891,8 @@ def test_every_batch_kernel_gives_a_row_alone_its_bits_in_a_batch(alg, name):
             warnings.simplefilter("always")
             got = kernel(alg, a_bad, b_bad)
         assert not {str(w.message) for w in caught}
-        # the bad row comes back non-finite, or outside the cone; 1 / inf
-        # is 0, so the inverse of an inf diagonal entry may be finite
-        if name != "inverse":
-            assert not (got[row] if name == "in_cone" else np.isfinite(got[row]).all())
+        # the bad row comes back non-finite, or outside the cone
+        assert not (got[row] if name == "in_cone" else np.isfinite(got[row]).all())
         for i in (row - 1, row + 1):
             assert _bits(got[i]) == _bits(batch[i]), (bad, i)
 
@@ -1000,7 +999,7 @@ def _commutation_errors(mat, spin, x, y, phi):
                          ids=["sym-real-rank2-lorentz-dim3", "herm-complex-rank2-lorentz-dim4"])
 def test_rank2_matrix_kernels_commute_with_the_spin_factor_isomorphism(mat, spin):
     # the spin factor's closed forms are an independent oracle of the rank-2
-    # elimination and of the matrix kind's LAPACK eigenvalues and square root
+    # elimination and of the matrix kind's Jacobi eigenvalues and square root
     rng = np.random.default_rng(30)
 
     def points():
@@ -1230,12 +1229,37 @@ def test_roots_decompositions_and_off_cone_inverses_call_no_lapack(alg, monkeypa
     rng = np.random.default_rng(44)
     x = ja.random_cone_points_banded(alg, rng, 50)
     g = rng.standard_normal((50, alg.dim))
-    want = ja.batch_sqrt(alg, x), ja.batch_inverse(alg, g)
+    # off the cone, det is the product of the eigenvalues
+    want = (ja.batch_sqrt(alg, x), ja.batch_inverse(alg, g), ja.batch_det(alg, g),
+            np.linalg.eigvalsh(ja.coords_to_matrices(alg, g))[:, ::-1])
     _no_lapack(monkeypatch)
     assert _bits(ja.batch_sqrt(alg, x)) == _bits(want[0])
     assert _bits(ja.batch_inverse(alg, g)) == _bits(want[1])
-    s = ja.spectral_decomposition(ja.Element(alg, g[0]))
+    assert _bits(ja.batch_det(alg, g)) == _bits(want[2])
+    lam = ja.batch_eigenvalues(alg, g)
+    np.testing.assert_allclose(lam, want[3], rtol=0.0, atol=1e-13)
+    el = ja.Element(alg, g[0])
+    assert _bits(ja.eigenvalues(el)) == _bits(lam[0])
+    assert _bits(ja.inverse(el).coords) == _bits(want[1][0])
+    s = ja.spectral_decomposition(el)
+    assert _bits(s.eigenvalues) == _bits(lam[0])
     np.testing.assert_allclose(s.reconstruct().coords, g[0], rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("alg", [ja.sym_real(3), ja.herm_complex(3)],
+                         ids=["sym-real-rank3", "herm-complex-rank3"])
+def test_rank_three_gig_sampler_calls_no_lapack(alg, monkeypatch, mcmc_settings):
+    # the Metropolis target above rank 2 reads membership and log det from
+    # the pivots of the elimination
+    mcmc_settings(BURN_IN=100, THIN=1, CHAINS=4)
+    a, b = (ja.Element(alg, row)
+            for row in ja.random_cone_points_banded(alg, np.random.default_rng(45), 2))
+    params = dist.GigParams(-1.7, a, b)
+    want = dist.sample_gig(params, 7, 40)
+    _no_lapack(monkeypatch)
+    got = dist.sample_gig(params, 7, 40)
+    assert got.method == "mcmc" and not got.mcmc["diverged"]
+    assert _bits(got.coords) == _bits(want.coords)
 
 
 # ---------------------------------------------------------------------------

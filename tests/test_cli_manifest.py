@@ -72,7 +72,7 @@ CALLS = [
     ["test", "my-property", "--kind", "sym-real", "--rank", "2", "-n", "200",
      "--permutations", "700", "--subsample", "100", "--seed", "2", "-o", "{out}/myp2.json"],
     # the independence test's Metropolis laws drawn together: four on Lorentz
-    # (GIG and Wishart), two on herm-complex r = 2, two on the LAPACK target
+    # (GIG and Wishart), two on herm-complex r = 2, two on the pivot target of rank 3
     *[["test", "my-property", *law, "-n", "200", "--permutations", "700",
        "--subsample", "100", "--seed", str(seed), "-o", "{out}/myp.json"]
       for seed, law in enumerate((
@@ -89,7 +89,7 @@ CALLS = [
      "--format", "csv", "-o", "{out}/lw.csv"],
     # every Metropolis path: the closed-form rank-2 target on each kind (Lorentz
     # dim 9 is past the length at which numpy sums a short axis in another
-    # order), a non-identity Wishart scale, and the LAPACK target at rank 3
+    # order), a non-identity Wishart scale, and the pivot target at rank 3
     *[["sample", *law, "-n", str(n), "--seed", str(seed), "--format", fmt,
        "-o", f"{{out}}/mh.{fmt}"]
       for seed, (law, n) in enumerate((

@@ -750,11 +750,19 @@ RANK2_IDS = ["lorentz-dim3", "lorentz-dim6", "sym2", "herm2"]
 
 
 def _reference_log_pdf_batch(alg, p, a_coords, b_coords=None):
-    """The eigenvalue/inverse target, as every rank used it before the closed form."""
+    """The eigenvalue/inverse target, as every rank used it before the closed
+    form.  The matrix kinds take their eigenvalues from LAPACK, not from the
+    library's Jacobi rotations, so that the reference neither shares the
+    sampler's code nor runs the rotations at every step."""
     exponent = p - alg.dim_over_rank
 
+    def eigenvalues(x):
+        if alg.kind is ja.Kind.LORENTZ:
+            return ja.batch_eigenvalues(alg, x)
+        return np.linalg.eigvalsh(ja.coords_to_matrices(alg, x))[..., ::-1]
+
     def log_pdf(x):
-        lam = ja.batch_eigenvalues(alg, x)
+        lam = eigenvalues(x)
         ok = lam[..., -1] > 0.0
         out = np.full(x.shape[:-1], -np.inf)
         if np.any(ok):
@@ -1015,7 +1023,7 @@ def _reference_masked_log_pdf_batch(alg, p, a_coords, b_coords=None):
 
 
 # Lorentz dim 9 sums its squares with numpy's reduce (dim >= 8), and
-# herm-complex r = 3 (also dim 9) takes the LAPACK target
+# herm-complex r = 3 (also dim 9) takes the pivot target of rank >= 3
 LEAN_ALGEBRAS = [L2, ja.lorentz(5), ja.lorentz(8), A2, ja.sym_real(3), H2, ja.herm_complex(3), A1]
 LEAN_IDS = ["lorentz-dim3", "lorentz-dim6", "lorentz-dim9", "sym2", "sym3", "herm2", "herm3",
             "rank1"]
