@@ -24,6 +24,17 @@ maps each :class:`Kind` to its kernels: the spin-factor formulas for
 functions look their kernel up in that table and hold no per-kind branch;
 :func:`kernels` gives other modules the same entry.
 
+On every kind x = sum_j lam_j c_j over a Jordan frame, and f(x) = sum_j
+f(lam_j) c_j (Faraut & Koranyi, ch. III).  A kind supplies two spectral
+methods: ``eigen``, the eigenvalues of rows rescaled by a power of two
+and its frame data, and ``combine``, the coordinates of sum_j w_j c_j for
+given weights.  The eigenvalues, the square root, the spectral
+decomposition and the matrix kinds' det and inverse off the open cone
+are written once, on those two.  The matrix kinds' ``eigen`` is one
+batched cyclic Jacobi routine at every rank, which leaves a row that has
+converged, and so a row alone or in any batch, with the same bits; the
+spin factor's is x0 -+ |xbar| and the unit vector of xbar.
+
 Determinants and inverses are closed forms on the spin factor.  The matrix
 kinds take both from one L D L* elimination at every rank, complex entries
 multiplied out in real arithmetic: det is the product of the pivots, and
@@ -31,16 +42,13 @@ the error of both stays within a small multiple of eps times the condition
 number.  The same pivots decide open-cone membership (Sylvester's
 criterion), with no LAPACK call.  Finite rows with a non-positive pivot
 lie off the open cone and take det from their eigenvalues and the inverse
-from their eigendecomposition; a row with an inf or nan coordinate gives
-nan.  The eigenvalues and the eigendecomposition behind the square root,
-the spectral decomposition and that inverse come from one batched cyclic
-Jacobi routine at every rank, on the same coordinate-major entries, which
-leaves a row that has converged, and so a row alone or in any batch, with
-the same bits.  Eigenvalues, determinants, inverses and square roots run
-on rows rescaled by a power of two (an even one for the root) and scale
-the result back, so an inverse holds from 1e-300 to 1e300 and the
-determinant of a finite row outside the double range is inf or 0, never
-nan.  Banded cone points come from Gram-Schmidt, with no LAPACK call.
+from the spectral calculus; on every kind a row with an inf or nan
+coordinate gives a nan det and inverse.  Eigenvalues, determinants,
+inverses and square roots run on rows rescaled by a power of two (an even
+one for the root) and scale the result back, so an inverse holds from
+1e-300 to 1e300 and the determinant of a finite row outside the double
+range is inf or 0, never nan.  Banded cone points come from Gram-Schmidt,
+with no LAPACK call.
 The matrix kinds' Jordan product is one matrix product P = XY, as x o y =
 (P + P*) / 2, and P(x)y is XYX; both run as real matrix products in each
 algebra's real form, herm-complex through its real 2r x 2r embedding,
@@ -296,37 +304,20 @@ def _coordinate_sum(sq, out):
     return total
 
 
-def _spin_polar(a):
-    """Eigenvalues x0 +- |xbar| of spin-factor rows, plus the spatial parts
-    and their norms on the rows rescaled by :func:`_pow2_rows`, so that the
-    norm neither overflows nor turns subnormal."""
-    s, k = _pow2_rows(a)
-    nrm = np.linalg.norm(s[..., 1:], axis=-1)
-    lam = np.ldexp(np.stack([s[..., 0] + nrm, s[..., 0] - nrm], axis=-1), k[..., None])
-    return lam, s[..., 1:], nrm
-
-
-def _spin_unit(a):
-    """Eigenvalues of spin-factor rows, as :func:`_spin_polar` gives them,
-    and the unit vectors of their spatial parts (the first spatial axis
-    where the spatial part is 0)."""
-    lam, spatial, nrm = _spin_polar(a)
-    unit = np.zeros_like(spatial)
-    unit[..., 0] = 1.0
-    np.divide(spatial, nrm[..., None], out=unit, where=nrm[..., None] > 0)
-    return lam, unit
-
-
 class _SpinFactor:
     """Kernels of the spin factor R^(n+1), with x o y = (<x, y>, x0 ybar + y0 xbar).
 
     Every method takes the descriptor first and float coordinate arrays
-    (..., dim) after it, as do those of :class:`_MatrixForm`.  The
-    eigenvalues, spectral decomposition, determinant, inverse, square root
-    and cone membership work on rows rescaled by :func:`_pow2_rows`, so
-    they hold from the smallest to the largest doubles; a determinant
-    outside the double range gives inf or 0.  ``rank2_det`` is the unscaled
-    determinant.
+    (..., dim) after it, as do those of :class:`_MatrixForm`.  The two
+    spectral methods are :meth:`eigen`, the eigenvalues x0 -+ |xbar| and
+    the spatial unit vector of the Jordan frame (1, -+unit) / 2, and
+    :meth:`combine`, the element with given weights on that frame; the
+    module's spectral functions are written on them.  The determinant, the
+    inverse and cone membership are closed forms on rows rescaled by
+    :func:`_pow2_rows`, so they hold from the smallest to the largest
+    doubles; a determinant outside the double range gives inf or 0, and a
+    row with an inf or nan coordinate gives a nan determinant and inverse.
+    ``rank2_det`` is the unscaled determinant.
     """
 
     field = None  # no matrix form
@@ -376,18 +367,50 @@ class _SpinFactor:
 
         return det
 
+    def _det(self, alg, s):
+        """``rank2_det`` of rows ``s`` rescaled by :func:`_pow2_rows`, and nan
+        on a row with an inf or nan coordinate, the only rows where it is
+        not finite."""
+        with np.errstate(invalid="ignore"):  # inf - inf on a row with two inf coordinates
+            d = self.rank2_det(alg, s)
+        return np.where(np.isfinite(d), d, np.nan)
+
     def det(self, alg, a):
         s, k = _pow2_rows(a)
-        return np.ldexp(self.rank2_det(alg, s), 2 * k)
+        return np.ldexp(self._det(alg, s), 2 * k)
 
-    def eigenvalues(self, alg, a):
-        return _spin_polar(a)[0]
+    def eigen(self, alg, s):
+        """The eigenvalues x0 - |xbar| and x0 + |xbar| of rows ``s``, rescaled
+        by :func:`_pow2_rows`, in that order, and the unit vectors of their
+        spatial parts (the first spatial axis where the spatial part is 0).
+
+        The smaller eigenvalue comes first: the descending sort of
+        :func:`_sorted_eigen` reverses a tie, so (1, +unit) / 2 is then the
+        first idempotent of the spectral decomposition.
+        """
+        nrm = np.linalg.norm(s[..., 1:], axis=-1)
+        unit = np.zeros_like(s[..., 1:])
+        unit[..., 0] = 1.0
+        with np.errstate(invalid="ignore"):  # inf - inf, inf / inf on a row with an inf coordinate
+            np.divide(s[..., 1:], nrm[..., None], out=unit, where=nrm[..., None] > 0)
+            return [s[..., 0] - nrm, s[..., 0] + nrm], unit
+
+    def combine(self, alg, weights, unit):
+        """Coordinates of w- c- + w+ c+ = ((w+ + w-) / 2, (w+ - w-) / 2 unit),
+        with c-+ = (1, -+unit) / 2 the idempotents of :meth:`eigen`'s
+        eigenvalues and ``weights`` the pair (w-, w+) in their order."""
+        low, high = weights
+        out = np.empty(unit.shape[:-1] + (alg.dim,))
+        with np.errstate(invalid="ignore"):  # inf - inf on a row with an inf eigenvalue
+            out[..., 0] = (high + low) / 2.0
+            out[..., 1:] = ((high - low) / 2.0)[..., None] * unit
+        return out
 
     def in_cone(self, alg, a):
         """Open-cone membership of rows ``a``: the smaller eigenvalue
-        x0 - |xbar|, as :func:`_spin_polar` gives it, is positive, and the
-        row is finite, which the larger eigenvalue of its rescaled row is
-        exactly when the row is."""
+        x0 - |xbar| of their rescaled rows, as :meth:`eigen` gives it, scaled
+        back, is positive, and the row is finite, which the larger
+        eigenvalue of its rescaled row is exactly when the row is."""
         s, k = _pow2_rows(a)
         nrm = np.linalg.norm(s[..., 1:], axis=-1)
         with np.errstate(invalid="ignore"):  # inf - inf on a row with two inf coordinates
@@ -396,43 +419,22 @@ class _SpinFactor:
     def inverse(self, alg, a):
         s, k = _pow2_rows(a)
         out = np.concatenate([s[..., :1], -s[..., 1:]], axis=-1)
-        with np.errstate(invalid="ignore"):  # inf / inf on a row with an inf coordinate
-            return np.ldexp(out / self.rank2_det(alg, s)[..., None], -k[..., None])
+        with np.errstate(invalid="ignore"):  # 0 / 0 at a zero coordinate of a row with det 0
+            return np.ldexp(out / self._det(alg, s)[..., None], -k[..., None])
 
     def quad_apply(self, alg, a, b):
         ab = self.jordan(alg, a, b)
         with np.errstate(invalid="ignore"):  # inf - inf on a row with an inf coordinate
             return 2.0 * self.jordan(alg, a, ab) - self.jordan(alg, self.jordan(alg, a, a), b)
 
-    def sqrt(self, alg, a):
-        with np.errstate(invalid="ignore"):  # inf - inf, inf / inf on a row with an inf coordinate
-            lam, unit = _spin_unit(a)
-            s = _positive_sqrt(lam)
-            out = np.empty_like(a)
-            out[..., 0] = (s[..., 0] + s[..., 1]) / 2.0
-            out[..., 1:] = ((s[..., 0] - s[..., 1]) / 2.0)[..., None] * unit
-        return out
-
     def norm(self, alg, c) -> float:
         return _SQRT2 * math.hypot(*c)
-
-    def spectral(self, alg, c):
-        """Eigenvalues and idempotent coordinates of one element.
-
-        When the spatial part vanishes any orthogonal idempotent pair is
-        valid; the pair built from the first spatial axis is returned.
-        """
-        lam, unit = _spin_unit(c)
-        return lam, [0.5 * np.concatenate([[1.0], unit]), 0.5 * np.concatenate([[1.0], -unit])]
 
     def banded(self, alg, rng, n, lo, hi):
         lam = rng.uniform(lo, hi, size=(n, 2))
         g = rng.standard_normal((n, alg.dim - 1))
         unit = g / np.linalg.norm(g, axis=-1, keepdims=True)
-        out = np.empty((n, alg.dim))
-        out[:, 0] = lam.mean(axis=1)
-        out[:, 1:] = ((lam[:, 0] - lam[:, 1]) / 2.0)[:, None] * unit
-        return out
+        return self.combine(alg, [lam[:, 1], lam[:, 0]], unit)
 
 
 @lru_cache(maxsize=None)
@@ -588,18 +590,19 @@ class _MatrixForm:
     stable, so the error of both is within a small multiple of eps times
     the condition number.  A finite row with a non-positive pivot takes
     det from its eigenvalues and the inverse U diag(1/w) U* from the
-    eigendecomposition that the square root uses; a row with an inf or nan
+    spectral calculus that the square root uses; a row with an inf or nan
     coordinate gives nan.  Both run on rows rescaled by :func:`_pow2_rows`
     and scale the result back, so an inverse holds from 1e-300 to 1e300
     and a determinant outside the double range is inf or 0.  An exactly
     singular row gives det 0 and a non-finite inverse row, as on the spin
     factor.  Open-cone membership reads the same pivots (:meth:`in_cone`).
 
-    The eigenvalues, the square root, the spectral decomposition and the
-    inverse off the open cone come from :func:`_jacobi`, cyclic Jacobi
-    rotations on the entries that the elimination reads, at every rank.
-    The Jordan product and P(x)y are real matrix products in the real form
-    (:func:`_real_form`).
+    The two spectral methods are :meth:`eigen`, the eigenvalues and
+    eigenvectors U from :func:`_jacobi`, cyclic Jacobi rotations on the
+    entries that the elimination reads, at every rank, and :meth:`combine`,
+    U diag(w) U* for weights w; the module's spectral functions are written
+    on them.  The Jordan product and P(x)y are real matrix products in the
+    real form (:func:`_real_form`).
     """
 
     def __init__(self, field, make):
@@ -755,7 +758,7 @@ class _MatrixForm:
 
     def det(self, alg, a):
         out, k = self._ldl(alg, a, lambda piv, up: reduce(np.multiply, piv),
-                           lambda s: np.prod(self.eigenvalues(alg, s), axis=-1))
+                           lambda s: np.prod(_sorted_eigen(alg, s)[0], axis=-1))
         return np.ldexp(out, alg.rank * k)
 
     def rank2_det(self, alg, a):
@@ -776,12 +779,9 @@ class _MatrixForm:
 
         return det
 
-    def eigenvalues(self, alg, a):
-        return self._sorted_eigen(alg, a)[0]
-
     def inverse(self, alg, a):
         out, k = self._ldl(alg, a, lambda piv, up: self._ldl_inverse(alg, piv, up),
-                           lambda s: self._spectral_map(alg, s, np.reciprocal))
+                           lambda s: _spectral_map(alg, s, np.reciprocal))
         return np.ldexp(out, -k[..., None])
 
     def quad_apply(self, alg, a, b):
@@ -791,26 +791,16 @@ class _MatrixForm:
             ea = form.embed(a)
             return form.read(ea @ form.embed(b) @ ea)
 
-    def _eigen(self, alg, s):
-        """The eigenvalues and eigenvectors of rows ``s``, rescaled by
-        :func:`_pow2_rows`, from :func:`_jacobi`."""
+    def eigen(self, alg, s):
+        """The eigenvalues, a list of r arrays in no set order, and the
+        eigenvectors of rows ``s``, rescaled by :func:`_pow2_rows`, from
+        :func:`_jacobi`."""
         with np.errstate(all="ignore"):  # tau^2 may overflow, to t = 0; see _jacobi
             return _jacobi(alg.rank, alg.peirce, *self._entries(alg, s))
 
-    def _sorted_eigen(self, alg, a):
-        """The eigenvalues of rows ``a``, descending, an array (..., r); per
-        row, the indices that put :meth:`_eigen`'s list of them in that
-        order; and its eigenvectors.  :meth:`_eigen` runs on the rows
-        rescaled by :func:`_pow2_rows`, and the eigenvalues are scaled back."""
-        s, k = _pow2_rows(a)
-        w, vec = self._eigen(alg, s)
-        w = np.stack(w, axis=-1)
-        order = np.argsort(w, axis=-1)[..., ::-1]
-        return np.ldexp(np.take_along_axis(w, order, axis=-1), k[..., None]), order, vec
-
-    def _outer_sum(self, alg, weights, vec):
+    def combine(self, alg, weights, vec):
         """Coordinates of U diag(weights) U*, with ``vec`` the entries of U
-        as :func:`_jacobi` gives them and ``weights`` a list of r arrays."""
+        as :meth:`eigen` gives them and ``weights`` r arrays in its order."""
         r = alg.rank
         with np.errstate(invalid="ignore"):  # inf times 0 on a row with an inf eigenvalue
             scaled = {(i, k): tuple(weights[k] * x for x in vec[i, k])
@@ -822,29 +812,8 @@ class _MatrixForm:
                 coords += [_SQRT2 * reduce(np.add, part) for part in zip(*terms)]
         return np.stack(coords, axis=-1)
 
-    def _spectral_map(self, alg, s, f):
-        """Coordinates of U f(w) U*, with U diag(w) U* the eigendecomposition
-        (:meth:`_eigen`) of rows ``s``, rescaled by :func:`_pow2_rows`; f
-        maps the eigenvalues, an array (..., r), elementwise."""
-        w, v = self._eigen(alg, s)
-        fw = f(np.stack(w, axis=-1))
-        return self._outer_sum(alg, [fw[..., k] for k in range(alg.rank)], v)
-
-    def sqrt(self, alg, a):
-        """U sqrt(w) U* on rows rescaled by an even power of two, 4^m, and
-        scaled back by 2^m, so that sqrt(4^m x) = 2^m sqrt(x) bit for bit."""
-        s, k = _pow2_rows(a, even=True)
-        return np.ldexp(self._spectral_map(alg, s, _positive_sqrt), (k // 2)[..., None])
-
     def norm(self, alg, c) -> float:
         return math.hypot(*c)
-
-    def spectral(self, alg, c):
-        """Eigenvalues and idempotent coordinates of one element, from
-        :meth:`_sorted_eigen`; repeated eigenvalues yield an arbitrary
-        orthonormal completion."""
-        lam, order, vec = self._sorted_eigen(alg, c)
-        return lam, [self._outer_sum(alg, np.eye(alg.rank)[j], vec) for j in order]
 
     def banded(self, alg, rng, n, lo, hi):
         """lam_r e + sum_{j<r} (lam_j - lam_r) q_j q_j*, with q_j the columns
@@ -882,6 +851,32 @@ def kernels(alg: AlgebraDescriptor):
     ``complex``), or ``None`` for the spin factor, which has none.
     """
     return _KERNELS[alg.kind]
+
+
+# ---------------------------------------------------------------------------
+# Spectral calculus: x = sum_j lam_j c_j and f(x) = sum_j f(lam_j) c_j on
+# every kind, from its two spectral methods, eigen and combine
+# ---------------------------------------------------------------------------
+
+def _sorted_eigen(alg: AlgebraDescriptor, a):
+    """The eigenvalues of rows ``a``, descending, an array (..., r); per
+    row, the indices that put the kind's ``eigen`` list of them in that
+    order; and the frame data of ``eigen``.  ``eigen`` runs on the rows
+    rescaled by :func:`_pow2_rows`, and the eigenvalues are scaled back."""
+    s, k = _pow2_rows(a)
+    w, frame = _KERNELS[alg.kind].eigen(alg, s)
+    w = np.stack(w, axis=-1)
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    return np.ldexp(np.take_along_axis(w, order, axis=-1), k[..., None]), order, frame
+
+
+def _spectral_map(alg: AlgebraDescriptor, s, f):
+    """Coordinates of sum_j f(w_j) c_j, with sum_j w_j c_j the spectral
+    decomposition (the kind's ``eigen``) of rows ``s``, rescaled by
+    :func:`_pow2_rows`; f maps each eigenvalue array elementwise."""
+    kind = _KERNELS[alg.kind]
+    w, frame = kind.eigen(alg, s)
+    return kind.combine(alg, [f(x) for x in w], frame)
 
 
 # ---------------------------------------------------------------------------
@@ -962,10 +957,11 @@ def batch_det(alg: AlgebraDescriptor, a) -> np.ndarray:
 
 
 def batch_eigenvalues(alg: AlgebraDescriptor, a) -> np.ndarray:
-    """Spectral eigenvalues, sorted descending, shape (..., rank); on the
-    matrix kinds from batched Jacobi rotations (:func:`_jacobi`).  A row
-    with an inf or nan coordinate gives a non-finite row."""
-    return _KERNELS[alg.kind].eigenvalues(alg, np.asarray(a, dtype=float))
+    """Spectral eigenvalues, sorted descending, shape (..., rank), from the
+    kind's ``eigen`` (batched Jacobi rotations, :func:`_jacobi`, on the
+    matrix kinds, x0 -+ |xbar| on the spin factor).  A row with an inf or
+    nan coordinate gives a non-finite row."""
+    return _sorted_eigen(alg, np.asarray(a, dtype=float))[0]
 
 
 def batch_inverse(alg: AlgebraDescriptor, a) -> np.ndarray:
@@ -1079,10 +1075,15 @@ def batch_quad_rep(alg: AlgebraDescriptor, a) -> np.ndarray:
 
 
 def batch_sqrt(alg: AlgebraDescriptor, a) -> np.ndarray:
-    """Spectral square root, on the matrix kinds from batched Jacobi
-    rotations (:func:`_jacobi`); raises NotInConeError when an eigenvalue
-    of a row is not positive.  An inf or nan row gives a non-finite row."""
-    return _KERNELS[alg.kind].sqrt(alg, np.asarray(a, dtype=float))
+    """Spectral square root sum_j sqrt(lam_j) c_j, from the kind's ``eigen``
+    and ``combine``; raises NotInConeError when an eigenvalue of a row is
+    not positive.  An inf or nan row gives a non-finite row.
+
+    It runs on rows rescaled by an even power of two, 4^m, and scales back
+    by 2^m, so that sqrt(4^m x) = 2^m sqrt(x) bit for bit.
+    """
+    s, k = _pow2_rows(np.asarray(a, dtype=float), even=True)
+    return np.ldexp(_spectral_map(alg, s, _positive_sqrt), (k // 2)[..., None])
 
 
 def batch_in_cone(alg: AlgebraDescriptor, a) -> np.ndarray:
@@ -1226,14 +1227,20 @@ class SpectralDecomposition:
 def spectral_decomposition(x: Element) -> SpectralDecomposition:
     """Decompose x as a sum of eigenvalues times primitive idempotents.
 
-    The Lorentz family uses the closed form; when the spatial part vanishes
-    any orthogonal idempotent pair is valid and the canonical pair built
-    from the first spatial axis is returned.  The matrix families take
-    eigenvalues and idempotents from Jacobi rotations (:func:`_jacobi`);
-    repeated eigenvalues yield an arbitrary orthonormal completion.
+    The eigenvalues come from the kind's ``eigen``, sorted descending, and
+    idempotent c_j is its ``combine`` with weight 1 on eigenvalue j and 0 on
+    the others.  On the spin factor these are the closed forms
+    (1, +-xbar/|xbar|) / 2; when the spatial part vanishes any orthogonal
+    idempotent pair is valid and the pair built from the first spatial axis
+    is returned, (1, +e1) / 2 first.  The matrix families take them from
+    Jacobi rotations (:func:`_jacobi`); repeated eigenvalues yield an
+    arbitrary orthonormal completion.
     """
-    lam, idems = _KERNELS[x.algebra.kind].spectral(x.algebra, x.coords)
-    return SpectralDecomposition(lam, [Element(x.algebra, c) for c in idems])
+    alg = x.algebra
+    lam, order, frame = _sorted_eigen(alg, x.coords)
+    weights = np.eye(alg.rank)
+    return SpectralDecomposition(
+        lam, [Element(alg, _KERNELS[alg.kind].combine(alg, weights[j], frame)) for j in order])
 
 
 # ---------------------------------------------------------------------------

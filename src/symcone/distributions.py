@@ -721,12 +721,16 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok)
     ``trace`` and ``inner`` with a applied to the coordinate basis, all
     built once: one stacked ``@`` forms tr x, <a, x> and that numerator of
     every law's chains.  On finite points tr x keeps its bits (its row
-    holds ones or a two, and zeros), and det x those of ``rank2_det``, so
-    the cone mask is that of the kernels; the inner products may round
-    differently from the kernels' sums, which moves only the target's last
-    bits, and those decide an accept only through a comparison with a
-    uniform.  A law's product is the one it would form alone, so its target
-    keeps its bits whichever laws share the call.
+    holds ones or a two, and zeros), and det x those of ``rank2_det``.  The
+    cone mask is tr x > 0 and det x > 0 by these closed forms.
+    :func:`batch_in_cone` decides by another rule, the L D L* pivots on the
+    matrix kinds and x0 - |xbar| > 0 on the spin factor; the two agree
+    except within rounding of the boundary, where det x is a difference of
+    nearly equal terms.  The inner products may round differently from the
+    kernels' sums, which moves only the target's last bits, and those
+    decide an accept only through a comparison with a uniform.  A law's
+    product is the one it would form alone, so its target keeps its bits
+    whichever laws share the call.
 
     Higher ranks take cone membership from :func:`batch_in_cone`, on a
     (chains, dim) copy of x, and the target from the library's densities

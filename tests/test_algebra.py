@@ -527,6 +527,28 @@ def test_lorentz_spectral_decomposition_holds_at_extreme_scales(alg, point, scal
                                    rtol=1e-15, atol=1e-16)
 
 
+@pytest.mark.parametrize("alg", [ja.lorentz(2), ja.lorentz(5), ja.lorentz(9)],
+                         ids=["lorentz-dim3", "lorentz-dim6", "lorentz-dim10"])
+def test_lorentz_spectral_outputs_keep_the_closed_forms_bits(alg):
+    # eigenvalues x0 +- |xbar|, the root ((s+ + s-) / 2, (s+ - s-) / 2 u)
+    # with s+- = sqrt(x0 +- |xbar|) and u = xbar / |xbar|, and the
+    # idempotents (1, +-u) / 2, each written out in plain numpy
+    x = ja.random_cone_points_banded(alg, np.random.default_rng(alg.dim + 29), 2000)
+    nrm = np.linalg.norm(x[:, 1:], axis=-1)
+    unit = x[:, 1:] / nrm[:, None]
+    lam = np.stack([x[:, 0] + nrm, x[:, 0] - nrm], axis=-1)
+    assert _bits(ja.batch_eigenvalues(alg, x)) == _bits(lam)
+    s = np.sqrt(lam)
+    root = np.concatenate([((s[:, 0] + s[:, 1]) / 2.0)[:, None],
+                           ((s[:, 0] - s[:, 1]) / 2.0)[:, None] * unit], axis=-1)
+    assert _bits(ja.batch_sqrt(alg, x)) == _bits(root)
+    for i in range(0, len(x), 10):
+        d = ja.spectral_decomposition(ja.Element(alg, x[i]))
+        assert _bits(d.eigenvalues) == _bits(lam[i])
+        for c, sign in zip(d.idempotents, (1.0, -1.0)):
+            assert _bits(c.coords) == _bits(np.concatenate([[1.0], sign * unit[i]]) / 2.0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in ldexp:RuntimeWarning")
 @pytest.mark.parametrize("scale,expected", [(1e160, np.inf), (1e300, np.inf),
                                             (1e-160, 3e-320), (1e-300, 0.0)])
@@ -777,14 +799,17 @@ def test_edge_rows_are_outside_and_scaled_points_inside_without_warnings(alg):
 
 def test_lorentz_rows_with_an_inf_coordinate_are_outside():
     # x0 - |xbar| is inf at (inf, 0, 0), which the finiteness of the row
-    # puts outside
+    # puts outside; det and inverse of every non-finite row are all nan,
+    # with no warning, also where x0^2 - |xbar|^2 is inf - inf
     alg = ja.lorentz(2)
     rows = np.array([[np.inf, 0.0, 0.0], [1.0, np.inf, 0.0], [np.inf, np.inf, 0.0],
                      [np.nan, 0.0, 0.0], [1e300, 5e299, 0.0], [1e-300, 0.0, 5e-301]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mask = ja.batch_in_cone(alg, rows)
+        det, inv = ja.batch_det(alg, rows[:4]), ja.batch_inverse(alg, rows[:4])
     assert mask.tolist() == [False, False, False, False, True, True]
+    assert np.isnan(det).all() and np.isnan(inv).all()
 
 
 @pytest.mark.parametrize("alg", CLOSED_FORM_ALGEBRAS + HIGH_RANK_ALGEBRAS,
@@ -891,8 +916,11 @@ def test_every_batch_kernel_gives_a_row_alone_its_bits_in_a_batch(alg, name):
             warnings.simplefilter("always")
             got = kernel(alg, a_bad, b_bad)
         assert not {str(w.message) for w in caught}
-        # the bad row comes back non-finite, or outside the cone
+        # the bad row comes back non-finite, or outside the cone; its det and
+        # inverse are all nan, on every kind
         assert not (got[row] if name == "in_cone" else np.isfinite(got[row]).all())
+        if name in ("det", "inverse"):
+            assert np.isnan(got[row]).all()
         for i in (row - 1, row + 1):
             assert _bits(got[i]) == _bits(batch[i]), (bad, i)
 

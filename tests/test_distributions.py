@@ -906,6 +906,39 @@ def test_rank2_target_is_minus_inf_off_the_open_cone(alg, scale):
         assert 0 < np.sum(got == -np.inf) < len(gaussian)
 
 
+MASK_ALGEBRAS = [A2, H2, L2, ja.lorentz(5), ja.lorentz(8)]
+MASK_IDS = ["sym2", "herm2", "lorentz-dim3", "lorentz-dim6", "lorentz-dim9"]
+
+
+@pytest.mark.parametrize("alg", MASK_ALGEBRAS, ids=MASK_IDS)
+def test_rank2_target_mask_agrees_with_batch_in_cone_off_the_boundary(alg):
+    # the target decides by tr x > 0 and its closed-form det x > 0,
+    # batch_in_cone by the pivots or by x0 - |xbar|: the two may differ only
+    # where det x is within rounding of 0
+    rng = np.random.default_rng(alg.dim + 17)
+    gaussian = rng.standard_normal((4000, alg.dim))
+    # near-boundary rows: the least eigenvalue moved to +-10^-u times the
+    # spread of the two, u up to 14, and the scale varied
+    lam = ja.batch_eigenvalues(alg, gaussian)
+    sign = rng.choice([-1.0, 1.0], 4000)
+    gap = (lam[:, 0] - lam[:, 1]) * sign * 10.0 ** -rng.uniform(0, 14, 4000)
+    near = (gaussian + (gap - lam[:, 1])[:, None] * ja.identity(alg).coords) \
+        * 10.0 ** rng.uniform(-100, 100, 4000)[:, None]
+    x = np.concatenate([gaussian, near])
+    cols = np.ascontiguousarray(x.T)
+    lp, ok = np.empty(len(x)), np.empty(len(x), bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log det of the rows off the cone
+        dist._log_pdf_batch(alg, [2.3], ja.identity(alg).coords[None], None,
+                            cols, cols * cols, lp, ok)()
+    mask = ja.batch_in_cone(alg, x)
+    det, tr = ja.kernels(alg).rank2_det(alg, x), ja.batch_trace(alg, x)
+    clear = np.abs(det) > 1e-12 * tr * tr
+    assert np.array_equal(ok[clear], mask[clear])
+    # neither side is trivial, and rows close to the boundary are compared
+    assert 0 < np.sum(mask[clear]) < np.sum(clear)
+    assert np.sum((clear & (np.abs(det) < 1e-6 * tr * tr))[4000:]) > 500
+
+
 # ---------------------------------------------------------------------------
 # Lean Metropolis step: same chains as the per-step reference
 # ---------------------------------------------------------------------------
