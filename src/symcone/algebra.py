@@ -273,47 +273,17 @@ def _row_sum(a):
     return total
 
 
-def _coordinate_sum(sq, out):
-    """A function that writes to ``out`` the sum of ``sq`` over its first
-    axis, with the bits ``np.add.reduce`` gives each row of the layout that
-    has that axis last; the views it reads are bound here, once.
-
-    numpy sums a contiguous row of fewer than 8 doubles from left to right,
-    as adding the slices sq[0], sq[1], ... in turn does.  From 8 on it sums
-    in 8 unrolled accumulators, so those rows are summed by numpy itself,
-    on a copy with the summed axis last.
-    """
-    if len(sq) >= 8:
-        moved = sq.transpose(*range(1, sq.ndim), 0)
-        rows = np.empty(moved.shape)
-
-        def total():
-            np.copyto(rows, moved)
-            np.add.reduce(rows, axis=-1, out=out)
-
-        return total
-    if len(sq) == 1:
-        return lambda: np.copyto(out, sq[0])
-    first, second, *rest = sq
-
-    def total():
-        np.add(first, second, out=out)
-        for row in rest:
-            np.add(out, row, out=out)
-
-    return total
-
-
 class _SpinFactor:
     """Kernels of the spin factor R^(n+1), with x o y = (<x, y>, x0 ybar + y0 xbar).
 
     Every method takes the descriptor first and float coordinate arrays
     (..., dim) after it, as do those of :class:`_MatrixForm`.  The two
-    spectral methods are :meth:`eigen`, the eigenvalues x0 -+ |xbar| and
-    the spatial unit vector of the Jordan frame (1, -+unit) / 2, and
-    :meth:`combine`, the element with given weights on that frame; the
-    module's spectral functions are written on them.  The determinant, the
-    inverse and cone membership are closed forms on rows rescaled by
+    spectral methods are :meth:`eigen`, the eigenvalues x0 -+ |xbar| with
+    the spatial part xbar and its norm, and :meth:`combine`, the element
+    with given weights on the Jordan frame (1, -+unit) / 2, unit = xbar /
+    |xbar|; the module's spectral functions are written on them.  The
+    determinant, the inverse and cone membership (from :meth:`eigen`'s
+    eigenvalues) are closed forms on rows rescaled by
     :func:`_pow2_rows`, so they hold from the smallest to the largest
     doubles; a determinant outside the double range gives inf or 0, and a
     row with an inf or nan coordinate gives a nan determinant and inverse.
@@ -355,18 +325,6 @@ class _SpinFactor:
     def rank2_det(self, alg, a):
         return a[..., 0] ** 2 - _row_sum(a[..., 1:] ** 2)
 
-    def rank2_det_columns(self, alg, x, sq, out):
-        """A function that writes ``rank2_det`` of the coordinate-major
-        points x (dim, n) to ``out``, with its bits, from their squares
-        ``sq``; see :func:`_coordinate_sum`."""
-        spatial, time = _coordinate_sum(sq[1:], out), sq[0]
-
-        def det():
-            spatial()
-            np.subtract(time, out, out=out)
-
-        return det
-
     def _det(self, alg, s):
         """``rank2_det`` of rows ``s`` rescaled by :func:`_pow2_rows`, and nan
         on a row with an inf or nan coordinate, the only rows where it is
@@ -381,27 +339,34 @@ class _SpinFactor:
 
     def eigen(self, alg, s):
         """The eigenvalues x0 - |xbar| and x0 + |xbar| of rows ``s``, rescaled
-        by :func:`_pow2_rows`, in that order, and the unit vectors of their
-        spatial parts (the first spatial axis where the spatial part is 0).
+        by :func:`_pow2_rows`, in that order, and the frame data (xbar,
+        |xbar|), from which :meth:`combine` forms the unit vector.
 
         The smaller eigenvalue comes first: the descending sort of
         :func:`_sorted_eigen` reverses a tie, so (1, +unit) / 2 is then the
         first idempotent of the spectral decomposition.
         """
-        nrm = np.linalg.norm(s[..., 1:], axis=-1)
-        unit = np.zeros_like(s[..., 1:])
-        unit[..., 0] = 1.0
-        with np.errstate(invalid="ignore"):  # inf - inf, inf / inf on a row with an inf coordinate
-            np.divide(s[..., 1:], nrm[..., None], out=unit, where=nrm[..., None] > 0)
-            return [s[..., 0] - nrm, s[..., 0] + nrm], unit
+        spatial = s[..., 1:]
+        nrm = np.linalg.norm(spatial, axis=-1)
+        with np.errstate(invalid="ignore"):  # inf - inf on a row with two inf coordinates
+            return [s[..., 0] - nrm, s[..., 0] + nrm], (spatial, nrm)
 
-    def combine(self, alg, weights, unit):
+    def combine(self, alg, weights, frame):
         """Coordinates of w- c- + w+ c+ = ((w+ + w-) / 2, (w+ - w-) / 2 unit),
         with c-+ = (1, -+unit) / 2 the idempotents of :meth:`eigen`'s
-        eigenvalues and ``weights`` the pair (w-, w+) in their order."""
+        eigenvalues, ``weights`` the pair (w-, w+) in their order, and unit
+        = xbar / |xbar| from the frame (xbar, |xbar|), or the first spatial
+        axis where |xbar| is not positive."""
+        spatial, nrm = frame
         low, high = weights
-        out = np.empty(unit.shape[:-1] + (alg.dim,))
-        with np.errstate(invalid="ignore"):  # inf - inf on a row with an inf eigenvalue
+        out = np.empty(spatial.shape[:-1] + (alg.dim,))
+        with np.errstate(invalid="ignore"):  # inf / inf, inf - inf on a row with an inf entry
+            if nrm.min() > 0:  # false on a nan norm too
+                unit = spatial / nrm[..., None]
+            else:
+                unit = np.zeros_like(spatial)
+                unit[..., 0] = 1.0
+                np.divide(spatial, nrm[..., None], out=unit, where=nrm[..., None] > 0)
             out[..., 0] = (high + low) / 2.0
             out[..., 1:] = ((high - low) / 2.0)[..., None] * unit
         return out
@@ -412,9 +377,8 @@ class _SpinFactor:
         back, is positive, and the row is finite, which the larger
         eigenvalue of its rescaled row is exactly when the row is."""
         s, k = _pow2_rows(a)
-        nrm = np.linalg.norm(s[..., 1:], axis=-1)
-        with np.errstate(invalid="ignore"):  # inf - inf on a row with two inf coordinates
-            return (np.ldexp(s[..., 0] - nrm, k) > 0) & np.isfinite(s[..., 0] + nrm)
+        (low, high), _ = self.eigen(alg, s)
+        return (np.ldexp(low, k) > 0) & np.isfinite(high)
 
     def inverse(self, alg, a):
         s, k = _pow2_rows(a)
@@ -433,8 +397,7 @@ class _SpinFactor:
     def banded(self, alg, rng, n, lo, hi):
         lam = rng.uniform(lo, hi, size=(n, 2))
         g = rng.standard_normal((n, alg.dim - 1))
-        unit = g / np.linalg.norm(g, axis=-1, keepdims=True)
-        return self.combine(alg, [lam[:, 1], lam[:, 0]], unit)
+        return self.combine(alg, [lam[:, 1], lam[:, 0]], (g, np.linalg.norm(g, axis=-1)))
 
 
 @lru_cache(maxsize=None)
@@ -764,20 +727,6 @@ class _MatrixForm:
     def rank2_det(self, alg, a):
         """Closed-form determinant at rank 2: d1 d2 - |off|^2 / 2."""
         return a[..., 0] * a[..., 1] - 0.5 * _row_sum(a[..., 2:] ** 2)
-
-    def rank2_det_columns(self, alg, x, sq, out):
-        """A function that writes ``rank2_det`` of the coordinate-major
-        points x (dim, n) to ``out``, with its bits, from their squares
-        ``sq``; see :func:`_coordinate_sum`."""
-        off, d1, d2, prod = _coordinate_sum(sq[2:], out), x[0], x[1], np.empty(out.shape)
-        half = np.array(0.5)  # a 0-d array, which a ufunc takes faster than a float
-
-        def det():
-            off()
-            np.multiply(out, half, out=out)
-            np.subtract(np.multiply(d1, d2, out=prod), out, out=out)
-
-        return det
 
     def inverse(self, alg, a):
         out, k = self._ldl(alg, a, lambda piv, up: self._ldl_inverse(alg, piv, up),

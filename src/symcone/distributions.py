@@ -27,12 +27,14 @@ on.)  Sampling uses the fastest exact route available for each family:
   chains can be compared.  Several laws drawn together run in one step
   loop, each in its own block of chains, with one target call per step
   for all of them; a chain's acceptance uniforms are drawn per block of
-  steps.  At rank 2 the target is evaluated in closed form (every rank-2
-  algebra is a spin factor, so the log density needs only tr x, det x and
-  two inner products); higher ranks take cone membership from the L D L*
-  pivots and the target from :func:`batch_wishart_log_unnorm` and
-  :func:`batch_gig_log_unnorm` at every step.  :func:`_metropolis_cone`
-  describes the step loop.
+  steps.  At rank 2 the target is evaluated in closed form: the log
+  density needs only tr x, det x and two inner products, and det x =
+  ((tr x)^2 - <x, x>) / 2 is one quadratic form of the kernel table's
+  ``trace`` and ``inner`` on every kind.  Higher ranks take cone
+  membership from the L D L* pivots and the target from
+  :func:`batch_wishart_log_unnorm` and :func:`batch_gig_log_unnorm` at
+  every step.  The step's squared norms add the coordinate rows in turn.
+  :func:`_metropolis_cone` describes the step loop.
 
 The rank-1 GIG sampler, its quadrature CDF and every Metropolis chain work
 on the law of 2^-k X, with k the exponent of a start point (for the GIG
@@ -68,7 +70,6 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     NotInConeError,
-    _coordinate_sum,
     _require_same,
     batch_det,
     batch_in_cone,
@@ -556,21 +557,21 @@ def _metropolis_cone(alg, laws, n):
     * every view of the two buffers is bound before the loop, and every step
       operation but the pick of the burn-in factors writes into a
       preallocated buffer with ``out=``;
-    * the squares of the proposal's coordinates are formed once, for its RMS
-      and for the target (the rank-2 det is a sum of them);
     * the target marks the proposals off the open cone in a mask, which is
       and-ed into the accept mask, so no -inf is written; an off-cone
       proposal is never accepted, whatever its target and Hastings term;
     * accepted chains take their proposal's coordinates, log target and RMS
       in one ``np.copyto(state, proposal, where=acc)``.
 
-    The RMS sets the next proposal scale, so its bits are those of
-    ``np.linalg.norm`` over a (chains, dim) row, and the squared norm of a
-    noise row keeps the bits of its (chains, dim) sum too:
-    :func:`symcone.algebra._coordinate_sum` adds the coordinate rows in
-    turn below dim 8, where numpy sums a row from left to right, and from
-    dim 8 on sums a (chains, dim) copy with numpy's own reduce.  The whole
-    loop runs under one ``np.errstate``, so the target sets none of its own.
+    The squared norms of the proposal (for its RMS) and of the noise rows
+    are ``np.add.reduce`` over the coordinate axis, which adds the
+    coordinate rows in turn: x0^2 + x1^2, then + x2^2, and so on.  numpy
+    does so on rows of two or more columns; a single column it sums as one
+    contiguous row, in another order from dim 8 on.  So each array summed
+    this way has at least two columns, a zero one beside a lone chain (a
+    law alone at n = 1 or ``CHAINS = 1``), which then keeps the bits it has
+    among other laws' chains.  The whole loop runs under one
+    ``np.errstate``, so the target sets none of its own.
     The burn-in update factors exp(gain (0 - target)) and exp(gain (1 -
     target)) are tabulated with ``np.exp`` (``math.exp`` rounds
     differently), so a burn-in step picks one per chain, with the accept
@@ -607,20 +608,22 @@ def _metropolis_cone(alg, laws, n):
     state, prop = np.empty((dim + 2, rows)), np.empty((dim + 2, rows))
     x, lp, rms = state[:dim], state[dim], state[dim + 1]
     x_prop, lp_prop, rms_prop = prop[:dim], prop[dim], prop[dim + 1]
-    sq = np.empty((dim, rows))
+    # the proposal's squares and their sums, two columns or more (see above)
+    width = max(rows, 2)
+    sq, sum_sq = np.zeros((dim, width)), np.empty(width)
+    sq_chains, sum_sq_chains = sq[:, :rows], sum_sq[:rows]
     ok, acc = np.empty(rows, bool), np.empty(rows, bool)
     std, ratio_sq, hastings, log_alpha = (np.empty(rows) for _ in range(4))
     # the loop's scalars as 0-d arrays, which a ufunc takes faster than floats
     sqrt_dim, half_dim, one, scale_0d = map(np.array, (math.sqrt(dim), dim * 0.5, 1.0, scale))
     acc_index = acc.view(np.uint8)
-    sum_sq = _coordinate_sum(sq, rms_prop)
-    log_pdf = _log_pdf_batch(alg, p, np.stack(a), b, x_prop, sq, lp_prop, ok)
+    log_pdf = _log_pdf_batch(alg, p, np.stack(a), b, x_prop, lp_prop, ok)
 
     def evaluate():
-        # the squares, RMS coordinate, log target and cone mask of the proposal
-        np.multiply(x_prop, x_prop, out=sq)
-        sum_sq()
-        np.sqrt(rms_prop, out=rms_prop)
+        # the RMS coordinate, log target and cone mask of the proposal
+        np.multiply(x_prop, x_prop, out=sq_chains)
+        np.add.reduce(sq, axis=0, out=sum_sq)
+        np.sqrt(sum_sq_chains, out=rms_prop)
         np.divide(rms_prop, sqrt_dim, out=rms_prop)
         log_pdf()
 
@@ -635,9 +638,9 @@ def _metropolis_cone(alg, laws, n):
         np.copyto(state, prop)
         for start in range(0, steps, block_steps):
             block = noise[start : start + block_steps]
-            half_z_sq = np.empty((len(block), rows))
-            _coordinate_sum(np.square(block).transpose(1, 0, 2), half_z_sq)()
-            half_z_sq *= 0.5
+            z_sq = np.zeros((len(block), dim, width))
+            np.square(block, out=z_sq[..., :rows])
+            half_z_sq = np.add.reduce(z_sq, axis=1)[:, :rows] * 0.5
             log_u = np.log(np.stack([gen.uniform(size=len(block)) for gen in gens], axis=1))
             for step, z, half_z_sq_row, log_u_row in zip(
                     range(start, steps), block, half_z_sq, log_u):
@@ -692,7 +695,7 @@ def _metropolis_cone(alg, laws, n):
     return out
 
 
-def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok):
+def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, lp, ok):
     """The Metropolis target (p - dim/r) log det x - <a, x> - <b, x^-1> of
     several laws, as a function of no arguments bound to its buffers.
 
@@ -704,25 +707,30 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok)
     row b = 0.
 
     x is a C-contiguous coordinate-major (dim, chains) buffer, as
-    :func:`_metropolis_cone` keeps its points, and ``sq`` the buffer that
-    holds x * x when the function is called.  The function writes the
+    :func:`_metropolis_cone` keeps its points.  The function writes the
     target of every chain to ``lp`` and whether it lies in the open cone to
     ``ok``.  The target of a chain off the cone is left unspecified, as the
     caller masks it with ``ok``; the log and division warnings it raises are
     left to the caller's ``np.errstate`` (:func:`_metropolis_cone` runs
     every call under one).
 
-    Rank 2 is evaluated in closed form: every rank-2 algebra is a spin
-    factor, so the kernel table's ``rank2_det_columns`` gives det x from the
-    squares without a matrix, the cone is tr x > 0, det x > 0, and by
-    Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0) <b, x^-1> is
-    (tr x tr b - <b, x>) / det x.  The numerator is linear in x, so it is
-    a third row of a law's weights ``w``, after the kernel table's
-    ``trace`` and ``inner`` with a applied to the coordinate basis, all
-    built once: one stacked ``@`` forms tr x, <a, x> and that numerator of
-    every law's chains.  On finite points tr x keeps its bits (its row
-    holds ones or a two, and zeros), and det x those of ``rank2_det``.  The
-    cone mask is tr x > 0 and det x > 0 by these closed forms.
+    Rank 2 is evaluated in closed form.  In every rank-2 algebra det x =
+    ((tr x)^2 - <x, x>) / 2, the quadratic form <x, Q x> with Q = (t t^T -
+    G) / 2, where t is the kernel table's ``trace`` and G the Gram matrix
+    of its ``inner`` on the coordinate basis; the cone is tr x > 0, det x
+    > 0; and by Cayley-Hamilton (x^2 - tr(x) x + det(x) e = 0) <b, x^-1>
+    is (tr x tr b - <b, x>) / det x, whose numerator is linear in x.  A
+    law's weights ``w``, built once, are t, a applied through ``inner``,
+    that numerator and the dim rows of Q, so one stacked ``@`` forms tr x,
+    <a, x>, the numerator and Q x of every law's chains; det x is then the
+    sum of x * Q x over the coordinate axis, which ``np.add.reduce`` adds
+    row by row in turn, on a buffer of two columns or more as
+    :func:`_metropolis_cone` describes.  Each row of Q has one nonzero
+    entry, 1/2 or 1 in magnitude, so Q x is exact on finite normal points,
+    and det x has the accuracy of ``rank2_det``: its bits on sym-real rank
+    2, its terms subtracted in another order on the other kinds.  On
+    finite points tr x keeps its bits too (its row holds ones or a two, and
+    zeros).  The cone mask is tr x > 0 and det x > 0 by these closed forms.
     :func:`batch_in_cone` decides by another rule, the L D L* pivots on the
     matrix kinds and x0 - |xbar| > 0 on the spin factor; the two agree
     except within rounding of the boundary, where det x is a difference of
@@ -751,18 +759,23 @@ def _log_pdf_batch(alg: AlgebraDescriptor, p, a_coords, b_coords, x, sq, lp, ok)
         if b_coords is not None:
             w.append(k.trace(alg, b_coords)[:, None] * trace
                      - k.inner(alg, b_coords[:, None, :], basis))
-        w = np.stack(w, axis=1)  # (laws, terms, dim)
-        lin = np.empty((w.shape[1], laws * rows))
-        lin_by_law = lin.reshape(-1, laws, rows).transpose(1, 0, 2)
-        tr, a_x = lin[0], lin[1]
-        b_num = None if b_coords is None else lin[2]
+        quad = 0.5 * (np.outer(trace, trace) - k.inner(alg, basis[:, None, :], basis))  # Q
+        w = np.concatenate([np.stack(w, axis=1), np.broadcast_to(quad, (laws, dim, dim))],
+                           axis=1)  # (laws, terms + dim, dim)
+        # two columns or more, for the sum of x * Q x (see _metropolis_cone)
+        width = max(laws * rows, 2)
+        lin, det = np.zeros((w.shape[1], width)), np.empty(width)
+        chains = lin[:, : laws * rows]
+        lin_by_law = chains.reshape(-1, laws, rows).transpose(1, 0, 2)
+        tr, a_x, qx, x_qx, dt = chains[0], chains[1], chains[-dim:], lin[-dim:], det[: laws * rows]
+        b_num = None if b_coords is None else chains[2]
         x_by_law = x.reshape(dim, laws, rows).transpose(1, 0, 2)  # a view, as x is contiguous
-        dt, low, zero = np.empty(laws * rows), np.empty(laws * rows), np.array(0.0)
-        det = k.rank2_det_columns(alg, x, sq, dt)
+        low, zero = np.empty(laws * rows), np.array(0.0)
 
         def log_pdf():
             np.matmul(w, x_by_law, out=lin_by_law)
-            det()
+            np.multiply(x, qx, out=qx)
+            np.add.reduce(x_qx, axis=0, out=det)
             np.greater(np.minimum(tr, dt, out=low), zero, out=ok)
             np.multiply(np.log(dt, out=lp), exponent, out=lp)
             np.subtract(lp, a_x, out=lp)

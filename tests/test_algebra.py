@@ -1049,40 +1049,13 @@ def _mixed_magnitude_rows(rng, n, dim):
 
 @pytest.mark.parametrize("dim", range(1, 8))
 def test_numpy_sums_a_row_shorter_than_8_from_left_to_right(dim):
-    # the Metropolis RMS and the rank-2 det add coordinate rows in turn below
-    # dim 8 (_coordinate_sum) for numpy's bits; a numpy that sums short rows
-    # in another order fails here
+    # _row_sum adds the columns in turn below dim 8 for numpy's bits; a numpy
+    # that sums short rows in another order fails here
     sq = _mixed_magnitude_rows(np.random.default_rng(dim), 20000, dim) ** 2
     by_column = sq[:, 0].copy()
     for j in range(1, dim):
         by_column += sq[:, j]
     assert by_column.tobytes() == np.add.reduce(sq, axis=1).tobytes()
-
-
-@pytest.mark.parametrize("dim", range(1, 13))
-def test_coordinate_sum_has_the_bits_of_numpys_row_sum(dim):
-    sq = _mixed_magnitude_rows(np.random.default_rng(100 + dim), 20000, dim) ** 2
-    ref = np.add.reduce(sq, axis=1)
-    cols = np.ascontiguousarray(sq.T)
-    for shape in ((20000,), (4, 5000)):  # the RMS rows, and a block of noise rows
-        out = np.empty(shape)
-        ja._coordinate_sum(cols.reshape(dim, *shape), out)()
-        assert out.tobytes() == ref.reshape(shape).tobytes()
-
-
-@pytest.mark.parametrize("alg", [ja.lorentz(2), ja.lorentz(5), ja.lorentz(8), ja.lorentz(9),
-                                 ja.sym_real(2), ja.herm_complex(2)],
-                         ids=["lorentz-dim3", "lorentz-dim6", "lorentz-dim9", "lorentz-dim10",
-                              "sym-real", "herm-complex"])
-def test_rank2_det_of_columns_keeps_the_rank2_det_bits(alg):
-    k = ja.kernels(alg)
-    rng = np.random.default_rng(28)
-    for exponent in range(-140, 141, 20):
-        x = rng.standard_normal((2000, alg.dim)) * 10.0**exponent
-        cols = np.ascontiguousarray(x.T)
-        out = np.empty(len(x))
-        k.rank2_det_columns(alg, cols, cols * cols, out)()
-        assert out.tobytes() == k.rank2_det(alg, x).tobytes()
 
 
 @pytest.mark.parametrize("dim", range(1, 12))

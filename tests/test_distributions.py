@@ -745,8 +745,8 @@ def test_gig_start_ratio_keeps_its_bits_and_never_overflows():
 # Rank-2 closed-form Metropolis target
 # ---------------------------------------------------------------------------
 
-RANK2 = [L2, ja.lorentz(5), A2, H2]
-RANK2_IDS = ["lorentz-dim3", "lorentz-dim6", "sym2", "herm2"]
+RANK2 = [L2, ja.lorentz(5), ja.lorentz(8), A2, H2]
+RANK2_IDS = ["lorentz-dim3", "lorentz-dim6", "lorentz-dim9", "sym2", "herm2"]
 
 
 def _reference_log_pdf_batch(alg, p, a_coords, b_coords=None):
@@ -790,13 +790,13 @@ def _one_law_target(alg, p, a_coords, b_coords):
         cols = np.ascontiguousarray(x.T)
         lp, ok = np.empty(len(x)), np.empty(len(x), bool)
         dist._log_pdf_batch(alg, [p], a_coords[None], None if b_coords is None else b_coords[None],
-                            cols, cols * cols, lp, ok)()
+                            cols, lp, ok)()
         return np.where(ok, lp, -np.inf)
 
     return log_pdf
 
 
-def _law_by_law_target(alg, p, a_coords, b_coords, x, sq, lp, ok):
+def _law_by_law_target(alg, p, a_coords, b_coords, x, lp, ok):
     """The target of several laws from :func:`_reference_log_pdf_batch`,
     one law's block of chains at a time, bound as the sampler binds its
     target: to coordinate-major points, with the cone mask true but where
@@ -882,6 +882,36 @@ def test_rank2_target_matches_eigenvalue_target(alg, scale):
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
+DET_ALGEBRAS = [A2, H2, L2, ja.lorentz(5), ja.lorentz(8), ja.lorentz(9)]
+DET_IDS = ["sym2", "herm2", "lorentz-dim3", "lorentz-dim6", "lorentz-dim9", "lorentz-dim10"]
+
+
+@pytest.mark.parametrize("alg", DET_ALGEBRAS, ids=DET_IDS)
+def test_rank2_target_det_keeps_the_accuracy_of_rank2_det(alg):
+    # at exponent 1 and a = 0 the target is log det x, with det x the
+    # quadratic form <x, Q x>
+    k = ja.kernels(alg)
+    rng = np.random.default_rng(alg.dim + 30)
+    banded = ja.random_cone_points_banded(alg, rng, 1000, 0.01, 10.0)
+    gaussian = rng.standard_normal((4000, alg.dim))
+    gaussian = gaussian[(k.rank2_det(alg, gaussian) > 0) & (k.trace(alg, gaussian) > 0)]
+    target = _one_law_target(alg, alg.dim_over_rank + 1.0, np.zeros(alg.dim), None)
+    for exponent in range(-140, 141, 20):
+        x = np.concatenate([banded, gaussian]) * 10.0**exponent
+        got, ref = target(x), np.log(k.rank2_det(alg, x))
+        if alg.kind is ja.Kind.SYM_REAL:
+            assert got.tobytes() == ref.tobytes()
+            continue
+        # each det is a sum of dim terms whose magnitudes add up to ``size``,
+        # so it is within dim eps / 2 size of the exact one, and each log is
+        # within 1 ulp of the exact log of its det
+        size = np.sum(x * x, axis=1) if alg.kind is ja.Kind.LORENTZ else \
+            np.abs(x[:, 0] * x[:, 1]) + 0.5 * np.sum(x[:, 2:] ** 2, axis=1)
+        bound = alg.dim * np.finfo(float).eps * size / k.rank2_det(alg, x) \
+            + 2.0 * np.spacing(np.abs(ref))
+        assert np.all(np.abs(got - ref) <= bound)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
 @pytest.mark.parametrize("alg", RANK2, ids=RANK2_IDS)
@@ -928,8 +958,7 @@ def test_rank2_target_mask_agrees_with_batch_in_cone_off_the_boundary(alg):
     cols = np.ascontiguousarray(x.T)
     lp, ok = np.empty(len(x)), np.empty(len(x), bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # log det of the rows off the cone
-        dist._log_pdf_batch(alg, [2.3], ja.identity(alg).coords[None], None,
-                            cols, cols * cols, lp, ok)()
+        dist._log_pdf_batch(alg, [2.3], ja.identity(alg).coords[None], None, cols, lp, ok)()
     mask = ja.batch_in_cone(alg, x)
     det, tr = ja.kernels(alg).rank2_det(alg, x), ja.batch_trace(alg, x)
     clear = np.abs(det) > 1e-12 * tr * tr
@@ -942,6 +971,15 @@ def test_rank2_target_mask_agrees_with_batch_in_cone_off_the_boundary(alg):
 # ---------------------------------------------------------------------------
 # Lean Metropolis step: same chains as the per-step reference
 # ---------------------------------------------------------------------------
+
+def _sum_in_turn(sq):
+    """The sum of (chains, dim) rows ``sq``, adding their coordinates in turn
+    from the left, the order of the sampler's sums over its coordinate axis."""
+    total = sq[:, 0].copy()
+    for j in range(1, sq.shape[1]):
+        total += sq[:, j]
+    return total
+
 
 def _reference_metropolis_cone(alg, log_pdf, seed, n, init):
     """The per-step formulation: norms recomputed every step, masked updates."""
@@ -964,12 +1002,12 @@ def _reference_metropolis_cone(alg, log_pdf, seed, n, init):
     kept = np.empty((per_chain, chains, alg.dim))
     k = 0
     for step in range(steps):
-        rms = np.linalg.norm(cur, axis=1) / math.sqrt(alg.dim)
+        rms = np.sqrt(_sum_in_turn(cur * cur)) / math.sqrt(alg.dim)
         std = factors * scale * rms
         prop = cur + std[:, None] * noise[step]
         lp_prop = log_pdf(prop)
-        rms_prop = np.linalg.norm(prop, axis=1) / math.sqrt(alg.dim)
-        z_sq = np.sum(noise[step] ** 2, axis=1)
+        rms_prop = np.sqrt(_sum_in_turn(prop * prop)) / math.sqrt(alg.dim)
+        z_sq = _sum_in_turn(noise[step] ** 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio_sq = (rms / rms_prop) ** 2
             hastings = alg.dim * 0.5 * np.log(ratio_sq) + 0.5 * z_sq * (1.0 - ratio_sq)
@@ -1055,8 +1093,9 @@ def _reference_masked_log_pdf_batch(alg, p, a_coords, b_coords=None):
     return log_pdf
 
 
-# Lorentz dim 9 sums its squares with numpy's reduce (dim >= 8), and
-# herm-complex r = 3 (also dim 9) takes the pivot target of rank >= 3
+# Lorentz dim 9 is past dim 8, where the step's sums in turn and numpy's row
+# sum differ, and herm-complex r = 3 (also dim 9) takes the pivot target of
+# rank >= 3
 LEAN_ALGEBRAS = [L2, ja.lorentz(5), ja.lorentz(8), A2, ja.sym_real(3), H2, ja.herm_complex(3), A1]
 LEAN_IDS = ["lorentz-dim3", "lorentz-dim6", "lorentz-dim9", "sym2", "sym3", "herm2", "herm3",
             "rank1"]
@@ -1117,8 +1156,8 @@ def test_lean_metropolis_step_keeps_every_chain(alg, config, family, monkeypatch
 # Several laws in one draw: each batch is the one its law gives alone
 # ---------------------------------------------------------------------------
 
-JOINT_ALGEBRAS = [L2, H2, ja.sym_real(3), A1]
-JOINT_IDS = ["lorentz-dim3", "herm2", "sym3", "rank1"]
+JOINT_ALGEBRAS = [L2, ja.lorentz(8), H2, ja.sym_real(3), A1]
+JOINT_IDS = ["lorentz-dim3", "lorentz-dim9", "herm2", "sym3", "rank1"]
 
 
 def _joint_laws(alg):
