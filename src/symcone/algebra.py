@@ -40,10 +40,12 @@ kinds take both from one L D L* elimination at every rank, complex entries
 multiplied out in real arithmetic: det is the product of the pivots, and
 the error of both stays within a small multiple of eps times the condition
 number.  The same pivots decide open-cone membership (Sylvester's
-criterion), with no LAPACK call.  Finite rows with a non-positive pivot
-lie off the open cone and take det from their eigenvalues and the inverse
-from the spectral calculus; on every kind a row with an inf or nan
-coordinate gives a nan det and inverse.  Eigenvalues, determinants,
+criterion), with no LAPACK call.  A caller that needs two of membership,
+det and inverse of one point set takes them from one rescaling and one
+elimination (:func:`_factor`), which keeps nothing past the call.  Finite
+rows with a non-positive pivot lie off the open cone and take det from
+their eigenvalues and the inverse from the spectral calculus; on every
+kind a row with an inf or nan coordinate gives a nan det and inverse.  Eigenvalues, determinants,
 inverses and square roots run on rows rescaled by a power of two (an even
 one for the root) and scale the result back, so an inverse holds from
 1e-300 to 1e300 and the determinant of a finite row outside the double
@@ -52,8 +54,12 @@ with no LAPACK call.
 The matrix kinds' Jordan product is one matrix product P = XY, as x o y =
 (P + P*) / 2, and P(x)y is XYX; both run as real matrix products in each
 algebra's real form, herm-complex through its real 2r x 2r embedding,
-where numpy's stacked complex product takes several times longer.  The
-multiplication operators L(a) are contracted from each algebra's
+where numpy's stacked complex product takes several times longer.  They
+run over blocks of rows whose R x R temporaries stay within a fixed byte
+budget (``_BLOCK_BYTES``), small enough to stay in the cache and to be
+reused by the allocator instead of being page-faulted afresh on every
+call; every step is row-wise, so a row has the same bits in any block.
+The multiplication operators L(a) are contracted from each algebra's
 structure tensor, the operators of its basis elements.
 
 All functions are pure.  The ``batch_*`` variants accept coordinate arrays
@@ -283,10 +289,11 @@ class _SpinFactor:
     with given weights on the Jordan frame (1, -+unit) / 2, unit = xbar /
     |xbar|; the module's spectral functions are written on them.  The
     determinant, the inverse and cone membership (from :meth:`eigen`'s
-    eigenvalues) are closed forms on rows rescaled by
-    :func:`_pow2_rows`, so they hold from the smallest to the largest
-    doubles; a determinant outside the double range gives inf or 0, and a
-    row with an inf or nan coordinate gives a nan determinant and inverse.
+    eigenvalues) are closed forms on rows rescaled by :func:`_pow2_rows`,
+    once for all three (:meth:`factor`), so they hold from the smallest to
+    the largest doubles; a determinant outside the double range gives inf
+    or 0, and a row with an inf or nan coordinate gives a nan determinant
+    and inverse.
     ``rank2_det`` is the unscaled determinant.
     """
 
@@ -333,10 +340,6 @@ class _SpinFactor:
             d = self.rank2_det(alg, s)
         return np.where(np.isfinite(d), d, np.nan)
 
-    def det(self, alg, a):
-        s, k = _pow2_rows(a)
-        return np.ldexp(self._det(alg, s), 2 * k)
-
     def eigen(self, alg, s):
         """The eigenvalues x0 - |xbar| and x0 + |xbar| of rows ``s``, rescaled
         by :func:`_pow2_rows`, in that order, and the frame data (xbar,
@@ -371,20 +374,30 @@ class _SpinFactor:
             out[..., 1:] = ((high - low) / 2.0)[..., None] * unit
         return out
 
-    def in_cone(self, alg, a):
-        """Open-cone membership of rows ``a``: the smaller eigenvalue
-        x0 - |xbar| of their rescaled rows, as :meth:`eigen` gives it, scaled
-        back, is positive, and the row is finite, which the larger
-        eigenvalue of its rescaled row is exactly when the row is."""
-        s, k = _pow2_rows(a)
-        (low, high), _ = self.eigen(alg, s)
-        return (np.ldexp(low, k) > 0) & np.isfinite(high)
+    def factor(self, alg, a, want):
+        """The arrays of rows ``a`` that ``want`` names, by name, from one
+        rescaling by :func:`_pow2_rows`.
 
-    def inverse(self, alg, a):
+        "det" and "inverse" are closed forms on one :meth:`_det` of the
+        rescaled rows.  "in_cone" is open-cone membership: the smaller
+        eigenvalue x0 - |xbar| of the rescaled row, as :meth:`eigen` gives
+        it, scaled back, is positive, and the row is finite, which the
+        larger eigenvalue of its rescaled row is exactly when the row is.
+        """
         s, k = _pow2_rows(a)
-        out = np.concatenate([s[..., :1], -s[..., 1:]], axis=-1)
-        with np.errstate(invalid="ignore"):  # 0 / 0 at a zero coordinate of a row with det 0
-            return np.ldexp(out / self._det(alg, s)[..., None], -k[..., None])
+        got = {}
+        if "in_cone" in want:
+            (low, high), _ = self.eigen(alg, s)
+            got["in_cone"] = (np.ldexp(low, k) > 0) & np.isfinite(high)
+        if "det" in want or "inverse" in want:
+            d = self._det(alg, s)
+        if "det" in want:
+            got["det"] = np.ldexp(d, 2 * k)
+        if "inverse" in want:
+            out = np.concatenate([s[..., :1], -s[..., 1:]], axis=-1)
+            with np.errstate(invalid="ignore"):  # 0 / 0 at a zero coordinate of a row with det 0
+                got["inverse"] = np.ldexp(out / d[..., None], -k[..., None])
+        return got
 
     def quad_apply(self, alg, a, b):
         ab = self.jordan(alg, a, b)
@@ -533,9 +546,10 @@ def _jacobi(r, w, diag, up):
 
 def _inside(piv):
     """Whether every pivot (:meth:`_MatrixForm._eliminate`) of a row is
-    positive and finite: the open-cone test of :meth:`_MatrixForm.in_cone`,
-    which :meth:`_MatrixForm._ldl` shares.  A nan pivot, as one past a zero
-    pivot may be, is neither, so its row is outside."""
+    positive and finite: the open-cone test of :meth:`_MatrixForm.factor`,
+    which also sends the rows outside to the spectral calculus.  A nan
+    pivot, as one past a zero pivot may be, is neither, so its row is
+    outside."""
     return reduce(np.logical_and, [(p > 0) & (p < np.inf) for p in piv])
 
 
@@ -544,11 +558,12 @@ class _MatrixForm:
     complex).  A complex off-diagonal entry takes two coordinates, real part
     first.
 
-    The determinant and the inverse come from one elimination, s = L D L*
-    (:meth:`_ldl`), written once for every rank, on the coordinates with no
-    matrix built: det is the product of the pivots and s^-1 = M* D^-1 M with
-    M = L^-1.  Complex entries are multiplied out in real and imaginary
-    parts, so a row gives the same bits alone as inside a batch.  On the
+    Open-cone membership, the determinant and the inverse of a point set
+    come from one elimination, s = L D L* (:meth:`factor`), written once for
+    every rank, on the coordinates with no matrix built: det is the product
+    of the pivots and s^-1 = M* D^-1 M with M = L^-1.  Complex entries are
+    multiplied out in real and imaginary parts, so a row gives the same
+    bits alone as inside a batch.  On the
     open cone every pivot is positive and the elimination is backward
     stable, so the error of both is within a small multiple of eps times
     the condition number.  A finite row with a non-positive pivot takes
@@ -558,14 +573,17 @@ class _MatrixForm:
     and scale the result back, so an inverse holds from 1e-300 to 1e300
     and a determinant outside the double range is inf or 0.  An exactly
     singular row gives det 0 and a non-finite inverse row, as on the spin
-    factor.  Open-cone membership reads the same pivots (:meth:`in_cone`).
+    factor.  Open-cone membership reads the same pivots.
 
     The two spectral methods are :meth:`eigen`, the eigenvalues and
     eigenvectors U from :func:`_jacobi`, cyclic Jacobi rotations on the
     entries that the elimination reads, at every rank, and :meth:`combine`,
     U diag(w) U* for weights w; the module's spectral functions are written
     on them.  The Jordan product and P(x)y are real matrix products in the
-    real form (:func:`_real_form`).
+    real form (:func:`_real_form`), run over blocks of rows whose R x R
+    temporaries stay within ``_BLOCK_BYTES`` (:meth:`_RealForm.product`):
+    the temporaries of a whole batch are fresh memory that page-faults on
+    every call and leaves the cache.
     """
 
     def __init__(self, field, make):
@@ -623,9 +641,7 @@ class _MatrixForm:
     def jordan(self, alg, a, b):
         """x o y = (P + P*) / 2 with P = XY, as YX = (XY)* for Hermitian X
         and Y: one real matrix product in the real form (:func:`_real_form`)."""
-        form = _real_form(alg)
-        with np.errstate(invalid="ignore"):  # inf times 0 on a row with an inf coordinate
-            return form.read(form.embed(a) @ form.embed(b))
+        return _real_form(alg).product(np.matmul, a, b)
 
     def inner(self, alg, a, b):
         return _row_sum(a * b)
@@ -664,46 +680,58 @@ class _MatrixForm:
                 up[i, j] = lt
         return piv, up
 
-    def _ldl(self, alg, a, from_ldl, from_eigen):
-        """``from_ldl`` of the pivots and the factor (:meth:`_eliminate`) of
-        rows ``a`` rescaled by :func:`_pow2_rows`, and the exponents.
+    def factor(self, alg, a, want):
+        """The arrays of rows ``a`` that ``want`` names, by name, from one
+        rescaling by :func:`_pow2_rows` and one elimination
+        (:meth:`_eliminate`) of the rescaled rows: "in_cone", "det" and
+        "inverse".
 
-        The pivots are all positive exactly on the open cone (Sylvester's
-        criterion), where this elimination is backward stable.  A row
-        outside, by the test of :meth:`in_cone` (:func:`_inside`), takes
-        ``from_eigen`` of its rescaled row instead if it is finite, and nan
-        if it has an inf or nan coordinate.
+        "in_cone" is open-cone membership, every pivot positive and finite
+        (:func:`_inside`).  On a finite row that is Sylvester's criterion; a
+        finite row on the open cone has finite pivots, as each is at most
+        its diagonal entry.  A non-finite coordinate makes a pivot
+        non-finite or negative: an inf or nan diagonal entry stays in its
+        pivot, and an off-diagonal one (i, j) subtracts inf or nan from
+        pivot j at step i.  So a row with an inf coordinate, whose other
+        pivots may all be positive, is outside, as is a nan row.
+
+        On the open cone the elimination is backward stable: "det" is the
+        product of the pivots, and "inverse" is M* D^-1 M
+        (:meth:`_ldl_inverse`), which runs only when it is wanted.  A row
+        outside takes det from its eigenvalues and the inverse from the
+        spectral calculus if it is finite, and nan if it has an inf or nan
+        coordinate.
         """
         s, k = _pow2_rows(a)
-        with np.errstate(divide="ignore", invalid="ignore"):  # on rows replaced below
-            piv, up = self._eliminate(alg, s)
-            out = np.asarray(from_ldl(piv, up))  # one row gives a numpy scalar
-        outside = ~_inside(piv)
-        if outside.any():
-            finite = np.isfinite(s).all(axis=-1)
-            out[outside & ~finite] = np.nan  # out may be a view of s: read s first
-            outside &= finite
-            out[outside] = from_eigen(s[outside])
-        return out, k
-
-    def in_cone(self, alg, a):
-        """Open-cone membership of rows ``a``: every pivot of their rescaled
-        rows (:meth:`_eliminate`) is positive and finite.
-
-        On a finite row that is Sylvester's criterion; a finite row on the
-        open cone has finite pivots, as each is at most its diagonal entry.
-        A non-finite coordinate makes a pivot non-finite or negative: an inf
-        or nan diagonal entry stays in its pivot, and an off-diagonal one
-        (i, j) subtracts inf or nan from pivot j at step i.  So a row with
-        an inf coordinate, whose other pivots may all be positive, is
-        outside, as is a nan row.
-        """
         with np.errstate(all="ignore"):  # a row off the cone may overflow or divide by 0
-            return _inside(self._eliminate(alg, _pow2_rows(a)[0])[0])
+            piv, up = self._eliminate(alg, s)
+            inside = _inside(piv)
+            got = {"in_cone": inside}
+            if "det" in want:  # one row gives a numpy scalar, at rank 1 a view of s
+                got["det"] = np.asarray(reduce(np.multiply, piv))
+            if "inverse" in want:
+                got["inverse"] = self._ldl_inverse(alg, piv, up)
+        replaced = [name for name in ("det", "inverse") if name in want]
+        if replaced and not inside.all():
+            finite = np.isfinite(s).all(axis=-1)
+            # one eigen of these rows for both, read before a det that views s
+            # is set; they are rescaled already, so det and inverse have the
+            # bits of _sorted_eigen and _spectral_map on them
+            w, vec = self.eigen(alg, s[~inside & finite])
+            spectral = {"det": lambda: np.prod(np.sort(np.stack(w, axis=-1))[..., ::-1], axis=-1),
+                        "inverse": lambda: self.combine(alg, [np.reciprocal(x) for x in w], vec)}
+            for name in replaced:
+                got[name][~inside & ~finite] = np.nan
+                got[name][~inside & finite] = spectral[name]()
+        if "det" in want:
+            got["det"] = np.ldexp(got["det"], alg.rank * k)
+        if "inverse" in want:
+            got["inverse"] = np.ldexp(got["inverse"], -k[..., None])
+        return got
 
     def _ldl_inverse(self, alg, piv, up):
         """Coordinates of s^-1 = M* D^-1 M, with M = L^-1, from the pivots
-        and the entries of L* that :meth:`_ldl` gives."""
+        and the entries of L* that :meth:`_eliminate` gives."""
         r = alg.rank
         # p: minus the upper entries of M* = (L*)^-1 by back substitution,
         # column by column; q: those entries divided by the pivot of their column
@@ -719,26 +747,13 @@ class _MatrixForm:
             coords += [-_SQRT2 * c for c in e]
         return np.stack(coords, axis=-1)
 
-    def det(self, alg, a):
-        out, k = self._ldl(alg, a, lambda piv, up: reduce(np.multiply, piv),
-                           lambda s: np.prod(_sorted_eigen(alg, s)[0], axis=-1))
-        return np.ldexp(out, alg.rank * k)
-
     def rank2_det(self, alg, a):
         """Closed-form determinant at rank 2: d1 d2 - |off|^2 / 2."""
         return a[..., 0] * a[..., 1] - 0.5 * _row_sum(a[..., 2:] ** 2)
 
-    def inverse(self, alg, a):
-        out, k = self._ldl(alg, a, lambda piv, up: self._ldl_inverse(alg, piv, up),
-                           lambda s: _spectral_map(alg, s, np.reciprocal))
-        return np.ldexp(out, -k[..., None])
-
     def quad_apply(self, alg, a, b):
         """P(x)y = XYX: two real matrix products in the real form."""
-        form = _real_form(alg)
-        with np.errstate(invalid="ignore"):  # inf times 0 on a row with an inf coordinate
-            ea = form.embed(a)
-            return form.read(ea @ form.embed(b) @ ea)
+        return _real_form(alg).product(lambda ea, eb: ea @ eb @ ea, a, b)
 
     def eigen(self, alg, s):
         """The eigenvalues, a list of r arrays in no set order, and the
@@ -901,8 +916,22 @@ def batch_trace(alg: AlgebraDescriptor, a) -> np.ndarray:
     return _KERNELS[alg.kind].trace(alg, np.asarray(a, dtype=float))
 
 
+def _factor(alg: AlgebraDescriptor, a, *want) -> tuple:
+    """The arrays of rows ``a`` that ``want`` names, in its order, each
+    with the bits of its public function: "in_cone" (:func:`batch_in_cone`),
+    "det" (:func:`batch_det`) and "inverse" (:func:`batch_inverse`).
+
+    They come from one rescaling by :func:`_pow2_rows` and, on the matrix
+    kinds, one elimination, with the inverse's back substitution only when
+    it is wanted; a caller that needs two of them for one point set takes
+    both from one call.  Nothing of the factorization outlives the call.
+    """
+    got = _KERNELS[alg.kind].factor(alg, np.asarray(a, dtype=float), want)
+    return tuple(got[name] for name in want)
+
+
 def batch_det(alg: AlgebraDescriptor, a) -> np.ndarray:
-    return _KERNELS[alg.kind].det(alg, np.asarray(a, dtype=float))
+    return _factor(alg, a, "det")[0]
 
 
 def batch_eigenvalues(alg: AlgebraDescriptor, a) -> np.ndarray:
@@ -915,7 +944,7 @@ def batch_eigenvalues(alg: AlgebraDescriptor, a) -> np.ndarray:
 
 def batch_inverse(alg: AlgebraDescriptor, a) -> np.ndarray:
     """Inverse of coordinate arrays; assumes invertibility (no threshold)."""
-    return _KERNELS[alg.kind].inverse(alg, np.asarray(a, dtype=float))
+    return _factor(alg, a, "inverse")[0]
 
 
 def batch_quad_apply(alg: AlgebraDescriptor, a, b) -> np.ndarray:
@@ -923,6 +952,17 @@ def batch_quad_apply(alg: AlgebraDescriptor, a, b) -> np.ndarray:
     return _KERNELS[alg.kind].quad_apply(
         alg, np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
+
+
+# Bytes of each R x R temporary (an embedded operand or a product) in one
+# block of real-form rows (:meth:`_RealForm.product`).  The temporaries of a
+# whole batch, 1.2 MB each for 4000 herm-complex r = 3 rows, are fresh
+# mappings that page-fault on every call and fall out of the L2 cache;
+# those of a block stay in the cache, and the allocator reuses their
+# memory.  One identity-sweep pass (4000 rows per check) page-faulted about
+# 9 300 times unblocked, 2 400-2 500 times at 64 or 128 KiB, 4 900 at
+# 256 KiB and 15 000 at 384 KiB
+_BLOCK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -934,6 +974,7 @@ class _RealForm:
     first: np.ndarray  # (dim,) positions in a flattened product, and the scales
     second: np.ndarray
     scale: np.ndarray
+    block: int  # rows per block of :meth:`product`, from _BLOCK_BYTES
 
     def embed(self, a):
         """The real matrices E(x) of coordinate rows ``a``."""
@@ -943,6 +984,27 @@ class _RealForm:
         """Coordinates of the Hermitian part of real-form matrices ``p``."""
         flat = p.reshape(p.shape[:-2] + (-1,))
         return flat[..., self.first] * self.scale + flat[..., self.second] * self.scale
+
+    def product(self, f, a, b):
+        """Coordinates read from f(E(a), E(b)), a product of real-form
+        matrices, of coordinate rows ``a`` and ``b`` broadcast against each
+        other.
+
+        The rows run in blocks of ``block``, and each block's coordinates
+        fill its rows of one output array.  Embedding, product and readout
+        are row-wise, so a row gets the same bits in any block as alone.
+        The output is coordinate-major, as :meth:`read` leaves a whole
+        batch, so that a sum over its coordinates keeps its bits: numpy
+        adds a strided axis in turn and a contiguous one pairwise.
+        """
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        a, b = (np.broadcast_to(x, shape).reshape(-1, shape[-1]) for x in (a, b))
+        out = np.empty(a.shape[::-1])
+        for start in range(0, len(a), self.block):
+            rows = slice(start, start + self.block)
+            with np.errstate(invalid="ignore"):  # inf times 0 on a row with an inf coordinate
+                out.T[rows] = self.read(f(self.embed(a[rows]), self.embed(b[rows])))
+        return np.moveaxis(out.reshape(shape[-1:] + shape[:-1]), 0, -1)
 
 
 @lru_cache(maxsize=None)
@@ -983,7 +1045,7 @@ def _real_form(alg: AlgebraDescriptor) -> _RealForm:
     scale = 0.5 / put.max(axis=1)
     for a in (put, first, second, scale):
         a.setflags(write=False)
-    return _RealForm(put, size, first, second, scale)
+    return _RealForm(put, size, first, second, scale, max(1, _BLOCK_BYTES // (8 * size * size)))
 
 
 @lru_cache(maxsize=None)
@@ -1045,7 +1107,7 @@ def batch_in_cone(alg: AlgebraDescriptor, a) -> np.ndarray:
     is far below 1/eps this agrees with the sign of the least eigenvalue;
     near the boundary both are rounding.  A nan or inf row is outside.
     """
-    return _KERNELS[alg.kind].in_cone(alg, np.asarray(a, dtype=float))
+    return _factor(alg, a, "in_cone")[0]
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     NotInConeError,
+    _factor,
     _require_same,
     batch_det,
     batch_in_cone,
@@ -237,8 +238,10 @@ def _wishart_log_unnorm(alg: AlgebraDescriptor, p: float, a, x, log_det) -> np.n
 
 def batch_gig_log_unnorm(alg: AlgebraDescriptor, p: float, a, b, x) -> np.ndarray:
     """Unnormalized GIG log density (p - dim/r) log det x - <a, x> - <b, x^-1>
-    at stacked points x, with a and b as coordinates; no cone check."""
-    return _gig_log_unnorm(alg, p, a, b, x, np.log(batch_det(alg, x)), batch_inverse(alg, x))
+    at stacked points x, with a and b as coordinates; no cone check.  det x
+    and x^-1 come from one factorization."""
+    det, inv = _factor(alg, x, "det", "inverse")
+    return _gig_log_unnorm(alg, p, a, b, x, np.log(det), inv)
 
 
 def _gig_log_unnorm(alg: AlgebraDescriptor, p: float, a, b, x, log_det, inv) -> np.ndarray:

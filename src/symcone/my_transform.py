@@ -1,11 +1,13 @@
 """The involutive cone map psi(x, y) = ((x+y)^-1, x^-1 - (x+y)^-1).
 
 The map sends pairs of open-cone points to pairs of open-cone points and is
-its own inverse.  :func:`batch_my_map` is the one batched form of the map:
-the finite-difference Jacobian and every check of :mod:`symcone.verification`
-that maps points call it.  This module also provides the nested-inverse
-rewrite of its second component (Hua's identity) and the change-of-variables
-Jacobian of the map, in closed form and as a finite-difference oracle.
+its own inverse.  :func:`batch_my_map` is the one batched form of the map,
+and :func:`_my_map` its core from the two inverses: the finite-difference
+Jacobian and the checks of :mod:`symcone.verification` call the core where
+they already hold an inverse, and the batched form elsewhere.  This module
+also provides the nested-inverse rewrite of its second component (Hua's
+identity) and the change-of-variables Jacobian of the map, in closed form
+and as a finite-difference oracle.
 :func:`batch_log_jacobian_det` is the one closed form; it and the oracle
 :func:`batch_log_jacobian_det_numeric` give logs, so they stay finite where
 the Jacobian leaves the double range.  The element-level
@@ -24,6 +26,7 @@ from .algebra import (
     AlgebraDescriptor,
     Element,
     NotInConeError,
+    _factor,
     _require_same,
     batch_det,
     batch_in_cone,
@@ -87,7 +90,8 @@ def jacobian_det_formula(u: Element, v: Element) -> float:
     the exp of :func:`batch_log_jacobian_det` (inf or 0 outside the double range)."""
     if not in_cone(u) or not in_cone(v):
         raise NotInConeError("jacobian requires open-cone inputs")
-    return float(np.exp(batch_log_jacobian_det(u.algebra, u.coords, v.coords)))
+    with np.errstate(over="ignore"):  # inf outside the double range, as documented
+        return float(np.exp(batch_log_jacobian_det(u.algebra, u.coords, v.coords)))
 
 
 def batch_log_jacobian_det(alg: AlgebraDescriptor, u, v) -> np.ndarray:
@@ -109,12 +113,15 @@ def _log_jacobian_det(alg: AlgebraDescriptor, log_det_u, log_det_sum) -> np.ndar
 
 
 def _psi_coords(alg: AlgebraDescriptor, z: np.ndarray) -> np.ndarray:
-    """Apply the map to stacked coordinates z = (u, v), shape (..., 2*dim)."""
+    """Apply the map to stacked coordinates z = (u, v), shape (..., 2*dim),
+    which must lie in the open cone; u's membership and inverse come from
+    one factorization."""
     d = alg.dim
     u, v = z[..., :d], z[..., d:]
-    if not (np.all(batch_in_cone(alg, u)) and np.all(batch_in_cone(alg, v))):
+    inside, inv_u = _factor(alg, u, "in_cone", "inverse")
+    if not (np.all(inside) and np.all(batch_in_cone(alg, v))):
         raise NotInConeError("perturbed point left the open cone; reduce the step")
-    return np.concatenate(batch_my_map(alg, u, v), axis=-1)
+    return np.concatenate(_my_map(batch_inverse(alg, u + v), inv_u), axis=-1)
 
 
 def batch_jacobian_fd_matrix(alg: AlgebraDescriptor, u, v, step: float = 1e-5) -> np.ndarray:
@@ -179,4 +186,6 @@ def jacobian_det_numeric(
     """|det| of the finite-difference Jacobian matrix of the map at (u, v), the
     exp of :func:`batch_log_jacobian_det_numeric`, with ``richardson`` as there."""
     alg = _require_same(u, v)
-    return float(np.exp(batch_log_jacobian_det_numeric(alg, u.coords, v.coords, step, richardson)))
+    log_det = batch_log_jacobian_det_numeric(alg, u.coords, v.coords, step, richardson)
+    with np.errstate(over="ignore"):  # inf outside the double range, as documented
+        return float(np.exp(log_det))

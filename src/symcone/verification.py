@@ -8,7 +8,9 @@ default is its tolerance, and the CLI passes ``tol`` only when it is set.
 Checks run one after another at one (algebra, n, integer seed) share their
 cone points, drawn once, and what two or more of them derive from those
 points (dets, inverses and the map image), computed once and kept with the
-points (:func:`_cone_pairs`).  The checks map points with
+points (:func:`_cone_pairs`); a point set whose det and inverse are both
+read is factored once for the two (:func:`symcone.algebra._factor`).  The
+checks map points with
 :func:`symcone.my_transform.batch_my_map`, take the Jacobian of the map as
 a log from :mod:`symcone.my_transform`, and evaluate densities with the log
 densities of :mod:`symcone.distributions`; where the shared record already
@@ -38,6 +40,7 @@ from . import stats
 from .algebra import (
     AlgebraDescriptor,
     Element,
+    _factor,
     batch_det,
     batch_inner,
     batch_inverse,
@@ -198,48 +201,53 @@ class _SharedPair:
     from them that two or more checks read.
 
     Each derived array is computed on first use by the library's batch
-    kernel and then kept, read-only, as long as the record.  Every kernel is
-    row-wise, so a check that reads an array here, or a slice of it, gets
-    the bits it would compute itself.  (u, v) = psi(x, y) comes from the
-    inverses of x + y and x (:func:`symcone.my_transform._my_map`), so x^-1
-    is computed once for both.  y^-1 is read by one check only and is not
-    kept.
+    kernels and then kept, read-only, as long as the record.  Every kernel
+    is row-wise, so a check that reads an array here, or a slice of it, gets
+    the bits it would compute itself.  Each of x, y, x + y and u = (x+y)^-1
+    is factored once, for its det and its inverse together
+    (:func:`symcone.algebra._factor`); v, whose inverse no check reads, for
+    its det alone.  (u, v) = psi(x, y) comes from the inverses of x + y and
+    x (:func:`symcone.my_transform._my_map`).  y^-1 is read by Hua's check
+    alone, but it comes with det y, which four checks read, at the cost of
+    its back substitution.
     """
 
     alg: AlgebraDescriptor
     x: np.ndarray
     y: np.ndarray
 
-    @cached_property
-    def det_x(self):
-        return _read_only(batch_det(self.alg, self.x))
+    def _det_inverse(self, z):
+        return tuple(map(_read_only, _factor(self.alg, z, "det", "inverse")))
 
     @cached_property
-    def det_y(self):
-        return _read_only(batch_det(self.alg, self.y))
+    def _at_x(self):
+        return self._det_inverse(self.x)
 
     @cached_property
-    def det_sum(self):
-        """det(x + y)."""
-        return _read_only(batch_det(self.alg, self.x + self.y))
+    def _at_y(self):
+        return self._det_inverse(self.y)
 
     @cached_property
-    def inv_x(self):
-        return _read_only(batch_inverse(self.alg, self.x))
+    def _at_sum(self):
+        """det(x + y) and (x + y)^-1."""
+        return self._det_inverse(self.x + self.y)
+
+    @cached_property
+    def _at_u(self):
+        return self._det_inverse(self.psi[0])
+
+    det_x = property(lambda self: self._at_x[0])
+    inv_x = property(lambda self: self._at_x[1])
+    det_y = property(lambda self: self._at_y[0])
+    inv_y = property(lambda self: self._at_y[1])
+    det_sum = property(lambda self: self._at_sum[0])
+    det_u = property(lambda self: self._at_u[0])
+    inv_u = property(lambda self: self._at_u[1])
 
     @cached_property
     def psi(self):
         """(u, v) = ((x+y)^-1, x^-1 - (x+y)^-1)."""
-        return tuple(map(_read_only, _my_map(batch_inverse(self.alg, self.x + self.y),
-                                             self.inv_x)))
-
-    @cached_property
-    def det_u(self):
-        return _read_only(batch_det(self.alg, self.psi[0]))
-
-    @cached_property
-    def inv_u(self):
-        return _read_only(batch_inverse(self.alg, self.psi[0]))
+        return tuple(map(_read_only, _my_map(self._at_sum[1], self.inv_x)))
 
     @cached_property
     def det_v(self):
@@ -355,16 +363,18 @@ def check_det_operator_power(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
 def check_hua(alg, n=1000, tol=1e-8, seed=0) -> CheckReport:
     """Residual of a^-1 - (a+b)^-1 = (a + P(a) b^-1)^-1 on cone pairs."""
     pts = _cone_pairs(alg, n, seed)
-    a, b = pts.x, pts.y
+    a = pts.x
     lhs = pts.psi[1]  # the map's second component
-    rhs = batch_inverse(alg, a + batch_quad_apply(alg, a, batch_inverse(alg, b)))
+    rhs = batch_inverse(alg, a + batch_quad_apply(alg, a, pts.inv_y))
     return _report("hua-identity", alg, _norms(alg, lhs - rhs), tol, seed)
 
 
 def check_involution(alg, n=1000, tol=1e-9, seed=0) -> CheckReport:
-    """Residual of applying the cone map twice on random cone pairs."""
+    """Residual of applying the cone map twice on random cone pairs: the
+    second map reads u^-1 from the shared record."""
     pts = _cone_pairs(alg, n, seed)
-    x2, y2 = batch_my_map(alg, *pts.psi)
+    u, v = pts.psi
+    x2, y2 = _my_map(batch_inverse(alg, u + v), pts.inv_u)
     residuals = np.maximum(_norms(alg, x2 - pts.x), _norms(alg, y2 - pts.y))
     return _report("involution", alg, residuals, tol, seed)
 
@@ -555,9 +565,28 @@ def density_factorization_check(
     return _report("density-factorization", alg, residuals, tol, seed)
 
 
-def _functionals(alg, z, c) -> dict:
-    """trace z, det z and <c, z> at stacked points z."""
-    return {"trace": batch_trace(alg, z), "det": batch_det(alg, z),
+def _det_exponent(*samples) -> int:
+    """The exponent m of the power of two 2^m just above the largest
+    |coordinate| of the stacked points ``samples``.
+
+    det(2^-m z) = 2^-rm det z exactly wherever det z is a normal double,
+    and neither dCor nor KS sees a factor common to the samples they read,
+    while det z itself leaves the double range at scales a point can hold
+    (rank 4 from about 2^256).
+    """
+    top = max(max(np.max(z), -np.min(z)) for z in samples)  # no copy, as np.abs would make
+    return int(np.frexp(top)[1])
+
+
+def _scaled_det(alg, z, m) -> np.ndarray:
+    """det of stacked points z times 2^-m (:func:`_det_exponent`)."""
+    return batch_det(alg, np.ldexp(z, -m))
+
+
+def _functionals(alg, z, c, m) -> dict:
+    """trace z, det z and <c, z> at stacked points z, det taken at z times
+    2^-m (:func:`_scaled_det`)."""
+    return {"trace": batch_trace(alg, z), "det": _scaled_det(alg, z, m),
             "inner": batch_inner(alg, c, z)}
 
 
@@ -600,7 +629,11 @@ def my_property_test(
     division is exact and both statistics are scale-invariant, so they give
     the bits of the unscaled sample wherever those are finite, and their
     squared distances and products neither overflow nor underflow at any
-    scale a double holds.
+    scale a double holds.  The det functional of each side and of the fresh
+    draws it is compared with is taken at both samples times one common
+    power of two (:func:`_det_exponent`), so that det stays in the double
+    range and every statistic keeps the bits of the unscaled dets wherever
+    those are normal doubles.
 
     ``negative_control=True`` replaces Y with X plus cone noise, which makes
     U and V strongly dependent and must drive the permutation p-values below
@@ -635,7 +668,10 @@ def my_property_test(
     else:
         y = batches["y"].coords
     u, v = batch_my_map(alg, x, y)
-    mapped = {"u": _functionals(alg, u, a.coords), "v": _functionals(alg, v, b.coords)}
+    fresh = {"u": batches["u"].coords, "v": batches["v"].coords}
+    m = {"u": _det_exponent(u, fresh["u"]), "v": _det_exponent(v, fresh["v"])}
+    mapped = {"u": _functionals(alg, u, a.coords, m["u"]),
+              "v": _functionals(alg, v, b.coords, m["v"])}
     rng_perm = np.random.default_rng(child[2])
     dcors, dcor_ps = [], []
     for name in DCOR_FUNCTIONALS:
@@ -646,12 +682,12 @@ def my_property_test(
         dcors.append(r)
         dcor_ps.append(pv)
 
-    fresh = {"u": batches["u"].coords, "v": batches["v"].coords}
     ks_stats, ks_ps = [], []
     for label in KS_LABELS:
         side, name = label.split("_")
-        functional = batch_trace if name == "trace" else batch_det
-        s, pv = stats.ks_2sample(mapped[side][name], functional(alg, fresh[side]))
+        z = fresh[side]  # its det at the power of two of the mapped sample's
+        s, pv = stats.ks_2sample(mapped[side][name], batch_trace(alg, z) if name == "trace"
+                                 else _scaled_det(alg, z, m[side]))
         ks_stats.append(s)
         ks_ps.append(pv)
 

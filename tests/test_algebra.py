@@ -1,5 +1,6 @@
 """Element arithmetic, operators, and spectral calculus for all three families."""
 
+import functools
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -569,7 +570,7 @@ def test_lorentz_det_keeps_the_unscaled_bits_in_range():
     rng = np.random.default_rng(3)
     for exponent in range(-140, 141, 20):
         x = rng.standard_normal((2000, alg.dim)) * 10.0**exponent
-        np.testing.assert_array_equal(k.det(alg, x), k.rank2_det(alg, x))
+        np.testing.assert_array_equal(ja.batch_det(alg, x), k.rank2_det(alg, x))
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +924,33 @@ def test_every_batch_kernel_gives_a_row_alone_its_bits_in_a_batch(alg, name):
             assert np.isnan(got[row]).all()
         for i in (row - 1, row + 1):
             assert _bits(got[i]) == _bits(batch[i]), (bad, i)
+
+
+BLOCK_ALGEBRAS = [ja.sym_real(r) for r in (1, 2, 3, 4)] + [ja.herm_complex(r) for r in (2, 3, 4)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kernel", [ja.batch_jordan, ja.batch_quad_apply],
+                         ids=["jordan", "quad_apply"])
+@pytest.mark.parametrize("alg", BLOCK_ALGEBRAS,
+                         ids=[f"{a.kind.value}-rank{a.rank}" for a in BLOCK_ALGEBRAS])
+def test_real_form_blocks_give_every_row_its_bits_alone(alg, kernel):
+    # the real-form products run over blocks of rows: in a batch of one
+    # block and one row more, every row, an inf one included, has the bits
+    # it has alone, also with e broadcast against the batch on either side
+    n = ja._real_form(alg).block + 1
+    rng = np.random.default_rng(27)
+    a, b = rng.standard_normal((2, n, alg.dim))
+    a[n // 2, 0] = np.inf
+    e = ja.identity(alg).coords
+    for x, y in ((a, b), (e, b), (b, e)):
+        batch = kernel(alg, x, y)
+        rows = [kernel(alg, xi, yi) for xi, yi in zip(*np.broadcast_arrays(x, y))]
+        assert _bits(batch) == _bits(np.stack(rows))
+        # coordinate-major, as the readout leaves a whole batch, so numpy
+        # sums the coordinates of a row in turn at every dim, 8 and above too
+        in_turn = functools.reduce(np.add, np.moveaxis(batch, -1, 0))
+        assert _bits(np.add.reduce(batch, axis=-1)) == _bits(in_turn)
 
 
 @pytest.mark.parametrize("alg", [ja.sym_real(1), ja.sym_real(3), ja.herm_complex(2)],

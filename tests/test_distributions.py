@@ -1076,10 +1076,14 @@ def _reference_masked_log_pdf_batch(alg, p, a_coords, b_coords=None):
 
     def log_pdf(x):
         tr = trace(x)
+        # det x = x0^2 - |xbar|^2 or x0 x1 - |off|^2 / 2, its terms added in
+        # the step's order, the coordinates in turn from the left (the two
+        # equal halves x0 x1 / 2 of its quadratic form sum to x0 x1 exactly)
         if lorentz:
-            dt = x[..., 0] ** 2 - np.sum(x[..., 1:] ** 2, axis=-1)
+            terms = np.concatenate([x[:, :1] ** 2, -x[:, 1:] ** 2], axis=-1)
         else:
-            dt = x[..., 0] * x[..., 1] - 0.5 * np.sum(x[..., 2:] ** 2, axis=-1)
+            terms = np.concatenate([x[:, :1] * x[:, 1:2], -0.5 * x[:, 2:] ** 2], axis=-1)
+        dt = _sum_in_turn(terms)
         ok = (tr > 0.0) & (dt > 0.0)
         out = np.full(x.shape[:-1], -np.inf)
         if np.any(ok):

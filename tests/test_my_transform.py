@@ -156,6 +156,18 @@ def test_jacobian_richardson_refinement():
     assert abs(refined - formula) < abs(coarse - formula)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, expected", [(1e-5, np.inf), (1e5, 0.0)])
+def test_element_jacobians_leave_the_double_range_without_a_warning(scale, expected):
+    # on herm-complex r = 4 the log Jacobian at scale * e is about 715 at
+    # 1e-5 and -759 at 1e5, past the exp of a double: inf and 0, as the
+    # element-level forms document, and no overflow warning
+    alg = ja.herm_complex(4)
+    u = ja.identity(alg) * scale
+    assert mt.jacobian_det_formula(u, u) == expected
+    assert mt.jacobian_det_numeric(u, u, step=1e-8) == expected
+
+
 def _fd_matrix_loop(u, v, step):
     """Per-coordinate central differences of my_map, one perturbation at a time."""
     alg = u.algebra
@@ -208,8 +220,8 @@ def test_log_jacobian_is_the_log_of_the_closed_form(alg):
 def test_log_jacobian_stays_finite_where_the_closed_form_overflows():
     alg = ja.herm_complex(4)
     u = ja.Element(alg, 1e-5 * ja.identity(alg).coords)
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert mt.jacobian_det_formula(u, u) == np.inf
+    # inf with no overflow warning, which the test under -W error above checks
+    assert mt.jacobian_det_formula(u, u) == np.inf
     # det u = 1e-20 and det 2u = 16e-20, to the power -2 dim/rank = -8
     expected = -8.0 * (np.log(1e-20) + np.log(16e-20))
     assert mt.batch_log_jacobian_det(alg, u.coords, u.coords) == pytest.approx(expected, rel=1e-12)

@@ -1,5 +1,7 @@
 """Identity checks, functional-equation families, and the independence test."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -179,47 +181,60 @@ def test_checks_that_share_their_points_report_the_same_in_any_order(alg, monkey
     banded = ver.random_cone_points_banded
     monkeypatch.setattr(ver, "random_cone_points_banded",
                         lambda alg, rng, n: draws.append(n) or banded(alg, rng, n))
-    calls = _count_kernel_calls(monkeypatch)
+    calls, eliminations = _count_factorizations(monkeypatch)
     ver._seeded_cone_pairs.cache_clear()
     forward = {name: check().to_dict() for name, check in checks.items()}
     # the sweep's order: the Jacobian's smaller pair, drawn between checks
     # at n = 60, leaves their pair in the memo, so each pair is drawn once
     assert draws == [60, 60, 20, 20]
-    # each det, inverse and map image that two checks share is computed
-    # once: det x, det y, det(x + y), x^-1, (x + y)^-1, det u, u^-1 and
-    # det v; the rest is what one check computes on its own points, the
-    # inverses inside batch_my_map included
-    assert calls == {"batch_det": 9, "batch_inverse": 11, "batch_my_map": 3}
+    # what one check factors on its own points: the dets of P(x)y, of
+    # P(x^1/2)y and of the Jacobian's u and u + v, the inverses of Hua's
+    # right side, of u + v in the second map and of u + v at the Jacobian's
+    # two sets of perturbed points, whose u is factored for its membership
+    # and inverse together and whose v for its membership
+    own = Counter({("det",): 4, ("inverse",): 4, ("in_cone", "inverse"): 2, ("in_cone",): 2})
+    # each det and inverse that two checks share is computed once, and each
+    # shared point set is factored once: x, y, x + y and u for their det and
+    # inverse together, v for its det
+    assert calls == own + Counter({("det", "inverse"): 4, ("det",): 1})
+    # and every factorization is one elimination
+    assert eliminations == [calls.total()]
     calls.clear()
+    eliminations[0] = 0
     backward = {name: check().to_dict() for name, check in reversed(checks.items())}
     assert draws == [60, 60, 20, 20]
     # the shared arrays stay with the memoized pair: none is computed again
-    assert calls == {"batch_det": 4, "batch_inverse": 8, "batch_my_map": 3}
+    assert calls == own
+    assert eliminations == [own.total()]
     assert forward == alone
     assert backward == alone
 
 
-def _count_kernel_calls(monkeypatch) -> dict:
-    """Count the calls of batch_det, batch_inverse and batch_my_map through
-    every module that the checks reach them by."""
-    calls = {}
+def _count_factorizations(monkeypatch):
+    """Count the calls of ``_factor``, by the arrays each asks for, through
+    every module that reaches it, and the eliminations of the matrix kinds'
+    kernel, in a one-item list."""
+    calls, eliminations = Counter(), [0]
+    factor, eliminate = ja._factor, ja._MatrixForm._eliminate
 
-    def counted(name, kernel):
-        def call(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return kernel(*args, **kwargs)
-        return call
+    def counted_factor(alg, a, *want):
+        calls[want] += 1
+        return factor(alg, a, *want)
 
-    for module in (ver, dist, mt):
-        for name in ("batch_det", "batch_inverse", "batch_my_map"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    return calls
+    def counted_eliminate(self, alg, s):
+        eliminations[0] += 1
+        return eliminate(self, alg, s)
+
+    for module in (ja, ver, dist, mt):
+        if hasattr(module, "_factor"):
+            monkeypatch.setattr(module, "_factor", counted_factor)
+    monkeypatch.setattr(ja._MatrixForm, "_eliminate", counted_eliminate)
+    return calls, eliminations
 
 
 def _shared_arrays(pts) -> list:
     """The points of a shared record and every array derived from them."""
-    return [pts.x, pts.y, pts.det_x, pts.det_y, pts.det_sum, pts.inv_x, *pts.psi,
+    return [pts.x, pts.y, pts.det_x, pts.det_y, pts.det_sum, pts.inv_x, pts.inv_y, *pts.psi,
             pts.det_u, pts.inv_u, pts.det_v]
 
 
@@ -243,7 +258,8 @@ def test_shared_cone_points_are_read_only_and_keyed_on_the_algebra():
         # and each derived array is the library kernel's on the points
         u, v = mt.batch_my_map(alg, pts.x, pts.y)
         expected = [pts.x, pts.y, ja.batch_det(alg, pts.x), ja.batch_det(alg, pts.y),
-                    ja.batch_det(alg, pts.x + pts.y), ja.batch_inverse(alg, pts.x), u, v,
+                    ja.batch_det(alg, pts.x + pts.y), ja.batch_inverse(alg, pts.x),
+                    ja.batch_inverse(alg, pts.y), u, v,
                     ja.batch_det(alg, u), ja.batch_inverse(alg, u), ja.batch_det(alg, v)]
         for held, computed in zip(_shared_arrays(pts), expected):
             np.testing.assert_array_equal(held, computed)
@@ -521,18 +537,24 @@ def test_my_property_dcor_p_values_are_pinned(rank, n, negative, dcor, p_values)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("alg", [A1, A2, ja.lorentz(2)], ids=["rank-1", "sym-real-2", "lorentz-3"])
-def test_my_property_statistics_are_the_same_at_every_power_of_two_scale(alg):
+@pytest.mark.parametrize("alg, p", [(A1, 2.0), (A2, 2.0), (ja.lorentz(2), 2.0),
+                                    (ja.sym_real(4), 3.5), (ja.herm_complex(3), 4.0)],
+                         ids=["rank-1", "sym-real-2", "lorentz-3", "sym-real-4",
+                              "herm-complex-9"])
+def test_my_property_statistics_are_the_same_at_every_power_of_two_scale(alg, p):
     # (2^-k a, 2^k b) scales X and Y by 2^k and U and V by 2^-k, so every
     # functional sample is scaled by a power of two; dCor and the correlation
-    # do not see that, while their squares would overflow or underflow at k = 300
+    # do not see that, while their squares would overflow or underflow at k =
+    # 300, and neither does KS.  At rank 4 det U itself would underflow at k
+    # = 300 (2^-1200) and overflow at k = -300, were it not taken at U and
+    # the fresh draws times one power of two
     e = ja.identity(alg).coords
     reports = {}
     for k in (0, 100, -100, 300, -300):
         a, b = ja.Element(alg, np.ldexp(e, -k)), ja.Element(alg, np.ldexp(e, k))
-        report = ver.my_property_test(alg, 2.0, a, b, 300, seed=4, n_permutations=200,
+        report = ver.my_property_test(alg, p, a, b, 300, seed=4, n_permutations=200,
                                       subsample=200)
-        reports[k] = (report.dcor, report.dcor_p_values, report.ks_p_values,
+        reports[k] = (report.dcor, report.dcor_p_values, report.ks_stats, report.ks_p_values,
                       report.correlation_matrix)
     assert all(stats == reports[0] for stats in reports.values())
 
