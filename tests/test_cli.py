@@ -405,7 +405,8 @@ def _run_cli_subprocess(*argv, binary=False):
 
 def test_importing_the_package_and_cli_loads_no_scipy():
     # scipy.special and scipy.stats take a large share of a second to import;
-    # they load on the first KS test or rank-1 GIG normalizer instead
+    # scipy.special loads on the first rank-1 GIG normalizer instead, and
+    # scipy.stats only in tests, for the KS test against a CDF
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import symcone, symcone.cli, sys; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -413,6 +414,21 @@ def test_importing_the_package_and_cli_loads_no_scipy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_my_property_runs_its_ks_tests_without_scipy_stats():
+    # importing scipy.stats takes about 70 MB and most of a second
+    code = ("import sys; from symcone import cli; code = cli.run(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats'))); sys.exit(code)")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop(cli.SEED_ENV_VAR, None)
+    done = subprocess.run([sys.executable, "-c", code, "test", "my-property", "--kind", "sym-real",
+                           "--rank", "1", "-n", "400", "--permutations", "700"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("[PASS] my-property") and lines[-1] == "[]", done.stdout
 
 
 @pytest.mark.parametrize("argv", [

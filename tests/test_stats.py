@@ -1,4 +1,6 @@
-"""Distance-correlation permutation test and Monte Carlo error helpers."""
+"""Distance-correlation permutation test, two-sample KS test and Monte Carlo error helpers."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +183,81 @@ def test_ks_helpers():
     assert p < 1e-6
     # 1% asymptotic critical value ~ 1.628 / sqrt(n)
     assert st.ks_critical_value(10000, 0.01) == pytest.approx(1.6276 / 100.0, abs=1e-3)
+
+
+def _shifted(n, shift):
+    # the ECDFs of 0..n-1 and of the same points moved by an integer shift
+    # differ by shift/n at most
+    x = np.arange(float(n))
+    return x, x + shift
+
+
+# (n, h) where Hodges' Horner form leaves [0, 1] and the p-value falls back
+# to Kolmogorov's law at N = round(n/2) and d = h/n; N <= 140 at the first three
+KS_FALLBACKS = [(5, 1), (7, 1), (135, 3), (400, 5), (10000, 25)]
+# n > 10000: shifts giving d in each branch of Kolmogorov's survival function,
+# in order: Ruben-Gambino twice (d just above 1/(2N)), Durbin's matrix,
+# Pelz-Good, 2 smirnov at N d^2 = 2.25 and 9, 0 at N d^2 = 900, 2 smirnov at
+# d = 0.6, 2 (1 - d)^N at N d >= N - 1, 0 at d = 1, and Pelz-Good above
+# N = 1e5 where Durbin's matrix would serve a smaller N.
+# N = round(20003/2) = 10002, not 20003 // 2
+KS_ASYMPTOTIC = [(20001, 2), (20003, 1), (20003, 50), (20003, 200), (20003, 300),
+                 (20003, 600), (20003, 6000), (20003, 12000), (20003, 20002),
+                 (20003, 20003), (200003, 100)]
+
+
+def _ks_cases():
+    rng = np.random.default_rng(10)
+    a, b = rng.standard_normal((2, 50))
+    c, d = rng.standard_normal((2, 10000))
+    nan = np.arange(5.0)
+    nan[2] = np.nan
+    return [
+        pytest.param(np.array([0.0, 1.0]), np.array([0.5, 2.0]), id="exact-n2"),
+        pytest.param(np.round(a, 1), np.round(b + 0.5, 1), id="exact-n50-ties"),
+        pytest.param(np.round(c, 2), np.round(d + 0.05, 2), id="exact-n10000-ties"),
+        pytest.param(*_shifted(10000, 3000), id="exact-n10000-shift"),
+        *(pytest.param(*_shifted(n, h), id=f"fallback-n{n}-h{h}") for n, h in KS_FALLBACKS),
+        *(pytest.param(*_shifted(n, s), id=f"asymptotic-n{n}-shift{s}") for n, s in KS_ASYMPTOTIC),
+        pytest.param(nan, np.arange(5.0), id="nan"),
+    ]
+
+
+@pytest.mark.parametrize("x, y", _ks_cases())
+def test_ks_2sample_matches_scipy_to_the_last_bit(x, y):
+    from scipy import stats as sps
+
+    with warnings.catch_warnings():
+        # scipy warns where its exact calculation falls back
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = sps.ks_2samp(x, y)
+    got = np.array(st.ks_2sample(x, y))
+    assert got.tobytes() == np.array([ref.statistic, ref.pvalue]).tobytes(), (got, ref)
+
+
+@pytest.mark.parametrize("n, h", KS_FALLBACKS)
+def test_ks_fallback_cases_leave_the_exact_law(n, h):
+    # otherwise the bit comparison above would not reach the fallback
+    assert not 0 <= st._prob_outside_square(n, h) <= 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ks_2sample_falls_back_to_the_asymptotic_law_without_a_warning():
+    x = np.random.default_rng(11).standard_normal(200)
+    y = x.copy()
+    y[0] = 99.0  # h = 1, where Hodges' form leaves [0, 1]
+    assert st.ks_2sample(x, y) == (0.005, 1.0)
+
+
+@pytest.mark.parametrize("x, y", [
+    (np.arange(5.0), np.arange(6.0)),
+    (np.ones((3, 2)), np.ones((3, 2))),
+    (np.array(1.0), np.array(1.0)),
+    (np.array([]), np.array([])),
+], ids=["unequal", "2-d", "0-d", "empty"])
+def test_ks_2sample_needs_two_1d_samples_of_equal_length(x, y):
+    with pytest.raises(ValueError, match="need two 1-d samples of equal length"):
+        st.ks_2sample(x, y)
 
 
 def test_mean_std_err_chain_blocks():
