@@ -16,6 +16,13 @@ level; the sample is shifted to start at 0 once, because the two terms
 cancel to the result; and each row's products are summed by ``np.einsum``,
 not by BLAS, so every column is summed in the same order and a permutation
 that leaves the sample unchanged ties with it exactly.
+
+Both tests run in whole-array passes.  The KS statistic reads the two ECDFs off
+one stable merge of the sorted samples rather than from a binary search per
+point, Hodges' exact law takes the terms of its Horner form all at once,
+and each block of permutations is one shuffle of the columns of a matrix.
+Every result keeps the bits, and every generator the stream, of the
+one-at-a-time forms these replace.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import math
 import numpy as np
 
 # permutations whose statistics are summed in one pass; a pass holds two
-# (m, PERMUTATION_BLOCK + 1) float arrays
+# (m, PERMUTATION_BLOCK + 1) float arrays: the block's permuted copies of the
+# sample, one per column after the observed one, and a buffer of minima
 PERMUTATION_BLOCK = 512
 
 
@@ -73,10 +81,13 @@ def permutation_dcor_test(
     this bounds it while leaving the null distribution of the p-value
     uniform.
 
-    The permutations are drawn one after the other from ``rng`` with
-    ``rng.permutation(m)``, after the subsample draw.  Raises ValueError
-    when ``n_permutations < 1`` or when fewer than 2 pairs would be tested,
-    since then the test cannot reject.
+    The permutations are drawn from ``rng`` after the subsample draw, each
+    the one ``rng.permutation(m)`` would give in turn, and leave ``rng`` in
+    the state those calls would.  A tested pair set holding inf or nan gives
+    (nan, nan), and still draws its permutations, so that later draws from
+    ``rng`` do not depend on it.  Raises ValueError when
+    ``n_permutations < 1`` or when fewer than 2 pairs would be tested, since
+    then the test cannot reject.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -92,19 +103,28 @@ def permutation_dcor_test(
     if m < x.size:
         idx = rng.choice(x.size, size=m, replace=False)
         x, y = x[idx], y[idx]
-    a, b = _centered_distance_matrices(x, y)
-    # the min-form sums cancel unless the sample starts at 0; b is already
-    # built, and distances do not see the shift
-    y = y - y.min()
+    finite = bool(np.isfinite(x).all() and np.isfinite(y).all())
+    if finite:
+        a, b = _centered_distance_matrices(x, y)
+        dcor = _dcor_from_centered(a, b)
+        del b  # not held while the permutation blocks are
+        # the min-form sums cancel unless the sample starts at 0; distances
+        # do not see the shift
+        y = y - y.min()
     count = 0
     for start in range(0, n_permutations, PERMUTATION_BLOCK):
         size = min(PERMUTATION_BLOCK, n_permutations - start)
-        # column 0 is the observed sample, summed by the same code as the rest
-        yt = np.stack([y, *(y[rng.permutation(m)] for _ in range(size))], axis=1)
-        stat = _permuted_dcov_sums(a, yt)
-        count += int(np.count_nonzero(stat[1:] >= stat[0]))
-    p_value = (count + 1.0) / (n_permutations + 1.0)
-    return _dcor_from_centered(a, b), p_value
+        # column 0 is the observed sample, summed by the same code as the
+        # rest; rng.permuted shuffles the further columns, copies of y, one
+        # after the other with the draws of rng.permutation(m)
+        yt = np.repeat(y[:, None], size + 1, axis=1)
+        rng.permuted(yt[:, 1:], axis=0, out=yt[:, 1:])
+        if finite:
+            stat = _permuted_dcov_sums(a, yt)
+            count += int(np.count_nonzero(stat[1:] >= stat[0]))
+    if not finite:
+        return math.nan, math.nan
+    return dcor, (count + 1.0) / (n_permutations + 1.0)
 
 
 def _permuted_dcov_sums(a: np.ndarray, yt: np.ndarray) -> np.ndarray:
@@ -152,19 +172,37 @@ def ks_2sample(x, y) -> tuple[float, float]:
     the survival function of Kolmogorov's law at N = round(n/2)
     (``_kolmogorov_sf``).  A sample holding nan gives (nan, nan).  Raises
     ValueError unless both samples are 1-d, non-empty and of equal length.
+
+    The statistic is scipy's arithmetic, a/n - b/n with a and b the numbers
+    of points of x and of y at or below a point, where scipy takes a and b
+    from two binary searches per point.  Here they are counts along one
+    merge of the two sorted samples, read only where a run of tied points
+    ends, the one place the counts equal a and b.
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:
         raise ValueError("need two 1-d samples of equal length")
-    x, y = np.sort(x), np.sort(y)
-    if np.isnan(x[-1]) or np.isnan(y[-1]):  # a sort puts nan last
-        return math.nan, math.nan
     n = x.size
-    both = np.concatenate([x, y])
-    diffs = np.searchsorted(x, both, side="right") / n - np.searchsorted(y, both, side="right") / n
-    d = diffs.max()
-    min_s = np.clip(-diffs.min(), 0, 1)
+    both = np.concatenate([np.sort(x), np.sort(y)])
+    if np.isnan(both[n - 1]) or np.isnan(both[-1]):  # a sort puts nan last
+        return math.nan, math.nan
+    # a stable argsort (numpy's timsort) merges the two sorted runs in one
+    # linear pass.  The counts and their quotients are written into the
+    # buffers of the argsort and the merge, and a count is summed in place:
+    # a cumsum of the bool mask would cast a copy of it first
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    ends = np.empty(2 * n, bool)
+    np.not_equal(merged[1:], merged[:-1], out=ends[:-1])
+    ends[-1] = True
+    from_x = order < n
+    np.copyto(order, from_x)
+    diffs = np.divide(np.cumsum(order, out=order), n, out=both)
+    np.logical_not(from_x, out=order)
+    diffs -= np.divide(np.cumsum(order, out=order), n, out=merged)
+    d = np.maximum.reduce(diffs, where=ends, initial=-np.inf)
+    min_s = np.clip(-np.minimum.reduce(diffs, where=ends, initial=np.inf), 0, 1)
     if min_s > d:
         d = min_s
     if n <= KS_EXACT_MAX_N:
@@ -182,14 +220,23 @@ def _prob_outside_square(n: int, h: int) -> float:
     """Pr(D_{n,n} >= h/n) in Hodges' Horner form, 2 A0 (1 - A1 (1 - A2 (...))).
 
     A_k is binom(2n, n - (k+1)h) / binom(2n, n - kh), a product of h ratios
-    taken without forming a binomial coefficient.
+    taken without forming a binomial coefficient.  The h steps of the
+    product run for every k at once, a vector of n//h + 1 terms, each term
+    rounded as the step alone would; only the Horner sweep over k is taken
+    one term at a time.  That is O(h) array operations and O(n/h) scalar
+    ones, where one term at a time is O(n) scalar ones.
     """
+    # row j holds kh + j for every k
+    steps = np.add.outer(np.arange(h), h * np.arange(n // h + 1))
+    num = (n - steps).astype(float)
+    den = (n + 1 + steps).astype(float)
+    a = np.ones(n // h + 1)
+    for num_j, den_j in zip(num, den):
+        a *= num_j
+        a /= den_j
     p = 0.0
-    for k in range(n // h, -1, -1):
-        a = 1.0
-        for j in range(h):
-            a = (n - k * h - j) * a / (n + k * h + j + 1)
-        p = a * (1.0 - p)
+    for a_k in a[::-1].tolist():
+        p = a_k * (1.0 - p)
     return 2 * p
 
 

@@ -1,5 +1,7 @@
 """Distance-correlation permutation test, two-sample KS test and Monte Carlo error helpers."""
 
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -90,6 +92,64 @@ def test_batched_permutation_test_matches_loop(m, data, subsampled, monkeypatch)
     expected = _reference_permutation_dcor_test(x, y, n_permutations, rng_ref, subsample)
     assert st.permutation_dcor_test(x, y, n_permutations, rng_new, subsample) == expected
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("subsampled", [False, True], ids=["all", "subsample"])
+@pytest.mark.parametrize("n_permutations", [1, 16, 40], ids=["one", "one-block", "three-blocks"])
+@pytest.mark.parametrize("m", [2, 3, 17, 400, 1100])
+def test_permutation_blocks_hold_the_sequential_draws(m, n_permutations, subsampled,
+                                                      monkeypatch):
+    # each block is the observed sample and then the permutations that
+    # rng.permutation(m) gives one call after the other, and rng ends in the
+    # state those calls leave
+    blocks = []
+    sums = st._permuted_dcov_sums
+
+    def spy(a, yt):
+        blocks.append(yt.copy())
+        return sums(a, yt)
+
+    monkeypatch.setattr(st, "_permuted_dcov_sums", spy)
+    monkeypatch.setattr(st, "PERMUTATION_BLOCK", 16)
+    x, y = np.random.default_rng(m).standard_normal((2, 3 * m if subsampled else m))
+    rng_new, rng_ref = np.random.default_rng(12), np.random.default_rng(12)
+    st.permutation_dcor_test(x, y, n_permutations, rng_new, m if subsampled else None)
+    if subsampled:
+        y = y[rng_ref.choice(3 * m, size=m, replace=False)]
+    z = y - y.min()
+    perms = [z[rng_ref.permutation(m)] for _ in range(n_permutations)]
+    assert len(blocks) == -(-n_permutations // 16)
+    assert all(np.array_equal(yt[:, 0], z) for yt in blocks)
+    assert np.array_equal(np.concatenate([yt[:, 1:] for yt in blocks], axis=1),
+                          np.stack(perms, axis=1))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("subsample", [None, 200], ids=["all", "subsample"])
+def test_permutation_test_of_a_non_finite_sample_is_nan(side, bad, subsample):
+    # the verdict must not depend on which side holds the bad value, and the
+    # generator must advance as a finite sample would advance it
+    x, y = np.random.default_rng(16).standard_normal((2, 300))
+    rng_bad, rng_ref = np.random.default_rng(17), np.random.default_rng(17)
+    finite = st.permutation_dcor_test(x, y, 40, rng_ref, subsample)
+    # 101 bad values among 300: a subsample of 200 holds at least one
+    (x if side == "x" else y)[::3] = bad
+    r, p = st.permutation_dcor_test(x, y, 40, rng_bad, subsample)
+    assert math.isnan(r) and math.isnan(p)
+    assert rng_bad.bit_generator.state == rng_ref.bit_generator.state
+    assert not any(math.isnan(t) for t in finite)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_permutation_test_decides_finiteness_after_the_subsample_draw():
+    x, y = np.random.default_rng(18).standard_normal((2, 300))
+    tested = np.random.default_rng(19).choice(300, size=200, replace=False)
+    expected = st.permutation_dcor_test(x, y, 40, np.random.default_rng(19), 200)
+    x[np.setdiff1d(np.arange(300), tested)[0]] = np.nan  # a pair left out of the test
+    assert st.permutation_dcor_test(x, y, 40, np.random.default_rng(19), 200) == expected
 
 
 @pytest.mark.parametrize("m", [3, 17, 200, 400])
@@ -233,6 +293,111 @@ def test_ks_2sample_matches_scipy_to_the_last_bit(x, y):
         ref = sps.ks_2samp(x, y)
     got = np.array(st.ks_2sample(x, y))
     assert got.tobytes() == np.array([ref.statistic, ref.pvalue]).tobytes(), (got, ref)
+
+
+def _reference_prob_outside_square(n, h):
+    """Hodges' Horner form one term, and one step of each term, at a time."""
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        a = 1.0
+        for j in range(h):
+            a = (n - k * h - j) * a / (n + k * h + j + 1)
+        p = a * (1.0 - p)
+    return 2 * p
+
+
+def _reference_ks_2sample(x, y):
+    """``ks_2sample`` with scipy's statistic as scipy takes it, two binary
+    searches per point, and Hodges' law one term at a time."""
+    x, y = np.sort(x), np.sort(y)
+    n = x.size
+    both = np.concatenate([x, y])
+    diffs = np.searchsorted(x, both, side="right") / n - np.searchsorted(y, both, side="right") / n
+    d = diffs.max()
+    min_s = np.clip(-diffs.min(), 0, 1)
+    if min_s > d:
+        d = min_s
+    if n <= st.KS_EXACT_MAX_N:
+        h = int(np.round(d * n))
+        d = h / n
+        if h == 0:
+            return d, 1.0
+        p = _reference_prob_outside_square(n, h)
+        if 0 <= p <= 1:
+            return d, p
+    return float(d), float(np.clip(st._kolmogorov_sf(int(np.round(n / 2)), np.asarray(d)), 0, 1))
+
+
+def _ks_pairs(kind, rng):
+    """Random sample pairs of one kind, as (x, y)."""
+    if kind == "ties":  # rounded to a few digits, so points tie within and across the samples
+        for _ in range(150):
+            n = int(rng.integers(2, 400))
+            digits = int(rng.integers(0, 3))
+            yield (np.round(rng.standard_normal(n), digits),
+                   np.round(rng.standard_normal(n) + rng.uniform(-1, 1), digits))
+    elif kind == "constant":
+        for _ in range(30):
+            n = int(rng.integers(1, 300))
+            c = np.round(rng.standard_normal(), 1)
+            yield np.full(n, c), np.round(rng.standard_normal(n), 1)
+            yield np.full(n, c), np.full(n, c)
+            yield np.full(n, c), np.full(n, c + 1.0)
+    elif kind == "inf":
+        for _ in range(60):
+            n = int(rng.integers(1, 300))
+            x, y = np.round(rng.standard_normal((2, n)), 1)
+            x[rng.integers(0, n, n // 3 + 1)] = np.inf
+            y[rng.integers(0, n, n // 4 + 1)] = -np.inf
+            y[rng.integers(0, n, n // 5 + 1)] = np.inf
+            yield x, y
+    elif kind == "n1":
+        for x, y in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (np.inf, 0.0), (-np.inf, np.inf)]:
+            yield np.array([x]), np.array([y])
+    else:  # the exact/asymptotic cut
+        for n in (10000, 10001):
+            for shift in (0.0, 0.01, 0.05, 0.3):
+                yield (np.round(rng.standard_normal(n), 2),
+                       np.round(rng.standard_normal(n) + shift, 2))
+
+
+@pytest.mark.parametrize("kind", ["ties", "constant", "inf", "n1", "cut"])
+def test_ks_2sample_matches_the_searchsorted_form(kind):
+    rng = np.random.default_rng(["ties", "constant", "inf", "n1", "cut"].index(kind))
+    for x, y in _ks_pairs(kind, rng):
+        got, ref = st.ks_2sample(x, y), _reference_ks_2sample(x, y)
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), (x.size, got, ref)
+        assert [type(t) for t in got] == [type(t) for t in ref]
+
+
+def test_ks_2sample_holds_at_most_6_mib_at_1e5_points():
+    # below the 7.7 MiB of the searchsorted form: the merge holds its inputs'
+    # concatenation, the argsort, the merged points and two masks (5.0 MiB);
+    # a fresh array per count or quotient would hold 1.5 MiB more each
+    x, y = np.random.default_rng(20).standard_normal((2, 100_000))
+    st.ks_2sample(x, y)
+    tracemalloc.start()
+    try:
+        st.ks_2sample(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+# every h at these n, and 12 h from 1 to n at n = 400, 801, ..., 10000
+HODGES_EVERY_H = [*range(1, 100), 127, 256, 331, 399]
+HODGES_SWEEP = range(400, 10001, 401)
+
+
+@pytest.mark.parametrize("n", [*HODGES_EVERY_H, *HODGES_SWEEP])
+def test_prob_outside_square_matches_the_scalar_loop(n):
+    if n in HODGES_EVERY_H:
+        hs = range(1, n + 1)
+    else:
+        hs = sorted({int(h) for h in np.geomspace(1, n, 12)})
+    for h in hs:
+        assert st._prob_outside_square(n, h) == _reference_prob_outside_square(n, h), (n, h)
 
 
 @pytest.mark.parametrize("n, h", KS_FALLBACKS)

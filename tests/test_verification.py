@@ -499,6 +499,30 @@ def test_default_negative_control_fails_through_dcor_alone():
     assert all(p <= ver.BONFERRONI_GATE for p in report.dcor_p_values)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_my_property_fails_when_a_dcor_sample_holds_nan(side, monkeypatch):
+    # a nan in one side's <c, .> functional, the one no KS test reads: its
+    # dCor test gives (nan, nan), whichever side holds it, and the report fails
+    functionals = ver._functionals
+    calls = []
+
+    def one_nan(alg, z, c, m):
+        out = functionals(alg, z, c, m)
+        calls.append(side)
+        if len(calls) == "uv".index(side) + 1:
+            out["inner"][5] = np.nan
+        return out
+
+    monkeypatch.setattr(ver, "_functionals", one_nan)
+    report = ver.my_property_test(A1, 2.0, ONE, ONE, 300, seed=3, n_permutations=100,
+                                  subsample=None)
+    assert np.isnan(report.dcor[2]) and np.isnan(report.dcor_p_values[2])
+    assert not np.isnan(report.dcor[:2] + report.dcor_p_values[:2]).any()
+    assert not np.isnan(report.ks_p_values).any()
+    assert report.passed is False
+
+
 def test_report_determinism():
     r1 = ver.check_hua(A2, n=200, seed=42)
     r2 = ver.check_hua(A2, n=200, seed=42)
